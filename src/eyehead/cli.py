@@ -24,21 +24,22 @@ import glob
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .errors import EyeheadError, MissingInputError, OneSidedDataError
 from .events import FixationConfig, preprocess_trial
-from .fitting import FitConfig, fit_participant
+from .fitting import MODELS, FitConfig, fit_participant
 from .fpca import Spectrum, fit_fpca, sample_curves, score_table
 from .ingest import (
+    SCORE_COLUMNS,
     FilterConfig,
     align_head_to_gaze,
     concat_shift_sets,
     load_trace_csv,
     missing_stream_report,
     participant_passes,
+    read_scores_csv,
     read_shifts_csv,
     sanity_check,
     symmetrize_and_clean,
@@ -57,8 +58,6 @@ from .report import (
 from .stats import symmetry_check, threshold_sensitivity
 from .synth import SynthConfig, draw_population, synth_shifts, synth_trace
 
-MODEL_ORDER = ("linear", "hinge", "soft-hinge")
-
 DEFAULTS = {
     "fix_threshold": 15.0,
     "min_dur_ms": 60.0,
@@ -74,7 +73,6 @@ DEFAULTS = {
     "model": "all",
     "starts": 20,
     "seed": 0,
-    "threads": 1,
     "components": 0,
     "thresholds": "10,15,20",
     "base_threshold": 15.0,
@@ -95,7 +93,23 @@ def _load_config_file(path: str | None) -> dict:
     unknown = set(data) - set(DEFAULTS)
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
-    return data
+    return {key: _config_value(path, key, value) for key, value in data.items()}
+
+
+def _config_value(path: str, key: str, value):
+    """A config-file value as its option's type; the JSON type must match.
+
+    int options take only integers (not booleans), float options take
+    integers or floats, str options take only strings.
+    """
+    kind = type(DEFAULTS[key])
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(
+            f"{path}: config key {key!r} must be {kind.__name__}, "
+            f"got {type(value).__name__} {value!r}"
+        )
+    return kind(value)
 
 
 def _resolve(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
@@ -107,7 +121,7 @@ def _resolve(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
         if flag_value is not None:
             resolved[key] = flag_value
         elif key in from_file:
-            resolved[key] = type(DEFAULTS[key])(from_file[key])
+            resolved[key] = from_file[key]
         else:
             resolved[key] = DEFAULTS[key]
     return resolved
@@ -234,35 +248,22 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, ("model", "starts", "seed", "threads"))
-    if cfg["model"] not in MODEL_ORDER + ("all",):
+    cfg = _resolve(args, ("model", "starts", "seed"))
+    if cfg["model"] not in MODELS + ("all",):
         raise ValueError(f"unknown model {cfg['model']!r}")
-    models = MODEL_ORDER if cfg["model"] == "all" else (cfg["model"],)
+    models = MODELS if cfg["model"] == "all" else (cfg["model"],)
 
     shifts = read_shifts_csv(args.in_path)
-    # thread count is an execution detail: results are identical either
-    # way, so it must not perturb the recorded configuration
-    prov_cfg = {k: v for k, v in cfg.items() if k != "threads"}
     provenance = make_provenance(
-        {"command": "fit", **prov_cfg},
+        {"command": "fit", **cfg},
         cfg["seed"],
         _input_map([args.in_path], os.path.dirname(os.path.abspath(args.in_path))),
     )
     fit_cfg = FitConfig(n_starts=cfg["starts"], seed=cfg["seed"])
-    pids = shifts.participants()
-
-    def fit_one(pid: str):
-        sub = shifts.for_participant(pid)
-        return fit_participant(sub.x, sub.y, pid, fit_cfg, models)
-
-    if cfg["threads"] > 1:
-        with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
-            participant_fits = list(pool.map(fit_one, pids))
-    else:
-        participant_fits = [fit_one(pid) for pid in pids]
-
     rows = []
-    for pfit in participant_fits:
+    for pid in shifts.participants():
+        sub = shifts.for_participant(pid)
+        pfit = fit_participant(sub.x, sub.y, pid, fit_cfg, models)
         for model in models:
             rows.append(
                 {"participant_id": pfit.participant_id, **pfit.fits[model].to_file_dict()}
@@ -318,29 +319,11 @@ def cmd_project(args: argparse.Namespace) -> int:
     )
     write_csv_with_provenance(
         args.out,
-        ["curve_id", "pc1", "pc2", "percentile_pc1"],
-        [[r["curve_id"], r["pc1"], r["pc2"], r["percentile_pc1"]] for r in table],
+        list(SCORE_COLUMNS),
+        [[r[c] for c in SCORE_COLUMNS] for r in table],
         provenance,
     )
     return 0
-
-
-def _read_scores_csv(path: str) -> list[dict]:
-    import csv
-
-    with open(path) as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    rows = []
-    for record in csv.DictReader(lines):
-        rows.append(
-            {
-                "curve_id": record["curve_id"],
-                "pc1": float(record["pc1"]),
-                "pc2": float(record["pc2"]),
-                "percentile_pc1": float(record["percentile_pc1"]),
-            }
-        )
-    return rows
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -348,7 +331,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not fit_rows:
         raise MissingInputError(f"{args.fits}: empty fit table")
     spectrum = _load_spectrum(args.spectrum)
-    score_rows = _read_scores_csv(args.scores)
+    score_rows = read_scores_csv(args.scores)
     provenance = make_provenance(
         {"command": "report"},
         None,
@@ -518,10 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit candidate models per participant")
     p.add_argument("--in", dest="in_path", required=True, help="cleaned shift CSV")
     p.add_argument("--out", required=True, help="output fit JSON")
-    p.add_argument("--model", choices=MODEL_ORDER + ("all",), help="model family to fit")
+    p.add_argument("--model", choices=MODELS + ("all",), help="model family to fit")
     p.add_argument("--starts", type=int, help="random restarts per fit")
     p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--threads", type=int, help="parallel workers across participants")
     _add_config_flag(p)
     p.set_defaults(func=cmd_fit)
 

@@ -1,11 +1,12 @@
 """Per-participant model fits and AIC-based model comparison.
 
-The soft hinge and the hinge are fit by bound-constrained nonlinear least
-squares (trust-region reflective) restarted from many random initial points,
-keeping the lowest-SSE converged run; the linear baseline has no free
-parameters to optimize, since its breakpoint is the participant's eye-only
-range and its slope is computed in closed form. All three candidates are
-then ranked by AIC on identical data.
+The soft hinge and the hinge are fit by the same bound-constrained nonlinear
+least-squares solver (trust-region reflective), restarted from many random
+initial points and keeping the lowest-SSE converged run; the hinge is the
+soft hinge with s fixed at 1, so it is solved over (beta, tau) only. The
+linear baseline has no free parameters to optimize, since its breakpoint is
+the participant's eye-only range and its slope is computed in closed form.
+All three candidates are then ranked by AIC on identical data.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .models import (
     compute_ehr_slope,
     compute_eor,
     eval_model,
-    hinge_gradient,
+    hinge_gradient,  # unused here; the benchmark tracer wraps fitting.hinge_gradient
     model_gradient,
     params_from_dict,
     params_to_dict,
@@ -45,6 +46,8 @@ START_TAU = (0.0, 50.0)
 START_S = (0.5, 20.0)
 
 _N_PARAMS = {"linear": 2, "hinge": 2, "soft-hinge": 3}
+# Every candidate model, in the order fits are run and written.
+MODELS = tuple(_N_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -180,21 +183,16 @@ def _finish(
     start_sse: float,
     start_sses: list[float],
 ) -> FitResult:
-    sse = sum_squared_error(params, x, y)
-    n = int(x.size)
     k = _N_PARAMS[model]
-    try:
-        r2 = r_squared(sse, y)
-    except ZeroVarianceError:
-        r2 = float("nan")
+    sse, r2, rmse, aic = fit_metrics(x, y, params, k)
     return FitResult(
         model=model,
         params=params,
         sse=sse,
-        rmse=rmse_from_sse(sse, n),
+        rmse=rmse,
         r2=r2,
-        aic=aic_gaussian(sse, n, k),
-        n_points=n,
+        aic=aic,
+        n_points=int(x.size),
         n_params=k,
         converged=converged,
         n_converged=n_converged,
@@ -280,9 +278,34 @@ def _multistart(residual, jacobian, starts, lo, hi, cfg: FitConfig):
         if better:
             best = res
             best_index = j
-            best_start_sse = float(np.dot(residual(theta0), residual(theta0)))
+            r0 = residual(theta0)
+            best_start_sse = float(np.dot(r0, r0))
             best_is_ok = ok
     return best, best_index, best_start_sse, n_converged, start_sses
+
+
+def _fit_hinge_family(x, y, cfg: FitConfig, participant_id: str, free_s: bool) -> FitResult:
+    """Multi-start fit of y = beta * softplus((x - tau)/s); s = 1 unless free_s."""
+    x, y = _check_data(x, y)
+    model = "soft-hinge" if free_s else "hinge"
+    k = _N_PARAMS[model]
+    pinned = () if free_s else (1.0,)
+
+    def residual(theta):
+        return eval_model(SoftHingeParams(*theta, *pinned), x) - y
+
+    def jacobian(theta):
+        return np.column_stack(model_gradient(SoftHingeParams(*theta, *pinned), x)[:k])
+
+    lo = (cfg.beta_bounds[0], cfg.tau_bounds[0], cfg.s_bounds[0])[:k]
+    hi = (cfg.beta_bounds[1], cfg.tau_bounds[1], cfg.s_bounds[1])[:k]
+    starts = [
+        _draw_start(start_rng(cfg.seed, participant_id, j))[:k]
+        for j in range(cfg.n_starts)
+    ]
+    best, j, start_sse, n_ok, sses = _multistart(residual, jacobian, starts, lo, hi, cfg)
+    params = SoftHingeParams(*best.x) if free_s else HingeParams(*best.x)
+    return _finish(model, params, x, y, best.status > 0, n_ok, j, start_sse, sses)
 
 
 def fit_soft_hinge(
@@ -292,23 +315,7 @@ def fit_soft_hinge(
     participant_id: str = "",
 ) -> FitResult:
     """Multi-start bounded least squares for y = beta * softplus((x - tau)/s)."""
-    x, y = _check_data(x, y)
-
-    def residual(theta):
-        return eval_model(SoftHingeParams(*theta), x) - y
-
-    def jacobian(theta):
-        return np.column_stack(model_gradient(SoftHingeParams(*theta), x))
-
-    lo = (cfg.beta_bounds[0], cfg.tau_bounds[0], cfg.s_bounds[0])
-    hi = (cfg.beta_bounds[1], cfg.tau_bounds[1], cfg.s_bounds[1])
-    starts = [
-        _draw_start(start_rng(cfg.seed, participant_id, j))
-        for j in range(cfg.n_starts)
-    ]
-    best, j, start_sse, n_ok, sses = _multistart(residual, jacobian, starts, lo, hi, cfg)
-    params = SoftHingeParams(*best.x)
-    return _finish("soft-hinge", params, x, y, best.status > 0, n_ok, j, start_sse, sses)
+    return _fit_hinge_family(x, y, cfg, participant_id, free_s=True)
 
 
 def fit_hinge(
@@ -318,23 +325,7 @@ def fit_hinge(
     participant_id: str = "",
 ) -> FitResult:
     """Multi-start bounded least squares for y = beta * softplus(x - tau)."""
-    x, y = _check_data(x, y)
-
-    def residual(theta):
-        return eval_model(HingeParams(*theta), x) - y
-
-    def jacobian(theta):
-        return np.column_stack(hinge_gradient(HingeParams(*theta), x))
-
-    lo = (cfg.beta_bounds[0], cfg.tau_bounds[0])
-    hi = (cfg.beta_bounds[1], cfg.tau_bounds[1])
-    starts = [
-        _draw_start(start_rng(cfg.seed, participant_id, j))[:2]
-        for j in range(cfg.n_starts)
-    ]
-    best, j, start_sse, n_ok, sses = _multistart(residual, jacobian, starts, lo, hi, cfg)
-    params = HingeParams(*best.x)
-    return _finish("hinge", params, x, y, best.status > 0, n_ok, j, start_sse, sses)
+    return _fit_hinge_family(x, y, cfg, participant_id, free_s=False)
 
 
 def fit_linear(x, y) -> FitResult:
@@ -388,7 +379,7 @@ def fit_participant(
     y,
     participant_id: str,
     cfg: FitConfig = FitConfig(),
-    models: tuple[str, ...] = ("linear", "hinge", "soft-hinge"),
+    models: tuple[str, ...] = MODELS,
 ) -> ParticipantFit:
     """Fit the requested candidate models to one participant's cleaned shifts."""
     x, y = _check_data(x, y)

@@ -35,6 +35,7 @@ from .errors import (
 
 TRACE_COLUMNS = ("participant_id", "trial_id", "timestamp_s", "yaw_deg")
 SHIFT_COLUMNS = ("participant_id", "trial_id", "x_deg", "y_deg")
+SCORE_COLUMNS = ("curve_id", "pc1", "pc2", "percentile_pc1")
 
 
 @dataclass
@@ -383,6 +384,18 @@ def read_shifts_csv(path: str) -> ShiftSet:
         x=x,
         y=y,
     )
+
+
+def read_scores_csv(path: str) -> list[dict]:
+    """Read a score table; leading '#' lines (provenance) are skipped."""
+    rows = _read_rows(path, SCORE_COLUMNS)
+    try:
+        return [
+            {"curve_id": r["curve_id"], **{c: float(r[c]) for c in SCORE_COLUMNS[1:]}}
+            for r in rows
+        ]
+    except ValueError as exc:
+        raise TraceSchemaError(f"{path}: non-numeric score: {exc}") from exc
 
 
 def write_shifts_csv(path: str, shifts: ShiftSet, provenance: dict | None = None) -> None:

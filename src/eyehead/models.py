@@ -135,9 +135,8 @@ def model_gradient(params: SoftHingeParams, x):
 
 def hinge_gradient(params: HingeParams, x):
     """Partials of the hinge wrt (beta, tau); the hinge is the s = 1 soft hinge."""
-    xa = np.asarray(x, dtype=float)
-    u = xa - params.tau
-    return np.asarray(softplus(u)), -params.beta * expit(u)
+    d_beta, d_tau, _ = model_gradient(SoftHingeParams(params.beta, params.tau, 1.0), x)
+    return d_beta, d_tau
 
 
 def compute_eor(x, y, bin_width: float = 5.0) -> float:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import GridMismatchError, MissingInputError
 from .fpca import Spectrum, reconstruct_mode
+from .ingest import SCORE_COLUMNS
 from .stats import describe_distribution, kde_density
 
 DENSITY_POINTS = 201
@@ -170,8 +171,8 @@ def emit_report(
 
     put_csv(
         "scores.csv",
-        ["curve_id", "pc1", "pc2", "percentile_pc1"],
-        [[r["curve_id"], r["pc1"], r["pc2"], r["percentile_pc1"]] for r in score_rows],
+        list(SCORE_COLUMNS),
+        [[r[c] for c in SCORE_COLUMNS] for r in score_rows],
     )
 
     pc1 = np.array([float(r["pc1"]) for r in score_rows])
@@ -181,9 +182,6 @@ def emit_report(
         xs = np.linspace(pc1.min() - 0.25 * span, pc1.max() + 0.25 * span, DENSITY_POINTS)
         dens = kde_density(pc1, xs)
         put_csv("pc1_density.csv", ["x", "density"], [[float(a), float(b)] for a, b in zip(xs, dens)])
-        density_note = "pc1_density.csv"
-    else:
-        density_note = None
 
     comparison = _model_comparison(fit_rows)
     summary = {
@@ -216,8 +214,6 @@ def emit_report(
         )
     md.extend(["", "## Files", ""])
     file_list = list(written)
-    if density_note:
-        pass  # already in written
     for rel in file_list:
         md.append(f"- [{rel}]({rel})")
     md.append("- [summary.json](summary.json)")

@@ -64,6 +64,20 @@ def lattice_min_sse(x, y, n_grid=50):
     return best
 
 
+def hinge_lattice_min_sse(x, y, n_grid=200):
+    """Exhaustive minimum SSE of the hinge over an n_grid^2 (beta, tau) lattice."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    betas = np.linspace(*BETA_BOX, n_grid)
+    taus = np.linspace(*TAU_BOX, n_grid)
+    sp = ref_hinge(1.0, taus[:, None], x[None, :])  # (n_grid, n)
+    best = np.inf
+    for b in betas:
+        r = b * sp - y[None, :]
+        best = min(best, float(np.einsum("ij,ij->i", r, r).min()))
+    return best
+
+
 def lattice_argmin(x, y, n_grid=50):
     """(beta, tau, s, sse) of the exhaustive lattice minimum."""
     x = np.asarray(x, dtype=float)

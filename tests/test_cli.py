@@ -89,15 +89,6 @@ class TestPipeline:
         assert run(["fit", "--in", shifts, "--out", b, "--starts", 6]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_threads_do_not_change_output(self, tmp_path):
-        raw = synth_dir(tmp_path, participants=3, trials=1, shifts=10)
-        shifts = preprocess(tmp_path, raw)
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert run(["fit", "--in", shifts, "--out", a, "--starts", 6]) == 0
-        assert run(["fit", "--in", shifts, "--out", b, "--starts", 6,
-                    "--threads", 3]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
     def test_symmetry_out(self, tmp_path):
         raw = synth_dir(tmp_path, participants=2, trials=1, shifts=40)
         sym = tmp_path / "symmetry.json"
@@ -144,6 +135,24 @@ class TestErrorHandling:
         payload = json.loads(capsys.readouterr().err)
         assert payload["error"] == "MissingInputError"
 
+    def test_scores_missing_column(self, tmp_path, capsys):
+        raw = synth_dir(tmp_path, participants=3, trials=1, shifts=10)
+        shifts = preprocess(tmp_path, raw)
+        fits, spectrum = tmp_path / "fits.json", tmp_path / "spectrum.json"
+        assert run(["fit", "--in", shifts, "--out", fits, "--starts", 4]) == 0
+        assert run(["fpca", "--in", fits, "--out", spectrum]) == 0
+        scores = tmp_path / "scores.csv"
+        scores.write_text("# provenance: {}\ncurve_id,pc1,percentile_pc1\np01,0.5,50\n")
+        code = run([
+            "report", "--fits", fits, "--spectrum", spectrum,
+            "--scores", scores, "--out-dir", tmp_path / "report",
+        ])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["stage"] == "report"
+        assert payload["error"] == "MissingColumnError"
+        assert "pc2" in payload["message"]
+
     def test_bad_model_name(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args([
@@ -188,6 +197,24 @@ class TestConfigResolution:
         payload = json.loads(capsys.readouterr().err)
         assert payload["error"] == "ValueError"
         assert "n_starts" in payload["message"]
+
+    @pytest.mark.parametrize("key, value", [("seed", 1.7), ("starts", True)])
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code = run(["fit", "--in", "x.csv", "--out", "y.json", "--config", cfg])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ValueError"
+        assert key in payload["message"]
+
+    def test_integer_config_value_feeds_float_option(self, tmp_path):
+        raw = synth_dir(tmp_path, participants=2, trials=1, shifts=10)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fix_threshold": 15}))
+        with_cfg = preprocess(tmp_path, raw, "with_cfg.csv", ["--config", cfg])
+        explicit = preprocess(tmp_path, raw, "explicit.csv", ["--fix-threshold", 15.0])
+        assert with_cfg.read_bytes() == explicit.read_bytes()
 
     def test_defaults_table_is_flat_and_typed(self):
         for key, value in DEFAULTS.items():

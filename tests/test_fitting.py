@@ -7,6 +7,7 @@ from eyehead import (
     HingeParams,
     MismatchedDataError,
     SoftHingeParams,
+    SynthConfig,
     aic_gaussian,
     compare_models,
     eval_model,
@@ -15,11 +16,12 @@ from eyehead import (
     fit_metrics,
     fit_participant,
     fit_soft_hinge,
+    synth_shifts,
 )
 from eyehead.fitting import FitResult, _draw_start, start_rng
 from eyehead.models import compute_ehr_slope, compute_eor
 
-from .oracles import ref_soft_hinge
+from .oracles import hinge_lattice_min_sse, ref_soft_hinge
 
 
 def soft_hinge_data(beta=0.8, tau=18.0, s=6.0, n=101, noise_sd=0.0, seed=0):
@@ -132,6 +134,21 @@ class TestHingeFit:
         x, y = soft_hinge_data(beta=0.5, tau=15.0, s=1.0)
         fit = fit_hinge(x, y, FitConfig(n_starts=8, seed=0), "p01")
         assert fit.sse < 1e-10
+
+    def test_optimizer_matches_lattice_oracle(self):
+        # noisy soft-hinge data, so the hinge (s = 1) is misspecified for
+        # most draws and its SSE surface is not the one it was generated on
+        worst = 0.0
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(60, 301))
+            params = SoftHingeParams(
+                rng.uniform(0.3, 0.95), rng.uniform(5.0, 30.0), rng.uniform(1.0, 9.0)
+            )
+            shifts, _ = synth_shifts(SynthConfig(params, n_shifts=n, noise_sd=2.0, seed=seed))
+            fit = fit_hinge(shifts.x, shifts.y, FitConfig(n_starts=20, seed=seed), f"h{seed}")
+            worst = max(worst, fit.sse / hinge_lattice_min_sse(shifts.x, shifts.y))
+        assert worst <= 1.01
 
 
 class TestLinearFit:
