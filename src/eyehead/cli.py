@@ -32,7 +32,6 @@ from .events import FixationConfig, preprocess_trial
 from .fitting import MODELS, FitConfig, fit_participant
 from .fpca import Spectrum, fit_fpca, sample_curves, score_table
 from .ingest import (
-    SCORE_COLUMNS,
     FilterConfig,
     align_head_to_gaze,
     concat_shift_sets,
@@ -43,6 +42,7 @@ from .ingest import (
     read_shifts_csv,
     sanity_check,
     symmetrize_and_clean,
+    write_scores_csv,
     write_shifts_csv,
     write_trace_csv,
 )
@@ -51,8 +51,8 @@ from .report import (
     emit_report,
     make_provenance,
     read_json_array,
-    write_csv_with_provenance,
     write_json_array,
+    write_json_lines,
     write_json_object,
 )
 from .stats import symmetry_check, threshold_sensitivity
@@ -157,8 +157,14 @@ def _input_map(paths: list[str], base: str) -> dict[str, str]:
     return {os.path.relpath(p, base): p for p in paths if os.path.exists(p)}
 
 
-def _load_aligned(in_dir: str):
-    """Load and align every trace pair; missing head files yield reports."""
+def _sane_traces(in_dir: str, cfg: dict):
+    """Load, align and sanity-check every trace pair.
+
+    Returns (traces that passed, one sanity report per trial, input paths).
+    With expected_trials > 0, a participant's traces are kept only when
+    exactly that many trials were found and all of them passed. A missing
+    head file yields a missing_stream report.
+    """
     aligned = []
     reports = []
     paths = []
@@ -171,7 +177,28 @@ def _load_aligned(in_dir: str):
         head = load_trace_csv(head_path, kind="head")
         paths.append(head_path)
         aligned.append(align_head_to_gaze(gaze, head))
-    return aligned, reports, paths
+
+    passed = []
+    for trace in aligned:
+        report = sanity_check(trace, cfg["min_overlap_s"], cfg["max_gap_s"])
+        reports.append(report)
+        if report.verdict == "pass":
+            passed.append(trace)
+
+    if cfg["expected_trials"] > 0:
+        grouped: dict[str, list] = {}
+        for report in reports:
+            grouped.setdefault(report.participant_id, []).append(report)
+        kept = {
+            pid
+            for pid, group in grouped.items()
+            if participant_passes(group, cfg["expected_trials"])
+        }
+        passed = [t for t in passed if t.participant_id in kept]
+
+    if not passed:
+        raise MissingInputError("no trials passed the sanity checks")
+    return passed, reports, paths
 
 
 # ---------------------------------------------------------------------------
@@ -195,34 +222,15 @@ PREPROCESS_KEYS = (
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
     cfg = _resolve(args, PREPROCESS_KEYS)
-    aligned, reports, input_paths = _load_aligned(args.in_dir)
+    traces, reports, input_paths = _sane_traces(args.in_dir, cfg)
     provenance = make_provenance(
         {"command": "preprocess", **cfg}, None, _input_map(input_paths, args.in_dir)
     )
-
     filter_cfg = _filter_config(cfg)
     fixation_cfg = _fixation_config(cfg)
-    per_trial = []
-    for trace in aligned:
-        report = sanity_check(trace, cfg["min_overlap_s"], cfg["max_gap_s"])
-        reports.append(report)
-        if report.verdict == "pass":
-            per_trial.append(preprocess_trial(trace, filter_cfg, fixation_cfg))
-
-    if cfg["expected_trials"] > 0:
-        grouped: dict[str, list] = {}
-        for report in reports:
-            grouped.setdefault(report.participant_id, []).append(report)
-        passing = {
-            pid
-            for pid, group in grouped.items()
-            if participant_passes(group, cfg["expected_trials"])
-        }
-        per_trial = [s for s in per_trial if s.participant_id[0] in passing]
-
-    if not per_trial:
-        raise MissingInputError("no trials passed the sanity checks")
-    signed = concat_shift_sets(per_trial)
+    signed = concat_shift_sets(
+        [preprocess_trial(trace, filter_cfg, fixation_cfg) for trace in traces]
+    )
 
     if args.symmetry_out:
         symmetry = {}
@@ -240,10 +248,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     sanity_path = args.sanity_out or os.path.join(
         os.path.dirname(os.path.abspath(args.out)), "sanity.jsonl"
     )
-    with open(sanity_path, "w") as fh:
-        fh.write(json.dumps({"provenance": provenance}, sort_keys=True) + "\n")
-        for report in reports:
-            fh.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
+    write_json_lines(sanity_path, [r.to_dict() for r in reports], provenance)
     return 0
 
 
@@ -283,7 +288,7 @@ def _soft_hinge_curves(fit_rows: list[dict], grid=None):
 
 def cmd_fpca(args: argparse.Namespace) -> int:
     cfg = _resolve(args, ("components",))
-    rows, _ = read_json_array(args.in_path)
+    rows = read_json_array(args.in_path)
     curves = _soft_hinge_curves(rows)
     n_curves = len(curves.curve_ids)
     n_components = cfg["components"] or max(1, min(2, n_curves - 1))
@@ -306,7 +311,7 @@ def _load_spectrum(path: str) -> Spectrum:
 
 def cmd_project(args: argparse.Namespace) -> int:
     spectrum = _load_spectrum(args.model_path)
-    rows, _ = read_json_array(args.in_path)
+    rows = read_json_array(args.in_path)
     curves = _soft_hinge_curves(rows, grid=spectrum.grid)
     table = score_table(spectrum, curves)
     provenance = make_provenance(
@@ -317,17 +322,12 @@ def cmd_project(args: argparse.Namespace) -> int:
             os.path.dirname(os.path.abspath(args.in_path)),
         ),
     )
-    write_csv_with_provenance(
-        args.out,
-        list(SCORE_COLUMNS),
-        [[r[c] for c in SCORE_COLUMNS] for r in table],
-        provenance,
-    )
+    write_scores_csv(args.out, table, provenance)
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    fit_rows, _ = read_json_array(args.fits)
+    fit_rows = read_json_array(args.fits)
     if not fit_rows:
         raise MissingInputError(f"{args.fits}: empty fit table")
     spectrum = _load_spectrum(args.spectrum)
@@ -350,17 +350,10 @@ SENSITIVITY_KEYS = PREPROCESS_KEYS + ("thresholds", "base_threshold", "starts", 
 def cmd_sensitivity(args: argparse.Namespace) -> int:
     cfg = _resolve(args, SENSITIVITY_KEYS)
     thresholds = tuple(float(v) for v in str(cfg["thresholds"]).split(","))
-    aligned, _, input_paths = _load_aligned(args.in_dir)
-    usable = [
-        t
-        for t in aligned
-        if sanity_check(t, cfg["min_overlap_s"], cfg["max_gap_s"]).verdict == "pass"
-    ]
-    if not usable:
-        raise MissingInputError("no trials passed the sanity checks")
+    traces, _, input_paths = _sane_traces(args.in_dir, cfg)
 
     by_pid: dict[str, list] = {}
-    for trace in usable:
+    for trace in traces:
         by_pid.setdefault(trace.participant_id, []).append(trace)
 
     fit_cfg = FitConfig(n_starts=cfg["starts"], seed=cfg["seed"])
@@ -478,6 +471,8 @@ def _add_preprocess_flags(p: argparse.ArgumentParser) -> None:
                    help="minimum gaze/head overlap to keep a trial (s)")
     p.add_argument("--max-gap-s", dest="max_gap_s", type=float,
                    help="maximum sampling gap to keep a trial (s)")
+    p.add_argument("--expected-trials", dest="expected_trials", type=int,
+                   help="drop participants without this many passing trials")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -492,8 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output shift CSV")
     p.add_argument("--sanity-out", help="sanity report JSONL (default: sanity.jsonl next to --out)")
     p.add_argument("--symmetry-out", help="optional left/right symmetry JSON")
-    p.add_argument("--expected-trials", dest="expected_trials", type=int,
-                   help="drop participants without this many passing trials")
     _add_preprocess_flags(p)
     _add_config_flag(p)
     p.set_defaults(func=cmd_preprocess)

@@ -44,6 +44,12 @@ from .models import (
 START_BETA = (0.0, 1.0)
 START_TAU = (0.0, 50.0)
 START_S = (0.5, 20.0)
+# Solver bounds on (beta, tau, s) and its stopping rules.
+LOWER = (0.0, TAU_RANGE[0], S_MIN)
+UPPER = (1.0, TAU_RANGE[1], np.inf)
+MAX_NFEV = 200
+GTOL = 1e-8
+XTOL = 1e-10
 
 _N_PARAMS = {"linear": 2, "hinge": 2, "soft-hinge": 3}
 # Every candidate model, in the order fits are run and written.
@@ -53,19 +59,11 @@ MODELS = tuple(_N_PARAMS)
 @dataclass(frozen=True)
 class FitConfig:
     n_starts: int = 20
-    max_iters: int = 200
-    tol_grad: float = 1e-8
-    tol_step: float = 1e-10
     seed: int = 0
-    beta_bounds: tuple[float, float] = (0.0, 1.0)
-    tau_bounds: tuple[float, float] = TAU_RANGE
-    s_bounds: tuple[float, float] = (S_MIN, np.inf)
 
     def __post_init__(self) -> None:
         if self.n_starts < 1:
             raise ValueError(f"n_starts must be >= 1, got {self.n_starts}")
-        if self.tol_grad <= 0 or self.tol_step <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass
@@ -110,7 +108,7 @@ class FitResult:
             params=params,
             sse=float(d["sse"]),
             rmse=float(d["rmse"]),
-            r2=float(d["r2"]),
+            r2=float("nan") if d["r2"] is None else float(d["r2"]),
             aic=float(d["aic"]),
             n_points=int(d["n_points"]),
             n_params=_N_PARAMS[model],
@@ -242,7 +240,7 @@ def _check_data(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _multistart(residual, jacobian, starts, lo, hi, cfg: FitConfig):
+def _multistart(residual, jacobian, starts, lo, hi):
     """Run least_squares from each start; keep the lowest-SSE converged run.
 
     If no start reports convergence (status > 0), fall back to the
@@ -263,10 +261,10 @@ def _multistart(residual, jacobian, starts, lo, hi, cfg: FitConfig):
             jac=jacobian,
             bounds=(lo, hi),
             method="trf",
-            gtol=cfg.tol_grad,
-            xtol=cfg.tol_step,
+            gtol=GTOL,
+            xtol=XTOL,
             ftol=None,
-            max_nfev=cfg.max_iters,
+            max_nfev=MAX_NFEV,
         )
         sse = 2.0 * float(res.cost)
         start_sses.append(sse)
@@ -297,13 +295,12 @@ def _fit_hinge_family(x, y, cfg: FitConfig, participant_id: str, free_s: bool) -
     def jacobian(theta):
         return np.column_stack(model_gradient(SoftHingeParams(*theta, *pinned), x)[:k])
 
-    lo = (cfg.beta_bounds[0], cfg.tau_bounds[0], cfg.s_bounds[0])[:k]
-    hi = (cfg.beta_bounds[1], cfg.tau_bounds[1], cfg.s_bounds[1])[:k]
+    lo, hi = LOWER[:k], UPPER[:k]
     starts = [
         _draw_start(start_rng(cfg.seed, participant_id, j))[:k]
         for j in range(cfg.n_starts)
     ]
-    best, j, start_sse, n_ok, sses = _multistart(residual, jacobian, starts, lo, hi, cfg)
+    best, j, start_sse, n_ok, sses = _multistart(residual, jacobian, starts, lo, hi)
     params = SoftHingeParams(*best.x) if free_s else HingeParams(*best.x)
     return _finish(model, params, x, y, best.status > 0, n_ok, j, start_sse, sses)
 

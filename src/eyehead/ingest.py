@@ -22,6 +22,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -313,19 +314,53 @@ def symmetrize_and_clean(shifts: ShiftSet, max_ecc: float = 50.0) -> ShiftSet:
 # CSV input / output
 # ---------------------------------------------------------------------------
 
-def _read_rows(path: str, required: tuple[str, ...]) -> list[dict]:
+def read_table(path: str, columns: tuple[str, ...]) -> dict[str, list[str]]:
+    """Read the named columns of a CSV table as strings, in row order.
+
+    Lines starting with '#' (provenance) and blank rows are skipped. The
+    first remaining row is the header; every data row must have as many
+    fields as the header (TraceSchemaError names the path and the row).
+    """
     with open(path, newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.DictReader(lines)
-    if reader.fieldnames is None:
-        raise EmptyFileError(f"{path} has no header row")
-    for col in required:
-        if col not in reader.fieldnames:
-            raise MissingColumnError(column=col, path=path)
-    rows = list(reader)
+        rows = [row for row in csv.reader(ln for ln in fh if not ln.startswith("#")) if row]
     if not rows:
-        raise EmptyFileError(f"{path} has a header but no data rows")
-    return rows
+        raise EmptyFileError(path)
+    header, data = rows[0], rows[1:]
+    for col in columns:
+        if col not in header:
+            raise MissingColumnError(column=col, path=path)
+    if not data:
+        raise EmptyFileError(path)
+    for n, row in enumerate(data, 1):
+        if len(row) != len(header):
+            raise TraceSchemaError(
+                f"{path}: data row {n} has {len(row)} fields, the header has {len(header)}"
+            )
+    index = {col: header.index(col) for col in columns}
+    return {col: [row[i] for row in data] for col, i in index.items()}
+
+
+def _floats(path: str, values: list[str]) -> np.ndarray:
+    try:
+        return np.fromiter(map(float, values), dtype=float, count=len(values))
+    except ValueError as exc:
+        raise TraceSchemaError(f"{path}: non-numeric value: {exc}") from exc
+
+
+def write_table(path: str, columns: tuple[str, ...], rows, provenance: dict | None = None) -> None:
+    """Write a CSV table, optionally under a '# provenance: {...}' first line.
+
+    csv.writer's default dialect: fields quoted only when they hold a comma,
+    quote or line break, and CRLF row endings. Floats are written as %.9g.
+    """
+    with open(path, "w", newline="") as fh:
+        if provenance is not None:
+            fh.write("# provenance: " + json.dumps(provenance, sort_keys=True) + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(
+            [f"{c:.9g}" if isinstance(c, float) else c for c in row] for row in rows
+        )
 
 
 def load_trace_csv(path: str, kind: str = "gaze") -> RawStream:
@@ -337,18 +372,15 @@ def load_trace_csv(path: str, kind: str = "gaze") -> RawStream:
     """
     if kind not in ("gaze", "head"):
         raise ValueError(f"kind must be 'gaze' or 'head', got {kind!r}")
-    rows = _read_rows(path, TRACE_COLUMNS)
-    pids = {r["participant_id"] for r in rows}
-    tids = {r["trial_id"] for r in rows}
+    cols = read_table(path, TRACE_COLUMNS)
+    pids = set(cols["participant_id"])
+    tids = set(cols["trial_id"])
     if len(pids) != 1 or len(tids) != 1:
         raise TraceSchemaError(
             f"{path} mixes several (participant, trial) pairs: {sorted(pids)} x {sorted(tids)}"
         )
-    try:
-        t = np.array([float(r["timestamp_s"]) for r in rows])
-        yaw = np.array([float(r["yaw_deg"]) for r in rows])
-    except ValueError as exc:
-        raise TraceSchemaError(f"{path}: non-numeric sample: {exc}") from exc
+    t = _floats(path, cols["timestamp_s"])
+    yaw = _floats(path, cols["yaw_deg"])
     if not np.all(np.isfinite(t)) or not np.all(np.isfinite(yaw)):
         raise TraceSchemaError(f"{path}: non-finite timestamp or yaw value")
     order = np.argsort(t, kind="stable")
@@ -361,49 +393,42 @@ def load_trace_csv(path: str, kind: str = "gaze") -> RawStream:
 
 
 def write_trace_csv(path: str, stream: RawStream) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for ti, yi in zip(stream.t, stream.yaw):
-            writer.writerow(
-                [stream.participant_id, stream.trial_id, f"{ti:.9g}", f"{yi:.9g}"]
-            )
+    write_table(
+        path,
+        TRACE_COLUMNS,
+        zip(repeat(stream.participant_id), repeat(stream.trial_id),
+            stream.t.tolist(), stream.yaw.tolist()),
+    )
 
 
 def read_shifts_csv(path: str) -> ShiftSet:
     """Read a shift table; leading '#' lines (provenance) are skipped."""
-    rows = _read_rows(path, SHIFT_COLUMNS)
-    try:
-        x = np.array([float(r["x_deg"]) for r in rows])
-        y = np.array([float(r["y_deg"]) for r in rows])
-    except ValueError as exc:
-        raise TraceSchemaError(f"{path}: non-numeric shift: {exc}") from exc
+    cols = read_table(path, SHIFT_COLUMNS)
     return ShiftSet(
-        participant_id=[r["participant_id"] for r in rows],
-        trial_id=[r["trial_id"] for r in rows],
-        x=x,
-        y=y,
+        participant_id=cols["participant_id"],
+        trial_id=cols["trial_id"],
+        x=_floats(path, cols["x_deg"]),
+        y=_floats(path, cols["y_deg"]),
+    )
+
+
+def write_shifts_csv(path: str, shifts: ShiftSet, provenance: dict | None = None) -> None:
+    """Write a shift table, optionally with a '# provenance: {...}' first line."""
+    write_table(
+        path,
+        SHIFT_COLUMNS,
+        zip(shifts.participant_id, shifts.trial_id, shifts.x.tolist(), shifts.y.tolist()),
+        provenance,
     )
 
 
 def read_scores_csv(path: str) -> list[dict]:
     """Read a score table; leading '#' lines (provenance) are skipped."""
-    rows = _read_rows(path, SCORE_COLUMNS)
-    try:
-        return [
-            {"curve_id": r["curve_id"], **{c: float(r[c]) for c in SCORE_COLUMNS[1:]}}
-            for r in rows
-        ]
-    except ValueError as exc:
-        raise TraceSchemaError(f"{path}: non-numeric score: {exc}") from exc
+    cols = read_table(path, SCORE_COLUMNS)
+    values = [cols["curve_id"]] + [_floats(path, cols[c]).tolist() for c in SCORE_COLUMNS[1:]]
+    return [dict(zip(SCORE_COLUMNS, row)) for row in zip(*values)]
 
 
-def write_shifts_csv(path: str, shifts: ShiftSet, provenance: dict | None = None) -> None:
-    """Write a shift table, optionally with a '# provenance: {...}' first line."""
-    with open(path, "w", newline="") as fh:
-        if provenance is not None:
-            fh.write("# provenance: " + json.dumps(provenance, sort_keys=True) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(SHIFT_COLUMNS)
-        for pid, tid, xi, yi in zip(shifts.participant_id, shifts.trial_id, shifts.x, shifts.y):
-            writer.writerow([pid, tid, f"{xi:.9g}", f"{yi:.9g}"])
+def write_scores_csv(path: str, rows: list[dict], provenance: dict | None = None) -> None:
+    """Write a score table (one dict per curve, keyed by SCORE_COLUMNS)."""
+    write_table(path, SCORE_COLUMNS, ([r[c] for c in SCORE_COLUMNS] for r in rows), provenance)

@@ -3,23 +3,25 @@
 Every artifact this package writes carries a provenance record: the hash of
 the fully resolved configuration, the master seed, and a digest of each
 input file. No timestamps — rerunning a stage on identical inputs must
-produce byte-identical outputs. CSV files carry the record as a leading
-`# provenance: {...}` comment line; JSON objects carry a "provenance" key;
-JSON arrays carry it as a leading header element; JSON-lines files as a
-leading header line.
+produce byte-identical outputs. CSV tables (`ingest.write_table`) carry the
+record as a leading `# provenance: {...}` comment line; JSON objects carry a
+"provenance" key; JSON arrays carry it as a leading header element;
+JSON-lines files as a leading header line. JSON is strict: undefined values
+(nan, inf) are written as null.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
 
 from .errors import GridMismatchError, MissingInputError
 from .fpca import Spectrum, reconstruct_mode
-from .ingest import SCORE_COLUMNS
+from .ingest import write_scores_csv, write_table
 from .stats import describe_distribution, kde_density
 
 DENSITY_POINTS = 201
@@ -47,16 +49,24 @@ def make_provenance(config: dict, seed: int | None, inputs: dict[str, str]) -> d
     }
 
 
-def _json_default(o):
+def _strict(o):
+    """o with numpy values as plain Python ones and non-finite floats as None."""
+    if isinstance(o, dict):
+        return {k: _strict(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_strict(v) for v in o]
     if isinstance(o, np.ndarray):
-        return o.tolist()
+        return _strict(o.tolist())
     if isinstance(o, np.generic):
-        return o.item()
-    raise TypeError(f"not JSON serializable: {type(o).__name__}")
+        o = o.item()
+    if isinstance(o, float) and not math.isfinite(o):
+        return None
+    return o
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, default=_json_default)
+def _dump(obj, indent: int | None = 2) -> str:
+    """Strict JSON: undefined (nan/inf) values are written as null."""
+    return json.dumps(_strict(obj), sort_keys=True, indent=indent, allow_nan=False)
 
 
 def write_json_object(path: str, payload: dict, provenance: dict) -> None:
@@ -72,39 +82,20 @@ def write_json_array(path: str, items: list, provenance: dict) -> None:
         fh.write("\n")
 
 
-def read_json_array(path: str) -> tuple[list, dict | None]:
-    """Inverse of write_json_array; tolerates arrays without the header."""
+def write_json_lines(path: str, records: list[dict], provenance: dict) -> None:
+    """JSON lines: a provenance header line, then one line per record."""
+    with open(path, "w") as fh:
+        for record in [{"provenance": provenance}, *records]:
+            fh.write(_dump(record, indent=None) + "\n")
+
+
+def read_json_array(path: str) -> list:
+    """Items of a write_json_array file; the provenance header is dropped."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, list):
         raise MissingInputError(f"{path}: expected a JSON array")
-    provenance = None
-    items = []
-    for element in data:
-        if isinstance(element, dict) and set(element) == {"provenance"}:
-            provenance = element["provenance"]
-        else:
-            items.append(element)
-    return items, provenance
-
-
-def write_csv_with_provenance(
-    path: str, header: list[str], rows: list[list], provenance: dict | None
-) -> None:
-    with open(path, "w", newline="") as fh:
-        if provenance is not None:
-            fh.write(
-                "# provenance: " + json.dumps(provenance, sort_keys=True) + "\n"
-            )
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_cell(c) for c in row) + "\n")
-
-
-def _format_cell(c) -> str:
-    if isinstance(c, float):
-        return f"{c:.9g}"
-    return str(c)
+    return [e for e in data if not (isinstance(e, dict) and set(e) == {"provenance"})]
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +114,7 @@ def _model_comparison(fit_rows: list[dict]) -> dict:
     for model, rows in sorted(by_model.items()):
         table[model] = {"n": len(rows)}
         for metric in ("r2", "rmse", "aic"):
-            vals = np.array([float(r[metric]) for r in rows])
+            vals = np.array([r[metric] for r in rows], dtype=float)  # null -> nan
             table[model][f"{metric}_mean"] = float(np.nanmean(vals))
             table[model][f"{metric}_sd"] = (
                 float(np.nanstd(vals, ddof=1)) if len(rows) > 1 else 0.0
@@ -157,23 +148,20 @@ def emit_report(
     os.makedirs(modes_dir, exist_ok=True)
     written: list[str] = []
 
-    def put_csv(rel: str, header: list[str], rows: list[list]) -> None:
-        write_csv_with_provenance(os.path.join(out_dir, rel), header, rows, provenance)
+    def put_csv(rel: str, header: tuple[str, ...], rows: list[list]) -> None:
+        write_table(os.path.join(out_dir, rel), header, rows, provenance)
         written.append(rel)
 
     grid = spectrum.grid
-    put_csv("modes/mean.csv", ["x_deg", "y_deg"], _mode_rows(grid, spectrum.mean_curve))
+    put_csv("modes/mean.csv", ("x_deg", "y_deg"), _mode_rows(grid, spectrum.mean_curve))
     n_components = spectrum.components.shape[0]
     for j in range(n_components):
         for c in (-2.0, 2.0):
             name = f"modes/pc{j + 1}_{'minus' if c < 0 else 'plus'}2sd.csv"
-            put_csv(name, ["x_deg", "y_deg"], _mode_rows(grid, reconstruct_mode(spectrum, j, c)))
+            put_csv(name, ("x_deg", "y_deg"), _mode_rows(grid, reconstruct_mode(spectrum, j, c)))
 
-    put_csv(
-        "scores.csv",
-        list(SCORE_COLUMNS),
-        [[r[c] for c in SCORE_COLUMNS] for r in score_rows],
-    )
+    write_scores_csv(os.path.join(out_dir, "scores.csv"), score_rows, provenance)
+    written.append("scores.csv")
 
     pc1 = np.array([float(r["pc1"]) for r in score_rows])
     summary_stats = describe_distribution(pc1)
@@ -181,7 +169,7 @@ def emit_report(
         span = float(pc1.max() - pc1.min()) or 1.0
         xs = np.linspace(pc1.min() - 0.25 * span, pc1.max() + 0.25 * span, DENSITY_POINTS)
         dens = kde_density(pc1, xs)
-        put_csv("pc1_density.csv", ["x", "density"], [[float(a), float(b)] for a, b in zip(xs, dens)])
+        put_csv("pc1_density.csv", ("x", "density"), [[float(a), float(b)] for a, b in zip(xs, dens)])
 
     comparison = _model_comparison(fit_rows)
     summary = {

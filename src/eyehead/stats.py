@@ -9,7 +9,7 @@ that refits the head-contribution curve under different velocity thresholds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -216,12 +216,7 @@ def threshold_sensitivity(
 
     curves: dict[float, np.ndarray] = {}
     for thr in all_thresholds:
-        cfg = FixationConfig(
-            vel_threshold=thr,
-            min_duration_s=fixation_cfg.min_duration_s,
-            pad_s=fixation_cfg.pad_s,
-            merge_gap_s=fixation_cfg.merge_gap_s,
-        )
+        cfg = replace(fixation_cfg, vel_threshold=thr)
         shifts = concat_shift_sets(
             [preprocess_trial(tr, filter_cfg, cfg) for tr in traces]
         )

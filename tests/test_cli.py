@@ -1,8 +1,13 @@
 import json
+import math
 
 import pytest
 
+from eyehead import FitResult, read_shifts_csv
+from eyehead import ingest
 from eyehead.cli import DEFAULTS, build_parser, dispatch
+from eyehead.ingest import SCORE_COLUMNS, SHIFT_COLUMNS, TRACE_COLUMNS
+from eyehead.report import read_json_array
 
 
 def run(argv):
@@ -242,3 +247,124 @@ class TestProvenance:
         assert "config_hash" in prov and "inputs" in prov
         # one gaze + one head file per trial, two participants
         assert len(prov["inputs"]) == 4
+
+
+def strict_json(text):
+    """Parse JSON, rejecting the non-standard NaN/Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def strict_json_lines(text):
+    return [strict_json(line) for line in text.splitlines()]
+
+
+def artifact_columns(path):
+    """The columns a CSV artifact must hold, by its name."""
+    if path.name.endswith((".gaze.csv", ".head.csv")):
+        return TRACE_COLUMNS
+    if path.parent.name == "modes":
+        return ("x_deg", "y_deg")
+    return {
+        "shifts.csv": SHIFT_COLUMNS,
+        "scores.csv": SCORE_COLUMNS,
+        "pc1_density.csv": ("x", "density"),
+    }[path.name]
+
+
+class TestArtifactContract:
+    def test_every_artifact_reads_back(self, tmp_path):
+        raw = synth_dir(tmp_path, participants=3, trials=1, shifts=30)
+        out = tmp_path / "out"
+        out.mkdir()
+        shifts = preprocess(out, raw, extra=["--symmetry-out", out / "symmetry.json"])
+        fits, spectrum, scores = out / "fits.json", out / "spectrum.json", out / "scores.csv"
+        assert run(["fit", "--in", shifts, "--out", fits, "--starts", 4]) == 0
+        assert run(["fpca", "--in", fits, "--out", spectrum]) == 0
+        assert run(["project", "--model", spectrum, "--in", fits, "--out", scores]) == 0
+        assert run(["report", "--fits", fits, "--spectrum", spectrum,
+                    "--scores", scores, "--out-dir", out / "report"]) == 0
+        assert run(["sensitivity", "--in-dir", raw, "--out", out / "sensitivity.json",
+                    "--thresholds", "15,20", "--starts", 4, "--min-overlap-s", 2.0]) == 0
+
+        csvs = sorted(tmp_path.rglob("*.csv"))
+        assert len(csvs) == 3 * 2 + 2 + 2 + 5 + 1  # traces, shifts, scores, modes, density
+        for path in csvs:
+            columns = artifact_columns(path)
+            table = ingest.read_table(path, columns)
+            header = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")][0]
+            assert header == ",".join(columns), path
+            assert len({len(v) for v in table.values()}) == 1, path
+        jsons = sorted(tmp_path.rglob("*.json"))
+        assert {p.name for p in jsons} == {
+            "truth.json", "symmetry.json", "fits.json", "spectrum.json",
+            "summary.json", "sensitivity.json",
+        }
+        for path in jsons:
+            strict_json(path.read_text())
+        strict_json_lines((out / "sanity.jsonl").read_text())
+
+    def test_truncated_last_row_is_a_stage_error(self, tmp_path, capsys):
+        raw = synth_dir(tmp_path, participants=2, trials=1, shifts=10)
+        gaze = sorted(raw.glob("*.gaze.csv"))[0]
+        gaze.write_text(gaze.read_text().rstrip("\r\n").rsplit(",", 1)[0] + "\r\n")
+        code = run(["preprocess", "--in-dir", raw, "--out", tmp_path / "s.csv",
+                    "--min-overlap-s", 2.0])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["stage"] == "preprocess"
+        assert payload["error"] == "TraceSchemaError"
+        assert gaze.name in payload["message"]
+
+    def test_undefined_values_are_written_as_null(self, tmp_path):
+        raw = synth_dir(tmp_path, participants=3, trials=1, shifts=30)
+        sorted(raw.glob("*.head.csv"))[0].unlink()
+        preprocess(tmp_path, raw)
+        sanity = strict_json_lines((tmp_path / "sanity.jsonl").read_text())
+        missing = [r for r in sanity[1:] if r["reason"] == "missing_stream"]
+        assert len(missing) == 1 and missing[0]["gap_max_s"] is None
+
+        # "flat" moves its head the same 0 deg on every shift: var(y) = 0, r2 undefined
+        shifts = tmp_path / "hand.csv"
+        xs = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0]
+        shifts.write_text(
+            "participant_id,trial_id,x_deg,y_deg\n"
+            + "".join(f"flat,t01,{x},0\n" for x in xs)
+            + "".join(f"mover,t01,{x},{max(0.0, x - 15.0) * 0.6}\n" for x in xs)
+        )
+        fits, spectrum = tmp_path / "fits.json", tmp_path / "spectrum.json"
+        scores, report = tmp_path / "scores.csv", tmp_path / "report"
+        assert run(["fit", "--in", shifts, "--out", fits, "--starts", 4]) == 0
+        assert run(["fpca", "--in", fits, "--out", spectrum]) == 0
+        assert run(["project", "--model", spectrum, "--in", fits, "--out", scores]) == 0
+        assert run(["report", "--fits", fits, "--spectrum", spectrum,
+                    "--scores", scores, "--out-dir", report]) == 0
+        for path in (fits, spectrum, report / "summary.json"):
+            strict_json(path.read_text())
+        rows = read_json_array(fits)
+        flat = [r for r in rows if r["participant_id"] == "flat"]
+        assert flat and all(r["r2"] is None for r in flat)
+        assert all(math.isnan(FitResult.from_file_dict(r).r2) for r in flat)
+        assert all(r["r2"] is not None for r in rows if r["participant_id"] == "mover")
+
+
+class TestExpectedTrials:
+    @pytest.mark.parametrize("how", ["config", "flag"])
+    def test_sensitivity_keeps_the_participants_preprocess_keeps(self, tmp_path, how):
+        raw = synth_dir(tmp_path, participants=3, trials=2, shifts=30)
+        sorted(raw.glob("*.head.csv"))[0].unlink()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"min_overlap_s": 2.0, "expected_trials": 2}))
+        setting = ["--config", cfg] if how == "config" else [
+            "--config", cfg, "--expected-trials", 2]
+        shifts = tmp_path / "shifts.csv"
+        assert run(["preprocess", "--in-dir", raw, "--out", shifts, *setting]) == 0
+        sens = tmp_path / "sens.json"
+        assert run(["sensitivity", "--in-dir", raw, "--out", sens,
+                    "--thresholds", "15,20", "--starts", 4, *setting]) == 0
+        kept = read_shifts_csv(shifts).participants()
+        assert len(kept) == 2
+        assert sorted(json.loads(sens.read_text())["participants"]) == sorted(kept)

@@ -23,7 +23,8 @@ from eyehead import (
     write_shifts_csv,
     write_trace_csv,
 )
-from eyehead.ingest import missing_stream_report, participant_passes
+from eyehead import ingest
+from eyehead.ingest import TRACE_COLUMNS, missing_stream_report, participant_passes
 
 from .conftest import write_trace
 
@@ -161,6 +162,51 @@ class TestLoadTraceCsv:
         p = write_trace(tmp_path / "a.csv", "p01", "t01", [0.0, 0.1], [0.0, 1.0])
         with pytest.raises(ValueError):
             load_trace_csv(p, kind="torso")
+
+    @pytest.mark.parametrize("last_row", ["p01,t01,0.2", "p01,t01,0.2,1.0,9.9"],
+                             ids=["too-few-fields", "too-many-fields"])
+    def test_row_width_must_match_header(self, tmp_path, last_row):
+        p = tmp_path / "a.csv"
+        p.write_text(
+            "participant_id,trial_id,timestamp_s,yaw_deg\n"
+            "p01,t01,0.0,0.0\np01,t01,0.1,0.5\n" + last_row + "\n"
+        )
+        with pytest.raises(TraceSchemaError) as err:
+            load_trace_csv(p)
+        assert str(p) in str(err.value)
+        assert "row 3" in str(err.value)
+
+
+class TestTable:
+    LINES = [
+        "# provenance: {}",
+        "participant_id,trial_id,timestamp_s,yaw_deg",
+        "p01,t01,0.0,1.5",
+        "p01,t01,0.1,-2.25",
+    ]
+
+    @pytest.mark.parametrize(
+        "newline, tail",
+        [("\n", ""), ("\r\n", ""), ("\n", "\n"), ("\r\n", "\r\n")],
+        ids=["lf", "crlf", "lf-trailing-blank", "crlf-trailing-blank"],
+    )
+    def test_line_endings_and_trailing_blank_line(self, tmp_path, newline, tail):
+        p = tmp_path / "a.csv"
+        p.write_bytes((newline.join(self.LINES) + newline + tail).encode())
+        assert ingest.read_table(p, TRACE_COLUMNS) == {
+            "participant_id": ["p01", "p01"],
+            "trial_id": ["t01", "t01"],
+            "timestamp_s": ["0.0", "0.1"],
+            "yaw_deg": ["1.5", "-2.25"],
+        }
+
+    def test_writer_quotes_formats_and_stamps(self, tmp_path):
+        p = tmp_path / "a.csv"
+        ingest.write_table(p, ("id", "v"), [['a,"b"', 1.0 / 3.0], ["c", 2]], {"seed": 1})
+        assert p.read_bytes() == (
+            b'# provenance: {"seed": 1}\n'
+            b'id,v\r\n"a,""b""",0.333333333\r\nc,2\r\n'
+        )
 
 
 class TestAlignment:
@@ -327,7 +373,30 @@ class TestSymmetrizeAndClean:
         assert out.trial_id == ["t1", "t2"]
 
 
+ODD_ID = 'p,"01"'
+
+
 class TestShiftCsv:
+    def test_id_with_comma_and_quote_round_trips(self, tmp_path):
+        s = ShiftSet([ODD_ID, "p02"], ['t,"1"', "t2"],
+                     np.array([10.0, 20.0]), np.array([1.0, 2.5]))
+        path = tmp_path / "shifts.csv"
+        write_shifts_csv(path, s, provenance={"seed": 1})
+        back = read_shifts_csv(path)
+        assert back.participant_id == s.participant_id
+        assert back.trial_id == s.trial_id
+        np.testing.assert_array_equal(back.x, s.x)
+        np.testing.assert_array_equal(back.y, s.y)
+
+    def test_score_id_with_comma_and_quote_round_trips(self, tmp_path):
+        rows = [
+            {"curve_id": ODD_ID, "pc1": -4.0, "pc2": 0.5, "percentile_pc1": 25.0},
+            {"curve_id": "p02", "pc1": 4.0, "pc2": -0.5, "percentile_pc1": 75.0},
+        ]
+        path = tmp_path / "scores.csv"
+        ingest.write_scores_csv(path, rows, provenance={"seed": 1})
+        assert ingest.read_scores_csv(path) == rows
+
     def test_round_trip_with_provenance(self, tmp_path):
         s = shift_set([10.0, 20.0], [1.0, 2.5])
         path = tmp_path / "shifts.csv"
