@@ -232,6 +232,13 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         [preprocess_trial(trace, filter_cfg, fixation_cfg) for trace in traces]
     )
 
+    sanity_path = args.sanity_out or os.path.join(
+        os.path.dirname(os.path.abspath(args.out)), "sanity.jsonl"
+    )
+    for path in (args.out, args.symmetry_out, sanity_path):
+        if path:
+            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+
     if args.symmetry_out:
         symmetry = {}
         for pid in signed.participants():
@@ -242,12 +249,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         write_json_object(args.symmetry_out, {"participants": symmetry}, provenance)
 
     clean = symmetrize_and_clean(signed, max_ecc=cfg["max_ecc_deg"])
-    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     write_shifts_csv(args.out, clean, provenance)
-
-    sanity_path = args.sanity_out or os.path.join(
-        os.path.dirname(os.path.abspath(args.out)), "sanity.jsonl"
-    )
     write_json_lines(sanity_path, [r.to_dict() for r in reports], provenance)
     return 0
 

@@ -1,11 +1,16 @@
 """Per-participant model fits and AIC-based model comparison.
 
-The soft hinge and the hinge are fit by the same bound-constrained nonlinear
-least-squares solver (trust-region reflective), restarted from many random
-initial points and keeping the lowest-SSE converged run; the hinge is the
-soft hinge with s fixed at 1, so it is solved over (beta, tau) only. The
-linear baseline has no free parameters to optimize, since its breakpoint is
-the participant's eye-only range and its slope is computed in closed form.
+The soft hinge and the hinge are fit by the same solver: a projected
+Levenberg-Marquardt loop (Moré 1978) that runs all of a fit's seeded random
+starts at once as one batch, each start with its own damping and its own
+stopping test, and keeps the lowest-SSE converged start (the lowest-SSE start
+overall, flagged unconverged, if none converged). The hinge is the soft hinge
+with s fixed at 1, so it is solved over (beta, tau) only. A start converges
+when, within MAX_NFEV steps, its projected-gradient max-norm falls to
+GTOL * max(1, SSE) or an accepted step shrinks to XTOL * (XTOL + |theta|).
+A fit with no more data points than parameters is never flagged converged.
+The linear baseline has no free parameters to optimize, since its breakpoint
+is the participant's eye-only range and its slope is computed in closed form.
 All three candidates are then ranked by AIC on identical data.
 """
 
@@ -15,7 +20,6 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import (
     EmptyDataError,
@@ -30,13 +34,15 @@ from .models import (
     LinearParams,
     ModelParams,
     SoftHingeParams,
+    _check_domain,
     compute_ehr_slope,
     compute_eor,
     eval_model,
     hinge_gradient,  # unused here; the benchmark tracer wraps fitting.hinge_gradient
-    model_gradient,
+    model_gradient,  # likewise: the solver calls soft_hinge_partials directly
     params_from_dict,
     params_to_dict,
+    soft_hinge_partials,
 )
 
 # Initial points are drawn uniformly from these boxes (not the full bound
@@ -50,6 +56,10 @@ UPPER = (1.0, TAU_RANGE[1], np.inf)
 MAX_NFEV = 200
 GTOL = 1e-8
 XTOL = 1e-10
+# Floor on the solver's damping, relative to its scaled system's unit
+# diagonal: keeps that system nonsingular where two Jacobian columns are
+# collinear to rounding, as where the soft hinge is nearly a straight line.
+LAM_MIN = 1e-12
 
 _N_PARAMS = {"linear": 2, "hinge": 2, "soft-hinge": 3}
 # Every candidate model, in the order fits are run and written.
@@ -183,6 +193,8 @@ def _finish(
 ) -> FitResult:
     k = _N_PARAMS[model]
     sse, r2, rmse, aic = fit_metrics(x, y, params, k)
+    # with n <= k points the curve interpolates them: nothing is identified
+    converged = converged and x.size > k
     return FitResult(
         model=model,
         params=params,
@@ -240,69 +252,101 @@ def _check_data(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _multistart(residual, jacobian, starts, lo, hi):
-    """Run least_squares from each start; keep the lowest-SSE converged run.
+def _evaluate(theta: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """Residuals (m, n), transposed Jacobians (m, k, n) and SSEs (m,) of m rows.
 
-    If no start reports convergence (status > 0), fall back to the
-    lowest-cost run overall so the caller still gets parameters, flagged
-    converged=False. Returns (best result, winning start index, SSE at the
-    winning start point, number of converged starts, per-start SSEs).
+    A row is (beta, tau, s), or (beta, tau) for the hinge, whose s is 1.
     """
-    best = None
-    best_index = -1
-    best_start_sse = float("nan")
-    best_is_ok = False
-    n_converged = 0
-    start_sses: list[float] = []
-    for j, theta0 in enumerate(starts):
-        res = least_squares(
-            residual,
-            theta0,
-            jac=jacobian,
-            bounds=(lo, hi),
-            method="trf",
-            gtol=GTOL,
-            xtol=XTOL,
-            ftol=None,
-            max_nfev=MAX_NFEV,
+    k = theta.shape[1]
+    beta, tau = theta[:, 0:1], theta[:, 1:2]
+    partials = soft_hinge_partials(beta, tau, theta[:, 2:3] if k == 3 else 1.0, x)
+    r = beta * partials[0] - y
+    return r, np.stack(partials[:k], axis=1), np.einsum("ij,ij->i", r, r)
+
+
+def _projected_lm(x, y, starts: np.ndarray):
+    """Projected Levenberg-Marquardt from every row of starts (m, k) at once.
+
+    Each row keeps its own damping lam and stops on its own; rows share only
+    array operations, so a start's path does not depend on the other rows in
+    the batch. Per step, a parameter at a bound whose gradient points outward
+    is frozen, the system (J'J + lam * D) step = -J'r is solved over the free
+    ones, with D the running maximum of diag(J'J) (Moré 1978), and the trial
+    point is clipped into [LOWER, UPPER]. A trial is accepted when its SSE is
+    not higher. lam falls 10x when the trial gained more than 3/4 of the SSE
+    decrease the linearized model predicts for the clipped step, and rises
+    10x when it gained less than 1/4, so steps that overshoot a curved valley
+    are damped instead of zig-zagging across it. Convergence is tested as
+    stated in the module docstring.
+
+    Returns the final (theta, sse, converged) of every row.
+    """
+    m, k = starts.shape
+    lo, hi = np.array(LOWER[:k]), np.array(UPPER[:k])
+    theta = starts.copy()
+    r, jac, sse = _evaluate(theta, x, y)
+    lam = np.full(m, 1e-3)
+    scale = np.zeros((m, k))
+    small_step = np.zeros(m, dtype=bool)
+    rows = np.arange(m)  # start index of each row still being solved
+    out_theta, out_sse = theta.copy(), sse.copy()
+    converged = np.zeros(m, dtype=bool)
+    for it in range(MAX_NFEV + 1):
+        g = (jac @ r[:, :, None])[:, :, 0]
+        frozen = ((theta <= lo) & (g > 0.0)) | ((theta >= hi) & (g < 0.0))
+        g[frozen] = 0.0
+        conv = small_step | (np.max(np.abs(g), axis=1) <= GTOL * np.maximum(1.0, sse))
+        done = conv | (it == MAX_NFEV)
+        if done.any():
+            out_theta[rows[done]], out_sse[rows[done]] = theta[done], sse[done]
+            converged[rows[done]] = conv[done]
+            keep = ~done
+            rows, theta, r, jac, sse = rows[keep], theta[keep], r[keep], jac[keep], sse[keep]
+            lam, scale, g, frozen = lam[keep], scale[keep], g[keep], frozen[keep]
+            if rows.size == 0:
+                break
+        hess = jac @ jac.transpose(0, 2, 1)
+        scale = np.maximum(scale, np.einsum("ikk->ik", hess))
+        d = np.sqrt(np.where(scale > 0.0, scale, 1.0))
+        free = ~frozen
+        system = hess / (d[:, :, None] * d[:, None, :])
+        system *= free[:, :, None] & free[:, None, :]
+        system[:, np.arange(k), np.arange(k)] += np.where(free, lam[:, None], 1.0)
+        delta = np.linalg.solve(system, -(g / d)[:, :, None])[:, :, 0] / d
+        trial = np.clip(theta + delta, lo, hi)
+        move = trial - theta
+        # SSE decrease the linearized model predicts for the clipped step
+        predicted = -np.einsum("ij,ij->i", move, 2.0 * g + (hess @ move[:, :, None])[:, :, 0])
+        r_t, jac_t, sse_t = _evaluate(trial, x, y)
+        gain = np.divide(sse - sse_t, predicted, out=np.full(rows.size, -1.0), where=predicted > 0.0)
+        lam = np.where(gain > 0.75, np.maximum(lam / 10.0, LAM_MIN),
+                       np.where(gain >= 0.25, lam, lam * 10.0))
+        ok = sse_t <= sse
+        small_step = ok & (
+            np.max(np.abs(move), axis=1) <= XTOL * (XTOL + np.max(np.abs(theta), axis=1))
         )
-        sse = 2.0 * float(res.cost)
-        start_sses.append(sse)
-        ok = res.status > 0
-        n_converged += int(ok)
-        better = best is None or (ok and not best_is_ok) or (
-            ok == best_is_ok and res.cost < best.cost
-        )
-        if better:
-            best = res
-            best_index = j
-            r0 = residual(theta0)
-            best_start_sse = float(np.dot(r0, r0))
-            best_is_ok = ok
-    return best, best_index, best_start_sse, n_converged, start_sses
+        theta[ok], r[ok], jac[ok], sse[ok] = trial[ok], r_t[ok], jac_t[ok], sse_t[ok]
+    return out_theta, out_sse, converged
 
 
 def _fit_hinge_family(x, y, cfg: FitConfig, participant_id: str, free_s: bool) -> FitResult:
-    """Multi-start fit of y = beta * softplus((x - tau)/s); s = 1 unless free_s."""
+    """Multi-start fit of y = beta * softplus((x - tau)/s); s = 1 unless free_s.
+
+    The winner is the lowest-SSE converged start, or the lowest-SSE start
+    overall (flagged converged=False) when none converged.
+    """
     x, y = _check_data(x, y)
     model = "soft-hinge" if free_s else "hinge"
     k = _N_PARAMS[model]
-    pinned = () if free_s else (1.0,)
-
-    def residual(theta):
-        return eval_model(SoftHingeParams(*theta, *pinned), x) - y
-
-    def jacobian(theta):
-        return np.column_stack(model_gradient(SoftHingeParams(*theta, *pinned), x)[:k])
-
-    lo, hi = LOWER[:k], UPPER[:k]
-    starts = [
+    starts = np.array([
         _draw_start(start_rng(cfg.seed, participant_id, j))[:k]
         for j in range(cfg.n_starts)
-    ]
-    best, j, start_sse, n_ok, sses = _multistart(residual, jacobian, starts, lo, hi)
-    params = SoftHingeParams(*best.x) if free_s else HingeParams(*best.x)
-    return _finish(model, params, x, y, best.status > 0, n_ok, j, start_sse, sses)
+    ])
+    theta, sses, ok = _projected_lm(_check_domain(x), y, starts)
+    j = int(np.argmin(np.where(ok, sses, np.inf))) if ok.any() else int(np.argmin(sses))
+    params = SoftHingeParams(*theta[j]) if free_s else HingeParams(*theta[j])
+    start_sse = float(_evaluate(starts[j:j + 1], x, y)[2][0])
+    return _finish(model, params, x, y, bool(ok[j]), int(ok.sum()), j, start_sse, sses.tolist())
 
 
 def fit_soft_hinge(

@@ -80,12 +80,11 @@ ModelParams = LinearParams | HingeParams | SoftHingeParams
 def softplus(z):
     """Numerically safe softplus, log(1 + exp(z)).
 
-    Computed as z + log1p(exp(-z)) for z > 0 and log1p(exp(z)) otherwise,
-    so neither branch overflows for any finite z. Accepts scalars or arrays.
+    Computed as max(z, 0) + log1p(exp(-|z|)), which does not overflow for
+    any finite z. Accepts scalars or arrays.
     """
     z = np.asarray(z, dtype=float)
-    ez = np.exp(-np.abs(z))
-    out = np.where(z > 0.0, z + np.log1p(ez), np.log1p(ez))
+    out = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
     return out if out.ndim else float(out)
 
 
@@ -115,22 +114,27 @@ def eval_model(params: ModelParams, x):
     return out if out.ndim else float(out)
 
 
-def model_gradient(params: SoftHingeParams, x):
-    """Partials of the soft hinge wrt (beta, tau, s) at eccentricity x.
+def soft_hinge_partials(beta, tau, s, x):
+    """Partials of beta * softplus((x - tau) / s) wrt (beta, tau, s).
 
     With u = (x - tau) / s and sigma the logistic function:
         dy/dbeta = softplus(u)
         dy/dtau  = -(beta / s) * sigma(u)
         dy/ds    = -(beta * u / s) * sigma(u)
-    Returns three arrays shaped like x.
+    All arguments broadcast against each other (e.g. parameters shaped
+    (n, 1) against x shaped (m,)), and the model value is beta * dy/dbeta.
     """
-    xa = np.asarray(x, dtype=float)
-    u = (xa - params.tau) / params.s
+    u = (np.asarray(x, dtype=float) - tau) / s
     sig = expit(u)
     d_beta = softplus(u)
-    d_tau = -(params.beta / params.s) * sig
-    d_s = -(params.beta * u / params.s) * sig
+    d_tau = -(beta / s) * sig
+    d_s = -(beta * u / s) * sig
     return np.asarray(d_beta), d_tau, d_s
+
+
+def model_gradient(params: SoftHingeParams, x):
+    """Partials of the soft hinge wrt (beta, tau, s); three arrays shaped like x."""
+    return soft_hinge_partials(params.beta, params.tau, params.s, x)
 
 
 def hinge_gradient(params: HingeParams, x):

@@ -115,10 +115,10 @@ def _model_comparison(fit_rows: list[dict]) -> dict:
         table[model] = {"n": len(rows)}
         for metric in ("r2", "rmse", "aic"):
             vals = np.array([r[metric] for r in rows], dtype=float)  # null -> nan
-            table[model][f"{metric}_mean"] = float(np.nanmean(vals))
-            table[model][f"{metric}_sd"] = (
-                float(np.nanstd(vals, ddof=1)) if len(rows) > 1 else 0.0
-            )
+            vals = vals[~np.isnan(vals)]
+            # undefined (written as null) without values, or without two for the SD
+            table[model][f"{metric}_mean"] = float(vals.mean()) if vals.size else np.nan
+            table[model][f"{metric}_sd"] = float(vals.std(ddof=1)) if vals.size > 1 else np.nan
     return table
 
 

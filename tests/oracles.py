@@ -96,3 +96,45 @@ def lattice_argmin(x, y, n_grid=50):
             best = (float(sse[j]), (float(b), float(tflat[j]), float(sflat[j])))
     sse, (b, t, s) = best
     return b, t, s, sse
+
+
+# Parameter bounds of the hinge-family fits, (beta, tau, s); the hinge uses
+# the first two.
+FIT_LOWER = (0.0, -20.0, 1e-3)
+FIT_UPPER = (1.0, 70.0, np.inf)
+
+
+def trf_min_sse(x, y, starts):
+    """Lowest SSE of scipy's trust-region-reflective least squares over starts.
+
+    Each start is (beta, tau, s) for the soft hinge or (beta, tau) for the
+    hinge (s = 1), solved within FIT_LOWER/FIT_UPPER with an analytic
+    Jacobian and the stopping rules gtol 1e-8, xtol 1e-10, 200 evaluations.
+    """
+    from scipy.optimize import least_squares
+
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    best = np.inf
+    for theta0 in starts:
+        k = len(theta0)
+
+        def unpack(th):
+            return th[0], th[1], th[2] if k == 3 else 1.0
+
+        def residual(th):
+            return ref_soft_hinge(*unpack(th), x) - y
+
+        def jacobian(th):
+            beta, tau, s = unpack(th)
+            u = (x - tau) / s
+            sigma = np.exp(-ref_softplus(-u))  # 1 / (1 + exp(-u)), overflow-free
+            cols = [ref_softplus(u), -beta / s * sigma, -beta * u / s * sigma]
+            return np.column_stack(cols[:k])
+
+        res = least_squares(
+            residual, theta0, jac=jacobian, bounds=(FIT_LOWER[:k], FIT_UPPER[:k]),
+            method="trf", gtol=1e-8, xtol=1e-10, ftol=None, max_nfev=200,
+        )
+        best = min(best, float(np.dot(res.fun, res.fun)))
+    return best

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -340,15 +341,29 @@ class TestArtifactContract:
         assert run(["fit", "--in", shifts, "--out", fits, "--starts", 4]) == 0
         assert run(["fpca", "--in", fits, "--out", spectrum]) == 0
         assert run(["project", "--model", spectrum, "--in", fits, "--out", scores]) == 0
-        assert run(["report", "--fits", fits, "--spectrum", spectrum,
-                    "--scores", scores, "--out-dir", report]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["report", "--fits", fits, "--spectrum", spectrum,
+                        "--scores", scores, "--out-dir", report]) == 0
         for path in (fits, spectrum, report / "summary.json"):
             strict_json(path.read_text())
+        # one defined r2 per model: a mean, but no standard deviation
+        comparison = json.loads((report / "summary.json").read_text())["model_comparison"]
+        assert all(c["r2_mean"] is not None and c["r2_sd"] is None for c in comparison.values())
         rows = read_json_array(fits)
         flat = [r for r in rows if r["participant_id"] == "flat"]
         assert flat and all(r["r2"] is None for r in flat)
         assert all(math.isnan(FitResult.from_file_dict(r).r2) for r in flat)
         assert all(r["r2"] is not None for r in rows if r["participant_id"] == "mover")
+
+    def test_preprocess_creates_output_directories(self, tmp_path):
+        raw = synth_dir(tmp_path, participants=2, trials=1, shifts=12)
+        new = tmp_path / "new"
+        outputs = (new / "shifts.csv", new / "symmetry.json", tmp_path / "log" / "sanity.jsonl")
+        assert run(["preprocess", "--in-dir", raw, "--out", outputs[0],
+                    "--symmetry-out", outputs[1], "--sanity-out", outputs[2],
+                    "--min-overlap-s", 2.0]) == 0
+        assert all(path.exists() for path in outputs)
 
 
 class TestExpectedTrials:

@@ -18,10 +18,10 @@ from eyehead import (
     fit_soft_hinge,
     synth_shifts,
 )
-from eyehead.fitting import FitResult, _draw_start, start_rng
+from eyehead.fitting import LOWER, UPPER, FitResult, _draw_start, _projected_lm, start_rng
 from eyehead.models import compute_ehr_slope, compute_eor
 
-from .oracles import hinge_lattice_min_sse, ref_soft_hinge
+from .oracles import hinge_lattice_min_sse, ref_soft_hinge, trf_min_sse
 
 
 def soft_hinge_data(beta=0.8, tau=18.0, s=6.0, n=101, noise_sd=0.0, seed=0):
@@ -31,6 +31,17 @@ def soft_hinge_data(beta=0.8, tau=18.0, s=6.0, n=101, noise_sd=0.0, seed=0):
         y = y + np.random.default_rng(seed).normal(0.0, noise_sd, n)
         y = np.clip(y, 0.0, x)
     return x, y
+
+
+def noisy_set(seed):
+    """Seeded noisy soft-hinge shift set of 60-300 shifts."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(60, 301))
+    params = SoftHingeParams(
+        rng.uniform(0.3, 0.95), rng.uniform(5.0, 30.0), rng.uniform(1.0, 9.0)
+    )
+    shifts, _ = synth_shifts(SynthConfig(params, n_shifts=n, noise_sd=2.0, seed=seed))
+    return shifts.x, shifts.y
 
 
 class TestMetrics:
@@ -140,15 +151,54 @@ class TestHingeFit:
         # most draws and its SSE surface is not the one it was generated on
         worst = 0.0
         for seed in range(10):
-            rng = np.random.default_rng(seed)
-            n = int(rng.integers(60, 301))
-            params = SoftHingeParams(
-                rng.uniform(0.3, 0.95), rng.uniform(5.0, 30.0), rng.uniform(1.0, 9.0)
-            )
-            shifts, _ = synth_shifts(SynthConfig(params, n_shifts=n, noise_sd=2.0, seed=seed))
-            fit = fit_hinge(shifts.x, shifts.y, FitConfig(n_starts=20, seed=seed), f"h{seed}")
-            worst = max(worst, fit.sse / hinge_lattice_min_sse(shifts.x, shifts.y))
+            x, y = noisy_set(seed)
+            fit = fit_hinge(x, y, FitConfig(n_starts=20, seed=seed), f"h{seed}")
+            worst = max(worst, fit.sse / hinge_lattice_min_sse(x, y))
         assert worst <= 1.01
+
+
+class TestBatchedSolver:
+    @pytest.mark.parametrize("fit", [fit_hinge, fit_soft_hinge], ids=["hinge", "soft-hinge"])
+    def test_starts_do_not_depend_on_batch_size(self, fit):
+        for seed in range(5):
+            x, y = noisy_set(seed)
+            few = fit(x, y, FitConfig(n_starts=7, seed=seed), f"b{seed}")
+            many = fit(x, y, FitConfig(n_starts=20, seed=seed), f"b{seed}")
+            assert few.start_sses == many.start_sses[:7]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_every_start_descends_within_bounds(self, k):
+        for seed in range(5):
+            x, y = noisy_set(seed)
+            starts = np.array([_draw_start(start_rng(seed, "d", j))[:k] for j in range(20)])
+            theta, sses, _ = _projected_lm(x, y, starts)
+            s = starts[:, 2:3] if k == 3 else 1.0
+            start_sses = np.sum((ref_soft_hinge(starts[:, :1], starts[:, 1:2], s, x) - y) ** 2,
+                                axis=1)
+            assert np.all(sses <= start_sses)
+            assert np.all((theta >= LOWER[:k]) & (theta <= UPPER[:k]))
+
+    @pytest.mark.parametrize("fit, k", [(fit_hinge, 2), (fit_soft_hinge, 3)],
+                             ids=["hinge", "soft-hinge"])
+    def test_best_of_starts_matches_scipy_oracle(self, fit, k):
+        worst = 0.0
+        for seed in range(20):
+            x, y = noisy_set(seed)
+            result = fit(x, y, FitConfig(n_starts=8, seed=seed), f"o{seed}")
+            starts = [_draw_start(start_rng(seed, f"o{seed}", j))[:k] for j in range(8)]
+            worst = max(worst, result.sse / trf_min_sse(x, y, starts))
+        assert worst <= 1.0 + 1e-6
+
+    @pytest.mark.parametrize("n, converged", [
+        (1, {"linear": False, "hinge": False, "soft-hinge": False}),
+        (3, {"linear": True, "hinge": True, "soft-hinge": False}),
+        (4, {"linear": True, "hinge": True, "soft-hinge": True}),
+    ])
+    def test_fit_with_no_more_points_than_parameters_is_not_converged(self, n, converged):
+        x = np.linspace(20.0, 40.0, n)
+        y = 0.5 * np.maximum(x - 25.0, 0.0) + 1.0
+        pfit = fit_participant(x, y, "few", FitConfig(n_starts=4, seed=0))
+        assert {m: f.converged for m, f in pfit.fits.items()} == converged
 
 
 class TestLinearFit:
