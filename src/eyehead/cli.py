@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from .errors import EyeheadError, MissingInputError, OneSidedDataError
+from .errors import EyeheadError, MissingInputError
 from .events import FixationConfig, preprocess_trial
 from .fitting import MODELS, FitConfig, fit_participant
 from .fpca import Spectrum, fit_fpca, sample_curves, score_table
@@ -58,28 +58,57 @@ from .report import (
 from .stats import symmetry_check, threshold_sensitivity
 from .synth import SynthConfig, draw_population, synth_shifts, synth_trace
 
-DEFAULTS = {
-    "fix_threshold": 15.0,
-    "min_dur_ms": 60.0,
-    "pad_ms": 10.0,
-    "merge_gap_ms": 20.0,
-    "max_ecc_deg": 50.0,
-    "min_cutoff": 1.0,
-    "filter_beta": 0.0,
-    "derivative_cutoff": 1.0,
-    "min_overlap_s": 25.0,
-    "max_gap_s": 0.5,
-    "expected_trials": 0,
-    "model": "all",
-    "starts": 20,
-    "seed": 0,
-    "components": 0,
-    "thresholds": "10,15,20",
-    "base_threshold": 15.0,
-    "participants": 12,
-    "trials": 2,
-    "shifts": 50,
-    "noise_sd": 2.0,
+# Every option: key -> (built-in default, help text). The default's type is
+# the option's type, and its flag is the key with dashes (--fix-threshold).
+OPTIONS = {
+    "fix_threshold": (15.0, "fixation velocity threshold (deg/s)"),
+    "min_dur_ms": (60.0, "minimum fixation duration (ms)"),
+    "pad_ms": (10.0, "padding applied around fixation bounds (ms)"),
+    "merge_gap_ms": (20.0, "merge fixations separated by less than this gap (ms)"),
+    "max_ecc_deg": (50.0, "drop shifts with eccentricity beyond this (deg)"),
+    "min_cutoff": (1.0, "smoothing filter minimum cutoff (Hz)"),
+    "filter_beta": (0.0, "smoothing filter speed coefficient"),
+    "derivative_cutoff": (1.0, "smoothing filter derivative cutoff (Hz)"),
+    "min_overlap_s": (25.0, "minimum gaze/head overlap to keep a trial (s)"),
+    "max_gap_s": (0.5, "maximum sampling gap to keep a trial (s)"),
+    "expected_trials": (0, "drop participants without this many passing trials"),
+    "model": ("all", "model family to fit"),
+    "starts": (20, "random restarts per fit"),
+    "seed": (0, "master seed"),
+    "components": (0, "components to keep (default: up to 2)"),
+    "thresholds": ("10,15,20", "comma-separated thresholds (deg/s)"),
+    "base_threshold": (15.0, "reference threshold (deg/s)"),
+    "participants": (12, "synthetic participants"),
+    "trials": (2, "trials per participant"),
+    "shifts": (50, "gaze shifts per trial"),
+    "noise_sd": (2.0, "vertical noise SD for the shift table (deg)"),
+}
+DEFAULTS = {key: default for key, (default, _) in OPTIONS.items()}
+CHOICES = {"model": MODELS + ("all",)}
+
+# The options each stage takes. One config file serves every stage, so a
+# stage accepts (and checks) keys it does not use.
+_TRACE_OPTIONS = (
+    "fix_threshold",
+    "min_dur_ms",
+    "pad_ms",
+    "merge_gap_ms",
+    "max_ecc_deg",
+    "min_cutoff",
+    "filter_beta",
+    "derivative_cutoff",
+    "min_overlap_s",
+    "max_gap_s",
+    "expected_trials",
+)
+STAGE_OPTIONS = {
+    "preprocess": _TRACE_OPTIONS,
+    "fit": ("model", "starts", "seed"),
+    "fpca": ("components",),
+    "project": (),
+    "report": (),
+    "sensitivity": ("thresholds", "base_threshold", "starts", "seed") + _TRACE_OPTIONS,
+    "synth": ("participants", "trials", "shifts", "noise_sd", "seed"),
 }
 
 
@@ -100,7 +129,8 @@ def _config_value(path: str, key: str, value):
     """A config-file value as its option's type; the JSON type must match.
 
     int options take only integers (not booleans), float options take
-    integers or floats, str options take only strings.
+    integers or floats, str options take only strings; an option with
+    choices takes only one of them.
     """
     kind = type(DEFAULTS[key])
     accepted = (int, float) if kind is float else kind
@@ -109,21 +139,24 @@ def _config_value(path: str, key: str, value):
             f"{path}: config key {key!r} must be {kind.__name__}, "
             f"got {type(value).__name__} {value!r}"
         )
+    if key in CHOICES and value not in CHOICES[key]:
+        raise ValueError(
+            f"{path}: config key {key!r} must be one of {list(CHOICES[key])}, got {value!r}"
+        )
     return kind(value)
 
 
-def _resolve(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
-    """Merge CLI flags, config-file values, and defaults (in that order)."""
-    from_file = _load_config_file(getattr(args, "config", None))
+def _resolve(args: argparse.Namespace) -> dict:
+    """The stage's options: CLI flags over config-file values over defaults.
+
+    The config file is loaded and checked whether or not the stage takes
+    any option.
+    """
+    from_file = _load_config_file(args.config)
     resolved = {}
-    for key in keys:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            resolved[key] = flag_value
-        elif key in from_file:
-            resolved[key] = from_file[key]
-        else:
-            resolved[key] = DEFAULTS[key]
+    for key in STAGE_OPTIONS[args.command]:
+        value = getattr(args, key)
+        resolved[key] = from_file.get(key, DEFAULTS[key]) if value is None else value
     return resolved
 
 
@@ -205,23 +238,7 @@ def _sane_traces(in_dir: str, cfg: dict):
 # subcommands
 # ---------------------------------------------------------------------------
 
-PREPROCESS_KEYS = (
-    "fix_threshold",
-    "min_dur_ms",
-    "pad_ms",
-    "merge_gap_ms",
-    "max_ecc_deg",
-    "min_cutoff",
-    "filter_beta",
-    "derivative_cutoff",
-    "min_overlap_s",
-    "max_gap_s",
-    "expected_trials",
-)
-
-
-def cmd_preprocess(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, PREPROCESS_KEYS)
+def cmd_preprocess(args: argparse.Namespace, cfg: dict) -> int:
     traces, reports, input_paths = _sane_traces(args.in_dir, cfg)
     provenance = make_provenance(
         {"command": "preprocess", **cfg}, None, _input_map(input_paths, args.in_dir)
@@ -244,7 +261,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         for pid in signed.participants():
             try:
                 symmetry[pid] = symmetry_check(signed.for_participant(pid)).to_dict()
-            except (OneSidedDataError, EyeheadError) as exc:
+            except EyeheadError as exc:
                 symmetry[pid] = {"error": type(exc).__name__, "message": str(exc)}
         write_json_object(args.symmetry_out, {"participants": symmetry}, provenance)
 
@@ -254,10 +271,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, ("model", "starts", "seed"))
-    if cfg["model"] not in MODELS + ("all",):
-        raise ValueError(f"unknown model {cfg['model']!r}")
+def cmd_fit(args: argparse.Namespace, cfg: dict) -> int:
     models = MODELS if cfg["model"] == "all" else (cfg["model"],)
 
     shifts = read_shifts_csv(args.in_path)
@@ -288,8 +302,7 @@ def _soft_hinge_curves(fit_rows: list[dict], grid=None):
     return sample_curves(params, curve_ids, grid=grid)
 
 
-def cmd_fpca(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, ("components",))
+def cmd_fpca(args: argparse.Namespace, cfg: dict) -> int:
     rows = read_json_array(args.in_path)
     curves = _soft_hinge_curves(rows)
     n_curves = len(curves.curve_ids)
@@ -311,13 +324,13 @@ def _load_spectrum(path: str) -> Spectrum:
     return Spectrum.from_dict(payload)
 
 
-def cmd_project(args: argparse.Namespace) -> int:
+def cmd_project(args: argparse.Namespace, cfg: dict) -> int:
     spectrum = _load_spectrum(args.model_path)
     rows = read_json_array(args.in_path)
     curves = _soft_hinge_curves(rows, grid=spectrum.grid)
     table = score_table(spectrum, curves)
     provenance = make_provenance(
-        {"command": "project"},
+        {"command": "project", **cfg},
         None,
         _input_map(
             [args.model_path, args.in_path],
@@ -328,14 +341,14 @@ def cmd_project(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def cmd_report(args: argparse.Namespace, cfg: dict) -> int:
     fit_rows = read_json_array(args.fits)
     if not fit_rows:
         raise MissingInputError(f"{args.fits}: empty fit table")
     spectrum = _load_spectrum(args.spectrum)
     score_rows = read_scores_csv(args.scores)
     provenance = make_provenance(
-        {"command": "report"},
+        {"command": "report", **cfg},
         None,
         _input_map(
             [args.fits, args.spectrum, args.scores],
@@ -346,12 +359,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-SENSITIVITY_KEYS = PREPROCESS_KEYS + ("thresholds", "base_threshold", "starts", "seed")
-
-
-def cmd_sensitivity(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, SENSITIVITY_KEYS)
-    thresholds = tuple(float(v) for v in str(cfg["thresholds"]).split(","))
+def cmd_sensitivity(args: argparse.Namespace, cfg: dict) -> int:
+    thresholds = tuple(float(v) for v in cfg["thresholds"].split(","))
     traces, _, input_paths = _sane_traces(args.in_dir, cfg)
 
     by_pid: dict[str, list] = {}
@@ -397,10 +406,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    cfg = _resolve(
-        args, ("participants", "trials", "shifts", "noise_sd", "seed")
-    )
+def cmd_synth(args: argparse.Namespace, cfg: dict) -> int:
     population = draw_population(cfg["participants"], seed=cfg["seed"])
     provenance = make_provenance({"command": "synth", **cfg}, cfg["seed"], {})
 
@@ -448,35 +454,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_config_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat JSON file with default option values")
-
-
-def _add_preprocess_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--fix-threshold", dest="fix_threshold", type=float,
-                   help="fixation velocity threshold (deg/s)")
-    p.add_argument("--min-dur-ms", dest="min_dur_ms", type=float,
-                   help="minimum fixation duration (ms)")
-    p.add_argument("--pad-ms", dest="pad_ms", type=float,
-                   help="padding applied around fixation bounds (ms)")
-    p.add_argument("--merge-gap-ms", dest="merge_gap_ms", type=float,
-                   help="merge fixations separated by less than this gap (ms)")
-    p.add_argument("--max-ecc-deg", dest="max_ecc_deg", type=float,
-                   help="drop shifts with eccentricity beyond this (deg)")
-    p.add_argument("--min-cutoff", dest="min_cutoff", type=float,
-                   help="smoothing filter minimum cutoff (Hz)")
-    p.add_argument("--filter-beta", dest="filter_beta", type=float,
-                   help="smoothing filter speed coefficient")
-    p.add_argument("--derivative-cutoff", dest="derivative_cutoff", type=float,
-                   help="smoothing filter derivative cutoff (Hz)")
-    p.add_argument("--min-overlap-s", dest="min_overlap_s", type=float,
-                   help="minimum gaze/head overlap to keep a trial (s)")
-    p.add_argument("--max-gap-s", dest="max_gap_s", type=float,
-                   help="maximum sampling gap to keep a trial (s)")
-    p.add_argument("--expected-trials", dest="expected_trials", type=int,
-                   help="drop participants without this many passing trials")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eyehead",
@@ -489,31 +466,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output shift CSV")
     p.add_argument("--sanity-out", help="sanity report JSONL (default: sanity.jsonl next to --out)")
     p.add_argument("--symmetry-out", help="optional left/right symmetry JSON")
-    _add_preprocess_flags(p)
-    _add_config_flag(p)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("fit", help="fit candidate models per participant")
     p.add_argument("--in", dest="in_path", required=True, help="cleaned shift CSV")
     p.add_argument("--out", required=True, help="output fit JSON")
-    p.add_argument("--model", choices=MODELS + ("all",), help="model family to fit")
-    p.add_argument("--starts", type=int, help="random restarts per fit")
-    p.add_argument("--seed", type=int, help="master seed")
-    _add_config_flag(p)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("fpca", help="build the population spectrum from fits")
     p.add_argument("--in", dest="in_path", required=True, help="fit JSON")
     p.add_argument("--out", required=True, help="output spectrum JSON")
-    p.add_argument("--components", type=int, help="components to keep (default: up to 2)")
-    _add_config_flag(p)
     p.set_defaults(func=cmd_fpca)
 
     p = sub.add_parser("project", help="score fitted curves against a spectrum")
     p.add_argument("--model", dest="model_path", required=True, help="spectrum JSON")
     p.add_argument("--in", dest="in_path", required=True, help="fit JSON")
     p.add_argument("--out", required=True, help="output score CSV")
-    _add_config_flag(p)
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("report", help="emit the analysis report bundle")
@@ -521,39 +489,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spectrum", required=True, help="spectrum JSON")
     p.add_argument("--scores", required=True, help="score CSV")
     p.add_argument("--out-dir", required=True, help="report output directory")
-    _add_config_flag(p)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("sensitivity", help="velocity-threshold robustness check")
     p.add_argument("--in-dir", required=True, help="directory of trace pairs")
     p.add_argument("--out", required=True, help="output JSON")
-    p.add_argument("--thresholds", help="comma-separated thresholds (deg/s)")
-    p.add_argument("--base-threshold", dest="base_threshold", type=float,
-                   help="reference threshold (deg/s)")
-    p.add_argument("--starts", type=int, help="random restarts per fit")
-    p.add_argument("--seed", type=int, help="master seed")
-    _add_preprocess_flags(p)
-    _add_config_flag(p)
     p.set_defaults(func=cmd_sensitivity)
 
     p = sub.add_parser("synth", help="generate ground-truth synthetic data")
     p.add_argument("--out-dir", required=True, help="output directory")
-    p.add_argument("--participants", type=int, help="synthetic participants")
-    p.add_argument("--trials", type=int, help="trials per participant")
-    p.add_argument("--shifts", type=int, help="gaze shifts per trial")
-    p.add_argument("--noise-sd", dest="noise_sd", type=float,
-                   help="vertical noise SD for the shift table (deg)")
-    p.add_argument("--seed", type=int, help="master seed")
-    _add_config_flag(p)
     p.set_defaults(func=cmd_synth)
 
+    for command, p in sub.choices.items():
+        for key in STAGE_OPTIONS[command]:
+            default, help_text = OPTIONS[key]
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
+                           choices=CHOICES.get(key), help=help_text)
+        p.add_argument("--config", help="flat JSON file with default option values")
     return parser
 
 
 def dispatch(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _resolve(args))
     except (EyeheadError, OSError, ValueError, json.JSONDecodeError, KeyError) as exc:
         payload = {
             "stage": args.command,

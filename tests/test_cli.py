@@ -1,14 +1,34 @@
+import inspect
 import json
 import math
+import re
 import warnings
 
 import pytest
 
 from eyehead import FitResult, read_shifts_csv
 from eyehead import ingest
-from eyehead.cli import DEFAULTS, build_parser, dispatch
-from eyehead.ingest import SCORE_COLUMNS, SHIFT_COLUMNS, TRACE_COLUMNS
+from eyehead.cli import (
+    DEFAULTS,
+    STAGE_OPTIONS,
+    _filter_config,
+    _fixation_config,
+    _resolve,
+    build_parser,
+    dispatch,
+)
+from eyehead.events import FixationConfig
+from eyehead.fitting import FitConfig
+from eyehead.ingest import (
+    SCORE_COLUMNS,
+    SHIFT_COLUMNS,
+    TRACE_COLUMNS,
+    FilterConfig,
+    sanity_check,
+    symmetrize_and_clean,
+)
 from eyehead.report import read_json_array
+from eyehead.stats import threshold_sensitivity
 
 
 def run(argv):
@@ -204,7 +224,7 @@ class TestConfigResolution:
         assert payload["error"] == "ValueError"
         assert "n_starts" in payload["message"]
 
-    @pytest.mark.parametrize("key, value", [("seed", 1.7), ("starts", True)])
+    @pytest.mark.parametrize("key, value", [("seed", 1.7), ("starts", True), ("model", "cubic")])
     def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))
@@ -225,6 +245,158 @@ class TestConfigResolution:
     def test_defaults_table_is_flat_and_typed(self):
         for key, value in DEFAULTS.items():
             assert isinstance(value, (int, float, str)), key
+
+    def test_cli_defaults_are_the_library_defaults(self):
+        def default(fn, name):
+            return inspect.signature(fn).parameters[name].default
+
+        assert _fixation_config(DEFAULTS) == FixationConfig()
+        assert _filter_config(DEFAULTS) == FilterConfig()
+        assert FitConfig(n_starts=DEFAULTS["starts"], seed=DEFAULTS["seed"]) == FitConfig()
+        assert default(sanity_check, "min_overlap_s") == DEFAULTS["min_overlap_s"]
+        assert default(sanity_check, "max_gap_s") == DEFAULTS["max_gap_s"]
+        assert default(symmetrize_and_clean, "max_ecc") == DEFAULTS["max_ecc_deg"]
+        assert default(threshold_sensitivity, "max_ecc") == DEFAULTS["max_ecc_deg"]
+        assert default(threshold_sensitivity, "base") == DEFAULTS["base_threshold"]
+        assert default(threshold_sensitivity, "thresholds") == tuple(
+            float(v) for v in DEFAULTS["thresholds"].split(",")
+        )
+
+
+# The file arguments each stage requires; no test here reads them.
+REQUIRED = {
+    "preprocess": ["--in-dir", "traces", "--out", "shifts.csv"],
+    "fit": ["--in", "shifts.csv", "--out", "fits.json"],
+    "fpca": ["--in", "fits.json", "--out", "spectrum.json"],
+    "project": ["--model", "spectrum.json", "--in", "fits.json", "--out", "scores.csv"],
+    "report": ["--fits", "fits.json", "--spectrum", "spectrum.json",
+               "--scores", "scores.csv", "--out-dir", "report"],
+    "sensitivity": ["--in-dir", "traces", "--out", "sensitivity.json"],
+    "synth": ["--out-dir", "raw"],
+}
+
+TRACE_FLAGS = {
+    "--fix-threshold", "--min-dur-ms", "--pad-ms", "--merge-gap-ms", "--max-ecc-deg",
+    "--min-cutoff", "--filter-beta", "--derivative-cutoff", "--min-overlap-s",
+    "--max-gap-s", "--expected-trials",
+}
+
+# Every flag of every stage, written out so that a flag lost or gained shows.
+STAGE_FLAGS = {
+    "preprocess": {"--in-dir", "--out", "--sanity-out", "--symmetry-out", *TRACE_FLAGS},
+    "fit": {"--in", "--out", "--model", "--starts", "--seed"},
+    "fpca": {"--in", "--out", "--components"},
+    "project": {"--model", "--in", "--out"},
+    "report": {"--fits", "--spectrum", "--scores", "--out-dir"},
+    "sensitivity": {"--in-dir", "--out", "--thresholds", "--base-threshold", "--starts",
+                    "--seed", *TRACE_FLAGS},
+    "synth": {"--out-dir", "--participants", "--trials", "--shifts", "--noise-sd", "--seed"},
+}
+
+
+def other_value(key):
+    """A value of the option's type that is not its default."""
+    default = DEFAULTS[key]
+    if key == "model":
+        return "hinge"
+    if isinstance(default, str):
+        return "12,18"
+    return default + 1
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("stage", sorted(STAGE_FLAGS))
+    def test_help_lists_exactly_the_stage_flags(self, capsys, stage):
+        with pytest.raises(SystemExit) as exc:
+            dispatch([stage, "--help"])
+        assert exc.value.code == 0
+        flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert flags == STAGE_FLAGS[stage] | {"--help", "--config"}
+
+    @pytest.mark.parametrize(
+        "stage, key", [(stage, key) for stage, keys in STAGE_OPTIONS.items() for key in keys]
+    )
+    def test_flag_and_config_file_resolve_alike(self, tmp_path, stage, key):
+        value = other_value(key)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        parser = build_parser()
+        by_flag = parser.parse_args(
+            [stage, *REQUIRED[stage], "--" + key.replace("_", "-"), str(value)]
+        )
+        by_file = parser.parse_args([stage, *REQUIRED[stage], "--config", str(cfg)])
+        assert type(getattr(by_flag, key)) is type(DEFAULTS[key])
+        assert _resolve(by_flag)[key] == _resolve(by_file)[key] == value
+        assert type(_resolve(by_file)[key]) is type(DEFAULTS[key])
+
+    @pytest.mark.parametrize("stage", sorted(STAGE_OPTIONS))
+    def test_one_config_file_serves_every_stage(self, tmp_path, stage):
+        parser = build_parser()
+        assert _resolve(parser.parse_args([stage, *REQUIRED[stage]])) == {
+            key: DEFAULTS[key] for key in STAGE_OPTIONS[stage]
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: other_value(key) for key in DEFAULTS}))
+        resolved = _resolve(parser.parse_args([stage, *REQUIRED[stage], "--config", str(cfg)]))
+        assert resolved == {key: other_value(key) for key in STAGE_OPTIONS[stage]}
+
+
+class TestConfigOnEveryStage:
+    """project and report take no option, yet read and check --config."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("inputs")
+        shifts = preprocess(tmp, synth_dir(tmp, participants=3, trials=1, shifts=10))
+        fits, spectrum, scores = tmp / "fits.json", tmp / "spectrum.json", tmp / "scores.csv"
+        assert run(["fit", "--in", shifts, "--out", fits, "--starts", 4]) == 0
+        assert run(["fpca", "--in", fits, "--out", spectrum]) == 0
+        assert run(["project", "--model", spectrum, "--in", fits, "--out", scores]) == 0
+        return {"fits": fits, "spectrum": spectrum, "scores": scores}
+
+    @staticmethod
+    def argv(stage, inputs, out):
+        if stage == "project":
+            return ["project", "--model", inputs["spectrum"], "--in", inputs["fits"],
+                    "--out", out / "scores.csv"]
+        return ["report", "--fits", inputs["fits"], "--spectrum", inputs["spectrum"],
+                "--scores", inputs["scores"], "--out-dir", out / "report"]
+
+    @pytest.mark.parametrize("stage", ["project", "report"])
+    @pytest.mark.parametrize("content, error", [
+        (None, "FileNotFoundError"),
+        ('{"starts": 4', "JSONDecodeError"),
+        ('{"n_starts": 4}', "ValueError"),
+    ])
+    def test_bad_config_file_is_a_stage_error(self, inputs, tmp_path, capsys,
+                                              stage, content, error):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_text(content)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run([*self.argv(stage, inputs, out), "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["stage"] == stage
+        assert payload["error"] == error
+        assert payload["message"]
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("stage", ["project", "report"])
+    def test_config_keys_of_other_stages_are_accepted(self, inputs, tmp_path, stage):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"starts": 4}))
+        plain, with_cfg = tmp_path / "plain", tmp_path / "with_cfg"
+        plain.mkdir()
+        with_cfg.mkdir()
+        assert run(self.argv(stage, inputs, plain)) == 0
+        assert run([*self.argv(stage, inputs, with_cfg), "--config", cfg]) == 0
+        written = sorted(p.relative_to(plain) for p in plain.rglob("*") if p.is_file())
+        assert written
+        for rel in written:
+            assert (plain / rel).read_bytes() == (with_cfg / rel).read_bytes(), rel
 
 
 class TestProvenance:
