@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from .errors import EyeheadError, MissingInputError
+from .errors import EyeheadError, MissingInputError, NoOverlapError
 from .events import FixationConfig, preprocess_trial
 from .fitting import MODELS, FitConfig, fit_participant
 from .fpca import Spectrum, fit_fpca, sample_curves, score_table
@@ -42,6 +42,7 @@ from .ingest import (
     read_shifts_csv,
     sanity_check,
     symmetrize_and_clean,
+    unaligned_report,
     write_scores_csv,
     write_shifts_csv,
     write_trace_csv,
@@ -116,7 +117,12 @@ def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise json.JSONDecodeError(
+                f"{path}: config file is not valid JSON: {exc.msg}", exc.doc, exc.pos
+            ) from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config file must be a flat JSON object")
     unknown = set(data) - set(DEFAULTS)
@@ -185,6 +191,12 @@ def _trace_pairs(in_dir: str) -> list[tuple[str, str]]:
     return [(g, g[: -len(".gaze.csv")] + ".head.csv") for g in gaze_files]
 
 
+def _output(path: str) -> str:
+    """Make the directory an output file goes in, if need be; return the path."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    return path
+
+
 def _input_map(paths: list[str], base: str) -> dict[str, str]:
     """Name inputs by path relative to `base`; make_provenance digests them."""
     return {os.path.relpath(p, base): p for p in paths if os.path.exists(p)}
@@ -196,7 +208,8 @@ def _sane_traces(in_dir: str, cfg: dict):
     Returns (traces that passed, one sanity report per trial, input paths).
     With expected_trials > 0, a participant's traces are kept only when
     exactly that many trials were found and all of them passed. A missing
-    head file yields a missing_stream report.
+    head file yields a missing_stream report, and a gaze and head stream
+    with no shared time window a no_overlap report.
     """
     aligned = []
     reports = []
@@ -209,7 +222,10 @@ def _sane_traces(in_dir: str, cfg: dict):
             continue
         head = load_trace_csv(head_path, kind="head")
         paths.append(head_path)
-        aligned.append(align_head_to_gaze(gaze, head))
+        try:
+            aligned.append(align_head_to_gaze(gaze, head))
+        except NoOverlapError:
+            reports.append(unaligned_report(gaze.participant_id, gaze.trial_id, "no_overlap"))
 
     passed = []
     for trace in aligned:
@@ -252,10 +268,6 @@ def cmd_preprocess(args: argparse.Namespace, cfg: dict) -> int:
     sanity_path = args.sanity_out or os.path.join(
         os.path.dirname(os.path.abspath(args.out)), "sanity.jsonl"
     )
-    for path in (args.out, args.symmetry_out, sanity_path):
-        if path:
-            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-
     if args.symmetry_out:
         symmetry = {}
         for pid in signed.participants():
@@ -263,11 +275,11 @@ def cmd_preprocess(args: argparse.Namespace, cfg: dict) -> int:
                 symmetry[pid] = symmetry_check(signed.for_participant(pid)).to_dict()
             except EyeheadError as exc:
                 symmetry[pid] = {"error": type(exc).__name__, "message": str(exc)}
-        write_json_object(args.symmetry_out, {"participants": symmetry}, provenance)
+        write_json_object(_output(args.symmetry_out), {"participants": symmetry}, provenance)
 
     clean = symmetrize_and_clean(signed, max_ecc=cfg["max_ecc_deg"])
-    write_shifts_csv(args.out, clean, provenance)
-    write_json_lines(sanity_path, [r.to_dict() for r in reports], provenance)
+    write_shifts_csv(_output(args.out), clean, provenance)
+    write_json_lines(_output(sanity_path), [r.to_dict() for r in reports], provenance)
     return 0
 
 
@@ -289,7 +301,7 @@ def cmd_fit(args: argparse.Namespace, cfg: dict) -> int:
             rows.append(
                 {"participant_id": pfit.participant_id, **pfit.fits[model].to_file_dict()}
             )
-    write_json_array(args.out, rows, provenance)
+    write_json_array(_output(args.out), rows, provenance)
     return 0
 
 
@@ -313,7 +325,7 @@ def cmd_fpca(args: argparse.Namespace, cfg: dict) -> int:
         None,
         _input_map([args.in_path], os.path.dirname(os.path.abspath(args.in_path))),
     )
-    write_json_object(args.out, spectrum.to_dict(), provenance)
+    write_json_object(_output(args.out), spectrum.to_dict(), provenance)
     return 0
 
 
@@ -337,7 +349,7 @@ def cmd_project(args: argparse.Namespace, cfg: dict) -> int:
             os.path.dirname(os.path.abspath(args.in_path)),
         ),
     )
-    write_scores_csv(args.out, table, provenance)
+    write_scores_csv(_output(args.out), table, provenance)
     return 0
 
 
@@ -394,7 +406,7 @@ def cmd_sensitivity(args: argparse.Namespace, cfg: dict) -> int:
         _input_map(input_paths, args.in_dir),
     )
     write_json_object(
-        args.out,
+        _output(args.out),
         {
             "base_threshold": cfg["base_threshold"],
             "thresholds": list(thresholds),

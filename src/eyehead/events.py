@@ -123,13 +123,24 @@ def extract_shifts(trace: AlignedTrace, fixations: list[Fixation]) -> ShiftSet:
     )
 
 
+def gaze_velocity(trace: AlignedTrace, filter_cfg: FilterConfig = FilterConfig()) -> np.ndarray:
+    """Yaw velocity (degrees/s) of the smoothed gaze trace, per sample."""
+    return angular_velocity(trace.t, one_euro(trace.t, trace.gaze_yaw, filter_cfg))
+
+
+def segment_shifts(
+    trace: AlignedTrace,
+    velocity: np.ndarray,
+    fixation_cfg: FixationConfig = FixationConfig(),
+) -> ShiftSet:
+    """Detect fixations on a gaze velocity trace and extract the shifts between them."""
+    return extract_shifts(trace, detect_fixations(trace.t, velocity, fixation_cfg))
+
+
 def preprocess_trial(
     trace: AlignedTrace,
     filter_cfg: FilterConfig = FilterConfig(),
     fixation_cfg: FixationConfig = FixationConfig(),
 ) -> ShiftSet:
     """Smooth gaze, detect fixations, and extract signed shifts for one trial."""
-    smoothed = one_euro(trace.t, trace.gaze_yaw, filter_cfg)
-    velocity = angular_velocity(trace.t, smoothed)
-    fixations = detect_fixations(trace.t, velocity, fixation_cfg)
-    return extract_shifts(trace, fixations)
+    return segment_shifts(trace, gaze_velocity(trace, filter_cfg), fixation_cfg)

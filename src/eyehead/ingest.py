@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -76,7 +77,8 @@ class SanityReport:
     overlap_s: float
     gap_max_s: float
     verdict: str  # "pass" | "fail"
-    reason: str | None = None  # "short_overlap" | "discontinuity" | "missing_stream"
+    # "short_overlap" | "discontinuity" | "missing_stream" | "no_overlap"
+    reason: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -180,26 +182,47 @@ def one_euro(t: np.ndarray, x: np.ndarray, cfg: FilterConfig = FilterConfig()) -
 
     State starts at the first sample with zero derivative estimate. With
     beta = 0 this is a plain first-order low-pass at min_cutoff Hz.
+
+    Intervals, raw derivatives and smoothing factors (the signal's too
+    when beta = 0) are computed as numpy arrays; the loop over Python
+    floats holds only the recurrences, plus the per-sample smoothing
+    factor when beta > 0. Every value takes the same operations in the
+    same order as in a per-sample loop, so the output is bit-identical to
+    that form, NaN propagation included.
     """
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     if x.size == 0:
         return out
-    x_hat = x[0]
+    te = np.diff(t)
+    back = np.flatnonzero(te <= 0)  # NaN intervals pass, as in the per-sample form
+    if back.size:
+        i = int(back[0]) + 1
+        raise NonMonotonicTimeError(index=i, timestamp=float(t[i]), context="one_euro")
+    dx = np.diff(x) / te
+    a_d = _smoothing_factor(te, cfg.derivative_cutoff)
+    out[0] = x[0]
+    x_hat = float(x[0])
     dx_hat = 0.0
-    out[0] = x_hat
-    for i in range(1, x.size):
-        te = t[i] - t[i - 1]
-        if te <= 0:
-            raise NonMonotonicTimeError(index=i, timestamp=float(t[i]), context="one_euro")
-        dx = (x[i] - x[i - 1]) / te
-        a_d = _smoothing_factor(te, cfg.derivative_cutoff)
-        dx_hat = a_d * dx + (1.0 - a_d) * dx_hat
-        cutoff = cfg.min_cutoff + cfg.beta * abs(dx_hat)
-        a = _smoothing_factor(te, cutoff)
-        x_hat = a * x[i] + (1.0 - a) * x_hat
-        out[i] = x_hat
+    smoothed = array("d")
+    # a memoryview of a float64 array iterates as Python floats, with no list copy
+    samples = memoryview(x[1:]), memoryview(dx), memoryview(a_d)
+    if cfg.beta == 0:
+        a_s = memoryview(_smoothing_factor(te, cfg.min_cutoff))
+        for xi, dxi, adi, ai in zip(*samples, a_s):
+            dx_hat = adi * dxi + (1.0 - adi) * dx_hat
+            # as the cutoff min_cutoff + 0 * |dx_hat|: NaN once dx_hat is not finite
+            ai += 0.0 * dx_hat
+            x_hat = ai * xi + (1.0 - ai) * x_hat
+            smoothed.append(x_hat)
+    else:
+        for xi, dxi, adi, tei in zip(*samples, memoryview(te)):
+            dx_hat = adi * dxi + (1.0 - adi) * dx_hat
+            a = _smoothing_factor(tei, cfg.min_cutoff + cfg.beta * abs(dx_hat))
+            x_hat = a * xi + (1.0 - a) * x_hat
+            smoothed.append(x_hat)
+    out[1:] = smoothed
     return out
 
 
@@ -273,16 +296,21 @@ def sanity_check(
     )
 
 
-def missing_stream_report(participant_id: str, trial_id: str) -> SanityReport:
-    """Failure report for a trial where one device's file is absent."""
+def unaligned_report(participant_id: str, trial_id: str, reason: str) -> SanityReport:
+    """Failure report for a trial whose two streams could not be aligned."""
     return SanityReport(
         participant_id=participant_id,
         trial_id=trial_id,
         overlap_s=0.0,
         gap_max_s=float("nan"),
         verdict="fail",
-        reason="missing_stream",
+        reason=reason,
     )
+
+
+def missing_stream_report(participant_id: str, trial_id: str) -> SanityReport:
+    """Failure report for a trial where one device's file is absent."""
+    return unaligned_report(participant_id, trial_id, "missing_stream")
 
 
 def participant_passes(reports: list[SanityReport], expected_trials: int) -> bool:

@@ -19,7 +19,7 @@ from .errors import (
     TooFewPointsError,
     ZeroSpreadError,
 )
-from .events import FixationConfig, preprocess_trial
+from .events import FixationConfig, gaze_velocity, segment_shifts
 from .fitting import FitConfig, fit_soft_hinge
 from .fpca import DEFAULT_GRID
 from .ingest import (
@@ -206,21 +206,26 @@ def threshold_sensitivity(
 ) -> dict[float, float]:
     """Refit one participant's curve per velocity threshold; r vs base.
 
-    Rebuilds shifts from the given trials at each threshold, refits the
-    soft hinge, evaluates it on the grid, and correlates with the curve
-    obtained at the base threshold. The base threshold maps to r = 1.
+    Each trial's gaze is smoothed once, and its velocity trace is
+    segmented into shifts at every threshold before the next trial is
+    smoothed. Per threshold, the soft hinge is refit to the pooled shifts,
+    evaluated on the grid, and correlated with the curve obtained at the
+    base threshold. The base threshold maps to r = 1.
     """
     all_thresholds = list(thresholds)
     if base not in all_thresholds:
         all_thresholds.append(base)
 
+    parts: dict[float, list[ShiftSet]] = {thr: [] for thr in all_thresholds}
+    for tr in traces:
+        velocity = gaze_velocity(tr, filter_cfg)
+        for thr, shift_sets in parts.items():
+            cfg = replace(fixation_cfg, vel_threshold=thr)
+            shift_sets.append(segment_shifts(tr, velocity, cfg))
+
     curves: dict[float, np.ndarray] = {}
-    for thr in all_thresholds:
-        cfg = replace(fixation_cfg, vel_threshold=thr)
-        shifts = concat_shift_sets(
-            [preprocess_trial(tr, filter_cfg, cfg) for tr in traces]
-        )
-        cleaned = symmetrize_and_clean(shifts, max_ecc=max_ecc)
+    for thr, shift_sets in parts.items():
+        cleaned = symmetrize_and_clean(concat_shift_sets(shift_sets), max_ecc=max_ecc)
         fit = fit_soft_hinge(cleaned.x, cleaned.y, fit_cfg, participant_id)
         curves[thr] = eval_model(fit.params, grid)
 

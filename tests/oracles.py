@@ -138,3 +138,46 @@ def trf_min_sse(x, y, starts):
         )
         best = min(best, float(np.dot(res.fun, res.fun)))
     return best
+
+
+class TimeOrderError(ValueError):
+    """A timestamp that does not strictly increase, at sample `index`."""
+
+    def __init__(self, index, timestamp):
+        super().__init__(f"timestamp {timestamp!r} at row {index} does not strictly increase")
+        self.index = index
+        self.timestamp = timestamp
+
+
+def one_euro_loop(t, x, min_cutoff=1.0, beta=0.0, derivative_cutoff=1.0):
+    """The 1-Euro filter (Casiez et al., CHI 2012) as a plain per-sample loop.
+
+    The state starts at the first sample with a zero derivative estimate;
+    each step smooths the derivative at derivative_cutoff and the signal at
+    min_cutoff + beta * |smoothed derivative|, on numpy scalars.
+    """
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
+
+    def smoothing_factor(te, cutoff):
+        tau = 1.0 / (2.0 * np.pi * cutoff)
+        return 1.0 / (1.0 + tau / te)
+
+    out = np.empty_like(x)
+    if x.size == 0:
+        return out
+    x_hat = x[0]
+    dx_hat = 0.0
+    out[0] = x_hat
+    for i in range(1, x.size):
+        te = t[i] - t[i - 1]
+        if te <= 0:
+            raise TimeOrderError(index=i, timestamp=float(t[i]))
+        dx = (x[i] - x[i - 1]) / te
+        a_d = smoothing_factor(te, derivative_cutoff)
+        dx_hat = a_d * dx + (1.0 - a_d) * dx_hat
+        cutoff = min_cutoff + beta * abs(dx_hat)
+        a = smoothing_factor(te, cutoff)
+        x_hat = a * x[i] + (1.0 - a) * x_hat
+        out[i] = x_hat
+    return out

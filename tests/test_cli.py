@@ -384,6 +384,15 @@ class TestConfigOnEveryStage:
         assert payload["message"]
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("stage", sorted(REQUIRED))
+    def test_malformed_config_error_names_the_file(self, tmp_path, capsys, stage):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"starts": 4')
+        assert run([stage, *REQUIRED[stage], "--config", cfg]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "JSONDecodeError"
+        assert payload["message"].startswith(f"{cfg}: ")
+
     @pytest.mark.parametrize("stage", ["project", "report"])
     def test_config_keys_of_other_stages_are_accepted(self, inputs, tmp_path, stage):
         cfg = tmp_path / "cfg.json"
@@ -536,6 +545,77 @@ class TestArtifactContract:
                     "--symmetry-out", outputs[1], "--sanity-out", outputs[2],
                     "--min-overlap-s", 2.0]) == 0
         assert all(path.exists() for path in outputs)
+
+
+class TestOutputDirectories:
+    """Every stage writes into an output directory that does not exist yet."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("inputs")
+        raw = synth_dir(tmp, participants=3, trials=1, shifts=20)
+        shifts = preprocess(tmp, raw)
+        fits, spectrum = tmp / "fits.json", tmp / "spectrum.json"
+        assert run(["fit", "--in", shifts, "--out", fits, "--starts", 4]) == 0
+        assert run(["fpca", "--in", fits, "--out", spectrum]) == 0
+        return {"raw": raw, "shifts": shifts, "fits": fits, "spectrum": spectrum}
+
+    @pytest.mark.parametrize("stage, argv", [
+        ("fit", ["--in", "shifts", "--starts", 4]),
+        ("fpca", ["--in", "fits"]),
+        ("project", ["--model", "spectrum", "--in", "fits"]),
+        ("sensitivity", ["--in-dir", "raw", "--starts", 4, "--min-overlap-s", 2.0]),
+    ])
+    def test_stage_creates_the_directory_of_out(self, inputs, tmp_path, stage, argv):
+        out = tmp_path / "new" / "deeper" / "artifact"
+        argv = [inputs.get(a, a) if isinstance(a, str) else a for a in argv]
+        assert run([stage, *argv, "--out", out]) == 0
+        assert out.is_file()
+
+
+class TestDisjointClocks:
+    """A trace pair whose gaze and head clocks share no window fails alone."""
+
+    @pytest.fixture(scope="class")
+    def cohorts(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("cohorts")
+        raw = synth_dir(tmp, participants=3, trials=2, shifts=20)
+        head = raw / "synth002_t01.head.csv"
+        stream = ingest.load_trace_csv(str(head), kind="head")
+        stream.t = stream.t + 1e4
+        ingest.write_trace_csv(str(head), stream)
+        # the same cohort without the broken pair
+        rest = tmp / "rest"
+        rest.mkdir()
+        for path in raw.iterdir():
+            if not path.name.startswith("synth002_t01."):
+                (rest / path.name).write_bytes(path.read_bytes())
+        return raw, rest
+
+    def test_preprocess_reports_no_overlap_and_keeps_the_rest(self, cohorts, tmp_path):
+        raw, rest = cohorts
+        shifts = preprocess(tmp_path / "all", raw)
+        expected = preprocess(tmp_path / "rest", rest)
+        # every other trial is processed exactly as without the broken pair
+        assert shifts.read_text().splitlines()[1:] == expected.read_text().splitlines()[1:]
+        records = strict_json_lines((tmp_path / "all" / "sanity.jsonl").read_text())[1:]
+        failed = [r for r in records if r["verdict"] == "fail"]
+        assert failed == [{
+            "participant_id": "synth002", "trial_id": "t01", "overlap_s": 0.0,
+            "gap_max_s": None, "verdict": "fail", "reason": "no_overlap",
+        }]
+        assert len(records) == 6
+
+    def test_sensitivity_keeps_the_rest(self, cohorts, tmp_path):
+        raw, rest = cohorts
+        outs = tmp_path / "all.json", tmp_path / "rest.json"
+        for in_dir, out in zip((raw, rest), outs):
+            assert run(["sensitivity", "--in-dir", in_dir, "--out", out,
+                        "--thresholds", "15,20", "--starts", 4,
+                        "--min-overlap-s", 2.0]) == 0
+        got, want = (json.loads(out.read_text()) for out in outs)
+        assert sorted(got["participants"]) == ["synth001", "synth002", "synth003"]
+        assert got["participants"] == want["participants"]
 
 
 class TestExpectedTrials:

@@ -27,6 +27,7 @@ from eyehead import ingest
 from eyehead.ingest import TRACE_COLUMNS, missing_stream_report, participant_passes
 
 from .conftest import write_trace
+from .oracles import TimeOrderError, one_euro_loop
 
 
 def stream(kind="gaze", pid="p01", tid="t01", t=None, yaw=None):
@@ -98,6 +99,61 @@ class TestOneEuro:
         x = np.sin(7.0 * t) * 30.0
         out = one_euro(t, x, FilterConfig(min_cutoff=1e9))
         np.testing.assert_allclose(out, x, atol=1e-6)
+
+
+@st.composite
+def filtered_trace(draw, max_size=120):
+    """(t, yaw, FilterConfig): strictly increasing t, finite yaw, beta 0 or > 0."""
+    steps = draw(st.lists(st.floats(1e-4, 0.2), min_size=1, max_size=max_size))
+    t = draw(st.floats(0.0, 1e3)) + np.cumsum(steps)
+    yaw = np.array(draw(st.lists(
+        st.floats(-1e4, 1e4), min_size=t.size, max_size=t.size)))
+    cfg = FilterConfig(
+        min_cutoff=draw(st.floats(0.05, 20.0)),
+        beta=draw(st.just(0.0) | st.floats(1e-4, 2.0)),
+        derivative_cutoff=draw(st.floats(0.05, 20.0)),
+    )
+    return t, yaw, cfg
+
+
+def oracle(t, yaw, cfg):
+    return one_euro_loop(t, yaw, cfg.min_cutoff, cfg.beta, cfg.derivative_cutoff)
+
+
+class TestOneEuroMatchesPerSampleLoop:
+    """The array form of the filter against the per-sample loop (tests/oracles.py)."""
+
+    @given(filtered_trace())
+    def test_bit_identical(self, case):
+        t, yaw, cfg = case
+        assert one_euro(t, yaw, cfg).tobytes() == oracle(t, yaw, cfg).tobytes()
+
+    @given(filtered_trace(), st.data())
+    def test_non_finite_yaw_propagates_alike(self, case, data):
+        t, yaw, cfg = case
+        bad = data.draw(st.lists(st.integers(0, t.size - 1), min_size=1, max_size=3))
+        yaw[bad] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        with np.errstate(invalid="ignore"):
+            got, want = one_euro(t, yaw, cfg), oracle(t, yaw, cfg)
+        np.testing.assert_array_equal(got, want)
+        if np.isnan(yaw).any():
+            first = int(np.flatnonzero(np.isnan(yaw))[0])
+            assert np.isnan(got[first:]).all()
+
+    @given(filtered_trace(), st.data())
+    def test_non_increasing_time_is_named_alike(self, case, data):
+        t, yaw, cfg = case
+        if t.size < 2:
+            t, yaw = np.append(t, t[-1] + 0.01), np.append(yaw, yaw[-1])
+        k = data.draw(st.integers(1, t.size - 1))
+        t[k] = t[k - 1] - data.draw(st.sampled_from([0.0, 1e-3, 5.0]))
+        with pytest.raises(NonMonotonicTimeError) as got:
+            one_euro(t, yaw, cfg)
+        with pytest.raises(TimeOrderError) as want:
+            oracle(t, yaw, cfg)
+        assert (got.value.index, got.value.timestamp) == (k, float(t[k]))
+        assert (want.value.index, want.value.timestamp) == (k, float(t[k]))
+        assert "one_euro" in str(got.value)
 
 
 class TestLoadTraceCsv:

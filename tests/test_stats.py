@@ -20,7 +20,11 @@ from eyehead import (
     threshold_sensitivity,
 )
 
-from eyehead import AlignedTrace
+from eyehead import AlignedTrace, events, preprocess_trial
+from eyehead.fitting import FitConfig, fit_soft_hinge
+from eyehead.fpca import DEFAULT_GRID
+from eyehead.ingest import concat_shift_sets, symmetrize_and_clean
+from eyehead.models import eval_model
 
 
 def make_shifts(x, y):
@@ -236,3 +240,31 @@ class TestThresholdSensitivity:
         assert out[15.0] == pytest.approx(1.0, abs=1e-12)
         assert out[10.0] > 0.99
         assert out[20.0] > 0.99
+
+    def test_each_trace_is_smoothed_once(self, monkeypatch):
+        amps = np.linspace(6.0, 48.0, 16) * (-1.0) ** np.arange(16)
+        traces = [
+            staircase_trace(amps, trial_id="t01"),
+            staircase_trace(amps[::-1], trial_id="t02"),
+        ]
+        thresholds, base = (10.0, 20.0, 40.0), 15.0
+        filt = FilterConfig(min_cutoff=3.0)
+        fix = FixationConfig(pad_s=0.0)
+        fit_cfg = FitConfig(n_starts=4)
+
+        # reference: every threshold rebuilds its shifts with preprocess_trial
+        curves = {}
+        for thr in (*thresholds, base):
+            fix_thr = FixationConfig(vel_threshold=thr, pad_s=0.0)
+            shifts = concat_shift_sets([preprocess_trial(tr, filt, fix_thr) for tr in traces])
+            cleaned = symmetrize_and_clean(shifts)
+            curves[thr] = eval_model(fit_soft_hinge(cleaned.x, cleaned.y, fit_cfg).params,
+                                     DEFAULT_GRID)
+        want = {thr: pearson_r(curves[thr], curves[base]) for thr in thresholds}
+
+        calls = []
+        one_euro = events.one_euro
+        monkeypatch.setattr(events, "one_euro", lambda *a: calls.append(1) or one_euro(*a))
+        got = threshold_sensitivity(traces, thresholds, base, filt, fix, fit_cfg)
+        assert got == want
+        assert len(calls) == len(traces)
