@@ -35,9 +35,7 @@ from .events import (
     angular_velocity,
     detect_fixations,
     extract_shifts,
-    gaze_velocity,
     preprocess_trial,
-    segment_shifts,
 )
 from .fitting import (
     FitConfig,

@@ -191,12 +191,6 @@ def _trace_pairs(in_dir: str) -> list[tuple[str, str]]:
     return [(g, g[: -len(".gaze.csv")] + ".head.csv") for g in gaze_files]
 
 
-def _output(path: str) -> str:
-    """Make the directory an output file goes in, if need be; return the path."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    return path
-
-
 def _input_map(paths: list[str], base: str) -> dict[str, str]:
     """Name inputs by path relative to `base`; make_provenance digests them."""
     return {os.path.relpath(p, base): p for p in paths if os.path.exists(p)}
@@ -275,11 +269,11 @@ def cmd_preprocess(args: argparse.Namespace, cfg: dict) -> int:
                 symmetry[pid] = symmetry_check(signed.for_participant(pid)).to_dict()
             except EyeheadError as exc:
                 symmetry[pid] = {"error": type(exc).__name__, "message": str(exc)}
-        write_json_object(_output(args.symmetry_out), {"participants": symmetry}, provenance)
+        write_json_object(args.symmetry_out, {"participants": symmetry}, provenance)
 
     clean = symmetrize_and_clean(signed, max_ecc=cfg["max_ecc_deg"])
-    write_shifts_csv(_output(args.out), clean, provenance)
-    write_json_lines(_output(sanity_path), [r.to_dict() for r in reports], provenance)
+    write_shifts_csv(args.out, clean, provenance)
+    write_json_lines(sanity_path, [r.to_dict() for r in reports], provenance)
     return 0
 
 
@@ -301,7 +295,7 @@ def cmd_fit(args: argparse.Namespace, cfg: dict) -> int:
             rows.append(
                 {"participant_id": pfit.participant_id, **pfit.fits[model].to_file_dict()}
             )
-    write_json_array(_output(args.out), rows, provenance)
+    write_json_array(args.out, rows, provenance)
     return 0
 
 
@@ -325,7 +319,7 @@ def cmd_fpca(args: argparse.Namespace, cfg: dict) -> int:
         None,
         _input_map([args.in_path], os.path.dirname(os.path.abspath(args.in_path))),
     )
-    write_json_object(_output(args.out), spectrum.to_dict(), provenance)
+    write_json_object(args.out, spectrum.to_dict(), provenance)
     return 0
 
 
@@ -349,7 +343,7 @@ def cmd_project(args: argparse.Namespace, cfg: dict) -> int:
             os.path.dirname(os.path.abspath(args.in_path)),
         ),
     )
-    write_scores_csv(_output(args.out), table, provenance)
+    write_scores_csv(args.out, table, provenance)
     return 0
 
 
@@ -406,7 +400,7 @@ def cmd_sensitivity(args: argparse.Namespace, cfg: dict) -> int:
         _input_map(input_paths, args.in_dir),
     )
     write_json_object(
-        _output(args.out),
+        args.out,
         {
             "base_threshold": cfg["base_threshold"],
             "thresholds": list(thresholds),

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from array import array
 from dataclasses import dataclass
 from itertools import repeat
@@ -183,10 +184,10 @@ def one_euro(t: np.ndarray, x: np.ndarray, cfg: FilterConfig = FilterConfig()) -
     State starts at the first sample with zero derivative estimate. With
     beta = 0 this is a plain first-order low-pass at min_cutoff Hz.
 
-    Intervals, raw derivatives and smoothing factors (the signal's too
-    when beta = 0) are computed as numpy arrays; the loop over Python
-    floats holds only the recurrences, plus the per-sample smoothing
-    factor when beta > 0. Every value takes the same operations in the
+    Intervals, raw derivatives and derivative smoothing factors are
+    computed as numpy arrays; the loop over Python floats holds only the
+    two recurrences and the signal's smoothing factor, which depends on
+    the smoothed derivative. Every value takes the same operations in the
     same order as in a per-sample loop, so the output is bit-identical to
     that form, NaN propagation included.
     """
@@ -207,21 +208,12 @@ def one_euro(t: np.ndarray, x: np.ndarray, cfg: FilterConfig = FilterConfig()) -
     dx_hat = 0.0
     smoothed = array("d")
     # a memoryview of a float64 array iterates as Python floats, with no list copy
-    samples = memoryview(x[1:]), memoryview(dx), memoryview(a_d)
-    if cfg.beta == 0:
-        a_s = memoryview(_smoothing_factor(te, cfg.min_cutoff))
-        for xi, dxi, adi, ai in zip(*samples, a_s):
-            dx_hat = adi * dxi + (1.0 - adi) * dx_hat
-            # as the cutoff min_cutoff + 0 * |dx_hat|: NaN once dx_hat is not finite
-            ai += 0.0 * dx_hat
-            x_hat = ai * xi + (1.0 - ai) * x_hat
-            smoothed.append(x_hat)
-    else:
-        for xi, dxi, adi, tei in zip(*samples, memoryview(te)):
-            dx_hat = adi * dxi + (1.0 - adi) * dx_hat
-            a = _smoothing_factor(tei, cfg.min_cutoff + cfg.beta * abs(dx_hat))
-            x_hat = a * xi + (1.0 - a) * x_hat
-            smoothed.append(x_hat)
+    samples = zip(memoryview(x[1:]), memoryview(dx), memoryview(a_d), memoryview(te))
+    for xi, dxi, adi, tei in samples:
+        dx_hat = adi * dxi + (1.0 - adi) * dx_hat
+        a = _smoothing_factor(tei, cfg.min_cutoff + cfg.beta * abs(dx_hat))
+        x_hat = a * xi + (1.0 - a) * x_hat
+        smoothed.append(x_hat)
     out[1:] = smoothed
     return out
 
@@ -375,13 +367,19 @@ def _floats(path: str, values: list[str]) -> np.ndarray:
         raise TraceSchemaError(f"{path}: non-numeric value: {exc}") from exc
 
 
+def open_output(path: str, newline: str | None = None):
+    """Open `path` for writing text, first making its directory if need be."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    return open(path, "w", newline=newline)
+
+
 def write_table(path: str, columns: tuple[str, ...], rows, provenance: dict | None = None) -> None:
     """Write a CSV table, optionally under a '# provenance: {...}' first line.
 
     csv.writer's default dialect: fields quoted only when they hold a comma,
     quote or line break, and CRLF row endings. Floats are written as %.9g.
     """
-    with open(path, "w", newline="") as fh:
+    with open_output(path, newline="") as fh:
         if provenance is not None:
             fh.write("# provenance: " + json.dumps(provenance, sort_keys=True) + "\n")
         writer = csv.writer(fh)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import GridMismatchError, MissingInputError
 from .fpca import Spectrum, reconstruct_mode
-from .ingest import write_scores_csv, write_table
+from .ingest import open_output, write_scores_csv, write_table
 from .stats import describe_distribution, kde_density
 
 DENSITY_POINTS = 201
@@ -70,21 +70,21 @@ def _dump(obj, indent: int | None = 2) -> str:
 
 
 def write_json_object(path: str, payload: dict, provenance: dict) -> None:
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         fh.write(_dump({"provenance": provenance, **payload}))
         fh.write("\n")
 
 
 def write_json_array(path: str, items: list, provenance: dict) -> None:
     """JSON array whose first element is the provenance header."""
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         fh.write(_dump([{"provenance": provenance}, *items]))
         fh.write("\n")
 
 
 def write_json_lines(path: str, records: list[dict], provenance: dict) -> None:
     """JSON lines: a provenance header line, then one line per record."""
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         for record in [{"provenance": provenance}, *records]:
             fh.write(_dump(record, indent=None) + "\n")
 
@@ -143,9 +143,6 @@ def emit_report(
     if spectrum.grid.size != spectrum.mean_curve.size:
         raise GridMismatchError("spectrum grid and mean curve disagree in length")
 
-    os.makedirs(out_dir, exist_ok=True)
-    modes_dir = os.path.join(out_dir, "modes")
-    os.makedirs(modes_dir, exist_ok=True)
     written: list[str] = []
 
     def put_csv(rel: str, header: tuple[str, ...], rows: list[list]) -> None:

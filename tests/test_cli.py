@@ -27,6 +27,7 @@ from eyehead.ingest import (
     sanity_check,
     symmetrize_and_clean,
 )
+from eyehead import report
 from eyehead.report import read_json_array
 from eyehead.stats import threshold_sensitivity
 
@@ -570,6 +571,17 @@ class TestOutputDirectories:
         out = tmp_path / "new" / "deeper" / "artifact"
         argv = [inputs.get(a, a) if isinstance(a, str) else a for a in argv]
         assert run([stage, *argv, "--out", out]) == 0
+        assert out.is_file()
+
+    @pytest.mark.parametrize("write", [
+        lambda path: ingest.write_table(path, ("a",), [[1.0]], {"seed": 1}),
+        lambda path: report.write_json_object(path, {"a": 1}, {"seed": 1}),
+        lambda path: report.write_json_array(path, [{"a": 1}], {"seed": 1}),
+        lambda path: report.write_json_lines(path, [{"a": 1}], {"seed": 1}),
+    ], ids=["table", "json_object", "json_array", "json_lines"])
+    def test_every_writer_creates_its_directory(self, tmp_path, write):
+        out = tmp_path / "new" / "deeper" / "artifact"
+        write(str(out))
         assert out.is_file()
 
 

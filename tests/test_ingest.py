@@ -155,6 +155,13 @@ class TestOneEuroMatchesPerSampleLoop:
         assert (want.value.index, want.value.timestamp) == (k, float(t[k]))
         assert "one_euro" in str(got.value)
 
+    @given(filtered_trace(), st.data())
+    def test_nan_timestamp_passes_alike(self, case, data):
+        # a NaN interval is not "<= 0", so neither form raises on it
+        t, yaw, cfg = case
+        t[data.draw(st.integers(0, t.size - 1))] = np.nan
+        np.testing.assert_array_equal(one_euro(t, yaw, cfg), oracle(t, yaw, cfg))
+
 
 class TestLoadTraceCsv:
     def test_round_trip(self, tmp_path):
