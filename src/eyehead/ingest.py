@@ -22,9 +22,10 @@ import csv
 import json
 import math
 import os
+import re
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -334,37 +335,39 @@ def symmetrize_and_clean(shifts: ShiftSet, max_ecc: float = 50.0) -> ShiftSet:
 # CSV input / output
 # ---------------------------------------------------------------------------
 
-def read_table(path: str, columns: tuple[str, ...]) -> dict[str, list[str]]:
-    """Read the named columns of a CSV table as strings, in row order.
+def read_table(path: str, columns: tuple[str, ...], floats: tuple[str, ...] = ()) -> dict:
+    """Read the named columns of a CSV table: `floats` as float64 arrays, others as strings.
 
-    Lines starting with '#' (provenance) and blank rows are skipped. The
-    first remaining row is the header; every data row must have as many
-    fields as the header (TraceSchemaError names the path and the row).
+    '#' (provenance) and blank lines before the header are skipped. numpy's C
+    reader parses the body in one pass (RFC 4180 quoting, blank lines skipped,
+    the doubles Python's float() gives). TraceSchemaError names the path and
+    the data row of a row not as wide as the header or of a non-number.
     """
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(ln for ln in fh if not ln.startswith("#")) if row]
-    if not rows:
-        raise EmptyFileError(path)
-    header, data = rows[0], rows[1:]
-    for col in columns:
-        if col not in header:
-            raise MissingColumnError(column=col, path=path)
-    if not data:
-        raise EmptyFileError(path)
-    for n, row in enumerate(data, 1):
-        if len(row) != len(header):
-            raise TraceSchemaError(
-                f"{path}: data row {n} has {len(row)} fields, the header has {len(header)}"
-            )
-    index = {col: header.index(col) for col in columns}
-    return {col: [row[i] for row in data] for col, i in index.items()}
+        rows = csv.reader(ln for ln in fh if not ln.startswith("#"))
+        header = next((row for row in rows if row), None)
+        if header is None:
+            raise EmptyFileError(path)
+        if missing := [col for col in columns if col not in header]:
+            raise MissingColumnError(column=missing[0], path=path)
+        first = next((ln for ln in fh if ln.strip("\r\n")), None)
+        if first is None:  # numpy would only warn about an empty body
+            raise EmptyFileError(path)
+        try:
+            data = np.loadtxt(chain([first], fh), delimiter=",", quotechar='"', comments=None,
+                              dtype=[(c, "f8" if c in floats else object) for c in header], ndmin=1)
+        except ValueError as exc:
+            raise TraceSchemaError(f"{path}: {_data_row_message(str(exc))}") from exc
+    return {col: data[col] if col in floats else data[col].tolist() for col in columns}
 
 
-def _floats(path: str, values: list[str]) -> np.ndarray:
-    try:
-        return np.fromiter(map(float, values), dtype=float, count=len(values))
-    except ValueError as exc:
-        raise TraceSchemaError(f"{path}: non-numeric value: {exc}") from exc
+def _data_row_message(msg: str) -> str:
+    """Restate numpy's row-width or number error with the 1-based data row."""
+    if m := re.search(r"requires (\d+) columns but (\d+) were found at row (\d+)", msg):
+        return f"data row {m[3]} has {m[2]} fields, the header has {m[1]}"
+    if m := re.search(r"string (.*) to float64 at row (\d+), column (\d+)", msg):
+        return f"non-numeric value {m[1]} in data row {int(m[2]) + 1}, column {m[3]}"
+    return msg
 
 
 def open_output(path: str, newline: str | None = None):
@@ -398,15 +401,14 @@ def load_trace_csv(path: str, kind: str = "gaze") -> RawStream:
     """
     if kind not in ("gaze", "head"):
         raise ValueError(f"kind must be 'gaze' or 'head', got {kind!r}")
-    cols = read_table(path, TRACE_COLUMNS)
+    cols = read_table(path, TRACE_COLUMNS, floats=("timestamp_s", "yaw_deg"))
     pids = set(cols["participant_id"])
     tids = set(cols["trial_id"])
     if len(pids) != 1 or len(tids) != 1:
         raise TraceSchemaError(
             f"{path} mixes several (participant, trial) pairs: {sorted(pids)} x {sorted(tids)}"
         )
-    t = _floats(path, cols["timestamp_s"])
-    yaw = _floats(path, cols["yaw_deg"])
+    t, yaw = cols["timestamp_s"], cols["yaw_deg"]
     if not np.all(np.isfinite(t)) or not np.all(np.isfinite(yaw)):
         raise TraceSchemaError(f"{path}: non-finite timestamp or yaw value")
     order = np.argsort(t, kind="stable")
@@ -429,13 +431,8 @@ def write_trace_csv(path: str, stream: RawStream) -> None:
 
 def read_shifts_csv(path: str) -> ShiftSet:
     """Read a shift table; leading '#' lines (provenance) are skipped."""
-    cols = read_table(path, SHIFT_COLUMNS)
-    return ShiftSet(
-        participant_id=cols["participant_id"],
-        trial_id=cols["trial_id"],
-        x=_floats(path, cols["x_deg"]),
-        y=_floats(path, cols["y_deg"]),
-    )
+    cols = read_table(path, SHIFT_COLUMNS, floats=("x_deg", "y_deg"))
+    return ShiftSet(cols["participant_id"], cols["trial_id"], cols["x_deg"], cols["y_deg"])
 
 
 def write_shifts_csv(path: str, shifts: ShiftSet, provenance: dict | None = None) -> None:
@@ -450,8 +447,8 @@ def write_shifts_csv(path: str, shifts: ShiftSet, provenance: dict | None = None
 
 def read_scores_csv(path: str) -> list[dict]:
     """Read a score table; leading '#' lines (provenance) are skipped."""
-    cols = read_table(path, SCORE_COLUMNS)
-    values = [cols["curve_id"]] + [_floats(path, cols[c]).tolist() for c in SCORE_COLUMNS[1:]]
+    cols = read_table(path, SCORE_COLUMNS, floats=SCORE_COLUMNS[1:])
+    values = [cols["curve_id"]] + [cols[c].tolist() for c in SCORE_COLUMNS[1:]]
     return [dict(zip(SCORE_COLUMNS, row)) for row in zip(*values)]
 
 

@@ -42,7 +42,10 @@ def pearson_r(a, b) -> float:
         raise TooFewPointsError(f"correlation needs at least 3 points, got {a.size}")
     da = a - a.mean()
     db = b - b.mean()
-    denom = np.sqrt(np.dot(da, da) * np.dot(db, db))
+    ss_a, ss_b = float(np.dot(da, da)), float(np.dot(db, db))
+    denom = np.sqrt(ss_a * ss_b)  # Python floats: an overflow gives inf without a warning
+    if not 0.0 < denom < np.inf and ss_a > 0.0 and ss_b > 0.0:
+        denom = np.sqrt(ss_a) * np.sqrt(ss_b)  # the product under- or overflowed
     if denom == 0.0:
         raise ZeroSpreadError("correlation undefined for a constant sample")
     return float(np.dot(da, db) / denom)

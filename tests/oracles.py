@@ -5,6 +5,8 @@ Everything here is written directly against the mathematical definitions
 separately derived answers.
 """
 
+import csv
+
 import numpy as np
 
 BETA_BOX = (0.0, 1.0)
@@ -181,3 +183,21 @@ def one_euro_loop(t, x, min_cutoff=1.0, beta=0.0, derivative_cutoff=1.0):
         x_hat = a * x[i] + (1.0 - a) * x_hat
         out[i] = x_hat
     return out
+
+
+def read_table_csv(path, columns):
+    """The named columns of a CSV table as strings, one csv.reader row at a time.
+
+    Any physical line starting with '#' and every blank row is skipped; the
+    first remaining row is the header and every data row must be as wide
+    as it (ValueError otherwise, and for a table with no data rows).
+    """
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(ln for ln in fh if not ln.startswith("#")) if row]
+    if len(rows) < 2:
+        raise ValueError(f"{path}: no data rows")
+    header, data = rows[0], rows[1:]
+    for n, row in enumerate(data, 1):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: data row {n} has {len(row)} fields, the header has {len(header)}")
+    return {col: [row[header.index(col)] for row in data] for col in columns}

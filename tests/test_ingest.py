@@ -1,3 +1,9 @@
+import csv
+import io
+import os
+import tempfile
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -27,7 +33,7 @@ from eyehead import ingest
 from eyehead.ingest import TRACE_COLUMNS, missing_stream_report, participant_passes
 
 from .conftest import write_trace
-from .oracles import TimeOrderError, one_euro_loop
+from .oracles import TimeOrderError, one_euro_loop, read_table_csv
 
 
 def stream(kind="gaze", pid="p01", tid="t01", t=None, yaw=None):
@@ -469,3 +475,106 @@ class TestShiftCsv:
         np.testing.assert_allclose(back.x, s.x)
         np.testing.assert_allclose(back.y, s.y)
         assert back.participant_id == s.participant_id
+
+
+# Ids are built from awkward pieces. The oracle skips every physical line
+# that starts with '#', so no id starts a line with one: the first column
+# never starts with '#', and no id has a '#' right after a line break.
+ID_PIECES = ["p", "7", ",", '"', " ", "#", "\r\n", "é"]
+ids = st.lists(st.sampled_from(ID_PIECES), max_size=6).map("".join).filter(
+    lambda s: "\n#" not in s
+)
+values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, 1e-310, -2.5e-320, -0.0, 1e300, -1e300]),
+)
+
+
+@st.composite
+def csv_tables(draw):
+    """The bytes of a trace table written by csv.writer."""
+    rows = draw(st.lists(
+        st.tuples(ids.filter(lambda s: not s.startswith("#")), ids, values, values),
+        min_size=1, max_size=12,
+    ))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    fmt = draw(st.sampled_from(["{:.9g}", "{!r}"]))
+    fh = io.StringIO(newline="")
+    if draw(st.booleans()):
+        fh.write('# provenance: {"seed": 1}' + newline)
+    writer = csv.writer(fh, lineterminator=newline)
+    writer.writerow(TRACE_COLUMNS)
+    writer.writerows([p, t, fmt.format(a), fmt.format(b)] for p, t, a, b in rows)
+    fh.write(newline * draw(st.integers(0, 2)))
+    return fh.getvalue().encode()
+
+
+class TestReadTableMatchesCsvReader:
+    """The numpy reader against the csv.reader one (tests/oracles.py)."""
+
+    @given(csv_tables())
+    def test_text_and_float_columns(self, table):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "a.csv")
+            with open(path, "wb") as fh:
+                fh.write(table)
+            ref = read_table_csv(path, TRACE_COLUMNS)
+            assert ingest.read_table(path, TRACE_COLUMNS) == ref
+            got = ingest.read_table(path, TRACE_COLUMNS, floats=("timestamp_s", "yaw_deg"))
+        assert got["participant_id"] == ref["participant_id"]
+        assert got["trial_id"] == ref["trial_id"]
+        for col in ("timestamp_s", "yaw_deg"):
+            assert got[col].dtype == np.float64
+            assert got[col].tobytes() == np.array([float(v) for v in ref[col]]).tobytes()
+
+
+AWKWARD_IDS = ["p#1", "a,b", 'q"x', " sp "]
+
+
+class TestReaderEdgeCases:
+    @pytest.mark.parametrize("pid", AWKWARD_IDS)
+    def test_awkward_id_round_trips_through_trace_file(self, tmp_path, pid):
+        s = stream(pid=pid, tid=pid + "t", yaw=[1.25, -3.5, 7.0, 2.0])
+        write_trace_csv(tmp_path / "a.csv", s)
+        back = load_trace_csv(tmp_path / "a.csv")
+        assert (back.participant_id, back.trial_id) == (pid, pid + "t")
+        assert back.yaw.tobytes() == s.yaw.tobytes()
+
+    @pytest.mark.parametrize("pid", AWKWARD_IDS)
+    def test_awkward_id_round_trips_through_shift_file(self, tmp_path, pid):
+        s = ShiftSet([pid, "p02"], ["t1", pid], np.array([10.0, 20.0]), np.array([1.0, 2.5]))
+        write_shifts_csv(tmp_path / "shifts.csv", s, provenance={"seed": 1})
+        back = read_shifts_csv(tmp_path / "shifts.csv")
+        assert back.participant_id == s.participant_id
+        assert back.trial_id == s.trial_id
+        np.testing.assert_array_equal(back.x, s.x)
+
+    @pytest.mark.parametrize("tail", ["", "\r\n", "\r\n\r\n"])
+    def test_header_only_file_is_empty_without_a_warning(self, tmp_path, tail):
+        p = tmp_path / "a.csv"
+        p.write_bytes(b"# provenance: {}\nparticipant_id,trial_id,timestamp_s,yaw_deg\r\n"
+                      + tail.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyFileError):
+                load_trace_csv(p)
+
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_hash_line_after_the_header_is_rejected(self, tmp_path, at):
+        lines = ["p01,t01,0.0,1.0", "p01,t01,0.1,2.0"]
+        lines.insert(at, "# note")
+        p = tmp_path / "a.csv"
+        p.write_text("participant_id,trial_id,timestamp_s,yaw_deg\n" + "\n".join(lines) + "\n")
+        with pytest.raises(TraceSchemaError) as err:
+            load_trace_csv(p)
+        assert f"data row {at + 1} " in str(err.value)
+
+    @pytest.mark.parametrize("bad", ["abc", "1_000", ""])
+    def test_non_numeric_value_names_the_data_row(self, tmp_path, bad):
+        p = tmp_path / "a.csv"
+        p.write_text("participant_id,trial_id,timestamp_s,yaw_deg\n"
+                     f"p01,t01,0.0,0.0\np01,t01,0.1,1.0\np01,t01,0.2,{bad}\n")
+        with pytest.raises(TraceSchemaError) as err:
+            load_trace_csv(p)
+        assert str(p) in str(err.value)
+        assert "data row 3," in str(err.value)

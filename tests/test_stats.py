@@ -89,6 +89,29 @@ class TestPearson:
         base = pearson_r(x, y)
         assert pearson_r(scale * x + shift, y) == pytest.approx(base, abs=1e-9)
 
+    def test_tiny_spreads_do_not_underflow(self):
+        # both sums of squares are ~1e-183, so their product underflows to 0
+        x = np.array([0.0, 4.1e-92, 6.9e-231, 9.0e-259])
+        y = np.sin(x)
+        assert pearson_r(x, y) == pytest.approx(1.0, abs=1e-12)
+        assert pearson_r(2.0 * x, y) == pytest.approx(pearson_r(x, y), abs=1e-12)
+
+    def test_huge_spreads_do_not_overflow(self):
+        # both sums of squares are ~1e200, so their product overflows to inf
+        x = np.array([0.0, 1.0, 3.0, 4.0, 9.0])
+        y = np.array([1.0, 0.5, 2.0, 3.5, 4.0])
+        assert pearson_r(x * 1e100, y * 1e100) == pytest.approx(pearson_r(x, y), abs=1e-12)
+        assert pearson_r(x * 1e100, y) == pytest.approx(pearson_r(x, y), abs=1e-12)
+
+    def test_ordinary_spreads_keep_the_product_form(self, rng):
+        # square roots taken apart would move the last bit of r in many cases
+        for _ in range(200):
+            a = rng.normal(size=12)
+            b = a * rng.uniform(-2.0, 2.0) + rng.normal(size=12)
+            da, db = a - a.mean(), b - b.mean()
+            expected = float(np.dot(da, db) / np.sqrt(np.dot(da, da) * np.dot(db, db)))
+            assert pearson_r(a, b) == expected
+
 
 class TestQuartiles:
     def test_linear_interpolation_values(self):
