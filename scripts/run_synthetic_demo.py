@@ -52,7 +52,7 @@ def main() -> None:
          "--min-overlap-s", 2.0])
 
     fits = os.path.join(out, "fits.json")
-    run(["fit", "--in", shifts, "--out", fits, "--seed", args.seed])
+    run(["fit", "--in", shifts, "--out", fits])
 
     spectrum = os.path.join(out, "spectrum.json")
     run(["fpca", "--in", fits, "--out", spectrum])

@@ -38,7 +38,6 @@ from .events import (
     preprocess_trial,
 )
 from .fitting import (
-    FitConfig,
     FitResult,
     ParticipantFit,
     aic_gaussian,

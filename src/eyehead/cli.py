@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import EyeheadError, MissingInputError, NoOverlapError
 from .events import FixationConfig, preprocess_trial
-from .fitting import MODELS, FitConfig, fit_participant
+from .fitting import MODELS, fit_participant
 from .fpca import Spectrum, fit_fpca, sample_curves, score_table
 from .ingest import (
     FilterConfig,
@@ -74,8 +74,7 @@ OPTIONS = {
     "max_gap_s": (0.5, "maximum sampling gap to keep a trial (s)"),
     "expected_trials": (0, "drop participants without this many passing trials"),
     "model": ("all", "model family to fit"),
-    "starts": (20, "random restarts per fit"),
-    "seed": (0, "master seed"),
+    "seed": (0, "synthetic data seed"),
     "components": (0, "components to keep (default: up to 2)"),
     "thresholds": ("10,15,20", "comma-separated thresholds (deg/s)"),
     "base_threshold": (15.0, "reference threshold (deg/s)"),
@@ -104,11 +103,11 @@ _TRACE_OPTIONS = (
 )
 STAGE_OPTIONS = {
     "preprocess": _TRACE_OPTIONS,
-    "fit": ("model", "starts", "seed"),
+    "fit": ("model",),
     "fpca": ("components",),
     "project": (),
     "report": (),
-    "sensitivity": ("thresholds", "base_threshold", "starts", "seed") + _TRACE_OPTIONS,
+    "sensitivity": ("thresholds", "base_threshold") + _TRACE_OPTIONS,
     "synth": ("participants", "trials", "shifts", "noise_sd", "seed"),
 }
 
@@ -283,18 +282,15 @@ def cmd_fit(args: argparse.Namespace, cfg: dict) -> int:
     shifts = read_shifts_csv(args.in_path)
     provenance = make_provenance(
         {"command": "fit", **cfg},
-        cfg["seed"],
+        None,
         _input_map([args.in_path], os.path.dirname(os.path.abspath(args.in_path))),
     )
-    fit_cfg = FitConfig(n_starts=cfg["starts"], seed=cfg["seed"])
     rows = []
     for pid in shifts.participants():
         sub = shifts.for_participant(pid)
-        pfit = fit_participant(sub.x, sub.y, pid, fit_cfg, models)
+        pfit = fit_participant(sub.x, sub.y, models)
         for model in models:
-            rows.append(
-                {"participant_id": pfit.participant_id, **pfit.fits[model].to_file_dict()}
-            )
+            rows.append({"participant_id": pid, **pfit.fits[model].to_file_dict()})
     write_json_array(args.out, rows, provenance)
     return 0
 
@@ -373,7 +369,6 @@ def cmd_sensitivity(args: argparse.Namespace, cfg: dict) -> int:
     for trace in traces:
         by_pid.setdefault(trace.participant_id, []).append(trace)
 
-    fit_cfg = FitConfig(n_starts=cfg["starts"], seed=cfg["seed"])
     per_participant: dict[str, dict[str, float]] = {}
     for pid in sorted(by_pid):
         result = threshold_sensitivity(
@@ -382,8 +377,6 @@ def cmd_sensitivity(args: argparse.Namespace, cfg: dict) -> int:
             base=cfg["base_threshold"],
             filter_cfg=_filter_config(cfg),
             fixation_cfg=_fixation_config(cfg),
-            fit_cfg=fit_cfg,
-            participant_id=pid,
             max_ecc=cfg["max_ecc_deg"],
         )
         per_participant[pid] = {f"{thr:g}": r for thr, r in result.items()}
@@ -396,7 +389,7 @@ def cmd_sensitivity(args: argparse.Namespace, cfg: dict) -> int:
     }
     provenance = make_provenance(
         {"command": "sensitivity", **cfg},
-        cfg["seed"],
+        None,
         _input_map(input_paths, args.in_dir),
     )
     write_json_object(

@@ -1,12 +1,15 @@
 """Per-participant model fits and AIC-based model comparison.
 
 The soft hinge and the hinge are fit by the same solver: a projected
-Levenberg-Marquardt loop (Moré 1978) that runs all of a fit's seeded random
-starts at once as one batch, each start with its own damping and its own
-stopping test, and keeps the lowest-SSE converged start (the lowest-SSE start
-overall, flagged unconverged, if none converged). The hinge is the soft hinge
-with s fixed at 1, so it is solved over (beta, tau) only. A start converges
-when, within MAX_NFEV steps, its projected-gradient max-norm falls to
+Levenberg-Marquardt loop (Moré 1978) that polishes all of a fit's seeds at
+once as one batch, each seed with its own damping and its own stopping test,
+and keeps the lowest-SSE result, converged or not. The seeds come from a
+fixed lattice and depend on the data alone: for a fixed (tau, s) the model is
+linear in beta, so its best beta has a closed form (variable projection,
+Golub & Pereyra 1973), and each s of S_ROW seeds the lattice tau of
+TAU_GRID with the lowest SSE. The hinge is the soft hinge with s fixed at 1,
+so it is solved over (beta, tau) only, from one seed. A seed converges when,
+within MAX_NFEV steps, its projected-gradient max-norm falls to
 GTOL * max(1, SSE) or an accepted step shrinks to XTOL * (XTOL + |theta|).
 A fit with no more data points than parameters is never flagged converged.
 The linear baseline has no free parameters to optimize, since its breakpoint
@@ -43,13 +46,13 @@ from .models import (
     params_from_dict,
     params_to_dict,
     soft_hinge_partials,
+    softplus,
 )
 
-# Initial points are drawn uniformly from these boxes (not the full bound
-# box: knees far outside the data and extreme softness just waste restarts).
-START_BETA = (0.0, 1.0)
-START_TAU = (0.0, 50.0)
-START_S = (0.5, 20.0)
+# The seed lattice: knees over the whole search range, softness on a log
+# scale from near-sharp to near-straight over the [0, 50] domain.
+TAU_GRID = np.linspace(*TAU_RANGE, 31)
+S_ROW = np.logspace(-1.0, 2.0, 10)
 # Solver bounds on (beta, tau, s) and its stopping rules.
 LOWER = (0.0, TAU_RANGE[0], S_MIN)
 UPPER = (1.0, TAU_RANGE[1], np.inf)
@@ -66,16 +69,6 @@ _N_PARAMS = {"linear": 2, "hinge": 2, "soft-hinge": 3}
 MODELS = tuple(_N_PARAMS)
 
 
-@dataclass(frozen=True)
-class FitConfig:
-    n_starts: int = 20
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_starts < 1:
-            raise ValueError(f"n_starts must be >= 1, got {self.n_starts}")
-
-
 @dataclass
 class FitResult:
     model: str
@@ -90,10 +83,10 @@ class FitResult:
     n_converged: int
     start_index: int
     data_digest: str
-    # SSE of the winning run's own starting point, for objective-decrease
+    # SSE of the winning seed before polishing, for objective-decrease
     # checks (equals sse for the closed-form linear baseline).
     start_sse: float = float("nan")
-    # per-start best SSEs, in start order (not serialized)
+    # per-seed polished SSEs, in seed order (not serialized)
     start_sses: list[float] = field(default_factory=list, repr=False)
 
     def to_file_dict(self) -> dict:
@@ -214,31 +207,6 @@ def _finish(
 
 
 # ---------------------------------------------------------------------------
-# deterministic start generation
-# ---------------------------------------------------------------------------
-
-def _participant_key(participant_id: str) -> int:
-    return int.from_bytes(
-        hashlib.sha256(participant_id.encode()).digest()[:8], "big"
-    )
-
-
-def start_rng(seed: int, participant_id: str, start_index: int) -> np.random.Generator:
-    """Generator keyed by (seed, participant, restart), independent of ordering."""
-    return np.random.default_rng(
-        np.random.SeedSequence([seed, _participant_key(participant_id), start_index])
-    )
-
-
-def _draw_start(rng: np.random.Generator) -> tuple[float, float, float]:
-    return (
-        rng.uniform(*START_BETA),
-        rng.uniform(*START_TAU),
-        rng.uniform(*START_S),
-    )
-
-
-# ---------------------------------------------------------------------------
 # fits
 # ---------------------------------------------------------------------------
 
@@ -329,44 +297,50 @@ def _projected_lm(x, y, starts: np.ndarray):
     return out_theta, out_sse, converged
 
 
-def _fit_hinge_family(x, y, cfg: FitConfig, participant_id: str, free_s: bool) -> FitResult:
-    """Multi-start fit of y = beta * softplus((x - tau)/s); s = 1 unless free_s.
+def _lattice_seeds(x, y, s_row) -> np.ndarray:
+    """One seed (beta, tau, s) per s in s_row, profiled over TAU_GRID.
 
-    The winner is the lowest-SSE converged start, or the lowest-SSE start
-    overall (flagged converged=False) when none converged.
+    For each s the seed is the lattice tau of lowest SSE, with its best
+    beta = clip(<f, y> / <f, f>, 0, 1), f = softplus((x - tau) / s). The
+    lattice is evaluated one s at a time, as a (len(TAU_GRID), n) block.
+    """
+    seeds = np.empty((len(s_row), 3))
+    for i, s in enumerate(s_row):
+        f = softplus((x - TAU_GRID[:, None]) / s)
+        ff = np.einsum("ij,ij->i", f, f)
+        # a knee far right of the data can underflow f to zero: beta is then moot
+        beta = np.clip(np.divide(f @ y, ff, out=np.zeros_like(ff), where=ff > 0.0), 0.0, 1.0)
+        r = beta[:, None] * f - y
+        j = int(np.argmin(np.einsum("ij,ij->i", r, r)))
+        seeds[i] = beta[j], TAU_GRID[j], s
+    return seeds
+
+
+def _fit_hinge_family(x, y, free_s: bool) -> FitResult:
+    """Fit y = beta * softplus((x - tau)/s) from lattice seeds; s = 1 unless free_s.
+
+    The winner is the lowest-SSE polished seed, and converged is its own flag.
     """
     x, y = _check_data(x, y)
+    x = _check_domain(x)
     model = "soft-hinge" if free_s else "hinge"
     k = _N_PARAMS[model]
-    starts = np.array([
-        _draw_start(start_rng(cfg.seed, participant_id, j))[:k]
-        for j in range(cfg.n_starts)
-    ])
-    theta, sses, ok = _projected_lm(_check_domain(x), y, starts)
-    j = int(np.argmin(np.where(ok, sses, np.inf))) if ok.any() else int(np.argmin(sses))
+    seeds = _lattice_seeds(x, y, S_ROW if free_s else (1.0,))[:, :k]
+    theta, sses, ok = _projected_lm(x, y, seeds)
+    j = int(np.argmin(sses))
     params = SoftHingeParams(*theta[j]) if free_s else HingeParams(*theta[j])
-    start_sse = float(_evaluate(starts[j:j + 1], x, y)[2][0])
+    start_sse = float(_evaluate(seeds[j:j + 1], x, y)[2][0])
     return _finish(model, params, x, y, bool(ok[j]), int(ok.sum()), j, start_sse, sses.tolist())
 
 
-def fit_soft_hinge(
-    x,
-    y,
-    cfg: FitConfig = FitConfig(),
-    participant_id: str = "",
-) -> FitResult:
-    """Multi-start bounded least squares for y = beta * softplus((x - tau)/s)."""
-    return _fit_hinge_family(x, y, cfg, participant_id, free_s=True)
+def fit_soft_hinge(x, y) -> FitResult:
+    """Bounded least squares for y = beta * softplus((x - tau)/s)."""
+    return _fit_hinge_family(x, y, free_s=True)
 
 
-def fit_hinge(
-    x,
-    y,
-    cfg: FitConfig = FitConfig(),
-    participant_id: str = "",
-) -> FitResult:
-    """Multi-start bounded least squares for y = beta * softplus(x - tau)."""
-    return _fit_hinge_family(x, y, cfg, participant_id, free_s=False)
+def fit_hinge(x, y) -> FitResult:
+    """Bounded least squares for y = beta * softplus(x - tau)."""
+    return _fit_hinge_family(x, y, free_s=False)
 
 
 def fit_linear(x, y) -> FitResult:
@@ -401,7 +375,6 @@ def compare_models(results: list[FitResult]) -> list[FitResult]:
 
 @dataclass
 class ParticipantFit:
-    participant_id: str
     n_shifts: int
     fits: dict[str, FitResult]
     best_model: str
@@ -415,28 +388,13 @@ class ParticipantFit:
         return self.fits["linear"].params.gamma
 
 
-def fit_participant(
-    x,
-    y,
-    participant_id: str,
-    cfg: FitConfig = FitConfig(),
-    models: tuple[str, ...] = MODELS,
-) -> ParticipantFit:
+def fit_participant(x, y, models: tuple[str, ...] = MODELS) -> ParticipantFit:
     """Fit the requested candidate models to one participant's cleaned shifts."""
     x, y = _check_data(x, y)
-    fitters = {
-        "linear": lambda: fit_linear(x, y),
-        "hinge": lambda: fit_hinge(x, y, cfg, participant_id),
-        "soft-hinge": lambda: fit_soft_hinge(x, y, cfg, participant_id),
-    }
+    fitters = {"linear": fit_linear, "hinge": fit_hinge, "soft-hinge": fit_soft_hinge}
     unknown = set(models) - set(fitters)
     if unknown:
         raise ValueError(f"unknown model kind(s): {sorted(unknown)}")
-    fits = {name: fitters[name]() for name in models}
+    fits = {name: fitters[name](x, y) for name in models}
     best = compare_models(list(fits.values()))[0]
-    return ParticipantFit(
-        participant_id=participant_id,
-        n_shifts=int(x.size),
-        fits=fits,
-        best_model=best.model,
-    )
+    return ParticipantFit(n_shifts=int(x.size), fits=fits, best_model=best.model)

@@ -20,7 +20,7 @@ from .errors import (
     ZeroSpreadError,
 )
 from .events import FixationConfig, gaze_velocity, segment_shifts
-from .fitting import FitConfig, fit_soft_hinge
+from .fitting import fit_soft_hinge
 from .fpca import DEFAULT_GRID
 from .ingest import (
     AlignedTrace,
@@ -202,8 +202,6 @@ def threshold_sensitivity(
     base: float = 15.0,
     filter_cfg: FilterConfig = FilterConfig(),
     fixation_cfg: FixationConfig = FixationConfig(),
-    fit_cfg: FitConfig = FitConfig(),
-    participant_id: str = "",
     grid: np.ndarray = DEFAULT_GRID,
     max_ecc: float = 50.0,
 ) -> dict[float, float]:
@@ -229,7 +227,7 @@ def threshold_sensitivity(
     curves: dict[float, np.ndarray] = {}
     for thr, shift_sets in parts.items():
         cleaned = symmetrize_and_clean(concat_shift_sets(shift_sets), max_ecc=max_ecc)
-        fit = fit_soft_hinge(cleaned.x, cleaned.y, fit_cfg, participant_id)
+        fit = fit_soft_hinge(cleaned.x, cleaned.y)
         curves[thr] = eval_model(fit.params, grid)
 
     base_curve = curves[base]

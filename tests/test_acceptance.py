@@ -18,7 +18,6 @@ import pytest
 
 from eyehead import (
     FilterConfig,
-    FitConfig,
     FixationConfig,
     HingeParams,
     RawStream,
@@ -100,7 +99,7 @@ def test_criterion_03_parameter_recovery():
 
     # noiseless: the curve itself is the only attractor
     clean, _ = synth_shifts(SynthConfig(truth, n_shifts=101, noise_sd=0.0, seed=1))
-    fit = fit_soft_hinge(clean.x, clean.y, FitConfig(n_starts=20, seed=1), "clean")
+    fit = fit_soft_hinge(clean.x, clean.y)
     exact_ok = (
         abs(fit.params.beta - truth.beta) <= 1e-4
         and abs(fit.params.tau - truth.tau) <= 1e-4
@@ -114,7 +113,7 @@ def test_criterion_03_parameter_recovery():
     # brute-force global optimum: the fit must land within the stated
     # tolerances of the 50^3 lattice argmin and never do worse on SSE
     noisy, _ = synth_shifts(SynthConfig(truth, n_shifts=400, noise_sd=2.0, seed=42))
-    nfit = fit_soft_hinge(noisy.x, noisy.y, FitConfig(n_starts=20, seed=42), "noisy")
+    nfit = fit_soft_hinge(noisy.x, noisy.y)
     lb, lt, ls, lsse = lattice_argmin(noisy.x, noisy.y)
     noisy_ok = (
         abs(nfit.params.beta - lb) <= 0.05
@@ -135,9 +134,9 @@ def test_criterion_04_optimizer_matches_lattice_oracle():
             rng.uniform(0.3, 0.95), rng.uniform(5.0, 30.0), rng.uniform(1.0, 9.0)
         )
         shifts, _ = synth_shifts(SynthConfig(params, n_shifts=n, noise_sd=2.0, seed=seed))
-        fit = fit_soft_hinge(shifts.x, shifts.y, FitConfig(n_starts=20, seed=seed), f"i{seed}")
+        fit = fit_soft_hinge(shifts.x, shifts.y)
         worst = max(worst, fit.sse / lattice_min_sse(shifts.x, shifts.y))
-    verdict(4, f"best-of-starts SSE vs 50^3 lattice minimum, worst ratio {worst:.6f}",
+    verdict(4, f"fitted SSE vs 50^3 lattice minimum, worst ratio {worst:.6f}",
             worst <= 1.01)
 
 
@@ -214,7 +213,7 @@ def test_criterion_07_aic_prefers_generating_model():
             rng.uniform(0.4, 0.95), rng.uniform(5.0, 30.0), rng.uniform(2.0, 8.0)
         )
         shifts, _ = synth_shifts(SynthConfig(params, n_shifts=600, noise_sd=2.0, seed=seed))
-        pf = fit_participant(shifts.x, shifts.y, f"r{seed}", FitConfig(n_starts=10, seed=seed))
+        pf = fit_participant(shifts.x, shifts.y)
         wins += pf.best_model == "soft-hinge"
     verdict(7, f"soft hinge lowest AIC in {wins}/50 seeded replicates", wins >= 40)
 
@@ -230,8 +229,6 @@ def test_criterion_08_threshold_sensitivity():
             [align_head_to_gaze(gaze, head)],
             thresholds=(10.0, 15.0, 20.0),
             base=15.0,
-            fit_cfg=FitConfig(n_starts=10, seed=5),
-            participant_id=pid,
         )
         for thr, r in result.items():
             medians[thr].append(r)
@@ -295,7 +292,7 @@ def dataset_results():
         cleaned = symmetrize_and_clean(signed)
         if len(cleaned) < 50:
             continue
-        fits[pid] = fit_participant(cleaned.x, cleaned.y, pid, FitConfig(n_starts=20, seed=0))
+        fits[pid] = fit_participant(cleaned.x, cleaned.y)
         retained.append(pid)
 
     if len(retained) < 2:

@@ -18,7 +18,6 @@ from eyehead.cli import (
     dispatch,
 )
 from eyehead.events import FixationConfig
-from eyehead.fitting import FitConfig
 from eyehead.ingest import (
     SCORE_COLUMNS,
     SHIFT_COLUMNS,
@@ -64,7 +63,7 @@ class TestPipeline:
         assert (tmp_path / "sanity.jsonl").exists()
 
         fits = tmp_path / "fits.json"
-        assert run(["fit", "--in", shifts, "--out", fits, "--starts", 8]) == 0
+        assert run(["fit", "--in", shifts, "--out", fits]) == 0
         fit_rows = json.loads(fits.read_text())
         assert "provenance" in fit_rows[0]
         models = {r["model"] for r in fit_rows[1:]}
@@ -99,7 +98,7 @@ class TestPipeline:
         out = tmp_path / "sens.json"
         code = run([
             "sensitivity", "--in-dir", raw, "--out", out,
-            "--thresholds", "15,20", "--base-threshold", "15", "--starts", "6",
+            "--thresholds", "15,20", "--base-threshold", "15",
             "--min-overlap-s", "2.0",
         ])
         assert code == 0
@@ -112,8 +111,8 @@ class TestPipeline:
         raw = synth_dir(tmp_path, participants=2, trials=1, shifts=10)
         shifts = preprocess(tmp_path, raw)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert run(["fit", "--in", shifts, "--out", a, "--starts", 6]) == 0
-        assert run(["fit", "--in", shifts, "--out", b, "--starts", 6]) == 0
+        assert run(["fit", "--in", shifts, "--out", a]) == 0
+        assert run(["fit", "--in", shifts, "--out", b]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_symmetry_out(self, tmp_path):
@@ -166,7 +165,7 @@ class TestErrorHandling:
         raw = synth_dir(tmp_path, participants=3, trials=1, shifts=10)
         shifts = preprocess(tmp_path, raw)
         fits, spectrum = tmp_path / "fits.json", tmp_path / "spectrum.json"
-        assert run(["fit", "--in", shifts, "--out", fits, "--starts", 4]) == 0
+        assert run(["fit", "--in", shifts, "--out", fits]) == 0
         assert run(["fpca", "--in", fits, "--out", spectrum]) == 0
         scores = tmp_path / "scores.csv"
         scores.write_text("# provenance: {}\ncurve_id,pc1,percentile_pc1\np01,0.5,50\n")
@@ -192,28 +191,26 @@ class TestConfigResolution:
     def test_config_file_feeds_defaults(self, tmp_path, capsys):
         raw = synth_dir(tmp_path, participants=2, trials=1, shifts=10)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"starts": 4, "seed": 7}))
+        cfg.write_text(json.dumps({"model": "hinge"}))
         shifts = preprocess(tmp_path, raw)
 
         with_cfg = tmp_path / "with_cfg.json"
         explicit = tmp_path / "explicit.json"
         assert run(["fit", "--in", shifts, "--out", with_cfg, "--config", cfg]) == 0
-        assert run(["fit", "--in", shifts, "--out", explicit,
-                    "--starts", 4, "--seed", 7]) == 0
+        assert run(["fit", "--in", shifts, "--out", explicit, "--model", "hinge"]) == 0
         assert with_cfg.read_bytes() == explicit.read_bytes()
 
     def test_flag_overrides_config(self, tmp_path):
         raw = synth_dir(tmp_path, participants=2, trials=1, shifts=10)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 7}))
+        cfg.write_text(json.dumps({"model": "soft-hinge"}))
         shifts = preprocess(tmp_path, raw)
 
         overridden = tmp_path / "o.json"
         plain = tmp_path / "p.json"
         assert run(["fit", "--in", shifts, "--out", overridden,
-                    "--config", cfg, "--seed", 3, "--starts", 4]) == 0
-        assert run(["fit", "--in", shifts, "--out", plain,
-                    "--seed", 3, "--starts", 4]) == 0
+                    "--config", cfg, "--model", "hinge"]) == 0
+        assert run(["fit", "--in", shifts, "--out", plain, "--model", "hinge"]) == 0
         assert overridden.read_bytes() == plain.read_bytes()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
@@ -225,7 +222,7 @@ class TestConfigResolution:
         assert payload["error"] == "ValueError"
         assert "n_starts" in payload["message"]
 
-    @pytest.mark.parametrize("key, value", [("seed", 1.7), ("starts", True), ("model", "cubic")])
+    @pytest.mark.parametrize("key, value", [("seed", 1.7), ("shifts", True), ("model", "cubic")])
     def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))
@@ -253,7 +250,6 @@ class TestConfigResolution:
 
         assert _fixation_config(DEFAULTS) == FixationConfig()
         assert _filter_config(DEFAULTS) == FilterConfig()
-        assert FitConfig(n_starts=DEFAULTS["starts"], seed=DEFAULTS["seed"]) == FitConfig()
         assert default(sanity_check, "min_overlap_s") == DEFAULTS["min_overlap_s"]
         assert default(sanity_check, "max_gap_s") == DEFAULTS["max_gap_s"]
         assert default(symmetrize_and_clean, "max_ecc") == DEFAULTS["max_ecc_deg"]
@@ -285,12 +281,11 @@ TRACE_FLAGS = {
 # Every flag of every stage, written out so that a flag lost or gained shows.
 STAGE_FLAGS = {
     "preprocess": {"--in-dir", "--out", "--sanity-out", "--symmetry-out", *TRACE_FLAGS},
-    "fit": {"--in", "--out", "--model", "--starts", "--seed"},
+    "fit": {"--in", "--out", "--model"},
     "fpca": {"--in", "--out", "--components"},
     "project": {"--model", "--in", "--out"},
     "report": {"--fits", "--spectrum", "--scores", "--out-dir"},
-    "sensitivity": {"--in-dir", "--out", "--thresholds", "--base-threshold", "--starts",
-                    "--seed", *TRACE_FLAGS},
+    "sensitivity": {"--in-dir", "--out", "--thresholds", "--base-threshold", *TRACE_FLAGS},
     "synth": {"--out-dir", "--participants", "--trials", "--shifts", "--noise-sd", "--seed"},
 }
 
@@ -342,6 +337,50 @@ class TestOptionTable:
         assert resolved == {key: other_value(key) for key in STAGE_OPTIONS[stage]}
 
 
+class TestNoFitSeed:
+    """A fit depends on its data alone: fit and sensitivity take no seed."""
+
+    @pytest.mark.parametrize("stage", ["fit", "sensitivity"])
+    @pytest.mark.parametrize("flag", ["--starts", "--seed"])
+    def test_seed_flags_are_usage_errors(self, stage, flag):
+        with pytest.raises(SystemExit) as exc:
+            dispatch([stage, *REQUIRED[stage], flag, "4"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("stage", ["fit", "sensitivity"])
+    def test_config_file_holding_starts_is_rejected(self, tmp_path, capsys, stage):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"starts": 20}))
+        assert run([stage, *REQUIRED[stage], "--config", cfg]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ValueError"
+        assert "'starts'" in payload["message"]
+
+    def test_renamed_participants_get_the_same_fits(self, tmp_path):
+        shifts = preprocess(tmp_path, synth_dir(tmp_path, participants=3, trials=1, shifts=30))
+        table = read_shifts_csv(shifts)
+        pids = table.participants()
+        renamed = {pid: f"renamed{i}" for i, pid in enumerate(reversed(pids))}
+        # the first participant's shifts once more, under a third name
+        copy = table.for_participant(pids[0])
+        copy.participant_id = ["copy"] * len(copy)
+        table.participant_id = [renamed[pid] for pid in table.participant_id]
+        other = tmp_path / "renamed.csv"
+        ingest.write_shifts_csv(str(other), ingest.concat_shift_sets([table, copy]))
+
+        fits = {}
+        for path in (shifts, other):
+            out = tmp_path / f"{path.stem}.json"
+            assert run(["fit", "--in", path, "--out", out]) == 0
+            fits[path] = {(r.pop("participant_id"), r["model"]): r for r in read_json_array(out)}
+        want, got = fits[shifts], fits[other]
+        assert len(got) == len(want) + 3
+        for (pid, model), row in want.items():
+            assert got[(renamed[pid], model)] == row
+        for model in ("linear", "hinge", "soft-hinge"):
+            assert got[("copy", model)] == want[(pids[0], model)]
+
+
 class TestConfigOnEveryStage:
     """project and report take no option, yet read and check --config."""
 
@@ -350,7 +389,7 @@ class TestConfigOnEveryStage:
         tmp = tmp_path_factory.mktemp("inputs")
         shifts = preprocess(tmp, synth_dir(tmp, participants=3, trials=1, shifts=10))
         fits, spectrum, scores = tmp / "fits.json", tmp / "spectrum.json", tmp / "scores.csv"
-        assert run(["fit", "--in", shifts, "--out", fits, "--starts", 4]) == 0
+        assert run(["fit", "--in", shifts, "--out", fits]) == 0
         assert run(["fpca", "--in", fits, "--out", spectrum]) == 0
         assert run(["project", "--model", spectrum, "--in", fits, "--out", scores]) == 0
         return {"fits": fits, "spectrum": spectrum, "scores": scores}
@@ -397,7 +436,7 @@ class TestConfigOnEveryStage:
     @pytest.mark.parametrize("stage", ["project", "report"])
     def test_config_keys_of_other_stages_are_accepted(self, inputs, tmp_path, stage):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"starts": 4}))
+        cfg.write_text(json.dumps({"model": "hinge"}))
         plain, with_cfg = tmp_path / "plain", tmp_path / "with_cfg"
         plain.mkdir()
         with_cfg.mkdir()
@@ -414,9 +453,10 @@ class TestProvenance:
         raw = synth_dir(tmp_path, participants=2, trials=1, shifts=10)
         shifts = preprocess(tmp_path, raw)
         fits = tmp_path / "fits.json"
-        assert run(["fit", "--in", shifts, "--out", fits, "--starts", 4]) == 0
+        assert run(["fit", "--in", shifts, "--out", fits]) == 0
         prov = json.loads(fits.read_text())[0]["provenance"]
         assert set(prov) == {"config_hash", "seed", "inputs"}
+        assert prov["seed"] is None
         assert list(prov["inputs"]) == [shifts.name]
         digest = prov["inputs"][shifts.name]
         assert len(digest) == 64 and int(digest, 16) >= 0
@@ -463,13 +503,13 @@ class TestArtifactContract:
         out.mkdir()
         shifts = preprocess(out, raw, extra=["--symmetry-out", out / "symmetry.json"])
         fits, spectrum, scores = out / "fits.json", out / "spectrum.json", out / "scores.csv"
-        assert run(["fit", "--in", shifts, "--out", fits, "--starts", 4]) == 0
+        assert run(["fit", "--in", shifts, "--out", fits]) == 0
         assert run(["fpca", "--in", fits, "--out", spectrum]) == 0
         assert run(["project", "--model", spectrum, "--in", fits, "--out", scores]) == 0
         assert run(["report", "--fits", fits, "--spectrum", spectrum,
                     "--scores", scores, "--out-dir", out / "report"]) == 0
         assert run(["sensitivity", "--in-dir", raw, "--out", out / "sensitivity.json",
-                    "--thresholds", "15,20", "--starts", 4, "--min-overlap-s", 2.0]) == 0
+                    "--thresholds", "15,20", "--min-overlap-s", 2.0]) == 0
 
         csvs = sorted(tmp_path.rglob("*.csv"))
         assert len(csvs) == 3 * 2 + 2 + 2 + 5 + 1  # traces, shifts, scores, modes, density
@@ -520,7 +560,7 @@ class TestArtifactContract:
         )
         fits, spectrum = tmp_path / "fits.json", tmp_path / "spectrum.json"
         scores, report = tmp_path / "scores.csv", tmp_path / "report"
-        assert run(["fit", "--in", shifts, "--out", fits, "--starts", 4]) == 0
+        assert run(["fit", "--in", shifts, "--out", fits]) == 0
         assert run(["fpca", "--in", fits, "--out", spectrum]) == 0
         assert run(["project", "--model", spectrum, "--in", fits, "--out", scores]) == 0
         with warnings.catch_warnings():
@@ -557,15 +597,15 @@ class TestOutputDirectories:
         raw = synth_dir(tmp, participants=3, trials=1, shifts=20)
         shifts = preprocess(tmp, raw)
         fits, spectrum = tmp / "fits.json", tmp / "spectrum.json"
-        assert run(["fit", "--in", shifts, "--out", fits, "--starts", 4]) == 0
+        assert run(["fit", "--in", shifts, "--out", fits]) == 0
         assert run(["fpca", "--in", fits, "--out", spectrum]) == 0
         return {"raw": raw, "shifts": shifts, "fits": fits, "spectrum": spectrum}
 
     @pytest.mark.parametrize("stage, argv", [
-        ("fit", ["--in", "shifts", "--starts", 4]),
+        ("fit", ["--in", "shifts"]),
         ("fpca", ["--in", "fits"]),
         ("project", ["--model", "spectrum", "--in", "fits"]),
-        ("sensitivity", ["--in-dir", "raw", "--starts", 4, "--min-overlap-s", 2.0]),
+        ("sensitivity", ["--in-dir", "raw", "--min-overlap-s", 2.0]),
     ])
     def test_stage_creates_the_directory_of_out(self, inputs, tmp_path, stage, argv):
         out = tmp_path / "new" / "deeper" / "artifact"
@@ -623,8 +663,7 @@ class TestDisjointClocks:
         outs = tmp_path / "all.json", tmp_path / "rest.json"
         for in_dir, out in zip((raw, rest), outs):
             assert run(["sensitivity", "--in-dir", in_dir, "--out", out,
-                        "--thresholds", "15,20", "--starts", 4,
-                        "--min-overlap-s", 2.0]) == 0
+                        "--thresholds", "15,20", "--min-overlap-s", 2.0]) == 0
         got, want = (json.loads(out.read_text()) for out in outs)
         assert sorted(got["participants"]) == ["synth001", "synth002", "synth003"]
         assert got["participants"] == want["participants"]
@@ -643,7 +682,7 @@ class TestExpectedTrials:
         assert run(["preprocess", "--in-dir", raw, "--out", shifts, *setting]) == 0
         sens = tmp_path / "sens.json"
         assert run(["sensitivity", "--in-dir", raw, "--out", sens,
-                    "--thresholds", "15,20", "--starts", 4, *setting]) == 0
+                    "--thresholds", "15,20", *setting]) == 0
         kept = read_shifts_csv(shifts).participants()
         assert len(kept) == 2
         assert sorted(json.loads(sens.read_text())["participants"]) == sorted(kept)

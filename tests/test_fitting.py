@@ -3,7 +3,6 @@ import pytest
 
 from eyehead import (
     EmptyDataError,
-    FitConfig,
     HingeParams,
     MismatchedDataError,
     SoftHingeParams,
@@ -18,7 +17,8 @@ from eyehead import (
     fit_soft_hinge,
     synth_shifts,
 )
-from eyehead.fitting import LOWER, UPPER, FitResult, _draw_start, _projected_lm, start_rng
+from eyehead import fitting
+from eyehead.fitting import LOWER, S_ROW, TAU_GRID, UPPER, FitResult, _lattice_seeds, _projected_lm
 from eyehead.models import compute_ehr_slope, compute_eor
 
 from .oracles import hinge_lattice_min_sse, ref_soft_hinge, trf_min_sse
@@ -37,6 +37,17 @@ def noisy_set(seed):
     """Seeded noisy soft-hinge shift set of 60-300 shifts."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(60, 301))
+    params = SoftHingeParams(
+        rng.uniform(0.3, 0.95), rng.uniform(5.0, 30.0), rng.uniform(1.0, 9.0)
+    )
+    shifts, _ = synth_shifts(SynthConfig(params, n_shifts=n, noise_sd=2.0, seed=seed))
+    return shifts.x, shifts.y
+
+
+def tiny_set(seed):
+    """Seeded noisy soft-hinge shift set of 4-19 shifts."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 20))
     params = SoftHingeParams(
         rng.uniform(0.3, 0.95), rng.uniform(5.0, 30.0), rng.uniform(1.0, 9.0)
     )
@@ -73,43 +84,48 @@ class TestMetrics:
 class TestSoftHingeFit:
     def test_noiseless_recovery(self):
         x, y = soft_hinge_data(beta=0.8, tau=18.0, s=6.0)
-        fit = fit_soft_hinge(x, y, FitConfig(n_starts=10, seed=1), "pX")
+        fit = fit_soft_hinge(x, y)
         assert fit.converged
         assert fit.params.beta == pytest.approx(0.8, abs=1e-4)
         assert fit.params.tau == pytest.approx(18.0, abs=1e-3)
         assert fit.params.s == pytest.approx(6.0, abs=1e-3)
         assert fit.sse < 1e-10
 
-    def test_deterministic_given_seed_and_participant(self):
+    def test_deterministic(self):
         x, y = soft_hinge_data(noise_sd=1.0, seed=3)
-        cfg = FitConfig(n_starts=8, seed=42)
-        a = fit_soft_hinge(x, y, cfg, "p01")
-        b = fit_soft_hinge(x, y, cfg, "p01")
-        assert a.params == b.params
+        a = fit_soft_hinge(x, y)
+        b = fit_soft_hinge(x, y)
+        assert a.to_file_dict() == b.to_file_dict()
         assert a.start_index == b.start_index
         np.testing.assert_array_equal(a.start_sses, b.start_sses)
 
-    def test_participants_get_distinct_start_streams(self):
-        draws_a = [_draw_start(start_rng(0, "p01", j)) for j in range(4)]
-        draws_b = [_draw_start(start_rng(0, "p02", j)) for j in range(4)]
-        assert draws_a != draws_b
-
-    def test_start_draws_respect_boxes(self):
-        for j in range(50):
-            beta, tau, s = _draw_start(start_rng(7, "p03", j))
-            assert 0.0 <= beta <= 1.0
-            assert 0.0 <= tau <= 50.0
-            assert 0.5 <= s <= 20.0
+    @pytest.mark.parametrize("s_row", [S_ROW, (1.0,)], ids=["soft-hinge", "hinge"])
+    def test_lattice_seeds_are_profiled_minima(self, s_row):
+        # the last set lies near 0 deg, so knees far to its right underflow
+        # softplus to zero there and leave <f, f> = 0
+        sets = [noisy_set(seed) for seed in range(3)]
+        sets.append((np.linspace(0.0, 2.0, 7), np.linspace(0.0, 0.3, 7)))
+        betas = np.linspace(0.0, 1.0, 501)
+        for x, y in sets:
+            seeds = _lattice_seeds(x, y, s_row)
+            assert seeds.shape == (len(s_row), 3)
+            np.testing.assert_array_equal(seeds[:, 2], s_row)
+            assert np.all((seeds >= LOWER) & (seeds <= UPPER))
+            assert set(seeds[:, 1]) <= set(TAU_GRID)
+            for (beta, tau, s) in seeds:
+                sse = np.sum((ref_soft_hinge(beta, tau, s, x) - y) ** 2)
+                grid = ref_soft_hinge(betas[:, None, None], TAU_GRID[None, :, None], s, x)
+                assert sse <= np.min(np.sum((grid - y) ** 2, axis=2)) + 1e-9
 
     def test_best_of_starts_beats_every_start(self):
         x, y = soft_hinge_data(noise_sd=2.0, seed=5, n=200)
-        fit = fit_soft_hinge(x, y, FitConfig(n_starts=12, seed=0), "p01")
+        fit = fit_soft_hinge(x, y)
         assert fit.sse <= np.min(fit.start_sses) + 1e-9
         assert fit.start_index == int(np.argmin(fit.start_sses))
 
     def test_bounds_are_respected_under_noise(self):
         x, y = soft_hinge_data(beta=1.0, tau=5.0, s=0.5, noise_sd=3.0, seed=9, n=150)
-        fit = fit_soft_hinge(x, y, FitConfig(n_starts=10, seed=0), "p01")
+        fit = fit_soft_hinge(x, y)
         assert 0.0 <= fit.params.beta <= 1.0
         assert -20.0 <= fit.params.tau <= 70.0
         assert fit.params.s >= 1e-3
@@ -119,31 +135,31 @@ class TestSoftHingeFit:
         # on the fitted function rather than any single parameter
         x = np.linspace(0.0, 50.0, 40)
         y = np.zeros(40)
-        fit = fit_soft_hinge(x, y, FitConfig(n_starts=5, seed=0), "p01")
+        fit = fit_soft_hinge(x, y)
         assert fit.sse == pytest.approx(0.0, abs=1e-8)
         assert np.max(np.abs(eval_model(fit.params, x))) < 1e-4
 
     def test_empty_data_rejected(self):
         with pytest.raises(EmptyDataError):
-            fit_soft_hinge(np.array([]), np.array([]), FitConfig(), "p")
+            fit_soft_hinge(np.array([]), np.array([]))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(MismatchedDataError):
-            fit_soft_hinge(np.arange(3.0), np.arange(4.0), FitConfig(), "p")
+            fit_soft_hinge(np.arange(3.0), np.arange(4.0))
 
 
 class TestHingeFit:
     def test_noiseless_recovery(self):
         x = np.linspace(0.0, 50.0, 80)
         y = 0.35 * np.logaddexp(0.0, x - 22.0)
-        fit = fit_hinge(x, y, FitConfig(n_starts=8, seed=2), "p01")
+        fit = fit_hinge(x, y)
         assert fit.params.beta == pytest.approx(0.35, abs=1e-4)
         assert fit.params.tau == pytest.approx(22.0, abs=1e-3)
         assert fit.n_params == 2
 
     def test_matches_unit_scale_soft_hinge_fit(self):
         x, y = soft_hinge_data(beta=0.5, tau=15.0, s=1.0)
-        fit = fit_hinge(x, y, FitConfig(n_starts=8, seed=0), "p01")
+        fit = fit_hinge(x, y)
         assert fit.sse < 1e-10
 
     def test_optimizer_matches_lattice_oracle(self):
@@ -152,25 +168,37 @@ class TestHingeFit:
         worst = 0.0
         for seed in range(10):
             x, y = noisy_set(seed)
-            fit = fit_hinge(x, y, FitConfig(n_starts=20, seed=seed), f"h{seed}")
+            fit = fit_hinge(x, y)
             worst = max(worst, fit.sse / hinge_lattice_min_sse(x, y))
         assert worst <= 1.01
 
 
+def random_starts(seed, k, m=20):
+    """m starts drawn uniformly from a box inside the solver bounds."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform((0.0, 0.0, 0.5), (1.0, 50.0, 20.0), (m, 3))[:, :k]
+
+
 class TestBatchedSolver:
-    @pytest.mark.parametrize("fit", [fit_hinge, fit_soft_hinge], ids=["hinge", "soft-hinge"])
-    def test_starts_do_not_depend_on_batch_size(self, fit):
+    @pytest.mark.parametrize("k", [2, 3], ids=["hinge", "soft-hinge"])
+    def test_starts_do_not_depend_on_batch_size(self, k):
+        # each row's result is bit-identical alone, in a subset and in the full batch
         for seed in range(5):
             x, y = noisy_set(seed)
-            few = fit(x, y, FitConfig(n_starts=7, seed=seed), f"b{seed}")
-            many = fit(x, y, FitConfig(n_starts=20, seed=seed), f"b{seed}")
-            assert few.start_sses == many.start_sses[:7]
+            starts = np.vstack([_lattice_seeds(x, y, S_ROW)[:, :k], random_starts(seed, k, 6)])
+            full = _projected_lm(x, y, starts)
+            subset = np.arange(1, len(starts), 3)
+            batches = [(subset, _projected_lm(x, y, starts[subset]))]
+            batches += [([i], _projected_lm(x, y, starts[i:i + 1])) for i in range(len(starts))]
+            for rows, part in batches:
+                for got, want in zip(part, full):
+                    np.testing.assert_array_equal(got, want[rows])
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_every_start_descends_within_bounds(self, k):
         for seed in range(5):
             x, y = noisy_set(seed)
-            starts = np.array([_draw_start(start_rng(seed, "d", j))[:k] for j in range(20)])
+            starts = random_starts(seed, k)
             theta, sses, _ = _projected_lm(x, y, starts)
             s = starts[:, 2:3] if k == 3 else 1.0
             start_sses = np.sum((ref_soft_hinge(starts[:, :1], starts[:, 1:2], s, x) - y) ** 2,
@@ -181,13 +209,49 @@ class TestBatchedSolver:
     @pytest.mark.parametrize("fit, k", [(fit_hinge, 2), (fit_soft_hinge, 3)],
                              ids=["hinge", "soft-hinge"])
     def test_best_of_starts_matches_scipy_oracle(self, fit, k):
+        # scipy polishes the same lattice seeds
         worst = 0.0
         for seed in range(20):
             x, y = noisy_set(seed)
-            result = fit(x, y, FitConfig(n_starts=8, seed=seed), f"o{seed}")
-            starts = [_draw_start(start_rng(seed, f"o{seed}", j))[:k] for j in range(8)]
-            worst = max(worst, result.sse / trf_min_sse(x, y, starts))
+            result = fit(x, y)
+            seeds = _lattice_seeds(x, y, S_ROW if k == 3 else (1.0,))[:, :k]
+            worst = max(worst, result.sse / trf_min_sse(x, y, seeds))
         assert worst <= 1.0 + 1e-6
+
+    def test_lowest_sse_seed_wins_even_unconverged(self, monkeypatch):
+        # a seed that crawls along a valley may end lowest without meeting the
+        # convergence test: it still wins, and the fit says it did not converge
+        solve = fitting._projected_lm
+
+        def best_seed_unconverged(x, y, starts):
+            theta, sses, _ = solve(x, y, starts)
+            converged = np.ones(len(sses), dtype=bool)
+            converged[np.argmin(sses)] = False
+            return theta, sses, converged
+
+        monkeypatch.setattr(fitting, "_projected_lm", best_seed_unconverged)
+        x, y = noisy_set(0)
+        fit = fit_soft_hinge(x, y)
+        assert fit.start_index == int(np.argmin(fit.start_sses))
+        assert fit.sse == pytest.approx(min(fit.start_sses), rel=1e-12)
+        assert fit.n_converged == len(S_ROW) - 1
+        assert fit.to_file_dict()["converged"] is False
+
+    @pytest.mark.parametrize("seed", [56, 20039, 20063, 20117])
+    def test_soft_hinge_fits_no_worse_than_the_hinge_it_nests(self, seed):
+        # the soft hinge at s = 1 is the hinge, so its best fit cannot be worse
+        x, y = tiny_set(seed)
+        assert fit_soft_hinge(x, y).sse <= fit_hinge(x, y).sse * (1.0 + 1e-9)
+
+    def test_unconverged_best_fit_is_kept(self):
+        # on this 9-shift set the seeds that reach the lowest SSE crawl along a
+        # valley of shrinking s and do not converge within MAX_NFEV steps;
+        # the seeds that do converge stop at twice that SSE
+        x, y = tiny_set(56)
+        fit = fit_soft_hinge(x, y)
+        assert fit.sse == pytest.approx(min(fit.start_sses), rel=1e-12)
+        assert fit.sse < fit_hinge(x, y).sse
+        assert fit.to_file_dict()["converged"] is False
 
     @pytest.mark.parametrize("n, converged", [
         (1, {"linear": False, "hinge": False, "soft-hinge": False}),
@@ -197,7 +261,7 @@ class TestBatchedSolver:
     def test_fit_with_no_more_points_than_parameters_is_not_converged(self, n, converged):
         x = np.linspace(20.0, 40.0, n)
         y = 0.5 * np.maximum(x - 25.0, 0.0) + 1.0
-        pfit = fit_participant(x, y, "few", FitConfig(n_starts=4, seed=0))
+        pfit = fit_participant(x, y)
         assert {m: f.converged for m, f in pfit.fits.items()} == converged
 
 
@@ -254,7 +318,7 @@ def _result(model, sse, n, k, digest="d"):
 class TestCompareModels:
     def test_orders_by_aic(self):
         x, y = soft_hinge_data(beta=0.9, tau=20.0, s=8.0, noise_sd=0.5, seed=1, n=300)
-        pfit = fit_participant(x, y, "p01", FitConfig(n_starts=8, seed=0))
+        pfit = fit_participant(x, y)
         ranked = compare_models(list(pfit.fits.values()))
         aics = [r.aic for r in ranked]
         assert aics == sorted(aics)
@@ -278,7 +342,7 @@ class TestCompareModels:
 class TestFitParticipant:
     def test_full_candidate_set(self):
         x, y = soft_hinge_data(beta=0.7, tau=15.0, s=4.0, noise_sd=1.0, seed=4, n=250)
-        pfit = fit_participant(x, y, "p07", FitConfig(n_starts=10, seed=0))
+        pfit = fit_participant(x, y)
         assert set(pfit.fits) == {"linear", "hinge", "soft-hinge"}
         assert pfit.n_shifts == 250
         assert pfit.eor == pfit.fits["linear"].params.alpha
@@ -286,7 +350,7 @@ class TestFitParticipant:
 
     def test_file_dict_round_trip(self):
         x, y = soft_hinge_data(n=61)
-        pfit = fit_participant(x, y, "p07", FitConfig(n_starts=4, seed=0))
+        pfit = fit_participant(x, y)
         for fit in pfit.fits.values():
             d = fit.to_file_dict()
             assert set(d) == {

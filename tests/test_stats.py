@@ -21,7 +21,7 @@ from eyehead import (
 )
 
 from eyehead import AlignedTrace, events, preprocess_trial
-from eyehead.fitting import FitConfig, fit_soft_hinge
+from eyehead.fitting import fit_soft_hinge
 from eyehead.fpca import DEFAULT_GRID
 from eyehead.ingest import concat_shift_sets, symmetrize_and_clean
 from eyehead.models import eval_model
@@ -273,7 +273,6 @@ class TestThresholdSensitivity:
         thresholds, base = (10.0, 20.0, 40.0), 15.0
         filt = FilterConfig(min_cutoff=3.0)
         fix = FixationConfig(pad_s=0.0)
-        fit_cfg = FitConfig(n_starts=4)
 
         # reference: every threshold rebuilds its shifts with preprocess_trial
         curves = {}
@@ -281,13 +280,13 @@ class TestThresholdSensitivity:
             fix_thr = FixationConfig(vel_threshold=thr, pad_s=0.0)
             shifts = concat_shift_sets([preprocess_trial(tr, filt, fix_thr) for tr in traces])
             cleaned = symmetrize_and_clean(shifts)
-            curves[thr] = eval_model(fit_soft_hinge(cleaned.x, cleaned.y, fit_cfg).params,
+            curves[thr] = eval_model(fit_soft_hinge(cleaned.x, cleaned.y).params,
                                      DEFAULT_GRID)
         want = {thr: pearson_r(curves[thr], curves[base]) for thr in thresholds}
 
         calls = []
         one_euro = events.one_euro
         monkeypatch.setattr(events, "one_euro", lambda *a: calls.append(1) or one_euro(*a))
-        got = threshold_sensitivity(traces, thresholds, base, filt, fix, fit_cfg)
+        got = threshold_sensitivity(traces, thresholds, base, filt, fix)
         assert got == want
         assert len(calls) == len(traces)
