@@ -183,11 +183,15 @@ def _fixation_config(cfg: dict) -> FixationConfig:
 
 
 def _trace_pairs(in_dir: str) -> list[tuple[str, str]]:
-    """(gaze_path, head_path) pairs; the head file may be absent."""
-    gaze_files = sorted(glob.glob(os.path.join(in_dir, "*.gaze.csv")))
-    if not gaze_files:
-        raise MissingInputError(f"no *.gaze.csv files under {in_dir}")
-    return [(g, g[: -len(".gaze.csv")] + ".head.csv") for g in gaze_files]
+    """(gaze_path, head_path) pairs, one per trial stem; either file may be absent."""
+    stems = {
+        path[: -len(".gaze.csv")]
+        for kind in ("gaze", "head")
+        for path in glob.glob(os.path.join(in_dir, f"*.{kind}.csv"))
+    }
+    if not stems:
+        raise MissingInputError(f"no *.gaze.csv or *.head.csv files under {in_dir}")
+    return sorted((stem + ".gaze.csv", stem + ".head.csv") for stem in stems)
 
 
 def _input_map(paths: list[str], base: str) -> dict[str, str]:
@@ -200,21 +204,21 @@ def _sane_traces(in_dir: str, cfg: dict):
 
     Returns (traces that passed, one sanity report per trial, input paths).
     With expected_trials > 0, a participant's traces are kept only when
-    exactly that many trials were found and all of them passed. A missing
-    head file yields a missing_stream report, and a gaze and head stream
-    with no shared time window a no_overlap report.
+    exactly that many trials were found and all of them passed. A trial
+    with only one of its two files yields a missing_stream report, and a
+    gaze and head stream with no shared time window a no_overlap report.
     """
     aligned = []
     reports = []
     paths = []
-    for gaze_path, head_path in _trace_pairs(in_dir):
-        gaze = load_trace_csv(gaze_path, kind="gaze")
-        paths.append(gaze_path)
-        if not os.path.exists(head_path):
-            reports.append(missing_stream_report(gaze.participant_id, gaze.trial_id))
+    for pair in _trace_pairs(in_dir):
+        found = [(p, kind) for p, kind in zip(pair, ("gaze", "head")) if os.path.exists(p)]
+        streams = [load_trace_csv(p, kind=kind) for p, kind in found]
+        paths.extend(p for p, _ in found)
+        if len(streams) == 1:
+            reports.append(missing_stream_report(streams[0].participant_id, streams[0].trial_id))
             continue
-        head = load_trace_csv(head_path, kind="head")
-        paths.append(head_path)
+        gaze, head = streams
         try:
             aligned.append(align_head_to_gaze(gaze, head))
         except NoOverlapError:

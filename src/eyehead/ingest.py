@@ -25,7 +25,7 @@ import os
 import re
 from array import array
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -40,6 +40,8 @@ from .errors import (
 TRACE_COLUMNS = ("participant_id", "trial_id", "timestamp_s", "yaw_deg")
 SHIFT_COLUMNS = ("participant_id", "trial_id", "x_deg", "y_deg")
 SCORE_COLUMNS = ("curve_id", "pc1", "pc2", "percentile_pc1")
+# characters that make csv.writer's default dialect quote a field
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
 @dataclass
@@ -376,20 +378,40 @@ def open_output(path: str, newline: str | None = None):
     return open(path, "w", newline=newline)
 
 
-def write_table(path: str, columns: tuple[str, ...], rows, provenance: dict | None = None) -> None:
-    """Write a CSV table, optionally under a '# provenance: {...}' first line.
+def write_table(path: str, columns: tuple[str, ...], cols, provenance: dict | None = None) -> None:
+    """Write a CSV table, one sequence per column, under an optional '# provenance: {...}' line.
 
-    csv.writer's default dialect: fields quoted only when they hold a comma,
-    quote or line break, and CRLF row endings. Floats are written as %.9g.
+    A float ndarray column is written as %.9g, any other column as the str of
+    each value. The bytes are those of csv.writer's default dialect: a field
+    is quoted only when it holds a comma, quote or line break, or is the
+    empty only field of its row, and rows end with CRLF.
     """
+    lone = len(columns) == 1
+    formats, cells = [], []
+    for col in cols:
+        if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+            formats.append("%.9g")
+            cells.append(col.tolist())
+        else:
+            quoted = {value: _csv_field(str(value), lone) for value in set(col)}
+            formats.append("%s")
+            cells.append([quoted[value] for value in col])
+    # one %-format call over the values row by row; text enters through %s, so a '%' in it is inert
+    row = ",".join(formats) + "\r\n"
+    values = tuple(chain.from_iterable(zip(*cells, strict=True)))
+    body = row * (len(cells[0]) if cells else 0) % values
     with open_output(path, newline="") as fh:
         if provenance is not None:
             fh.write("# provenance: " + json.dumps(provenance, sort_keys=True) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(
-            [f"{c:.9g}" if isinstance(c, float) else c for c in row] for row in rows
-        )
+        fh.write(",".join(_csv_field(c, lone) for c in columns) + "\r\n")
+        fh.write(body)
+
+
+def _csv_field(text: str, lone: bool) -> str:
+    """`text` as one CSV field; `lone` when it is the only field of its row."""
+    if _NEEDS_QUOTES.search(text) or (lone and not text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def load_trace_csv(path: str, kind: str = "gaze") -> RawStream:
@@ -421,11 +443,11 @@ def load_trace_csv(path: str, kind: str = "gaze") -> RawStream:
 
 
 def write_trace_csv(path: str, stream: RawStream) -> None:
+    n = stream.t.size
     write_table(
         path,
         TRACE_COLUMNS,
-        zip(repeat(stream.participant_id), repeat(stream.trial_id),
-            stream.t.tolist(), stream.yaw.tolist()),
+        ([stream.participant_id] * n, [stream.trial_id] * n, stream.t, stream.yaw),
     )
 
 
@@ -437,12 +459,8 @@ def read_shifts_csv(path: str) -> ShiftSet:
 
 def write_shifts_csv(path: str, shifts: ShiftSet, provenance: dict | None = None) -> None:
     """Write a shift table, optionally with a '# provenance: {...}' first line."""
-    write_table(
-        path,
-        SHIFT_COLUMNS,
-        zip(shifts.participant_id, shifts.trial_id, shifts.x.tolist(), shifts.y.tolist()),
-        provenance,
-    )
+    cols = (shifts.participant_id, shifts.trial_id, shifts.x, shifts.y)
+    write_table(path, SHIFT_COLUMNS, cols, provenance)
 
 
 def read_scores_csv(path: str) -> list[dict]:
@@ -454,4 +472,6 @@ def read_scores_csv(path: str) -> list[dict]:
 
 def write_scores_csv(path: str, rows: list[dict], provenance: dict | None = None) -> None:
     """Write a score table (one dict per curve, keyed by SCORE_COLUMNS)."""
-    write_table(path, SCORE_COLUMNS, ([r[c] for c in SCORE_COLUMNS] for r in rows), provenance)
+    cols = [[r["curve_id"] for r in rows]]
+    cols += [np.array([r[c] for r in rows], dtype=float) for c in SCORE_COLUMNS[1:]]
+    write_table(path, SCORE_COLUMNS, cols, provenance)

@@ -102,10 +102,6 @@ def read_json_array(path: str) -> list:
 # report bundle
 # ---------------------------------------------------------------------------
 
-def _mode_rows(grid: np.ndarray, curve: np.ndarray) -> list[list]:
-    return [[float(g), float(v)] for g, v in zip(grid, curve)]
-
-
 def _model_comparison(fit_rows: list[dict]) -> dict:
     by_model: dict[str, list[dict]] = {}
     for row in fit_rows:
@@ -145,17 +141,17 @@ def emit_report(
 
     written: list[str] = []
 
-    def put_csv(rel: str, header: tuple[str, ...], rows: list[list]) -> None:
-        write_table(os.path.join(out_dir, rel), header, rows, provenance)
+    def put_csv(rel: str, header: tuple[str, ...], cols: tuple[np.ndarray, ...]) -> None:
+        write_table(os.path.join(out_dir, rel), header, cols, provenance)
         written.append(rel)
 
     grid = spectrum.grid
-    put_csv("modes/mean.csv", ("x_deg", "y_deg"), _mode_rows(grid, spectrum.mean_curve))
+    put_csv("modes/mean.csv", ("x_deg", "y_deg"), (grid, spectrum.mean_curve))
     n_components = spectrum.components.shape[0]
     for j in range(n_components):
         for c in (-2.0, 2.0):
             name = f"modes/pc{j + 1}_{'minus' if c < 0 else 'plus'}2sd.csv"
-            put_csv(name, ("x_deg", "y_deg"), _mode_rows(grid, reconstruct_mode(spectrum, j, c)))
+            put_csv(name, ("x_deg", "y_deg"), (grid, reconstruct_mode(spectrum, j, c)))
 
     write_scores_csv(os.path.join(out_dir, "scores.csv"), score_rows, provenance)
     written.append("scores.csv")
@@ -166,7 +162,7 @@ def emit_report(
         span = float(pc1.max() - pc1.min()) or 1.0
         xs = np.linspace(pc1.min() - 0.25 * span, pc1.max() + 0.25 * span, DENSITY_POINTS)
         dens = kde_density(pc1, xs)
-        put_csv("pc1_density.csv", ("x", "density"), [[float(a), float(b)] for a, b in zip(xs, dens)])
+        put_csv("pc1_density.csv", ("x", "density"), (xs, dens))
 
     comparison = _model_comparison(fit_rows)
     summary = {

@@ -6,6 +6,8 @@ separately derived answers.
 """
 
 import csv
+import json
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -16,6 +18,18 @@ S_BOX = (0.5, 20.0)
 
 def ref_softplus(z):
     return np.logaddexp(0.0, z)
+
+
+def ref_logistic(u):
+    """1 / (1 + exp(-u)) in 60-digit decimal arithmetic, rounded once to float64.
+
+    Decimal infinities and NaN carry through: -inf -> 0, inf -> 1, nan -> nan.
+    """
+    u = np.asarray(u, dtype=float)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        out = [float(1 / (1 + (-Decimal(v)).exp())) for v in u.ravel().tolist()]
+    return np.array(out).reshape(u.shape)
 
 
 def ref_soft_hinge(beta, tau, s, x):
@@ -201,3 +215,20 @@ def read_table_csv(path, columns):
         if len(row) != len(header):
             raise ValueError(f"{path}: data row {n} has {len(row)} fields, the header has {len(header)}")
     return {col: [row[header.index(col)] for row in data] for col in columns}
+
+
+def write_table_rows(path, columns, rows, provenance=None):
+    """A CSV table written one csv.writer row at a time.
+
+    The optional first line is '# provenance: ' and the sorted-key JSON of
+    `provenance`; Python floats are written as %.9g, every other cell as
+    csv.writer writes it (default dialect: minimal quoting, CRLF).
+    """
+    with open(path, "w", newline="") as fh:
+        if provenance is not None:
+            fh.write("# provenance: " + json.dumps(provenance, sort_keys=True) + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(
+            [f"{c:.9g}" if isinstance(c, float) else c for c in row] for row in rows
+        )

@@ -4,6 +4,7 @@ import math
 import re
 import warnings
 
+import numpy as np
 import pytest
 
 from eyehead import FitResult, read_shifts_csv
@@ -614,7 +615,7 @@ class TestOutputDirectories:
         assert out.is_file()
 
     @pytest.mark.parametrize("write", [
-        lambda path: ingest.write_table(path, ("a",), [[1.0]], {"seed": 1}),
+        lambda path: ingest.write_table(path, ("a",), (np.array([1.0]),), {"seed": 1}),
         lambda path: report.write_json_object(path, {"a": 1}, {"seed": 1}),
         lambda path: report.write_json_array(path, [{"a": 1}], {"seed": 1}),
         lambda path: report.write_json_lines(path, [{"a": 1}], {"seed": 1}),
@@ -623,6 +624,24 @@ class TestOutputDirectories:
         out = tmp_path / "new" / "deeper" / "artifact"
         write(str(out))
         assert out.is_file()
+
+
+class TestHeadOnlyTrial:
+    """A trial whose gaze file is missing is reported, not dropped."""
+
+    def test_preprocess_reports_missing_stream_and_digests_the_head_file(self, tmp_path):
+        raw = synth_dir(tmp_path, participants=2, trials=2, shifts=12)
+        (raw / "synth001_t02.gaze.csv").unlink()
+        preprocess(tmp_path, raw)
+        header, *records = strict_json_lines((tmp_path / "sanity.jsonl").read_text())
+        assert len(records) == 4
+        assert [r for r in records if r["verdict"] == "fail"] == [{
+            "participant_id": "synth001", "trial_id": "t02", "overlap_s": 0.0,
+            "gap_max_s": None, "verdict": "fail", "reason": "missing_stream",
+        }]
+        inputs = header["provenance"]["inputs"]
+        assert "synth001_t02.head.csv" in inputs
+        assert "synth001_t02.gaze.csv" not in inputs
 
 
 class TestDisjointClocks:

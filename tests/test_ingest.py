@@ -33,7 +33,7 @@ from eyehead import ingest
 from eyehead.ingest import TRACE_COLUMNS, missing_stream_report, participant_passes
 
 from .conftest import write_trace
-from .oracles import TimeOrderError, one_euro_loop, read_table_csv
+from .oracles import TimeOrderError, one_euro_loop, read_table_csv, write_table_rows
 
 
 def stream(kind="gaze", pid="p01", tid="t01", t=None, yaw=None):
@@ -271,7 +271,8 @@ class TestTable:
 
     def test_writer_quotes_formats_and_stamps(self, tmp_path):
         p = tmp_path / "a.csv"
-        ingest.write_table(p, ("id", "v"), [['a,"b"', 1.0 / 3.0], ["c", 2]], {"seed": 1})
+        cols = (['a,"b"', "c"], np.array([1.0 / 3.0, 2.0]))
+        ingest.write_table(p, ("id", "v"), cols, {"seed": 1})
         assert p.read_bytes() == (
             b'# provenance: {"seed": 1}\n'
             b'id,v\r\n"a,""b""",0.333333333\r\nc,2\r\n'
@@ -526,6 +527,53 @@ class TestReadTableMatchesCsvReader:
         for col in ("timestamp_s", "yaw_deg"):
             assert got[col].dtype == np.float64
             assert got[col].tobytes() == np.array([float(v) for v in ref[col]]).tobytes()
+
+
+# Text cells hold what csv.writer must quote, '%' and non-ASCII text, or
+# nothing; float cells include signed zeros, infinities, nan, subnormals
+# and values near the largest double.
+TEXT_PIECES = ["p", "7", ",", '"', "\r", "\n", "%", "%s", "é", "漢", " ", "#"]
+text_cells = st.lists(st.sampled_from(TEXT_PIECES), max_size=5).map("".join)
+float_cells = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310, 1e308, -1.7e308]),
+)
+
+
+@st.composite
+def column_tables(draw):
+    """(kinds, rows): 'text' or 'float' for each column, and rows of such cells."""
+    kinds = draw(st.lists(st.sampled_from(["text", "float"]), min_size=1, max_size=4))
+    cells = {"text": text_cells, "float": float_cells}
+    rows = draw(st.lists(st.tuples(*(cells[k] for k in kinds)), max_size=12))
+    return kinds, rows
+
+
+class TestWriteTableMatchesRowWriter:
+    """The column writer against the csv.writer one (tests/oracles.py)."""
+
+    @given(column_tables(), st.booleans())
+    def test_same_bytes_and_read_back(self, table, stamped):
+        kinds, rows = table
+        names = tuple(f"c{j}" for j in range(len(kinds)))
+        cols = [[row[j] for row in rows] for j in range(len(kinds))]
+        cols = [np.array(c, dtype=float) if k == "float" else c for k, c in zip(kinds, cols)]
+        provenance = {"seed": 1} if stamped else None
+        with tempfile.TemporaryDirectory() as tmp:
+            path, ref = os.path.join(tmp, "a.csv"), os.path.join(tmp, "b.csv")
+            ingest.write_table(path, names, cols, provenance)
+            write_table_rows(ref, names, rows, provenance)
+            with open(path, "rb") as got, open(ref, "rb") as want:
+                assert got.read() == want.read()
+            if not rows:
+                return
+            floats = tuple(n for n, k in zip(names, kinds) if k == "float")
+            back = ingest.read_table(path, names, floats=floats)
+        for name, kind, col in zip(names, kinds, cols):
+            if kind == "text":
+                assert back[name] == col
+            else:
+                np.testing.assert_array_equal(back[name], [float(f"{v:.9g}") for v in col])
 
 
 AWKWARD_IDS = ["p#1", "a,b", 'q"x', " sp "]

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,8 +22,9 @@ from eyehead import (
     params_to_dict,
     softplus,
 )
+from eyehead.models import soft_hinge_partials
 
-from .oracles import fd_gradient, ref_soft_hinge
+from .oracles import fd_gradient, ref_logistic, ref_soft_hinge
 
 finite_yaw = st.floats(-50.0, 50.0, allow_nan=False)
 
@@ -187,6 +192,51 @@ class TestGradients:
     def test_gradient_vanishes_at_zero_scale(self):
         _, g_tau, g_s = model_gradient(SoftHingeParams(0.0, 20.0, 5.0), 35.0)
         assert g_tau == 0.0 and g_s == 0.0
+
+
+def partials_sigmoid(u):
+    """The logistic of u inside soft_hinge_partials: its dy/dtau at beta = -1, tau = 0, s = 1."""
+    with np.errstate(invalid="ignore"):  # dy/ds is -inf * 0 at u = -inf
+        return soft_hinge_partials(-1.0, 0.0, 1.0, np.asarray(u, dtype=float))[1]
+
+
+class TestSigmoid:
+    """The logistic inside soft_hinge_partials against its exact value and scipy's expit."""
+
+    U = np.concatenate([np.linspace(-800.0, 800.0, 8001), [np.inf, -np.inf, np.nan]])
+
+    def test_within_two_ulp_of_the_exact_logistic(self):
+        np.testing.assert_array_max_ulp(partials_sigmoid(self.U), ref_logistic(self.U), maxulp=2)
+
+    @given(st.lists(st.floats(-800.0, 800.0), min_size=1, max_size=20))
+    def test_any_value_within_two_ulp_of_the_exact_logistic(self, values):
+        u = np.array(values)
+        np.testing.assert_array_max_ulp(partials_sigmoid(u), ref_logistic(u), maxulp=2)
+
+    def test_agrees_with_scipy_expit(self):
+        from scipy.special import expit
+
+        # expit is 1 / (1 + exp(-u)): like the partials' logistic it is within
+        # 2 ulp of the exact value, so the two are within 4 of each other, until
+        # exp(-u) overflows; below u = -709.78 it returns 0 for a subnormal value
+        ours, theirs = partials_sigmoid(self.U), expit(self.U)
+        over = -self.U > np.log(np.finfo(float).max)
+        np.testing.assert_array_max_ulp(ours[~over], theirs[~over], maxulp=4)
+        assert np.all(theirs[over] == 0.0)
+        assert np.all(ours[over] < np.finfo(float).tiny)
+
+
+def test_import_loads_no_scipy():
+    import eyehead
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eyehead.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    code = "import sys, eyehead; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _shifts_with_proportions(by_bin):
