@@ -381,10 +381,10 @@ def open_output(path: str, newline: str | None = None):
 def write_table(path: str, columns: tuple[str, ...], cols, provenance: dict | None = None) -> None:
     """Write a CSV table, one sequence per column, under an optional '# provenance: {...}' line.
 
-    A float ndarray column is written as %.9g, any other column as the str of
-    each value. The bytes are those of csv.writer's default dialect: a field
-    is quoted only when it holds a comma, quote or line break, or is the
-    empty only field of its row, and rows end with CRLF.
+    Floats are written as %.9g, any other value as its str. The bytes are
+    those of csv.writer's default dialect: a field is quoted only when it
+    holds a comma, quote or line break, or is the empty only field of its
+    row, and rows end with CRLF.
     """
     lone = len(columns) == 1
     formats, cells = [], []
@@ -392,10 +392,15 @@ def write_table(path: str, columns: tuple[str, ...], cols, provenance: dict | No
         if isinstance(col, np.ndarray) and col.dtype.kind == "f":
             formats.append("%.9g")
             cells.append(col.tolist())
-        else:
-            quoted = {value: _csv_field(str(value), lone) for value in set(col)}
-            formats.append("%s")
-            cells.append([quoted[value] for value in col])
+            continue
+        distinct = set(col)
+        if not all(isinstance(v, str) for v in distinct):
+            # a column that is not all text is formatted value by value
+            col = ["%.9g" % v if isinstance(v, float) else str(v) for v in col]
+            distinct = set(col)
+        quoted = {text: _csv_field(text, lone) for text in distinct}
+        formats.append("%s")
+        cells.append([quoted[text] for text in col])
     # one %-format call over the values row by row; text enters through %s, so a '%' in it is inert
     row = ",".join(formats) + "\r\n"
     values = tuple(chain.from_iterable(zip(*cells, strict=True)))

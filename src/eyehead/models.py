@@ -124,10 +124,10 @@ def soft_hinge_partials(beta, tau, s, x):
     (n, 1) against x shaped (m,)), and the model value is beta * dy/dbeta.
     """
     u = (np.asarray(x, dtype=float) - tau) / s
-    # softplus and the logistic share e = exp(-|u|), which never overflows
+    # the logistic from e = exp(-|u|), which never overflows
     e = np.exp(-np.abs(u))
     sig = np.where(u >= 0.0, 1.0, e) / (1.0 + e)
-    d_beta = np.maximum(u, 0.0) + np.log1p(e)
+    d_beta = softplus(u)
     d_tau = -(beta / s) * sig
     d_s = -(beta * u / s) * sig
     return np.asarray(d_beta), d_tau, d_s

@@ -278,6 +278,16 @@ class TestTable:
             b'id,v\r\n"a,""b""",0.333333333\r\nc,2\r\n'
         )
 
+    def test_floats_outside_an_array_are_formatted_too(self, tmp_path):
+        rows = [(1.0 / 3.0, 1.0 / 3.0, 0), (-0.0, "x", True), (float("nan"), 2.5, 1)]
+        cols = [list(c) for c in zip(*rows)]
+        ingest.write_table(tmp_path / "a.csv", ("f", "mixed", "int_bool"), cols)
+        write_table_rows(tmp_path / "b.csv", ("f", "mixed", "int_bool"), rows)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert (tmp_path / "a.csv").read_bytes() == (
+            b"f,mixed,int_bool\r\n0.333333333,0.333333333,0\r\n-0,x,True\r\nnan,2.5,1\r\n"
+        )
+
 
 class TestAlignment:
     def test_linear_head_interpolates_exactly(self):
