@@ -46,6 +46,7 @@ from .fitting import (
     fit_linear,
     fit_metrics,
     fit_participant,
+    fit_participants,
     fit_soft_hinge,
 )
 from .fpca import (

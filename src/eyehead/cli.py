@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import EyeheadError, MissingInputError, NoOverlapError
 from .events import FixationConfig, preprocess_trial
-from .fitting import MODELS, fit_participant
+from .fitting import MODELS, fit_participants
 from .fpca import Spectrum, fit_fpca, sample_curves, score_table
 from .ingest import (
     FilterConfig,
@@ -289,12 +289,14 @@ def cmd_fit(args: argparse.Namespace, cfg: dict) -> int:
         None,
         _input_map([args.in_path], os.path.dirname(os.path.abspath(args.in_path))),
     )
-    rows = []
-    for pid in shifts.participants():
-        sub = shifts.for_participant(pid)
-        pfit = fit_participant(sub.x, sub.y, models)
-        for model in models:
-            rows.append({"participant_id": pid, **pfit.fits[model].to_file_dict()})
+    pids = shifts.participants()
+    subs = [shifts.for_participant(pid) for pid in pids]
+    pfits = fit_participants([(sub.x, sub.y) for sub in subs], models)
+    rows = [
+        {"participant_id": pid, **pfit.fits[model].to_file_dict()}
+        for pid, pfit in zip(pids, pfits)
+        for model in models
+    ]
     write_json_array(args.out, rows, provenance)
     return 0
 
@@ -369,26 +371,23 @@ def cmd_sensitivity(args: argparse.Namespace, cfg: dict) -> int:
     thresholds = tuple(float(v) for v in cfg["thresholds"].split(","))
     traces, _, input_paths = _sane_traces(args.in_dir, cfg)
 
-    by_pid: dict[str, list] = {}
-    for trace in traces:
-        by_pid.setdefault(trace.participant_id, []).append(trace)
-
-    per_participant: dict[str, dict[str, float]] = {}
-    for pid in sorted(by_pid):
-        result = threshold_sensitivity(
-            by_pid[pid],
-            thresholds=thresholds,
-            base=cfg["base_threshold"],
-            filter_cfg=_filter_config(cfg),
-            fixation_cfg=_fixation_config(cfg),
-            max_ecc=cfg["max_ecc_deg"],
-        )
-        per_participant[pid] = {f"{thr:g}": r for thr, r in result.items()}
-
+    result = threshold_sensitivity(
+        traces,
+        thresholds=thresholds,
+        base=cfg["base_threshold"],
+        filter_cfg=_filter_config(cfg),
+        fixation_cfg=_fixation_config(cfg),
+        max_ecc=cfg["max_ecc_deg"],
+    )
+    per_participant = {
+        pid: {"error": type(r).__name__, "message": str(r)} if isinstance(r, EyeheadError)
+        else {f"{thr:g}": v for thr, v in r.items()}
+        for pid, r in result.items()
+    }
+    # failed participants are left out of the medians; none left gives null
+    ok = [r for r in result.values() if not isinstance(r, EyeheadError)]
     medians = {
-        f"{thr:g}": float(
-            np.median([per_participant[pid][f"{thr:g}"] for pid in per_participant])
-        )
+        f"{thr:g}": float(np.median([r[thr] for r in ok])) if ok else None
         for thr in thresholds
     }
     provenance = make_provenance(

@@ -1,9 +1,14 @@
 """Per-participant model fits and AIC-based model comparison.
 
 The soft hinge and the hinge are fit by the same solver: a projected
-Levenberg-Marquardt loop (Moré 1978) that polishes all of a fit's seeds at
-once as one batch, each seed with its own damping and its own stopping test,
-and keeps the lowest-SSE result, converged or not. The seeds come from a
+Levenberg-Marquardt loop (Moré 1978) that polishes the seeds of many fits at
+once, each seed with its own damping and its own stopping test, and keeps
+each fit's lowest-SSE result, converged or not. All problems of a stage are
+solved together, in chunks of consecutive problems holding at most
+BATCH_POINTS row-points (a problem larger than that is solved alone). A
+seed's points sit back to back in flat arrays, and every per-seed sum is
+taken over that seed's own segment, so a fit does not depend on the fits
+batched beside it. The seeds come from a
 fixed lattice and depend on the data alone: for a fixed (tau, s) the model is
 linear in beta, so its best beta has a closed form (variable projection,
 Golub & Pereyra 1973), and each s of S_ROW seeds the lattice tau of
@@ -63,6 +68,11 @@ XTOL = 1e-10
 # diagonal: keeps that system nonsingular where two Jacobian columns are
 # collinear to rounding, as where the soft hinge is nearly a straight line.
 LAM_MIN = 1e-12
+# Most row-points (seeds x data points) one batched solve advances at once.
+# Each flat per-point array then holds at most 64 KiB, below glibc's default
+# 128 KiB mmap threshold, so the solver's temporaries come from the heap
+# instead of being mapped and faulted in afresh on every step.
+BATCH_POINTS = 8192
 
 _N_PARAMS = {"linear": 2, "hinge": 2, "soft-hinge": 3}
 # Every candidate model, in the order fits are run and written.
@@ -83,9 +93,6 @@ class FitResult:
     n_converged: int
     start_index: int
     data_digest: str
-    # SSE of the winning seed before polishing, for objective-decrease
-    # checks (equals sse for the closed-form linear baseline).
-    start_sse: float = float("nan")
     # per-seed polished SSEs, in seed order (not serialized)
     start_sses: list[float] = field(default_factory=list, repr=False)
 
@@ -181,7 +188,6 @@ def _finish(
     converged: bool,
     n_converged: int,
     start_index: int,
-    start_sse: float,
     start_sses: list[float],
 ) -> FitResult:
     k = _N_PARAMS[model]
@@ -201,7 +207,6 @@ def _finish(
         n_converged=n_converged,
         start_index=start_index,
         data_digest=data_digest(x, y),
-        start_sse=start_sse,
         start_sses=start_sses,
     )
 
@@ -220,39 +225,52 @@ def _check_data(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _evaluate(theta: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """Residuals (m, n), transposed Jacobians (m, k, n) and SSEs (m,) of m rows.
+def _evaluate(theta: np.ndarray, x: np.ndarray, y: np.ndarray, sizes: np.ndarray,
+              heads: np.ndarray):
+    """Residuals, Jacobian columns and per-row SSEs of the rows of theta (m, k).
 
-    A row is (beta, tau, s), or (beta, tau) for the hinge, whose s is 1.
+    A row is (beta, tau, s), or (beta, tau) for the hinge, whose s is 1. Row
+    i owns sizes[i] points of x and y, from heads[i] on; each residual and
+    Jacobian column is a flat array over all rows' points, and a row's SSE is
+    the sum over its own segment.
     """
     k = theta.shape[1]
-    beta, tau = theta[:, 0:1], theta[:, 1:2]
-    partials = soft_hinge_partials(beta, tau, theta[:, 2:3] if k == 3 else 1.0, x)
+    beta, tau = np.repeat(theta[:, 0], sizes), np.repeat(theta[:, 1], sizes)
+    s = np.repeat(theta[:, 2], sizes) if k == 3 else 1.0
+    partials = soft_hinge_partials(beta, tau, s, x)
     r = beta * partials[0] - y
-    return r, np.stack(partials[:k], axis=1), np.einsum("ij,ij->i", r, r)
+    return r, partials[:k], np.add.reduceat(r * r, heads)
 
 
-def _projected_lm(x, y, starts: np.ndarray):
+def _projected_lm(x, y, sizes, starts: np.ndarray):
     """Projected Levenberg-Marquardt from every row of starts (m, k) at once.
 
-    Each row keeps its own damping lam and stops on its own; rows share only
-    array operations, so a start's path does not depend on the other rows in
-    the batch. Per step, a parameter at a bound whose gradient points outward
-    is frozen, the system (J'J + lam * D) step = -J'r is solved over the free
-    ones, with D the running maximum of diag(J'J) (Moré 1978), and the trial
-    point is clipped into [LOWER, UPPER]. A trial is accepted when its SSE is
-    not higher. lam falls 10x when the trial gained more than 3/4 of the SSE
+    Row i owns sizes[i] points of the flat arrays x and y, right after the
+    points of row i - 1, so rows may come from different problems. Every
+    per-row sum (the SSE, J'r and J'J) is taken over the row's own segment
+    alone, and the points of a row are dropped once it stops: a row's path
+    does not depend on the other rows in the batch, nor on their number.
+    Each row keeps its own damping lam and stops on its own. Per step, a
+    parameter at a bound whose gradient points outward is frozen, the system
+    (J'J + lam * D) step = -J'r is solved over the free ones, with D the
+    running maximum of diag(J'J) (Moré 1978), and the trial point is
+    clipped into [LOWER, UPPER]. A trial is accepted when its SSE is not
+    higher. lam falls 10x when the trial gained more than 3/4 of the SSE
     decrease the linearized model predicts for the clipped step, and rises
-    10x when it gained less than 1/4, so steps that overshoot a curved valley
-    are damped instead of zig-zagging across it. Convergence is tested as
-    stated in the module docstring.
+    10x when it gained less than 1/4, so steps that overshoot a curved
+    valley are damped instead of zig-zagging across it. Convergence is
+    tested as stated in the module docstring.
 
     Returns the final (theta, sse, converged) of every row.
     """
     m, k = starts.shape
     lo, hi = np.array(LOWER[:k]), np.array(UPPER[:k])
+    pairs = [(a, b) for a in range(k) for b in range(a, k)]
+    sizes = np.asarray(sizes)
+    heads = np.cumsum(sizes) - sizes  # first point of each row
+    prod = np.empty_like(x)  # reused for the products each segment sum reduces
     theta = starts.copy()
-    r, jac, sse = _evaluate(theta, x, y)
+    r, jac, sse = _evaluate(theta, x, y, sizes, heads)
     lam = np.full(m, 1e-3)
     scale = np.zeros((m, k))
     small_step = np.zeros(m, dtype=bool)
@@ -260,7 +278,8 @@ def _projected_lm(x, y, starts: np.ndarray):
     out_theta, out_sse = theta.copy(), sse.copy()
     converged = np.zeros(m, dtype=bool)
     for it in range(MAX_NFEV + 1):
-        g = (jac @ r[:, :, None])[:, :, 0]
+        g = np.stack([np.add.reduceat(np.multiply(col, r, out=prod), heads) for col in jac],
+                     axis=1)
         frozen = ((theta <= lo) & (g > 0.0)) | ((theta >= hi) & (g < 0.0))
         g[frozen] = 0.0
         conv = small_step | (np.max(np.abs(g), axis=1) <= GTOL * np.maximum(1.0, sse))
@@ -269,11 +288,17 @@ def _projected_lm(x, y, starts: np.ndarray):
             out_theta[rows[done]], out_sse[rows[done]] = theta[done], sse[done]
             converged[rows[done]] = conv[done]
             keep = ~done
-            rows, theta, r, jac, sse = rows[keep], theta[keep], r[keep], jac[keep], sse[keep]
+            points = np.repeat(keep, sizes)
+            rows, theta, sse, sizes = rows[keep], theta[keep], sse[keep], sizes[keep]
             lam, scale, g, frozen = lam[keep], scale[keep], g[keep], frozen[keep]
             if rows.size == 0:
                 break
-        hess = jac @ jac.transpose(0, 2, 1)
+            x, y, r, jac = x[points], y[points], r[points], [col[points] for col in jac]
+            heads, prod = np.cumsum(sizes) - sizes, prod[:x.size]
+        hess = np.empty((rows.size, k, k))
+        for a, b in pairs:
+            hess[:, a, b] = hess[:, b, a] = np.add.reduceat(
+                np.multiply(jac[a], jac[b], out=prod), heads)
         scale = np.maximum(scale, np.einsum("ikk->ik", hess))
         d = np.sqrt(np.where(scale > 0.0, scale, 1.0))
         free = ~frozen
@@ -285,7 +310,7 @@ def _projected_lm(x, y, starts: np.ndarray):
         move = trial - theta
         # SSE decrease the linearized model predicts for the clipped step
         predicted = -np.einsum("ij,ij->i", move, 2.0 * g + (hess @ move[:, :, None])[:, :, 0])
-        r_t, jac_t, sse_t = _evaluate(trial, x, y)
+        r_t, jac_t, sse_t = _evaluate(trial, x, y, sizes, heads)
         gain = np.divide(sse - sse_t, predicted, out=np.full(rows.size, -1.0), where=predicted > 0.0)
         lam = np.where(gain > 0.75, np.maximum(lam / 10.0, LAM_MIN),
                        np.where(gain >= 0.25, lam, lam * 10.0))
@@ -293,7 +318,13 @@ def _projected_lm(x, y, starts: np.ndarray):
         small_step = ok & (
             np.max(np.abs(move), axis=1) <= XTOL * (XTOL + np.max(np.abs(theta), axis=1))
         )
-        theta[ok], r[ok], jac[ok], sse[ok] = trial[ok], r_t[ok], jac_t[ok], sse_t[ok]
+        theta[ok], sse[ok] = trial[ok], sse_t[ok]
+        if ok.all():
+            r, jac = r_t, jac_t
+        else:
+            taken = np.repeat(ok, sizes)
+            for old, new in zip((r, *jac), (r_t, *jac_t)):
+                np.copyto(old, new, where=taken)
     return out_theta, out_sse, converged
 
 
@@ -316,31 +347,61 @@ def _lattice_seeds(x, y, s_row) -> np.ndarray:
     return seeds
 
 
-def _fit_hinge_family(x, y, free_s: bool) -> FitResult:
-    """Fit y = beta * softplus((x - tau)/s) from lattice seeds; s = 1 unless free_s.
+def _chunks(row_points: list[int]) -> list[list[int]]:
+    """Consecutive runs of problem indices holding at most BATCH_POINTS row-points.
 
-    The winner is the lowest-SSE polished seed, and converged is its own flag.
+    A problem larger than the budget is a run of its own.
     """
-    x, y = _check_data(x, y)
-    x = _check_domain(x)
+    runs: list[list[int]] = []
+    total = 0
+    for i, n in enumerate(row_points):
+        if runs and total + n <= BATCH_POINTS:
+            runs[-1].append(i)
+            total += n
+        else:
+            runs.append([i])
+            total = n
+    return runs
+
+
+def _fit_hinge_family(problems, free_s: bool) -> list[FitResult]:
+    """Fit y = beta * softplus((x - tau)/s) to each (x, y); s = 1 unless free_s.
+
+    Every problem's lattice seeds are polished by one projected LM per chunk
+    of consecutive problems (see _chunks). Per problem, the winner is the
+    lowest-SSE polished seed, and converged is its own flag. Results come
+    back in input order.
+    """
+    problems = [_check_data(x, y) for x, y in problems]
+    problems = [(_check_domain(x), y) for x, y in problems]
     model = "soft-hinge" if free_s else "hinge"
     k = _N_PARAMS[model]
-    seeds = _lattice_seeds(x, y, S_ROW if free_s else (1.0,))[:, :k]
-    theta, sses, ok = _projected_lm(x, y, seeds)
-    j = int(np.argmin(sses))
-    params = SoftHingeParams(*theta[j]) if free_s else HingeParams(*theta[j])
-    start_sse = float(_evaluate(seeds[j:j + 1], x, y)[2][0])
-    return _finish(model, params, x, y, bool(ok[j]), int(ok.sum()), j, start_sse, sses.tolist())
+    s_row = S_ROW if free_s else (1.0,)
+    m = len(s_row)  # seeds, and so solver rows, per problem
+    seeds = [_lattice_seeds(x, y, s_row)[:, :k] for x, y in problems]
+    results = []
+    for run in _chunks([x.size * m for x, _ in problems]):
+        flat_x = np.concatenate([np.tile(problems[i][0], m) for i in run])
+        flat_y = np.concatenate([np.tile(problems[i][1], m) for i in run])
+        sizes = np.repeat([problems[i][0].size for i in run], m)
+        theta, sses, ok = _projected_lm(flat_x, flat_y, sizes, np.vstack([seeds[i] for i in run]))
+        for pos, i in enumerate(run):
+            rows = slice(pos * m, (pos + 1) * m)
+            j = int(np.argmin(sses[rows]))
+            params = SoftHingeParams(*theta[rows][j]) if free_s else HingeParams(*theta[rows][j])
+            results.append(_finish(model, params, *problems[i], bool(ok[rows][j]),
+                                   int(ok[rows].sum()), j, sses[rows].tolist()))
+    return results
 
 
 def fit_soft_hinge(x, y) -> FitResult:
     """Bounded least squares for y = beta * softplus((x - tau)/s)."""
-    return _fit_hinge_family(x, y, free_s=True)
+    return _fit_hinge_family([(x, y)], free_s=True)[0]
 
 
 def fit_hinge(x, y) -> FitResult:
     """Bounded least squares for y = beta * softplus(x - tau)."""
-    return _fit_hinge_family(x, y, free_s=False)
+    return _fit_hinge_family([(x, y)], free_s=False)[0]
 
 
 def fit_linear(x, y) -> FitResult:
@@ -352,8 +413,7 @@ def fit_linear(x, y) -> FitResult:
     except TooFewPointsError:
         gamma = 0.0
     gamma = max(gamma, 0.0)
-    result = _finish("linear", LinearParams(alpha, gamma), x, y, True, 1, 0, 0.0, [])
-    result.start_sse = result.sse
+    result = _finish("linear", LinearParams(alpha, gamma), x, y, True, 1, 0, [])
     result.start_sses = [result.sse]
     return result
 
@@ -388,13 +448,29 @@ class ParticipantFit:
         return self.fits["linear"].params.gamma
 
 
-def fit_participant(x, y, models: tuple[str, ...] = MODELS) -> ParticipantFit:
-    """Fit the requested candidate models to one participant's cleaned shifts."""
-    x, y = _check_data(x, y)
-    fitters = {"linear": fit_linear, "hinge": fit_hinge, "soft-hinge": fit_soft_hinge}
-    unknown = set(models) - set(fitters)
+def fit_participants(problems, models: tuple[str, ...] = MODELS) -> list[ParticipantFit]:
+    """Fit the requested candidate models to each participant's (x, y) shifts.
+
+    Each hinge-family model is fit to all participants in one batched call;
+    results come back in input order.
+    """
+    unknown = set(models) - set(MODELS)
     if unknown:
         raise ValueError(f"unknown model kind(s): {sorted(unknown)}")
-    fits = {name: fitters[name](x, y) for name in models}
-    best = compare_models(list(fits.values()))[0]
-    return ParticipantFit(n_shifts=int(x.size), fits=fits, best_model=best.model)
+    problems = [_check_data(x, y) for x, y in problems]
+    fits = {
+        name: [fit_linear(x, y) for x, y in problems] if name == "linear"
+        else _fit_hinge_family(problems, free_s=name == "soft-hinge")
+        for name in models
+    }
+    out = []
+    for i, (x, _) in enumerate(problems):
+        own = {name: fits[name][i] for name in models}
+        best = compare_models(list(own.values()))[0]
+        out.append(ParticipantFit(n_shifts=int(x.size), fits=own, best_model=best.model))
+    return out
+
+
+def fit_participant(x, y, models: tuple[str, ...] = MODELS) -> ParticipantFit:
+    """Fit the requested candidate models to one participant's cleaned shifts."""
+    return fit_participants([(x, y)], models)[0]

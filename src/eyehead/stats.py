@@ -14,13 +14,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
+    EmptyDataError,
+    EyeheadError,
     LengthMismatchError,
     OneSidedDataError,
     TooFewPointsError,
     ZeroSpreadError,
 )
 from .events import FixationConfig, gaze_velocity, segment_shifts
-from .fitting import fit_soft_hinge
+from .fitting import fit_participants
 from .fpca import DEFAULT_GRID
 from .ingest import (
     AlignedTrace,
@@ -40,15 +42,22 @@ def pearson_r(a, b) -> float:
         raise LengthMismatchError(f"samples differ in length: {a.size} vs {b.size}")
     if a.size < 3:
         raise TooFewPointsError(f"correlation needs at least 3 points, got {a.size}")
-    da = a - a.mean()
-    db = b - b.mean()
-    ss_a, ss_b = float(np.dot(da, da)), float(np.dot(db, db))
-    denom = np.sqrt(ss_a * ss_b)  # Python floats: an overflow gives inf without a warning
-    if not 0.0 < denom < np.inf and ss_a > 0.0 and ss_b > 0.0:
-        denom = np.sqrt(ss_a) * np.sqrt(ss_b)  # the product under- or overflowed
+    da = _unit_scaled(a - a.mean())
+    db = _unit_scaled(b - b.mean())
+    denom = np.sqrt(float(np.dot(da, da)) * float(np.dot(db, db)))
     if denom == 0.0:
         raise ZeroSpreadError("correlation undefined for a constant sample")
     return float(np.dot(da, db) / denom)
+
+
+def _unit_scaled(d: np.ndarray) -> np.ndarray:
+    """d times the power of two that brings max |d| into [0.5, 1).
+
+    The scaling is exact, so r is unchanged, and no sum of squares or
+    product of them under- or overflows, however tiny or huge the spread.
+    """
+    _, exp = np.frexp(np.max(np.abs(d)))
+    return np.ldexp(d, -exp)
 
 
 def quartiles(data) -> tuple[float, float, float]:
@@ -204,31 +213,49 @@ def threshold_sensitivity(
     fixation_cfg: FixationConfig = FixationConfig(),
     grid: np.ndarray = DEFAULT_GRID,
     max_ecc: float = 50.0,
-) -> dict[float, float]:
-    """Refit one participant's curve per velocity threshold; r vs base.
+) -> dict[str, dict[float, float] | EyeheadError]:
+    """Refit every participant's curve per velocity threshold; r vs base.
 
     Each trial's gaze is smoothed once, and its velocity trace is
     segmented into shifts at every threshold before the next trial is
-    smoothed. Per threshold, the soft hinge is refit to the pooled shifts,
-    evaluated on the grid, and correlated with the curve obtained at the
-    base threshold. The base threshold maps to r = 1.
+    smoothed. Per participant and threshold, the soft hinge is refit to the
+    pooled shifts, all in one batched call; each curve is evaluated on the
+    grid and correlated with the participant's curve at the base threshold,
+    which maps to r = 1. Returns {participant_id: {threshold: r}} in id
+    order. A participant left with no shifts at some threshold, or with a
+    constant curve (no head movement), maps to that error instead, and the
+    other participants are unaffected.
     """
     all_thresholds = list(thresholds)
     if base not in all_thresholds:
         all_thresholds.append(base)
 
-    parts: dict[float, list[ShiftSet]] = {thr: [] for thr in all_thresholds}
+    parts: dict[str, dict[float, list[ShiftSet]]] = {}
     for tr in traces:
         velocity = gaze_velocity(tr, filter_cfg)
-        for thr, shift_sets in parts.items():
+        by_thr = parts.setdefault(tr.participant_id, {thr: [] for thr in all_thresholds})
+        for thr, shift_sets in by_thr.items():
             cfg = replace(fixation_cfg, vel_threshold=thr)
             shift_sets.append(segment_shifts(tr, velocity, cfg))
 
-    curves: dict[float, np.ndarray] = {}
-    for thr, shift_sets in parts.items():
-        cleaned = symmetrize_and_clean(concat_shift_sets(shift_sets), max_ecc=max_ecc)
-        fit = fit_soft_hinge(cleaned.x, cleaned.y)
-        curves[thr] = eval_model(fit.params, grid)
+    cleaned = {
+        (pid, thr): symmetrize_and_clean(concat_shift_sets(sets), max_ecc=max_ecc)
+        for pid in sorted(parts)
+        for thr, sets in parts[pid].items()
+    }
+    keys = [key for key, shifts in cleaned.items() if len(shifts)]
+    fits = fit_participants([(cleaned[key].x, cleaned[key].y) for key in keys], ("soft-hinge",))
+    curves = {key: eval_model(fit.fits["soft-hinge"].params, grid) for key, fit in zip(keys, fits)}
 
-    base_curve = curves[base]
-    return {thr: pearson_r(curves[thr], base_curve) for thr in thresholds}
+    out: dict[str, dict[float, float] | EyeheadError] = {}
+    for pid in sorted(parts):
+        empty = [thr for thr in all_thresholds if (pid, thr) not in curves]
+        if empty:
+            out[pid] = EmptyDataError(f"no shifts at a threshold of {empty[0]:g} deg/s")
+            continue
+        try:
+            base_curve = curves[(pid, base)]
+            out[pid] = {thr: pearson_r(curves[(pid, thr)], base_curve) for thr in thresholds}
+        except ZeroSpreadError as exc:
+            out[pid] = exc
+    return out

@@ -219,18 +219,17 @@ def test_criterion_07_aic_prefers_generating_model():
 
 
 def test_criterion_08_threshold_sensitivity():
-    medians = {10.0: [], 15.0: [], 20.0: []}
+    traces = []
     for i, pid in enumerate(("pa", "pb", "pc")):
         params = SoftHingeParams(0.5 + 0.15 * i, 10.0 + 4.0 * i, 3.0 + i)
         gaze, head, _ = synth_trace(
             SynthConfig(params, n_shifts=60, seed=20 + i, participant_id=pid)
         )
-        result = threshold_sensitivity(
-            [align_head_to_gaze(gaze, head)],
-            thresholds=(10.0, 15.0, 20.0),
-            base=15.0,
-        )
-        for thr, r in result.items():
+        traces.append(align_head_to_gaze(gaze, head))
+    result = threshold_sensitivity(traces, thresholds=(10.0, 15.0, 20.0), base=15.0)
+    medians = {10.0: [], 15.0: [], 20.0: []}
+    for pid in ("pa", "pb", "pc"):
+        for thr, r in result[pid].items():
             medians[thr].append(r)
     med = {thr: float(np.median(v)) for thr, v in medians.items()}
     verdict(8, f"curves refit at 10/15/20 deg/s correlate with base, medians {med}",

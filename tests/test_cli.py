@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from eyehead import FitResult, read_shifts_csv
+from eyehead import FitResult, SoftHingeParams, SynthConfig, read_shifts_csv, synth_trace
 from eyehead import ingest
 from eyehead.cli import (
     DEFAULTS,
@@ -705,3 +705,43 @@ class TestExpectedTrials:
         kept = read_shifts_csv(shifts).participants()
         assert len(kept) == 2
         assert sorted(json.loads(sens.read_text())["participants"]) == sorted(kept)
+
+
+class TestHeadStillParticipant:
+    """A participant whose sensitivity curves are undefined fails alone."""
+
+    @staticmethod
+    def cohort(tmp_path, betas):
+        # one trial per participant; beta 0 never moves the head, so the
+        # refit curve is constant and has no correlation with anything
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        for i, beta in enumerate(betas):
+            cfg = SynthConfig(SoftHingeParams(beta, 12.0, 3.0), n_shifts=40, seed=i,
+                              participant_id=f"p{i}")
+            gaze, head, _ = synth_trace(cfg)
+            ingest.write_trace_csv(str(raw / f"p{i}_t01.gaze.csv"), gaze)
+            ingest.write_trace_csv(str(raw / f"p{i}_t01.head.csv"), head)
+        return raw
+
+    def sensitivity(self, tmp_path, raw):
+        out = tmp_path / "sensitivity.json"
+        assert run(["sensitivity", "--in-dir", raw, "--out", out,
+                    "--min-overlap-s", 2.0]) == 0
+        return strict_json(out.read_text())
+
+    def test_is_reported_and_left_out_of_the_medians(self, tmp_path):
+        got = self.sensitivity(tmp_path, self.cohort(tmp_path, (0.0, 0.6, 0.8)))
+        people = got["participants"]
+        assert people["p0"] == {
+            "error": "ZeroSpreadError",
+            "message": "correlation undefined for a constant sample",
+        }
+        assert set(people["p1"]) == set(people["p2"]) == {"10", "15", "20"}
+        for thr, median in got["median_r"].items():
+            assert median == float(np.median([people["p1"][thr], people["p2"][thr]]))
+
+    def test_medians_are_null_when_every_participant_fails(self, tmp_path):
+        got = self.sensitivity(tmp_path, self.cohort(tmp_path, (0.0, 0.0)))
+        assert set(got["participants"]) == {"p0", "p1"}
+        assert got["median_r"] == {"10": None, "15": None, "20": None}

@@ -18,7 +18,16 @@ from eyehead import (
     synth_shifts,
 )
 from eyehead import fitting
-from eyehead.fitting import LOWER, S_ROW, TAU_GRID, UPPER, FitResult, _lattice_seeds, _projected_lm
+from eyehead.fitting import (
+    LOWER,
+    S_ROW,
+    TAU_GRID,
+    UPPER,
+    FitResult,
+    _fit_hinge_family,
+    _lattice_seeds,
+    _projected_lm,
+)
 from eyehead.models import compute_ehr_slope, compute_eor
 
 from .oracles import hinge_lattice_min_sse, ref_soft_hinge, trf_min_sse
@@ -173,6 +182,12 @@ class TestHingeFit:
         assert worst <= 1.01
 
 
+def solve(x, y, starts):
+    """_projected_lm with every row of starts on the same (x, y)."""
+    m = len(starts)
+    return _projected_lm(np.tile(x, m), np.tile(y, m), [x.size] * m, starts)
+
+
 def random_starts(seed, k, m=20):
     """m starts drawn uniformly from a box inside the solver bounds."""
     rng = np.random.default_rng(seed)
@@ -186,10 +201,10 @@ class TestBatchedSolver:
         for seed in range(5):
             x, y = noisy_set(seed)
             starts = np.vstack([_lattice_seeds(x, y, S_ROW)[:, :k], random_starts(seed, k, 6)])
-            full = _projected_lm(x, y, starts)
+            full = solve(x, y, starts)
             subset = np.arange(1, len(starts), 3)
-            batches = [(subset, _projected_lm(x, y, starts[subset]))]
-            batches += [([i], _projected_lm(x, y, starts[i:i + 1])) for i in range(len(starts))]
+            batches = [(subset, solve(x, y, starts[subset]))]
+            batches += [([i], solve(x, y, starts[i:i + 1])) for i in range(len(starts))]
             for rows, part in batches:
                 for got, want in zip(part, full):
                     np.testing.assert_array_equal(got, want[rows])
@@ -199,7 +214,7 @@ class TestBatchedSolver:
         for seed in range(5):
             x, y = noisy_set(seed)
             starts = random_starts(seed, k)
-            theta, sses, _ = _projected_lm(x, y, starts)
+            theta, sses, _ = solve(x, y, starts)
             s = starts[:, 2:3] if k == 3 else 1.0
             start_sses = np.sum((ref_soft_hinge(starts[:, :1], starts[:, 1:2], s, x) - y) ** 2,
                                 axis=1)
@@ -221,10 +236,10 @@ class TestBatchedSolver:
     def test_lowest_sse_seed_wins_even_unconverged(self, monkeypatch):
         # a seed that crawls along a valley may end lowest without meeting the
         # convergence test: it still wins, and the fit says it did not converge
-        solve = fitting._projected_lm
+        lm = fitting._projected_lm
 
-        def best_seed_unconverged(x, y, starts):
-            theta, sses, _ = solve(x, y, starts)
+        def best_seed_unconverged(x, y, sizes, starts):
+            theta, sses, _ = lm(x, y, sizes, starts)
             converged = np.ones(len(sses), dtype=bool)
             converged[np.argmin(sses)] = False
             return theta, sses, converged
@@ -263,6 +278,63 @@ class TestBatchedSolver:
         y = 0.5 * np.maximum(x - 25.0, 0.0) + 1.0
         pfit = fit_participant(x, y)
         assert {m: f.converged for m, f in pfit.fits.items()} == converged
+
+
+def same_fit(a, b):
+    """Bit-identical FitResults: written fields, winning seed and every seed's SSE."""
+    assert a.to_file_dict() == b.to_file_dict()
+    assert (a.start_index, a.n_converged, a.start_sses) == (b.start_index, b.n_converged,
+                                                           b.start_sses)
+
+
+class TestBatchContract:
+    """Problems solved in one batch each get the fit they get alone."""
+
+    # 4-19, 60-300 and 1000 shifts: the last is over BATCH_POINTS as a soft
+    # hinge (10 seeds) and under it as a hinge (1 seed)
+    PROBLEMS = [tiny_set(20039), noisy_set(1), tiny_set(56), noisy_set(2), noisy_set(3),
+                tiny_set(7), soft_hinge_data(n=1000, noise_sd=2.0, seed=8), tiny_set(9)]
+
+    @pytest.mark.parametrize("free_s", [False, True], ids=["hinge", "soft-hinge"])
+    def test_fit_is_the_same_alone_batched_and_split(self, monkeypatch, free_s):
+        alone = [_fit_hinge_family([p], free_s)[0] for p in self.PROBLEMS]
+        batched = _fit_hinge_family(self.PROBLEMS, free_s)
+        monkeypatch.setattr(fitting, "BATCH_POINTS", 200)
+        split = _fit_hinge_family(self.PROBLEMS, free_s)
+        for want, got_batched, got_split in zip(alone, batched, split, strict=True):
+            same_fit(got_batched, want)
+            same_fit(got_split, want)
+
+    @pytest.mark.parametrize("budget", [200, 1000, fitting.BATCH_POINTS])
+    @pytest.mark.parametrize("free_s", [False, True], ids=["hinge", "soft-hinge"])
+    def test_a_batch_holds_at_most_batch_points(self, monkeypatch, budget, free_s):
+        calls = []
+        lm = fitting._projected_lm
+
+        def spy(x, y, sizes, starts):
+            calls.append(np.asarray(sizes))
+            return lm(x, y, sizes, starts)
+
+        monkeypatch.setattr(fitting, "_projected_lm", spy)
+        monkeypatch.setattr(fitting, "BATCH_POINTS", budget)
+        _fit_hinge_family(self.PROBLEMS, free_s)
+        seeds = len(S_ROW) if free_s else 1
+        # every problem's seeds are solved once, in input order
+        np.testing.assert_array_equal(np.concatenate(calls),
+                                      np.repeat([x.size for x, _ in self.PROBLEMS], seeds))
+        for sizes in calls:
+            assert sizes.sum() <= budget or sizes.size == seeds
+        # and a batch ends only where the next problem would overflow it
+        for sizes, after in zip(calls, calls[1:]):
+            assert sizes.sum() + after[:seeds].sum() > budget
+
+    def test_fit_participants_is_fit_participant_per_problem(self):
+        problems = self.PROBLEMS[:4]
+        for got, (x, y) in zip(fitting.fit_participants(problems), problems, strict=True):
+            want = fit_participant(x, y)
+            assert (got.n_shifts, got.best_model) == (want.n_shifts, want.best_model)
+            for model in want.fits:
+                same_fit(got.fits[model], want.fits[model])
 
 
 class TestLinearFit:
@@ -310,7 +382,6 @@ def _result(model, sse, n, k, digest="d"):
         n_converged=1,
         start_index=0,
         data_digest=digest,
-        start_sse=sse,
         start_sses=np.array([sse]),
     )
 

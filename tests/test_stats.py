@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from eyehead import (
+    EmptyDataError,
     FilterConfig,
     FixationConfig,
     LengthMismatchError,
     OneSidedDataError,
     ShiftSet,
+    SoftHingeParams,
+    SynthConfig,
     TooFewPointsError,
     ZeroSpreadError,
     describe_distribution,
@@ -17,10 +20,11 @@ from eyehead import (
     quartiles,
     skewness,
     symmetry_check,
+    synth_trace,
     threshold_sensitivity,
 )
 
-from eyehead import AlignedTrace, events, preprocess_trial
+from eyehead import AlignedTrace, align_head_to_gaze, events, preprocess_trial, stats
 from eyehead.fitting import fit_soft_hinge
 from eyehead.fpca import DEFAULT_GRID
 from eyehead.ingest import concat_shift_sets, symmetrize_and_clean
@@ -86,8 +90,17 @@ class TestPearson:
         y = np.sin(x)  # arbitrary deterministic partner
         if np.std(y) == 0.0:
             return
+        # the map rounds each value by up to an ulp of the largest mapped
+        # value: skip samples whose spread that rounding can disturb
+        assume(np.ptp(scale * x) > 1e-6 * np.max(np.abs(scale * x + shift)))
         base = pearson_r(x, y)
         assert pearson_r(scale * x + shift, y) == pytest.approx(base, abs=1e-9)
+
+    def test_map_that_rounds_the_sample_to_a_constant_has_no_r(self):
+        # 1 * x + 1 rounds this sample to [1, 1, 1, 1]: no map keeps r here
+        x = np.array([0.0, 7.49e-68, 6.36e-121, 2.23e-308])
+        with pytest.raises(ZeroSpreadError):
+            pearson_r(1.0 * x + 1.0, np.sin(x))
 
     def test_tiny_spreads_do_not_underflow(self):
         # both sums of squares are ~1e-183, so their product underflows to 0
@@ -95,6 +108,13 @@ class TestPearson:
         y = np.sin(x)
         assert pearson_r(x, y) == pytest.approx(1.0, abs=1e-12)
         assert pearson_r(2.0 * x, y) == pytest.approx(pearson_r(x, y), abs=1e-12)
+
+    def test_subnormal_sums_of_squares_keep_full_precision(self):
+        # deviations of ~1e-158 square to subnormals, which hold few digits
+        x = np.array([0.0, 6.980410862142725e-158, 2.447210066342573e-276,
+                      2.2250738585072014e-308])
+        assert pearson_r(0.125 * x, np.sin(x)) == pytest.approx(pearson_r(x, np.sin(x)),
+                                                                abs=1e-12)
 
     def test_huge_spreads_do_not_overflow(self):
         # both sums of squares are ~1e200, so their product overflows to inf
@@ -258,7 +278,7 @@ class TestThresholdSensitivity:
             base=15.0,
             filter_cfg=FilterConfig(min_cutoff=1e9),
             fixation_cfg=FixationConfig(pad_s=0.0),
-        )
+        )["p01"]
         assert set(out) == {10.0, 15.0, 20.0}
         assert out[15.0] == pytest.approx(1.0, abs=1e-12)
         assert out[10.0] > 0.99
@@ -287,6 +307,42 @@ class TestThresholdSensitivity:
         calls = []
         one_euro = events.one_euro
         monkeypatch.setattr(events, "one_euro", lambda *a: calls.append(1) or one_euro(*a))
-        got = threshold_sensitivity(traces, thresholds, base, filt, fix)
+        got = threshold_sensitivity(traces, thresholds, base, filt, fix)["p01"]
         assert got == want
         assert len(calls) == len(traces)
+
+    def test_cohort_gives_each_participant_its_lone_result(self, monkeypatch):
+        # pa never moves the head, so its curve is constant; pd's shifts all
+        # exceed max_ecc, so it has none; pb has two trials
+        def trace(pid, beta, seed, trial="t01", amps=(5.0, 12.0)):
+            cfg = SynthConfig(SoftHingeParams(beta, 8.0, 2.0), n_shifts=40, seed=seed,
+                              participant_id=pid, trial_id=trial,
+                              amp_min_deg=amps[0], amp_max_deg=amps[1])
+            return align_head_to_gaze(*synth_trace(cfg)[:2])
+
+        traces = [
+            trace("pd", 0.7, 4, amps=(20.0, 40.0)),
+            trace("pb", 0.6, 2),
+            trace("pa", 0.0, 1),
+            trace("pc", 0.8, 3),
+            trace("pb", 0.6, 5, trial="t02"),
+        ]
+        kwargs = dict(thresholds=(10.0, 20.0), base=15.0, max_ecc=15.0)
+        calls = []
+        batched = stats.fit_participants
+        monkeypatch.setattr(stats, "fit_participants",
+                            lambda *a: calls.append(1) or batched(*a))
+        got = threshold_sensitivity(traces, **kwargs)
+        assert len(calls) == 1
+        assert list(got) == ["pa", "pb", "pc", "pd"]
+        assert isinstance(got["pa"], ZeroSpreadError)
+        assert isinstance(got["pd"], EmptyDataError)
+        assert set(got["pb"]) == set(got["pc"]) == {10.0, 20.0}
+        for pid, result in got.items():
+            alone = threshold_sensitivity([t for t in traces if t.participant_id == pid],
+                                          **kwargs)
+            assert list(alone) == [pid]
+            if isinstance(result, Exception):
+                assert (type(result), str(result)) == (type(alone[pid]), str(alone[pid]))
+            else:
+                assert result == alone[pid]
