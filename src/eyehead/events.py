@@ -51,17 +51,6 @@ def angular_velocity(t: np.ndarray, yaw: np.ndarray) -> np.ndarray:
     return v
 
 
-def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Inclusive (start, end) index pairs of the True runs in mask."""
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [idx.size - 1]))
-    return [(int(idx[a]), int(idx[b])) for a, b in zip(starts, ends)]
-
-
 def detect_fixations(
     t: np.ndarray,
     velocity: np.ndarray,
@@ -72,32 +61,27 @@ def detect_fixations(
     1. keep runs with |velocity| < vel_threshold lasting >= min_duration_s,
     2. pad each run outward by pad_s (clamped to the trace),
     3. merge runs whose remaining gap is shorter than merge_gap_s.
+
+    Padded ends never decrease along a sorted timebase, so a padded run
+    joins the one before it exactly when it starts less than merge_gap_s
+    after that run's padded end.
     """
     t = np.asarray(t, dtype=float)
     if t.size < 3:
         raise TooFewSamplesError(f"fixation detection needs >= 3 samples, got {t.size}")
     slow = np.abs(np.asarray(velocity, dtype=float)) < cfg.vel_threshold
-    spans = [
-        (a, b) for a, b in _runs(slow) if t[b] - t[a] >= cfg.min_duration_s
-    ]
-
-    padded: list[tuple[int, int]] = []
-    for a, b in spans:
-        a2 = int(np.searchsorted(t, t[a] - cfg.pad_s, side="left"))
-        b2 = int(np.searchsorted(t, t[b] + cfg.pad_s, side="right")) - 1
-        padded.append((max(a2, 0), min(b2, t.size - 1)))
-
-    merged: list[tuple[int, int]] = []
-    for a, b in padded:
-        if merged and t[a] - t[merged[-1][1]] < cfg.merge_gap_s:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
-        else:
-            merged.append((a, b))
-    return [Fixation(a, b) for a, b in merged]
-
-
-def total_fixation_time(t: np.ndarray, fixations: list[Fixation]) -> float:
-    return float(sum(t[f.end] - t[f.start] for f in fixations))
+    # run k covers samples edges[2k] .. edges[2k + 1] - 1
+    edges = np.flatnonzero(np.diff(slow, prepend=False, append=False))
+    starts, ends = edges[0::2], edges[1::2] - 1
+    keep = t[ends] - t[starts] >= cfg.min_duration_s
+    # searchsorted returns indices in [0, t.size], so the pads stay on the trace
+    starts = np.searchsorted(t, t[starts[keep]] - cfg.pad_s, side="left")
+    ends = np.searchsorted(t, t[ends[keep]] + cfg.pad_s, side="right") - 1
+    new = np.ones(starts.size, dtype=bool)
+    new[1:] = ~(t[starts[1:]] - t[ends[:-1]] < cfg.merge_gap_s)
+    # a merged run ends where the next one starts anew; new[0] rolls round to close the last
+    last = np.roll(new, -1)
+    return [Fixation(a, b) for a, b in zip(starts[new].tolist(), ends[last].tolist())]
 
 
 def extract_shifts(trace: AlignedTrace, fixations: list[Fixation]) -> ShiftSet:

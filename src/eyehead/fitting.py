@@ -439,14 +439,6 @@ class ParticipantFit:
     fits: dict[str, FitResult]
     best_model: str
 
-    @property
-    def eor(self) -> float:
-        return self.fits["linear"].params.alpha
-
-    @property
-    def ehr_slope(self) -> float:
-        return self.fits["linear"].params.gamma
-
 
 def fit_participants(problems, models: tuple[str, ...] = MODELS) -> list[ParticipantFit]:
     """Fit the requested candidate models to each participant's (x, y) shifts.

@@ -19,11 +19,11 @@ layer consumes.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
 import re
-from array import array
 from dataclasses import dataclass
 from itertools import chain
 
@@ -176,9 +176,21 @@ class FilterConfig:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
 
 
-def _smoothing_factor(te: float, cutoff: float) -> float:
+def _smoothing_factor(te: np.ndarray, cutoff: float | np.ndarray) -> np.ndarray:
     tau = 1.0 / (2.0 * math.pi * cutoff)
     return 1.0 / (1.0 + tau / te)
+
+
+def _low_pass(a: np.ndarray, x: np.ndarray, y0: float) -> np.ndarray:
+    """y[i] = a[i] * x[i] + (1 - a[i]) * y[i - 1], from y[-1] = y0.
+
+    The products a * x and the factors 1 - a are computed as arrays, so the
+    loop over Python floats holds one multiply and one add per sample.
+    """
+    y = y0
+    # a memoryview of a float64 array iterates as Python floats, with no list copy
+    return np.array([y := ax + b * y for ax, b in zip(memoryview(a * x), memoryview(1.0 - a))],
+                    dtype=float)
 
 
 def one_euro(t: np.ndarray, x: np.ndarray, cfg: FilterConfig = FilterConfig()) -> np.ndarray:
@@ -187,12 +199,12 @@ def one_euro(t: np.ndarray, x: np.ndarray, cfg: FilterConfig = FilterConfig()) -
     State starts at the first sample with zero derivative estimate. With
     beta = 0 this is a plain first-order low-pass at min_cutoff Hz.
 
-    Intervals, raw derivatives and derivative smoothing factors are
-    computed as numpy arrays; the loop over Python floats holds only the
-    two recurrences and the signal's smoothing factor, which depends on
-    the smoothed derivative. Every value takes the same operations in the
-    same order as in a per-sample loop, so the output is bit-identical to
-    that form, NaN propagation included.
+    Two passes of one first-order low-pass: the raw derivative is smoothed
+    first, at derivative_cutoff; the signal's smoothing factors then follow
+    from it in one array expression, and the signal is smoothed last.
+    Every value takes the same operations in the same order as in a
+    per-sample loop, so the output is bit-identical to that form, NaN
+    propagation included.
     """
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -204,20 +216,10 @@ def one_euro(t: np.ndarray, x: np.ndarray, cfg: FilterConfig = FilterConfig()) -
     if back.size:
         i = int(back[0]) + 1
         raise NonMonotonicTimeError(index=i, timestamp=float(t[i]), context="one_euro")
-    dx = np.diff(x) / te
-    a_d = _smoothing_factor(te, cfg.derivative_cutoff)
+    dx_hat = _low_pass(_smoothing_factor(te, cfg.derivative_cutoff), np.diff(x) / te, 0.0)
+    a = _smoothing_factor(te, cfg.min_cutoff + cfg.beta * np.abs(dx_hat))
     out[0] = x[0]
-    x_hat = float(x[0])
-    dx_hat = 0.0
-    smoothed = array("d")
-    # a memoryview of a float64 array iterates as Python floats, with no list copy
-    samples = zip(memoryview(x[1:]), memoryview(dx), memoryview(a_d), memoryview(te))
-    for xi, dxi, adi, tei in samples:
-        dx_hat = adi * dxi + (1.0 - adi) * dx_hat
-        a = _smoothing_factor(tei, cfg.min_cutoff + cfg.beta * abs(dx_hat))
-        x_hat = a * xi + (1.0 - a) * x_hat
-        smoothed.append(x_hat)
-    out[1:] = smoothed
+    out[1:] = _low_pass(a, x[1:], float(x[0]))
     return out
 
 
@@ -337,13 +339,27 @@ def symmetrize_and_clean(shifts: ShiftSet, max_ecc: float = 50.0) -> ShiftSet:
 # CSV input / output
 # ---------------------------------------------------------------------------
 
-def read_table(path: str, columns: tuple[str, ...], floats: tuple[str, ...] = ()) -> dict:
+def read_table(
+    path: str,
+    columns: tuple[str, ...],
+    floats: tuple[str, ...] = (),
+    single: tuple[str, ...] = (),
+) -> dict:
     """Read the named columns of a CSV table: `floats` as float64 arrays, others as strings.
 
     '#' (provenance) and blank lines before the header are skipped. numpy's C
-    reader parses the body in one pass (RFC 4180 quoting, blank lines skipped,
-    the doubles Python's float() gives). TraceSchemaError names the path and
-    the data row of a row not as wide as the header or of a non-number.
+    reader parses the body, held in memory as one string, in one pass (RFC
+    4180 quoting, blank lines skipped, the doubles Python's float() gives).
+    TraceSchemaError names the path and the data row of a row not as wide as
+    the header or of a non-number.
+
+    Every row of a column named in `single` must hold the value of data row
+    1, which comes back as that one string. Row 1 is read on its own; the
+    body is then parsed with each such column as a numpy string one
+    character wider than row 1's value, so any other value is kept whole or
+    cut to a string that still differs from it. numpy's strings drop
+    trailing NULs, so a NUL in such a column is rejected. Either error
+    names the path and the data row.
     """
     with open(path, newline="") as fh:
         rows = csv.reader(ln for ln in fh if not ln.startswith("#"))
@@ -355,12 +371,35 @@ def read_table(path: str, columns: tuple[str, ...], floats: tuple[str, ...] = ()
         first = next((ln for ln in fh if ln.strip("\r\n")), None)
         if first is None:  # numpy would only warn about an empty body
             raise EmptyFileError(path)
+        body = first + fh.read()
+
+    text = io.StringIO(body, newline="")
+
+    def parse(kinds: dict, max_rows: int | None = None) -> np.ndarray:
+        text.seek(0)
         try:
-            data = np.loadtxt(chain([first], fh), delimiter=",", quotechar='"', comments=None,
-                              dtype=[(c, "f8" if c in floats else object) for c in header], ndmin=1)
+            return np.loadtxt(text, delimiter=",", quotechar='"', comments=None, ndmin=1,
+                              dtype=[(c, kinds.get(c, object)) for c in header], max_rows=max_rows)
         except ValueError as exc:
             raise TraceSchemaError(f"{path}: {_data_row_message(str(exc))}") from exc
-    return {col: data[col] if col in floats else data[col].tolist() for col in columns}
+
+    one = parse({}, max_rows=1)[0] if single else None
+    nul = "\0" in body
+    kinds = {c: "f8" for c in floats}
+    kinds.update({c: object if nul else f"U{len(one[c]) + 1}" for c in single})
+    data = parse(kinds)
+    for col in single:
+        if nul and (k := next((i for i, v in enumerate(data[col], 1) if "\0" in v), 0)):
+            raise TraceSchemaError(f"{path}: data row {k} has a NUL character in {col}")
+        if (differs := np.flatnonzero(data[col] != one[col])).size:
+            raise TraceSchemaError(
+                f"{path} mixes several ({', '.join(single)}) values: "
+                f"data row {differs[0] + 1} differs from data row 1 in {col}"
+            )
+    return {
+        col: one[col] if col in single else data[col] if col in floats else data[col].tolist()
+        for col in columns
+    }
 
 
 def _data_row_message(msg: str) -> str:
@@ -422,19 +461,16 @@ def _csv_field(text: str, lone: bool) -> str:
 def load_trace_csv(path: str, kind: str = "gaze") -> RawStream:
     """Read one stream file; columns participant_id,trial_id,timestamp_s,yaw_deg.
 
-    Samples are sorted by timestamp; duplicate timestamps are rejected
+    The file holds one (participant_id, trial_id) pair: every data row must
+    repeat data row 1's ids (see `read_table`'s `single`). Samples are
+    sorted by timestamp; duplicate timestamps are rejected
     (NonMonotonicTimeError names the offending row), as are non-finite yaw
     values.
     """
     if kind not in ("gaze", "head"):
         raise ValueError(f"kind must be 'gaze' or 'head', got {kind!r}")
-    cols = read_table(path, TRACE_COLUMNS, floats=("timestamp_s", "yaw_deg"))
-    pids = set(cols["participant_id"])
-    tids = set(cols["trial_id"])
-    if len(pids) != 1 or len(tids) != 1:
-        raise TraceSchemaError(
-            f"{path} mixes several (participant, trial) pairs: {sorted(pids)} x {sorted(tids)}"
-        )
+    cols = read_table(path, TRACE_COLUMNS, floats=("timestamp_s", "yaw_deg"),
+                      single=("participant_id", "trial_id"))
     t, yaw = cols["timestamp_s"], cols["yaw_deg"]
     if not np.all(np.isfinite(t)) or not np.all(np.isfinite(yaw)):
         raise TraceSchemaError(f"{path}: non-finite timestamp or yaw value")
@@ -444,7 +480,7 @@ def load_trace_csv(path: str, kind: str = "gaze") -> RawStream:
     if dup.size:
         i = int(dup[0]) + 1
         raise NonMonotonicTimeError(index=i, timestamp=float(t[i]), context=path)
-    return RawStream(pids.pop(), tids.pop(), kind, t, yaw)
+    return RawStream(cols["participant_id"], cols["trial_id"], kind, t, yaw)
 
 
 def write_trace_csv(path: str, stream: RawStream) -> None:

@@ -199,6 +199,40 @@ def one_euro_loop(t, x, min_cutoff=1.0, beta=0.0, derivative_cutoff=1.0):
     return out
 
 
+def detect_fixations_loop(t, velocity, vel_threshold=15.0, min_duration_s=0.060,
+                          pad_s=0.010, merge_gap_s=0.020):
+    """Velocity-threshold fixations as (start, end) inclusive index pairs, span by span.
+
+    A fixation is a run of samples with |velocity| < vel_threshold lasting
+    at least min_duration_s. Each run is padded outward by pad_s, clamped to
+    the trace; a padded run that starts less than merge_gap_s after the end
+    of the one before joins it.
+    """
+    t = np.asarray(t, dtype=float)
+    slow = np.abs(np.asarray(velocity, dtype=float)) < vel_threshold
+    spans = []
+    i = 0
+    while i < t.size:
+        if not slow[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < t.size and slow[j + 1]:
+            j += 1
+        if t[j] - t[i] >= min_duration_s:
+            spans.append((i, j))
+        i = j + 1
+    merged = []
+    for a, b in spans:
+        a = max(int(np.searchsorted(t, t[a] - pad_s, side="left")), 0)
+        b = min(int(np.searchsorted(t, t[b] + pad_s, side="right")) - 1, t.size - 1)
+        if merged and t[a] - t[merged[-1][1]] < merge_gap_s:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
+        else:
+            merged.append((a, b))
+    return merged
+
+
 def read_table_csv(path, columns):
     """The named columns of a CSV table as strings, one csv.reader row at a time.
 

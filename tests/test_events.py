@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from eyehead import (
@@ -15,7 +15,8 @@ from eyehead import (
     extract_shifts,
     preprocess_trial,
 )
-from eyehead.events import total_fixation_time
+
+from .oracles import detect_fixations_loop
 
 # timestamps in multiples of 1/128 s are exactly representable, which keeps
 # the padding and merging arithmetic below free of float-rounding surprises
@@ -112,7 +113,54 @@ class TestDetectFixations:
         v = np.abs(rng.normal(10.0, 10.0, t.size))
         lo = detect_fixations(t, v, FixationConfig(vel_threshold=thr_lo))
         hi = detect_fixations(t, v, FixationConfig(vel_threshold=thr_lo + bump))
-        assert total_fixation_time(t, hi) >= total_fixation_time(t, lo) - 1e-12
+        total_hi = sum(t[f.end] - t[f.start] for f in hi)
+        total_lo = sum(t[f.end] - t[f.start] for f in lo)
+        assert total_hi >= total_lo - 1e-12
+
+
+# (length, slow) runs of a velocity trace; slow samples read -5 deg/s, fast ones 30
+velocity_runs = st.lists(
+    st.tuples(st.integers(1, 20), st.booleans()), min_size=1, max_size=12
+).filter(lambda runs: sum(n for n, _ in runs) >= 3)
+
+
+class TestDetectFixationsMatchesSpanLoop:
+    """The array detector against the span-by-span one (tests/oracles.py)."""
+
+    @given(
+        runs=velocity_runs,
+        seed=st.one_of(st.none(), st.integers(0, 1000)),
+        pad_s=st.sampled_from([0.0, DT, 2 * DT, 0.010, 0.05, 1.0]),
+        merge_gap_s=st.sampled_from([0.0, 0.020, 3 * DT, 0.1]),
+        min_duration_s=st.sampled_from([0.0, 4 * DT, 0.060]),
+    )
+    # merges only after padding: the raw gap is 4 samples (31 ms), the padded one 2 (16 ms)
+    @example(runs=[(10, True), (3, False), (10, True)], seed=None, pad_s=DT,
+             merge_gap_s=0.020, min_duration_s=0.0)
+    # a padded gap of exactly merge_gap_s stays split
+    @example(runs=[(10, True), (2, False), (10, True)], seed=None, pad_s=0.0,
+             merge_gap_s=3 * DT, min_duration_s=0.0)
+    # pads clamped at both ends of the trace
+    @example(runs=[(12, True), (4, False), (12, True)], seed=None, pad_s=1.0,
+             merge_gap_s=0.0, min_duration_s=0.0)
+    # no slow run, and exactly one
+    @example(runs=[(30, False)], seed=None, pad_s=DT, merge_gap_s=0.020, min_duration_s=0.0)
+    @example(runs=[(5, False), (20, True), (5, False)], seed=None, pad_s=DT,
+             merge_gap_s=0.020, min_duration_s=0.060)
+    def test_same_spans(self, runs, seed, pad_s, merge_gap_s, min_duration_s):
+        slow = np.concatenate([np.full(n, flag) for n, flag in runs])
+        if seed is None:
+            steps = np.full(slow.size, DT)
+        else:  # uneven sampling: half, single and double intervals
+            steps = DT * np.random.default_rng(seed).choice([0.5, 1.0, 2.0], slow.size)
+        t = np.cumsum(steps)
+        v = np.where(slow, -5.0, 30.0)
+        cfg = FixationConfig(pad_s=pad_s, merge_gap_s=merge_gap_s, min_duration_s=min_duration_s)
+        got = [(f.start, f.end) for f in detect_fixations(t, v, cfg)]
+        assert got == detect_fixations_loop(
+            t, v, vel_threshold=cfg.vel_threshold, min_duration_s=min_duration_s,
+            pad_s=pad_s, merge_gap_s=merge_gap_s,
+        )
 
 
 class TestExtractShifts:

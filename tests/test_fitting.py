@@ -416,8 +416,6 @@ class TestFitParticipant:
         pfit = fit_participant(x, y)
         assert set(pfit.fits) == {"linear", "hinge", "soft-hinge"}
         assert pfit.n_shifts == 250
-        assert pfit.eor == pfit.fits["linear"].params.alpha
-        assert pfit.ehr_slope == pfit.fits["linear"].params.gamma
 
     def test_file_dict_round_trip(self):
         x, y = soft_hinge_data(n=61)

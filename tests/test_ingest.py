@@ -227,6 +227,36 @@ class TestLoadTraceCsv:
         with pytest.raises(TraceSchemaError):
             load_trace_csv(p)
 
+    # row k's participant or trial id against the "p01" of every other row;
+    # numpy's fixed-width strings drop trailing NULs and truncate, which
+    # the one-pair check must see through
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("col", [0, 1], ids=["participant", "trial"])
+    @pytest.mark.parametrize("other", ["p010", "p0", "p01\0", "p02", ""],
+                             ids=["extends", "prefix", "trailing-nul", "other", "empty"])
+    def test_every_row_holds_the_first_rows_pair(self, tmp_path, other, col, k):
+        rows = [["p01", "p01", f"0.{i}", "1.0"] for i in range(4)]
+        rows[k - 1][col] = other
+        p = tmp_path / "a.csv"
+        p.write_text("participant_id,trial_id,timestamp_s,yaw_deg\n"
+                     + "".join(",".join(row) + "\n" for row in rows))
+        with pytest.raises(TraceSchemaError) as err:
+            load_trace_csv(p)
+        # a NUL is named where it sits; any other odd value first differs at row 2 or k
+        row = k if "\0" in other else max(k, 2)
+        assert str(p) in str(err.value)
+        assert f"data row {row} " in str(err.value)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_quoting_alone_does_not_make_another_pair(self, tmp_path, k):
+        rows = ["p01,t01,0.0,1.0", "p01,t01,0.1,1.0", "p01,t01,0.2,1.0"]
+        rows[k - 1] = '"p01","t01",' + rows[k - 1].split(",", 2)[2]
+        p = tmp_path / "a.csv"
+        p.write_text("participant_id,trial_id,timestamp_s,yaw_deg\n" + "\n".join(rows) + "\n")
+        back = load_trace_csv(p)
+        assert (back.participant_id, back.trial_id) == ("p01", "t01")
+        assert back.t.size == 3
+
     def test_bad_kind_rejected(self, tmp_path):
         p = write_trace(tmp_path / "a.csv", "p01", "t01", [0.0, 0.1], [0.0, 1.0])
         with pytest.raises(ValueError):
@@ -537,6 +567,24 @@ class TestReadTableMatchesCsvReader:
         for col in ("timestamp_s", "yaw_deg"):
             assert got[col].dtype == np.float64
             assert got[col].tobytes() == np.array([float(v) for v in ref[col]]).tobytes()
+
+
+class TestLoadTraceCsvKeepsThePair:
+    @given(pid=ids, tid=ids, quote_all=st.lists(st.booleans(), min_size=1, max_size=8))
+    def test_single_pair_table_round_trips(self, pid, tid, quote_all):
+        """Ids with line breaks, quotes, commas and non-ASCII text, some rows fully quoted."""
+        fh = io.StringIO(newline="")
+        csv.writer(fh).writerow(TRACE_COLUMNS)
+        for i, all_quoted in enumerate(quote_all):
+            quoting = csv.QUOTE_ALL if all_quoted else csv.QUOTE_MINIMAL
+            csv.writer(fh, quoting=quoting).writerow([pid, tid, f"{i / 10}", "1.5"])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "a.csv")
+            with open(path, "w", newline="", encoding="utf-8") as out:
+                out.write(fh.getvalue())
+            back = load_trace_csv(path)
+        assert (back.participant_id, back.trial_id) == (pid, tid)
+        assert back.t.size == len(quote_all)
 
 
 # Text cells hold what csv.writer must quote, '%' and non-ASCII text, or
