@@ -51,11 +51,14 @@ def convert_file(path, out_dir, opts) -> str | None:
             return None
         for row in reader:
             try:
-                t.append(float(row[opts.time_col]) * opts.time_scale)
-                gaze.append(float(row[opts.gaze_col]) * opts.angle_scale)
-                head.append(float(row[opts.head_col]) * opts.angle_scale)
+                # parse the whole row first, so a bad value drops it from all three columns
+                ts, g, h = (float(row[c]) for c in (opts.time_col, opts.gaze_col, opts.head_col))
             except (TypeError, ValueError):
                 dropped += 1
+                continue
+            t.append(ts * opts.time_scale)
+            gaze.append(g * opts.angle_scale)
+            head.append(h * opts.angle_scale)
     if dropped:
         print(f"{name}: dropped {dropped} unparsable rows", file=sys.stderr)
     if len(t) < 2:

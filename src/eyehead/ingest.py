@@ -25,7 +25,6 @@ import math
 import os
 import re
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -205,6 +204,12 @@ def one_euro(t: np.ndarray, x: np.ndarray, cfg: FilterConfig = FilterConfig()) -
     Every value takes the same operations in the same order as in a
     per-sample loop, so the output is bit-identical to that form, NaN
     propagation included.
+
+    With beta = 0 the derivative pass is skipped when every raw derivative
+    is finite and below 1e300 in magnitude: its smoothed values are then
+    finite, so beta * |dx_hat| is exactly 0 and the factors are those of
+    min_cutoff alone. Otherwise (a NaN or infinite derivative, or one near
+    overflow, which can make dx_hat NaN) both passes run.
     """
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -216,8 +221,12 @@ def one_euro(t: np.ndarray, x: np.ndarray, cfg: FilterConfig = FilterConfig()) -
     if back.size:
         i = int(back[0]) + 1
         raise NonMonotonicTimeError(index=i, timestamp=float(t[i]), context="one_euro")
-    dx_hat = _low_pass(_smoothing_factor(te, cfg.derivative_cutoff), np.diff(x) / te, 0.0)
-    a = _smoothing_factor(te, cfg.min_cutoff + cfg.beta * np.abs(dx_hat))
+    dx = np.diff(x) / te
+    if cfg.beta == 0 and np.all(np.abs(dx) < 1e300):  # False for NaN and inf
+        a = _smoothing_factor(te, cfg.min_cutoff)
+    else:
+        dx_hat = _low_pass(_smoothing_factor(te, cfg.derivative_cutoff), dx, 0.0)
+        a = _smoothing_factor(te, cfg.min_cutoff + cfg.beta * np.abs(dx_hat))
     out[0] = x[0]
     out[1:] = _low_pass(a, x[1:], float(x[0]))
     return out
@@ -420,17 +429,24 @@ def open_output(path: str, newline: str | None = None):
 def write_table(path: str, columns: tuple[str, ...], cols, provenance: dict | None = None) -> None:
     """Write a CSV table, one sequence per column, under an optional '# provenance: {...}' line.
 
-    Floats are written as %.9g, any other value as its str. The bytes are
-    those of csv.writer's default dialect: a field is quoted only when it
-    holds a comma, quote or line break, or is the empty only field of its
-    row, and rows end with CRLF.
+    Floats are written as %.9g, any other value as its str. A column given
+    as one str holds that value on every row, the write-side mirror of
+    `read_table`'s `single`; the other columns set the row count (none
+    when every column is a str). The bytes are those of csv.writer's
+    default dialect: a field is quoted only when it holds a comma, quote or
+    line break, or is the empty only field of its row, and rows end with
+    CRLF.
     """
     lone = len(columns) == 1
     formats, cells = [], []
     for col in cols:
+        if isinstance(col, str):
+            # quoted once and folded into the row format, with its '%' made literal
+            formats.append(_csv_field(col, lone).replace("%", "%%"))
+            continue
         if isinstance(col, np.ndarray) and col.dtype.kind == "f":
             formats.append("%.9g")
-            cells.append(col.tolist())
+            cells.append(col)
             continue
         distinct = set(col)
         if not all(isinstance(v, str) for v in distinct):
@@ -439,11 +455,11 @@ def write_table(path: str, columns: tuple[str, ...], cols, provenance: dict | No
             distinct = set(col)
         quoted = {text: _csv_field(text, lone) for text in distinct}
         formats.append("%s")
-        cells.append([quoted[text] for text in col])
+        cells.append(np.array([quoted[text] for text in col], dtype=object))
     # one %-format call over the values row by row; text enters through %s, so a '%' in it is inert
     row = ",".join(formats) + "\r\n"
-    values = tuple(chain.from_iterable(zip(*cells, strict=True)))
-    body = row * (len(cells[0]) if cells else 0) % values
+    values = np.column_stack(cells).ravel().tolist() if cells else []
+    body = row * (len(cells[0]) if cells else 0) % tuple(values)
     with open_output(path, newline="") as fh:
         if provenance is not None:
             fh.write("# provenance: " + json.dumps(provenance, sort_keys=True) + "\n")
@@ -484,12 +500,8 @@ def load_trace_csv(path: str, kind: str = "gaze") -> RawStream:
 
 
 def write_trace_csv(path: str, stream: RawStream) -> None:
-    n = stream.t.size
-    write_table(
-        path,
-        TRACE_COLUMNS,
-        ([stream.participant_id] * n, [stream.trial_id] * n, stream.t, stream.yaw),
-    )
+    cols = (stream.participant_id, stream.trial_id, stream.t, stream.yaw)
+    write_table(path, TRACE_COLUMNS, cols)
 
 
 def read_shifts_csv(path: str) -> ShiftSet:

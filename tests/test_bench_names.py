@@ -4,25 +4,33 @@ A rename or removal under src/ that drops one of those names would only
 show when `bench/run.py --trace 1` dies; this check makes it fail here.
 The tracer's result hooks also read counts off return values, so a layer
 that returns another shape would skew its per-layer counts silently; the
-second check compares them with counts taken independently.
+second check compares them with counts taken independently. The third
+checks that the set-up's writer and generator spans count what the cohort
+generator wrote, so the per-layer split of `setup_s` stays readable.
 """
 
 import importlib
 import importlib.util
 import pathlib
+import sys
 
 from eyehead import cli, events, ingest
 
 from .oracles import detect_fixations_loop, read_table_csv
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def _tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _bench_module("tracing")
 
 
 def test_every_traced_name_resolves():
@@ -66,3 +74,21 @@ def test_result_hooks_count_what_preprocess_saw(tmp_path):
     assert counts["ingest.load_trace_csv.rows"] == rows
     assert counts["ingest.one_euro.samples"] == samples
     assert counts["events.fixations"] == fixations
+
+
+def test_set_up_spans_count_files_and_trials(tmp_path):
+    workloads = _bench_module("workloads")
+    # six participants with 1-2 trials each, one of whose files a fault removes
+    cohort = workloads.scaled(workloads.COHORTS["uneven-cohort"], 6, 4, 2)
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        info = workloads.generate(cohort, 5, str(tmp_path / "traces"))
+    finally:
+        uninstall()
+    spans = [name for name, *_ in tracer.spans]
+    files = len(list((tmp_path / "traces").glob("*.csv")))
+    assert files == info["sizes"]["csv_files"] == 2 * cohort.trial_pairs - 1
+    assert spans.count("ingest.write_trace_csv") == files
+    assert spans.count("synth.synth_trace") == cohort.trial_pairs

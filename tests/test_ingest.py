@@ -161,6 +161,17 @@ class TestOneEuroMatchesPerSampleLoop:
         assert (want.value.index, want.value.timestamp) == (k, float(t[k]))
         assert "one_euro" in str(got.value)
 
+    def test_overflowing_derivative_with_beta_zero_matches(self):
+        # a subnormal interval overflows (x1 - x0) / te to inf, which the
+        # derivative pass turns into NaN: it cannot be skipped here
+        t = np.array([0.0, 5e-324, 0.01, 0.02])
+        yaw = np.array([0.0, 1.0, 2.0, 3.0])
+        cfg = FilterConfig(beta=0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = one_euro(t, yaw, cfg), oracle(t, yaw, cfg)
+        assert got.tobytes() == want.tobytes()
+        assert np.isnan(got[1:]).all()
+
     @given(filtered_trace(), st.data())
     def test_nan_timestamp_passes_alike(self, case, data):
         # a NaN interval is not "<= 0", so neither form raises on it
@@ -600,11 +611,18 @@ float_cells = st.one_of(
 
 @st.composite
 def column_tables(draw):
-    """(kinds, rows): 'text' or 'float' for each column, and rows of such cells."""
-    kinds = draw(st.lists(st.sampled_from(["text", "float"]), min_size=1, max_size=4))
-    cells = {"text": text_cells, "float": float_cells}
-    rows = draw(st.lists(st.tuples(*(cells[k] for k in kinds)), max_size=12))
-    return kinds, rows
+    """(kinds, rows, single): 'text', 'float' or 'single' for each column, rows of such cells.
+
+    Every 'single' column holds the text `single` on every row. Such a column
+    does not set the row count, so a table of 'single' columns alone has no
+    rows.
+    """
+    kinds = draw(st.lists(st.sampled_from(["text", "float", "single"]), min_size=1, max_size=4))
+    single = draw(text_cells)
+    cells = {"text": text_cells, "float": float_cells, "single": st.just(single)}
+    max_rows = 12 if {"text", "float"} & set(kinds) else 0
+    rows = draw(st.lists(st.tuples(*(cells[k] for k in kinds)), max_size=max_rows))
+    return kinds, rows, single
 
 
 class TestWriteTableMatchesRowWriter:
@@ -612,10 +630,11 @@ class TestWriteTableMatchesRowWriter:
 
     @given(column_tables(), st.booleans())
     def test_same_bytes_and_read_back(self, table, stamped):
-        kinds, rows = table
+        kinds, rows, single = table
         names = tuple(f"c{j}" for j in range(len(kinds)))
         cols = [[row[j] for row in rows] for j in range(len(kinds))]
-        cols = [np.array(c, dtype=float) if k == "float" else c for k, c in zip(kinds, cols)]
+        cols = [np.array(c, dtype=float) if k == "float" else single if k == "single" else c
+                for k, c in zip(kinds, cols)]
         provenance = {"seed": 1} if stamped else None
         with tempfile.TemporaryDirectory() as tmp:
             path, ref = os.path.join(tmp, "a.csv"), os.path.join(tmp, "b.csv")
@@ -626,15 +645,44 @@ class TestWriteTableMatchesRowWriter:
             if not rows:
                 return
             floats = tuple(n for n, k in zip(names, kinds) if k == "float")
-            back = ingest.read_table(path, names, floats=floats)
+            singles = tuple(n for n, k in zip(names, kinds) if k == "single")
+            back = ingest.read_table(path, names, floats=floats, single=singles)
         for name, kind, col in zip(names, kinds, cols):
-            if kind == "text":
-                assert back[name] == col
-            else:
+            if kind == "float":
                 np.testing.assert_array_equal(back[name], [float(f"{v:.9g}") for v in col])
+            else:
+                assert back[name] == col
 
 
-AWKWARD_IDS = ["p#1", "a,b", 'q"x', " sp "]
+# One id on every row: what csv.writer quotes, '%' in the forms a format
+# string reads, non-ASCII text and the empty string; floats that %.9g
+# writes in other forms.
+STR_COLUMN_IDS = [",", '"', "a\r\nb", "\r", "50%", "%%", "%s", "%(x)s", "é漢", ""]
+EDGE_FLOATS = [-0.0, 1e-5, 1e16, float("nan"), float("inf")]
+
+
+class TestWriteTableStrColumns:
+    @pytest.mark.parametrize("n", [0, 1, len(EDGE_FLOATS)])
+    @pytest.mark.parametrize("pid", STR_COLUMN_IDS)
+    def test_same_bytes_as_row_writer(self, tmp_path, pid, n):
+        t = np.array(EDGE_FLOATS[:n])
+        ingest.write_table(tmp_path / "a.csv", TRACE_COLUMNS, (pid, "t%1", t, -t))
+        rows = [(pid, "t%1", v, -v) for v in t.tolist()]
+        write_table_rows(tmp_path / "b.csv", TRACE_COLUMNS, rows)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_str_columns_alone_write_no_rows(self, tmp_path):
+        ingest.write_table(tmp_path / "a.csv", ("id", "v"), ("p01", "%s"))
+        assert (tmp_path / "a.csv").read_bytes() == b"id,v\r\n"
+
+    @pytest.mark.parametrize("other", [np.zeros(2), ["a", "b"]], ids=["floats", "text"])
+    def test_columns_of_unequal_length_raise(self, tmp_path, other):
+        with pytest.raises(ValueError):
+            ingest.write_table(tmp_path / "a.csv", ("id", "a", "b"), ("p01", np.zeros(3), other))
+        assert not (tmp_path / "a.csv").exists()
+
+
+AWKWARD_IDS = ["p#1", "a,b", 'q"x', " sp ", "50%", "%s"]
 
 
 class TestReaderEdgeCases:

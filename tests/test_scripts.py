@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 
+from eyehead import load_trace_csv
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -15,3 +17,39 @@ def test_synthetic_demo_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert os.path.isfile(tmp_path / "demo" / "report" / "summary.md")
+
+
+def test_adapt_dataset_writes_loadable_trace_pairs(tmp_path):
+    """The adapter takes ids from the file name, scales time, and drops bad rows."""
+    src, out = tmp_path / "src", tmp_path / "out"
+    src.mkdir()
+    (src / "P03_room2.csv").write_text(
+        "frame_ts,gaze_yaw,head_yaw,extra\n0,1.5,0.5,x\n10,2.5,1.0,y\n20,-179.25,3.0,z\n")
+    (src / "P14_hall.csv").write_text(
+        "frame_ts,head_yaw,gaze_yaw\n0,0.25,-1\n15,n/a,2\n30,0.75,4\n45,1.0,5.5\n")
+    (src / "notes.csv").write_text("frame_ts,gaze_yaw,head_yaw\n0,0,0\n1,1,1\n")
+    script = os.path.join(ROOT, "scripts", "adapt_dataset.py")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", script, "--src-dir", str(src),
+         "--out-dir", str(out), "--time-col", "frame_ts", "--gaze-col", "gaze_yaw",
+         "--head-col", "head_yaw", "--name-re", r"(?P<pid>P\d+)_(?P<tid>\w+)\.csv",
+         "--time-scale", "0.001"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "wrote 2 trace pairs" in proc.stdout
+    assert "skip notes.csv: does not match --name-re" in proc.stderr
+    assert "P14_hall.csv: dropped 1 unparsable rows" in proc.stderr
+    assert sorted(os.listdir(out)) == ["P03_room2.gaze.csv", "P03_room2.head.csv",
+                                       "P14_hall.gaze.csv", "P14_hall.head.csv"]
+
+    expected = {
+        ("P03", "room2"): ([0, 10, 20], [1.5, 2.5, -179.25], [0.5, 1.0, 3.0]),
+        ("P14", "hall"): ([0, 30, 45], [-1.0, 4.0, 5.5], [0.25, 0.75, 1.0]),
+    }
+    for (pid, tid), (ms, gaze, head) in expected.items():
+        for kind, yaw in (("gaze", gaze), ("head", head)):
+            back = load_trace_csv(str(out / f"{pid}_{tid}.{kind}.csv"), kind)
+            assert (back.participant_id, back.trial_id) == (pid, tid)
+            assert back.t.tolist() == [float(f"{v * 0.001:.9g}") for v in ms]
+            assert back.yaw.tolist() == yaw
