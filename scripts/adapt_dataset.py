@@ -15,6 +15,12 @@ P03_room2.csv:
         --time-col frame_ts --gaze-col gaze_yaw --head-col head_yaw \\
         --name-re '(?P<pid>P\\d+)_(?P<tid>\\w+)\\.csv' --time-scale 0.001
 
+Timestamps are rebased: each file's smallest kept timestamp becomes 0 s,
+and gaze and head, which share the time column, stay aligned. A clock such
+as Unix milliseconds would otherwise lose its sub-second part to the trace
+format's 9 significant digits. The rebase is done in source units, before
+--time-scale, so that a large offset cancels exactly.
+
 Rows with unparsable numbers are dropped with a warning; the downstream
 loader enforces the rest (monotone time, finite yaw).
 """
@@ -56,7 +62,7 @@ def convert_file(path, out_dir, opts) -> str | None:
             except (TypeError, ValueError):
                 dropped += 1
                 continue
-            t.append(ts * opts.time_scale)
+            t.append(ts)
             gaze.append(g * opts.angle_scale)
             head.append(h * opts.angle_scale)
     if dropped:
@@ -65,7 +71,8 @@ def convert_file(path, out_dir, opts) -> str | None:
         print(f"skip {name}: fewer than 2 usable rows", file=sys.stderr)
         return None
 
-    t, gaze, head = np.asarray(t), np.asarray(gaze), np.asarray(head)
+    t = (np.asarray(t) - min(t)) * opts.time_scale
+    gaze, head = np.asarray(gaze), np.asarray(head)
     stem = os.path.join(out_dir, f"{pid}_{tid}")
     write_trace_csv(stem + ".gaze.csv", RawStream(pid, tid, "gaze", t, gaze))
     write_trace_csv(stem + ".head.csv", RawStream(pid, tid, "head", t, head))

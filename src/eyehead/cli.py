@@ -69,15 +69,14 @@ OPTIONS = {
     "max_ecc_deg": (50.0, "drop shifts with eccentricity beyond this (deg)"),
     "min_cutoff": (1.0, "smoothing filter minimum cutoff (Hz)"),
     "filter_beta": (0.0, "smoothing filter speed coefficient"),
-    "derivative_cutoff": (1.0, "smoothing filter derivative cutoff (Hz)"),
-    "min_overlap_s": (25.0, "minimum gaze/head overlap to keep a trial (s)"),
+    "derivative_cutoff": (1.0, "filter derivative cutoff (Hz); acts only if filter_beta > 0"),
+    "min_overlap_s": (25.0, "keep a trial only if gaze and head overlap longer than this (s)"),
     "max_gap_s": (0.5, "maximum sampling gap to keep a trial (s)"),
     "expected_trials": (0, "drop participants without this many passing trials"),
     "model": ("all", "model family to fit"),
     "seed": (0, "synthetic data seed"),
     "components": (0, "components to keep (default: up to 2)"),
     "thresholds": ("10,15,20", "comma-separated thresholds (deg/s)"),
-    "base_threshold": (15.0, "reference threshold (deg/s)"),
     "participants": (12, "synthetic participants"),
     "trials": (2, "trials per participant"),
     "shifts": (50, "gaze shifts per trial"),
@@ -107,7 +106,7 @@ STAGE_OPTIONS = {
     "fpca": ("components",),
     "project": (),
     "report": (),
-    "sensitivity": ("thresholds", "base_threshold") + _TRACE_OPTIONS,
+    "sensitivity": ("thresholds",) + _TRACE_OPTIONS,
     "synth": ("participants", "trials", "shifts", "noise_sd", "seed"),
 }
 
@@ -115,7 +114,7 @@ STAGE_OPTIONS = {
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -326,7 +325,7 @@ def cmd_fpca(args: argparse.Namespace, cfg: dict) -> int:
 
 
 def _load_spectrum(path: str) -> Spectrum:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     payload.pop("provenance", None)
     return Spectrum.from_dict(payload)
@@ -374,7 +373,6 @@ def cmd_sensitivity(args: argparse.Namespace, cfg: dict) -> int:
     result = threshold_sensitivity(
         traces,
         thresholds=thresholds,
-        base=cfg["base_threshold"],
         filter_cfg=_filter_config(cfg),
         fixation_cfg=_fixation_config(cfg),
         max_ecc=cfg["max_ecc_deg"],
@@ -398,7 +396,7 @@ def cmd_sensitivity(args: argparse.Namespace, cfg: dict) -> int:
     write_json_object(
         args.out,
         {
-            "base_threshold": cfg["base_threshold"],
+            "base_threshold": cfg["fix_threshold"],
             "thresholds": list(thresholds),
             "participants": per_participant,
             "median_r": medians,

@@ -217,23 +217,18 @@ def score_percentile(score: float, reference: np.ndarray) -> float:
     return float(np.interp(score, ref, np.linspace(0.0, 100.0, ref.size)))
 
 
-def score_table(
-    spectrum: Spectrum,
-    curves: CurveGrid,
-    reference: np.ndarray | None = None,
-) -> list[dict]:
+def score_table(spectrum: Spectrum, curves: CurveGrid) -> list[dict]:
     """Rows {curve_id, pc1, pc2, percentile_pc1} for a batch of curves.
 
-    Percentiles rank PC1 scores against `reference` (default: the
-    spectrum's training scores; failing that, the batch itself). With one
-    retained component pc2 is reported as 0.
+    Percentiles rank PC1 scores against the spectrum's training scores,
+    failing that against the batch itself. With one retained component pc2
+    is reported as 0.
     """
     scores = project(spectrum, curves.values)
-    if reference is None:
-        try:
-            reference = spectrum.reference_scores()
-        except EmptyReferenceError:
-            reference = scores[:, 0]
+    try:
+        reference = spectrum.reference_scores()
+    except EmptyReferenceError:
+        reference = scores[:, 0]
     rows = []
     for cid, row in zip(curves.curve_ids, scores):
         rows.append(

@@ -370,7 +370,7 @@ def read_table(
     trailing NULs, so a NUL in such a column is rejected. Either error
     names the path and the data row.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         rows = csv.reader(ln for ln in fh if not ln.startswith("#"))
         header = next((row for row in rows if row), None)
         if header is None:
@@ -421,9 +421,9 @@ def _data_row_message(msg: str) -> str:
 
 
 def open_output(path: str, newline: str | None = None):
-    """Open `path` for writing text, first making its directory if need be."""
+    """Open `path` for writing UTF-8 text, first making its directory if need be."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    return open(path, "w", newline=newline)
+    return open(path, "w", newline=newline, encoding="utf-8")
 
 
 def write_table(path: str, columns: tuple[str, ...], cols, provenance: dict | None = None) -> None:

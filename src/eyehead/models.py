@@ -144,12 +144,15 @@ def hinge_gradient(params: HingeParams, x):
     return d_beta, d_tau
 
 
-def compute_eor(x, y, bin_width: float = 5.0) -> float:
+EOR_BIN_WIDTH = 5.0
+
+
+def compute_eor(x, y) -> float:
     """Eye-only range: eccentricity where P(eye-only shift) first drops to 0.5.
 
     A shift is eye-only when its head contribution is at most 10% of its
     amplitude. Shifts are binned by eccentricity into bins centered on
-    multiples of bin_width; the 50% crossing is located by linear
+    multiples of EOR_BIN_WIDTH; the 50% crossing is located by linear
     interpolation between adjacent non-empty bin centers and clamped to
     [0, 50].
     """
@@ -159,11 +162,11 @@ def compute_eor(x, y, bin_width: float = 5.0) -> float:
         raise TooFewPointsError("EOR needs at least one shift")
 
     eye_only = y <= 0.1 * x
-    centers = np.arange(0.0, X_MAX + bin_width / 2, bin_width)
+    centers = np.arange(0.0, X_MAX + EOR_BIN_WIDTH / 2, EOR_BIN_WIDTH)
     probs = []
     kept_centers = []
     for c in centers:
-        mask = (x >= c - bin_width / 2) & (x < c + bin_width / 2)
+        mask = (x >= c - EOR_BIN_WIDTH / 2) & (x < c + EOR_BIN_WIDTH / 2)
         if not np.any(mask):
             continue
         kept_centers.append(c)

@@ -91,7 +91,7 @@ def write_json_lines(path: str, records: list[dict], provenance: dict) -> None:
 
 def read_json_array(path: str) -> list:
     """Items of a write_json_array file; the provenance header is dropped."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, list):
         raise MissingInputError(f"{path}: expected a JSON array")
@@ -203,7 +203,7 @@ def emit_report(
     summary["files"] = file_list + ["summary.json", "summary.md"]
     write_json_object(os.path.join(out_dir, "summary.json"), summary, provenance)
     written.append("summary.json")
-    with open(os.path.join(out_dir, "summary.md"), "w") as fh:
+    with open(os.path.join(out_dir, "summary.md"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(md))
     written.append("summary.md")
     return written

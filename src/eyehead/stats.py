@@ -157,25 +157,25 @@ class SymmetryReport:
         }
 
 
-def _side_bin_means(x_abs, y_oriented, bin_width, min_per_bin):
+SYMMETRY_BIN_WIDTH = 5.0
+MIN_PER_BIN = 3
+
+
+def _side_bin_means(x_abs, y_oriented):
     means: dict[int, float] = {}
-    for b in range(int(np.ceil(50.0 / bin_width))):
-        lo, hi = b * bin_width, (b + 1) * bin_width
+    for b in range(int(np.ceil(50.0 / SYMMETRY_BIN_WIDTH))):
+        lo, hi = b * SYMMETRY_BIN_WIDTH, (b + 1) * SYMMETRY_BIN_WIDTH
         mask = (x_abs >= lo) & (x_abs < hi)
-        if np.count_nonzero(mask) >= min_per_bin:
+        if np.count_nonzero(mask) >= MIN_PER_BIN:
             means[b] = float(np.mean(y_oriented[mask]))
     return means
 
 
-def symmetry_check(
-    shifts: ShiftSet,
-    bin_width: float = 5.0,
-    min_per_bin: int = 3,
-) -> SymmetryReport:
+def symmetry_check(shifts: ShiftSet) -> SymmetryReport:
     """Compare leftward vs rightward mean head contribution per size bin.
 
     Signed shifts are split by direction; within each side, shifts are
-    binned by |x| and bins with at least min_per_bin shifts keep their mean
+    binned by |x| and bins with at least MIN_PER_BIN shifts keep their mean
     direction-oriented head contribution. The report correlates the two
     sides' bin means over the bins populated on both sides, and measures
     mean |left - right| normalized by the mean rightward value.
@@ -184,8 +184,8 @@ def symmetry_check(
     right = shifts.x > 0
     if not np.any(left) or not np.any(right):
         raise OneSidedDataError("symmetry check needs shifts in both directions")
-    lm = _side_bin_means(-shifts.x[left], -shifts.y[left], bin_width, min_per_bin)
-    rm = _side_bin_means(shifts.x[right], shifts.y[right], bin_width, min_per_bin)
+    lm = _side_bin_means(-shifts.x[left], -shifts.y[left])
+    rm = _side_bin_means(shifts.x[right], shifts.y[right])
     common = sorted(set(lm) & set(rm))
     if len(common) < 3:
         raise OneSidedDataError(
@@ -208,10 +208,8 @@ def symmetry_check(
 def threshold_sensitivity(
     traces: list[AlignedTrace],
     thresholds: tuple[float, ...] = (10.0, 15.0, 20.0),
-    base: float = 15.0,
     filter_cfg: FilterConfig = FilterConfig(),
     fixation_cfg: FixationConfig = FixationConfig(),
-    grid: np.ndarray = DEFAULT_GRID,
     max_ecc: float = 50.0,
 ) -> dict[str, dict[float, float] | EyeheadError]:
     """Refit every participant's curve per velocity threshold; r vs base.
@@ -219,13 +217,15 @@ def threshold_sensitivity(
     Each trial's gaze is smoothed once, and its velocity trace is
     segmented into shifts at every threshold before the next trial is
     smoothed. Per participant and threshold, the soft hinge is refit to the
-    pooled shifts, all in one batched call; each curve is evaluated on the
-    grid and correlated with the participant's curve at the base threshold,
+    pooled shifts, all in one batched call; each curve is evaluated on
+    DEFAULT_GRID and correlated with the participant's curve at the base
+    threshold, fixation_cfg.vel_threshold (the one preprocess segments at),
     which maps to r = 1. Returns {participant_id: {threshold: r}} in id
     order. A participant left with no shifts at some threshold, or with a
     constant curve (no head movement), maps to that error instead, and the
     other participants are unaffected.
     """
+    base = fixation_cfg.vel_threshold
     all_thresholds = list(thresholds)
     if base not in all_thresholds:
         all_thresholds.append(base)
@@ -245,7 +245,10 @@ def threshold_sensitivity(
     }
     keys = [key for key, shifts in cleaned.items() if len(shifts)]
     fits = fit_participants([(cleaned[key].x, cleaned[key].y) for key in keys], ("soft-hinge",))
-    curves = {key: eval_model(fit.fits["soft-hinge"].params, grid) for key, fit in zip(keys, fits)}
+    curves = {
+        key: eval_model(fit.fits["soft-hinge"].params, DEFAULT_GRID)
+        for key, fit in zip(keys, fits)
+    }
 
     out: dict[str, dict[float, float] | EyeheadError] = {}
     for pid in sorted(parts):

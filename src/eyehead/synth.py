@@ -27,7 +27,19 @@ import numpy as np
 from .ingest import RawStream, ShiftSet
 from .models import SoftHingeParams, eval_model, params_to_dict
 
-ECC_DISTRIBUTIONS = ("uniform", "bin-balanced")
+# Trace construction: fixation plateaus and raised-cosine ramps of fixed
+# length, gaze and head sampled on their own clocks, starting straight ahead.
+FIXATION_S = 0.400
+RAMP_S = 0.150
+SAMPLE_RATE_HZ = 120.0
+HEAD_RATE_HZ = 90.0
+HEAD_OFFSET_S = 0.003
+START_YAW_DEG = 0.0
+
+# draw_population's uniform ranges of the true soft-hinge parameters
+POP_BETA_RANGE = (0.4, 0.95)
+POP_TAU_RANGE = (5.0, 30.0)
+POP_S_RANGE = (2.0, 8.0)
 
 
 @dataclass(frozen=True)
@@ -35,20 +47,13 @@ class SynthConfig:
     params: SoftHingeParams
     n_shifts: int = 100
     noise_sd: float = 0.0
-    ecc_distribution: str = "uniform"
     seed: int = 0
     participant_id: str = "synth"
     trial_id: str = "t01"
     # trace construction
-    fixation_duration_ms: float = 400.0
-    shift_duration_ms: float = 150.0
-    sample_rate_hz: float = 120.0
-    head_rate_hz: float = 90.0
-    head_offset_s: float = 0.003
     amp_min_deg: float = 5.0
     amp_max_deg: float = 45.0
     position_bound_deg: float = 150.0
-    start_yaw_deg: float = 0.0
     wrap_output: bool = False
 
     def __post_init__(self) -> None:
@@ -56,11 +61,6 @@ class SynthConfig:
             raise ValueError(f"n_shifts must be >= 1, got {self.n_shifts}")
         if self.noise_sd < 0:
             raise ValueError(f"noise_sd must be >= 0, got {self.noise_sd}")
-        if self.ecc_distribution not in ECC_DISTRIBUTIONS:
-            raise ValueError(
-                f"ecc_distribution must be one of {ECC_DISTRIBUTIONS}, "
-                f"got {self.ecc_distribution!r}"
-            )
 
 
 def _rng(seed: int, participant_id: str, purpose: str) -> np.random.Generator:
@@ -73,30 +73,15 @@ def _rng(seed: int, participant_id: str, purpose: str) -> np.random.Generator:
 # shift-level generation
 # ---------------------------------------------------------------------------
 
-def _draw_eccentricities(cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray:
-    if cfg.ecc_distribution == "uniform":
-        return rng.uniform(0.0, 50.0, cfg.n_shifts)
-    # bin-balanced: equal counts per 5-degree bin (remainder spread low-first)
-    n_bins = 10
-    counts = np.full(n_bins, cfg.n_shifts // n_bins)
-    counts[: cfg.n_shifts % n_bins] += 1
-    xs = [
-        rng.uniform(5.0 * b, 5.0 * (b + 1), c)
-        for b, c in enumerate(counts)
-    ]
-    x = np.concatenate(xs)
-    rng.shuffle(x)
-    return x
-
-
 def synth_shifts(cfg: SynthConfig) -> tuple[ShiftSet, dict]:
     """Draw shifts on (or noisily around) the configured curve.
 
-    y = model(x) + Normal(0, noise_sd), then clamped into [0, x]; the clamp
-    censors the noise near x = 0 where the feasible wedge is thin.
+    x is uniform on [0, 50] and y = model(x) + Normal(0, noise_sd), then
+    clamped into [0, x]; the clamp censors the noise near x = 0 where the
+    feasible wedge is thin.
     """
     rng = _rng(cfg.seed, cfg.participant_id, "shifts")
-    x = _draw_eccentricities(cfg, rng)
+    x = rng.uniform(0.0, 50.0, cfg.n_shifts)
     y = eval_model(cfg.params, x)
     if cfg.noise_sd > 0:
         y = y + rng.normal(0.0, cfg.noise_sd, cfg.n_shifts)
@@ -112,7 +97,6 @@ def synth_shifts(cfg: SynthConfig) -> tuple[ShiftSet, dict]:
         "trial_id": cfg.trial_id,
         "params": params_to_dict(cfg.params),
         "noise_sd": cfg.noise_sd,
-        "ecc_distribution": cfg.ecc_distribution,
         "seed": cfg.seed,
         "n_shifts": cfg.n_shifts,
     }
@@ -169,13 +153,11 @@ def synth_trace(cfg: SynthConfig) -> tuple[RawStream, RawStream, dict]:
     """
     n = cfg.n_shifts
     rng = _rng(cfg.seed, cfg.participant_id, f"trace:{cfg.trial_id}")
-    fix_s = cfg.fixation_duration_ms / 1000.0
-    ramp_s = cfg.shift_duration_ms / 1000.0
 
     amps = rng.uniform(cfg.amp_min_deg, cfg.amp_max_deg, n)
     signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
     gaze_amp = np.empty(n)
-    pos = cfg.start_yaw_deg
+    pos = START_YAW_DEG
     for i in range(n):
         step = signs[i] * amps[i]
         if abs(pos + step) > cfg.position_bound_deg:
@@ -185,23 +167,23 @@ def synth_trace(cfg: SynthConfig) -> tuple[RawStream, RawStream, dict]:
 
     head_amp = np.clip(eval_model(cfg.params, amps), 0.0, amps) * np.sign(gaze_amp)
 
-    gaze_levels = cfg.start_yaw_deg + np.concatenate(([0.0], np.cumsum(gaze_amp)))
-    head_levels = cfg.start_yaw_deg + np.concatenate(([0.0], np.cumsum(head_amp)))
-    ramp_starts = fix_s + np.arange(n) * (fix_s + ramp_s)
-    total_s = (n + 1) * fix_s + n * ramp_s
+    gaze_levels = START_YAW_DEG + np.concatenate(([0.0], np.cumsum(gaze_amp)))
+    head_levels = START_YAW_DEG + np.concatenate(([0.0], np.cumsum(head_amp)))
+    ramp_starts = FIXATION_S + np.arange(n) * (FIXATION_S + RAMP_S)
+    total_s = (n + 1) * FIXATION_S + n * RAMP_S
 
-    t_gaze = np.arange(0.0, total_s, 1.0 / cfg.sample_rate_hz)
-    t_head = np.arange(cfg.head_offset_s, total_s, 1.0 / cfg.head_rate_hz)
-    gaze_yaw = _piecewise_position(t_gaze, ramp_starts, ramp_s, gaze_levels, gaze_amp)
-    head_yaw = _piecewise_position(t_head, ramp_starts, ramp_s, head_levels, head_amp)
+    t_gaze = np.arange(0.0, total_s, 1.0 / SAMPLE_RATE_HZ)
+    t_head = np.arange(HEAD_OFFSET_S, total_s, 1.0 / HEAD_RATE_HZ)
+    gaze_yaw = _piecewise_position(t_gaze, ramp_starts, RAMP_S, gaze_levels, gaze_amp)
+    head_yaw = _piecewise_position(t_head, ramp_starts, RAMP_S, head_levels, head_amp)
     if cfg.wrap_output:
         gaze_yaw = _wrap(gaze_yaw)
         head_yaw = _wrap(head_yaw)
 
     fixation_truth = [[0.0, float(ramp_starts[0])]]
     for i in range(n - 1):
-        fixation_truth.append([float(ramp_starts[i] + ramp_s), float(ramp_starts[i + 1])])
-    fixation_truth.append([float(ramp_starts[-1] + ramp_s), float(total_s)])
+        fixation_truth.append([float(ramp_starts[i] + RAMP_S), float(ramp_starts[i + 1])])
+    fixation_truth.append([float(ramp_starts[-1] + RAMP_S), float(total_s)])
 
     truth = {
         "participant_id": cfg.participant_id,
@@ -211,7 +193,7 @@ def synth_trace(cfg: SynthConfig) -> tuple[RawStream, RawStream, dict]:
         "shifts": [
             {
                 "t_on": float(ramp_starts[i]),
-                "t_off": float(ramp_starts[i] + ramp_s),
+                "t_off": float(ramp_starts[i] + RAMP_S),
                 "gaze_amplitude": float(gaze_amp[i]),
                 "head_amplitude": float(head_amp[i]),
             }
@@ -229,22 +211,16 @@ def synth_trace(cfg: SynthConfig) -> tuple[RawStream, RawStream, dict]:
 # population helper
 # ---------------------------------------------------------------------------
 
-def draw_population(
-    n_participants: int,
-    seed: int,
-    beta_range: tuple[float, float] = (0.4, 0.95),
-    tau_range: tuple[float, float] = (5.0, 30.0),
-    s_range: tuple[float, float] = (2.0, 8.0),
-) -> list[tuple[str, SoftHingeParams]]:
+def draw_population(n_participants: int, seed: int) -> list[tuple[str, SoftHingeParams]]:
     """Participant ids with per-participant true curve parameters."""
     out = []
     for i in range(n_participants):
         pid = f"synth{i + 1:03d}"
         rng = _rng(seed, pid, "population")
         params = SoftHingeParams(
-            beta=float(rng.uniform(*beta_range)),
-            tau=float(rng.uniform(*tau_range)),
-            s=float(rng.uniform(*s_range)),
+            beta=float(rng.uniform(*POP_BETA_RANGE)),
+            tau=float(rng.uniform(*POP_TAU_RANGE)),
+            s=float(rng.uniform(*POP_S_RANGE)),
         )
         out.append((pid, params))
     return out

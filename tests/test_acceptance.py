@@ -226,7 +226,7 @@ def test_criterion_08_threshold_sensitivity():
             SynthConfig(params, n_shifts=60, seed=20 + i, participant_id=pid)
         )
         traces.append(align_head_to_gaze(gaze, head))
-    result = threshold_sensitivity(traces, thresholds=(10.0, 15.0, 20.0), base=15.0)
+    result = threshold_sensitivity(traces, thresholds=(10.0, 15.0, 20.0))
     medians = {10.0: [], 15.0: [], 20.0: []}
     for pid in ("pa", "pb", "pc"):
         for thr, r in result[pid].items():

@@ -99,8 +99,7 @@ class TestPipeline:
         out = tmp_path / "sens.json"
         code = run([
             "sensitivity", "--in-dir", raw, "--out", out,
-            "--thresholds", "15,20", "--base-threshold", "15",
-            "--min-overlap-s", "2.0",
+            "--thresholds", "15,20", "--min-overlap-s", "2.0",
         ])
         assert code == 0
         payload = json.loads(out.read_text())
@@ -255,7 +254,6 @@ class TestConfigResolution:
         assert default(sanity_check, "max_gap_s") == DEFAULTS["max_gap_s"]
         assert default(symmetrize_and_clean, "max_ecc") == DEFAULTS["max_ecc_deg"]
         assert default(threshold_sensitivity, "max_ecc") == DEFAULTS["max_ecc_deg"]
-        assert default(threshold_sensitivity, "base") == DEFAULTS["base_threshold"]
         assert default(threshold_sensitivity, "thresholds") == tuple(
             float(v) for v in DEFAULTS["thresholds"].split(",")
         )
@@ -286,7 +284,7 @@ STAGE_FLAGS = {
     "fpca": {"--in", "--out", "--components"},
     "project": {"--model", "--in", "--out"},
     "report": {"--fits", "--spectrum", "--scores", "--out-dir"},
-    "sensitivity": {"--in-dir", "--out", "--thresholds", "--base-threshold", *TRACE_FLAGS},
+    "sensitivity": {"--in-dir", "--out", "--thresholds", *TRACE_FLAGS},
     "synth": {"--out-dir", "--participants", "--trials", "--shifts", "--noise-sd", "--seed"},
 }
 
@@ -336,6 +334,34 @@ class TestOptionTable:
         cfg.write_text(json.dumps({key: other_value(key) for key in DEFAULTS}))
         resolved = _resolve(parser.parse_args([stage, *REQUIRED[stage], "--config", str(cfg)]))
         assert resolved == {key: other_value(key) for key in STAGE_OPTIONS[stage]}
+
+
+class TestSensitivityReference:
+    """sensitivity correlates against --fix-threshold, the threshold preprocess uses."""
+
+    def test_fix_threshold_is_the_reference(self, tmp_path):
+        raw = synth_dir(tmp_path, participants=2, trials=1, shifts=30)
+        out = tmp_path / "sens.json"
+        assert run(["sensitivity", "--in-dir", raw, "--out", out, "--thresholds", "15,20",
+                    "--fix-threshold", "20", "--min-overlap-s", "2.0"]) == 0
+        payload = strict_json(out.read_text())
+        assert payload["base_threshold"] == 20.0
+        assert payload["median_r"]["20"] == 1.0
+        for r in payload["participants"].values():
+            assert r["20"] == 1.0
+
+    def test_base_threshold_flag_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["sensitivity", *REQUIRED["sensitivity"], "--base-threshold", "15"])
+        assert exc.value.code == 2
+
+    def test_config_file_holding_base_threshold_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"base_threshold": 15.0}))
+        assert run(["sensitivity", *REQUIRED["sensitivity"], "--config", cfg]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ValueError"
+        assert "'base_threshold'" in payload["message"]
 
 
 class TestNoFitSeed:

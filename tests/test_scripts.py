@@ -19,6 +19,16 @@ def test_synthetic_demo_runs(tmp_path):
     assert os.path.isfile(tmp_path / "demo" / "report" / "summary.md")
 
 
+def adapt(src, out, *extra):
+    script = os.path.join(ROOT, "scripts", "adapt_dataset.py")
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", script, "--src-dir", str(src),
+         "--out-dir", str(out), "--time-col", "frame_ts", "--gaze-col", "gaze_yaw",
+         "--head-col", "head_yaw", "--name-re", r"(?P<pid>P\d+)_(?P<tid>\w+)\.csv", *extra],
+        capture_output=True, text=True, timeout=300,
+    )
+
+
 def test_adapt_dataset_writes_loadable_trace_pairs(tmp_path):
     """The adapter takes ids from the file name, scales time, and drops bad rows."""
     src, out = tmp_path / "src", tmp_path / "out"
@@ -28,14 +38,7 @@ def test_adapt_dataset_writes_loadable_trace_pairs(tmp_path):
     (src / "P14_hall.csv").write_text(
         "frame_ts,head_yaw,gaze_yaw\n0,0.25,-1\n15,n/a,2\n30,0.75,4\n45,1.0,5.5\n")
     (src / "notes.csv").write_text("frame_ts,gaze_yaw,head_yaw\n0,0,0\n1,1,1\n")
-    script = os.path.join(ROOT, "scripts", "adapt_dataset.py")
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", script, "--src-dir", str(src),
-         "--out-dir", str(out), "--time-col", "frame_ts", "--gaze-col", "gaze_yaw",
-         "--head-col", "head_yaw", "--name-re", r"(?P<pid>P\d+)_(?P<tid>\w+)\.csv",
-         "--time-scale", "0.001"],
-        capture_output=True, text=True, timeout=300,
-    )
+    proc = adapt(src, out, "--time-scale", "0.001")
     assert proc.returncode == 0, proc.stderr
     assert "wrote 2 trace pairs" in proc.stdout
     assert "skip notes.csv: does not match --name-re" in proc.stderr
@@ -53,3 +56,17 @@ def test_adapt_dataset_writes_loadable_trace_pairs(tmp_path):
             assert (back.participant_id, back.trial_id) == (pid, tid)
             assert back.t.tolist() == [float(f"{v * 0.001:.9g}") for v in ms]
             assert back.yaw.tolist() == yaw
+
+
+def test_adapt_dataset_rebases_epoch_timestamps(tmp_path):
+    """Unix-millisecond timestamps start at 0 s, so 9 significant digits keep them apart."""
+    src, out = tmp_path / "src", tmp_path / "out"
+    src.mkdir()
+    ms = [1_700_000_000_000 + 10 * k for k in range(5)]
+    rows = "".join(f"{v},{k},{k / 2}\n" for k, v in enumerate(ms))
+    (src / "P01_a.csv").write_text("frame_ts,gaze_yaw,head_yaw\n" + rows)
+    proc = adapt(src, out, "--time-scale", "0.001")
+    assert proc.returncode == 0, proc.stderr
+    for kind in ("gaze", "head"):
+        back = load_trace_csv(str(out / f"P01_a.{kind}.csv"), kind)
+        assert back.t.tolist() == [0.0, 0.01, 0.02, 0.03, 0.04]

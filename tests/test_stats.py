@@ -250,17 +250,11 @@ class TestSymmetryCheck:
             symmetry_check(make_shifts([5.0, 10.0, 20.0], [1.0, 2.0, 3.0]))
 
     def test_sparse_bins_rejected(self, rng):
-        # two shifts per side per bin < min_per_bin=3 -> no common bins
+        # two shifts per side per bin < MIN_PER_BIN = 3 -> no common bins
         xs = np.array([12.0, 13.0, -12.0, -13.0])
         ys = np.array([1.0, 1.1, -1.0, -1.1])
         with pytest.raises(OneSidedDataError):
             symmetry_check(make_shifts(xs, ys))
-
-    def test_min_per_bin_is_configurable(self):
-        xs = np.array([2.0, 7.0, 12.0, -2.0, -7.0, -12.0])
-        ys = 0.3 * np.abs(xs) * np.sign(xs)
-        report = symmetry_check(make_shifts(xs, ys), min_per_bin=1)
-        assert report.n_bins == 3
 
 
 class TestThresholdSensitivity:
@@ -275,7 +269,6 @@ class TestThresholdSensitivity:
         out = threshold_sensitivity(
             traces,
             thresholds=(10.0, 15.0, 20.0),
-            base=15.0,
             filter_cfg=FilterConfig(min_cutoff=1e9),
             fixation_cfg=FixationConfig(pad_s=0.0),
         )["p01"]
@@ -292,7 +285,7 @@ class TestThresholdSensitivity:
         ]
         thresholds, base = (10.0, 20.0, 40.0), 15.0
         filt = FilterConfig(min_cutoff=3.0)
-        fix = FixationConfig(pad_s=0.0)
+        fix = FixationConfig(vel_threshold=base, pad_s=0.0)
 
         # reference: every threshold rebuilds its shifts with preprocess_trial
         curves = {}
@@ -307,7 +300,7 @@ class TestThresholdSensitivity:
         calls = []
         one_euro = events.one_euro
         monkeypatch.setattr(events, "one_euro", lambda *a: calls.append(1) or one_euro(*a))
-        got = threshold_sensitivity(traces, thresholds, base, filt, fix)["p01"]
+        got = threshold_sensitivity(traces, thresholds, filt, fix)["p01"]
         assert got == want
         assert len(calls) == len(traces)
 
@@ -327,7 +320,7 @@ class TestThresholdSensitivity:
             trace("pc", 0.8, 3),
             trace("pb", 0.6, 5, trial="t02"),
         ]
-        kwargs = dict(thresholds=(10.0, 20.0), base=15.0, max_ecc=15.0)
+        kwargs = dict(thresholds=(10.0, 20.0), max_ecc=15.0)
         calls = []
         batched = stats.fit_participants
         monkeypatch.setattr(stats, "fit_participants",

@@ -48,13 +48,6 @@ class TestSynthShifts:
         b, _ = synth_shifts(SynthConfig(PARAMS, n_shifts=50, seed=9, participant_id="b"))
         assert not np.array_equal(a.x, b.x)
 
-    def test_bin_balanced_fills_every_bin(self):
-        cfg = SynthConfig(PARAMS, n_shifts=47, seed=4, ecc_distribution="bin-balanced")
-        shifts, _ = synth_shifts(cfg)
-        counts = np.histogram(shifts.x, bins=10, range=(0.0, 50.0))[0]
-        # 47 = 10*4 + 7: seven bins get 5 draws, three get 4
-        assert sorted(counts) == [4, 4, 4, 5, 5, 5, 5, 5, 5, 5]
-
     def test_noise_moments_away_from_the_clamp(self):
         # restrict to x > tau + 4s where the curve sits well inside the
         # wedge, so the clamp censors almost nothing and the residual
@@ -72,8 +65,6 @@ class TestSynthShifts:
             SynthConfig(PARAMS, n_shifts=0)
         with pytest.raises(ValueError):
             SynthConfig(PARAMS, noise_sd=-1.0)
-        with pytest.raises(ValueError):
-            SynthConfig(PARAMS, ecc_distribution="gaussian")
 
 
 class TestSynthTrace:
