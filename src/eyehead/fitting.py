@@ -227,30 +227,40 @@ def _check_data(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 def _evaluate(theta: np.ndarray, x: np.ndarray, y: np.ndarray, sizes: np.ndarray,
               heads: np.ndarray):
-    """Residuals, Jacobian columns and per-row SSEs of the rows of theta (m, k).
+    """Per-row SSE, J'r and J'J of the rows of theta (m, k) on their own points.
 
     A row is (beta, tau, s), or (beta, tau) for the hinge, whose s is 1. Row
-    i owns sizes[i] points of x and y, from heads[i] on; each residual and
-    Jacobian column is a flat array over all rows' points, and a row's SSE is
-    the sum over its own segment.
+    i owns sizes[i] points of x and y, from heads[i] on, and each of its
+    sums is taken over that segment alone.
     """
-    k = theta.shape[1]
+    m, k = theta.shape
     beta, tau = np.repeat(theta[:, 0], sizes), np.repeat(theta[:, 1], sizes)
     s = np.repeat(theta[:, 2], sizes) if k == 3 else 1.0
     partials = soft_hinge_partials(beta, tau, s, x)
+    jac = partials[:k]
     r = beta * partials[0] - y
-    return r, partials[:k], np.add.reduceat(r * r, heads)
+    prod = r * r
+    sse = np.add.reduceat(prod, heads)
+    g = np.stack([np.add.reduceat(np.multiply(col, r, out=prod), heads) for col in jac], axis=1)
+    hess = np.empty((m, k, k))
+    for a in range(k):
+        for b in range(a, k):
+            hess[:, a, b] = hess[:, b, a] = np.add.reduceat(
+                np.multiply(jac[a], jac[b], out=prod), heads)
+    return sse, g, hess
 
 
-def _projected_lm(x, y, sizes, starts: np.ndarray):
-    """Projected Levenberg-Marquardt from every row of starts (m, k) at once.
+def _projected_lm(rows, starts: np.ndarray):
+    """Projected Levenberg-Marquardt from every row of starts (m, k).
 
-    Row i owns sizes[i] points of the flat arrays x and y, right after the
-    points of row i - 1, so rows may come from different problems. Every
-    per-row sum (the SSE, J'r and J'J) is taken over the row's own segment
-    alone, and the points of a row are dropped once it stops: a row's path
-    does not depend on the other rows in the batch, nor on their number.
-    Each row keeps its own damping lam and stops on its own. Per step, a
+    Row i is solved on the points (x, y) = rows[i], so rows may come from
+    different problems. Rows are admitted in input order, as many at a time
+    as fit in BATCH_POINTS live row-points (a larger row runs alone), and
+    each row that stops frees its points for the next rows within the same
+    step. Every per-row sum (the SSE, J'r and J'J) is taken over the row's
+    own segment alone, so a row's path does not depend on the other rows in
+    the batch, nor on their number. Each row keeps its own damping lam and
+    stops on its own. Per step, a
     parameter at a bound whose gradient points outward is frozen, the system
     (J'J + lam * D) step = -J'r is solved over the free ones, with D the
     running maximum of diag(J'J) (Moré 1978), and the trial point is
@@ -265,40 +275,44 @@ def _projected_lm(x, y, sizes, starts: np.ndarray):
     """
     m, k = starts.shape
     lo, hi = np.array(LOWER[:k]), np.array(UPPER[:k])
-    pairs = [(a, b) for a in range(k) for b in range(a, k)]
-    sizes = np.asarray(sizes)
-    heads = np.cumsum(sizes) - sizes  # first point of each row
-    prod = np.empty_like(x)  # reused for the products each segment sum reduces
-    theta = starts.copy()
-    r, jac, sse = _evaluate(theta, x, y, sizes, heads)
-    lam = np.full(m, 1e-3)
-    scale = np.zeros((m, k))
-    small_step = np.zeros(m, dtype=bool)
-    rows = np.arange(m)  # start index of each row still being solved
-    out_theta, out_sse = theta.copy(), sse.copy()
+    row_sizes = np.array([x.size for x, _ in rows], dtype=np.intp)
+    out_theta, out_sse = starts.copy(), np.empty(m)
     converged = np.zeros(m, dtype=bool)
-    for it in range(MAX_NFEV + 1):
-        g = np.stack([np.add.reduceat(np.multiply(col, r, out=prod), heads) for col in jac],
-                     axis=1)
+    # the state of the live rows, in admission order
+    live = np.empty(0, dtype=np.intp)
+    theta, sse, g_at = np.empty((0, k)), np.empty(0), np.empty((0, k))
+    hess, scale, lam = np.empty((0, k, k)), np.empty((0, k)), np.empty(0)
+    small_step, age = np.empty(0, dtype=bool), np.empty(0, dtype=np.intp)
+    admitted = 0
+    while True:
+        g = g_at.copy()
         frozen = ((theta <= lo) & (g > 0.0)) | ((theta >= hi) & (g < 0.0))
         g[frozen] = 0.0
-        conv = small_step | (np.max(np.abs(g), axis=1) <= GTOL * np.maximum(1.0, sse))
-        done = conv | (it == MAX_NFEV)
-        if done.any():
-            out_theta[rows[done]], out_sse[rows[done]] = theta[done], sse[done]
-            converged[rows[done]] = conv[done]
+        conv = small_step | (np.max(np.abs(g), axis=1, initial=0.0) <= GTOL * np.maximum(1.0, sse))
+        done = conv | (age == MAX_NFEV)
+        changed = done.any()
+        if changed:
+            out_theta[live[done]], out_sse[live[done]] = theta[done], sse[done]
+            converged[live[done]] = conv[done]
             keep = ~done
-            points = np.repeat(keep, sizes)
-            rows, theta, sse, sizes = rows[keep], theta[keep], sse[keep], sizes[keep]
-            lam, scale, g, frozen = lam[keep], scale[keep], g[keep], frozen[keep]
-            if rows.size == 0:
-                break
-            x, y, r, jac = x[points], y[points], r[points], [col[points] for col in jac]
-            heads, prod = np.cumsum(sizes) - sizes, prod[:x.size]
-        hess = np.empty((rows.size, k, k))
-        for a, b in pairs:
-            hess[:, a, b] = hess[:, b, a] = np.add.reduceat(
-                np.multiply(jac[a], jac[b], out=prod), heads)
+            live, theta, sse, g_at, g = live[keep], theta[keep], sse[keep], g_at[keep], g[keep]
+            hess, scale, lam = hess[keep], scale[keep], lam[keep]
+            small_step, age, frozen = small_step[keep], age[keep], frozen[keep]
+        # admit the next rows while they fit; a row larger than the budget runs alone
+        room = BATCH_POINTS - int(row_sizes[live].sum())
+        first = admitted
+        while admitted < m and (row_sizes[admitted] <= room or (live.size == 0 and admitted == first)):
+            room -= row_sizes[admitted]
+            admitted += 1
+        new = np.arange(first, admitted)
+        if live.size == 0 and new.size == 0:
+            break
+        if changed or new.size:
+            order = np.concatenate([live, new])
+            sizes = row_sizes[order]
+            heads = np.cumsum(sizes) - sizes  # first point of each row
+            x = np.concatenate([rows[i][0] for i in order])
+            y = np.concatenate([rows[i][1] for i in order])
         scale = np.maximum(scale, np.einsum("ikk->ik", hess))
         d = np.sqrt(np.where(scale > 0.0, scale, 1.0))
         free = ~frozen
@@ -310,21 +324,28 @@ def _projected_lm(x, y, sizes, starts: np.ndarray):
         move = trial - theta
         # SSE decrease the linearized model predicts for the clipped step
         predicted = -np.einsum("ij,ij->i", move, 2.0 * g + (hess @ move[:, :, None])[:, :, 0])
-        r_t, jac_t, sse_t = _evaluate(trial, x, y, sizes, heads)
-        gain = np.divide(sse - sse_t, predicted, out=np.full(rows.size, -1.0), where=predicted > 0.0)
+        # the trials of the live rows and the starts of the new rows, in one pass
+        sse_e, g_e, hess_e = _evaluate(np.vstack([trial, starts[new]]), x, y, sizes, heads)
+        n = live.size
+        sse_t = sse_e[:n]
+        gain = np.divide(sse - sse_t, predicted, out=np.full(n, -1.0), where=predicted > 0.0)
         lam = np.where(gain > 0.75, np.maximum(lam / 10.0, LAM_MIN),
                        np.where(gain >= 0.25, lam, lam * 10.0))
         ok = sse_t <= sse
         small_step = ok & (
-            np.max(np.abs(move), axis=1) <= XTOL * (XTOL + np.max(np.abs(theta), axis=1))
+            np.max(np.abs(move), axis=1, initial=0.0)
+            <= XTOL * (XTOL + np.max(np.abs(theta), axis=1, initial=0.0))
         )
-        theta[ok], sse[ok] = trial[ok], sse_t[ok]
-        if ok.all():
-            r, jac = r_t, jac_t
-        else:
-            taken = np.repeat(ok, sizes)
-            for old, new in zip((r, *jac), (r_t, *jac_t)):
-                np.copyto(old, new, where=taken)
+        theta[ok], sse[ok], g_at[ok], hess[ok] = trial[ok], sse_t[ok], g_e[:n][ok], hess_e[:n][ok]
+        live = np.concatenate([live, new])
+        theta = np.vstack([theta, starts[new]])
+        sse = np.concatenate([sse, sse_e[n:]])
+        g_at = np.vstack([g_at, g_e[n:]])
+        hess = np.concatenate([hess, hess_e[n:]])
+        scale = np.vstack([scale, np.zeros((new.size, k))])
+        lam = np.concatenate([lam, np.full(new.size, 1e-3)])
+        small_step = np.concatenate([small_step, np.zeros(new.size, dtype=bool)])
+        age = np.concatenate([age + 1, np.zeros(new.size, dtype=np.intp)])
     return out_theta, out_sse, converged
 
 
@@ -347,30 +368,13 @@ def _lattice_seeds(x, y, s_row) -> np.ndarray:
     return seeds
 
 
-def _chunks(row_points: list[int]) -> list[list[int]]:
-    """Consecutive runs of problem indices holding at most BATCH_POINTS row-points.
-
-    A problem larger than the budget is a run of its own.
-    """
-    runs: list[list[int]] = []
-    total = 0
-    for i, n in enumerate(row_points):
-        if runs and total + n <= BATCH_POINTS:
-            runs[-1].append(i)
-            total += n
-        else:
-            runs.append([i])
-            total = n
-    return runs
-
-
 def _fit_hinge_family(problems, free_s: bool) -> list[FitResult]:
     """Fit y = beta * softplus((x - tau)/s) to each (x, y); s = 1 unless free_s.
 
-    Every problem's lattice seeds are polished by one projected LM per chunk
-    of consecutive problems (see _chunks). Per problem, the winner is the
-    lowest-SSE polished seed, and converged is its own flag. Results come
-    back in input order.
+    Every problem's lattice seeds are polished by one projected LM over all
+    problems (see _projected_lm). Per problem, the winner is the lowest-SSE
+    polished seed, and converged is its own flag. Results come back in input
+    order.
     """
     problems = [_check_data(x, y) for x, y in problems]
     problems = [(_check_domain(x), y) for x, y in problems]
@@ -379,18 +383,14 @@ def _fit_hinge_family(problems, free_s: bool) -> list[FitResult]:
     s_row = S_ROW if free_s else (1.0,)
     m = len(s_row)  # seeds, and so solver rows, per problem
     seeds = [_lattice_seeds(x, y, s_row)[:, :k] for x, y in problems]
+    theta, sses, ok = _projected_lm([p for p in problems for _ in range(m)], np.vstack(seeds))
     results = []
-    for run in _chunks([x.size * m for x, _ in problems]):
-        flat_x = np.concatenate([np.tile(problems[i][0], m) for i in run])
-        flat_y = np.concatenate([np.tile(problems[i][1], m) for i in run])
-        sizes = np.repeat([problems[i][0].size for i in run], m)
-        theta, sses, ok = _projected_lm(flat_x, flat_y, sizes, np.vstack([seeds[i] for i in run]))
-        for pos, i in enumerate(run):
-            rows = slice(pos * m, (pos + 1) * m)
-            j = int(np.argmin(sses[rows]))
-            params = SoftHingeParams(*theta[rows][j]) if free_s else HingeParams(*theta[rows][j])
-            results.append(_finish(model, params, *problems[i], bool(ok[rows][j]),
-                                   int(ok[rows].sum()), j, sses[rows].tolist()))
+    for i, (x, y) in enumerate(problems):
+        rows = slice(i * m, (i + 1) * m)
+        j = int(np.argmin(sses[rows]))
+        params = SoftHingeParams(*theta[rows][j]) if free_s else HingeParams(*theta[rows][j])
+        results.append(_finish(model, params, x, y, bool(ok[rows][j]),
+                               int(ok[rows].sum()), j, sses[rows].tolist()))
     return results
 
 

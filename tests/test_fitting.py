@@ -184,8 +184,7 @@ class TestHingeFit:
 
 def solve(x, y, starts):
     """_projected_lm with every row of starts on the same (x, y)."""
-    m = len(starts)
-    return _projected_lm(np.tile(x, m), np.tile(y, m), [x.size] * m, starts)
+    return _projected_lm([(x, y)] * len(starts), starts)
 
 
 def random_starts(seed, k, m=20):
@@ -238,8 +237,8 @@ class TestBatchedSolver:
         # convergence test: it still wins, and the fit says it did not converge
         lm = fitting._projected_lm
 
-        def best_seed_unconverged(x, y, sizes, starts):
-            theta, sses, _ = lm(x, y, sizes, starts)
+        def best_seed_unconverged(rows, starts):
+            theta, sses, _ = lm(rows, starts)
             converged = np.ones(len(sses), dtype=bool)
             converged[np.argmin(sses)] = False
             return theta, sses, converged
@@ -306,27 +305,45 @@ class TestBatchContract:
             same_fit(got_split, want)
 
     @pytest.mark.parametrize("budget", [200, 1000, fitting.BATCH_POINTS])
-    @pytest.mark.parametrize("free_s", [False, True], ids=["hinge", "soft-hinge"])
-    def test_a_batch_holds_at_most_batch_points(self, monkeypatch, budget, free_s):
+    def test_rows_refill_one_batch_in_input_order(self, monkeypatch, budget):
+        # rows of distinct sizes, so the sizes each evaluation sees name its rows
+        x, y = soft_hinge_data(n=1000, noise_sd=2.0, seed=8)
+        ns = [37, 150, 23, 410, 90, 1000, 64, 12, 230, 75, 300, 41, 520, 18, 95,
+              700, 810, 905, 640, 999, 880, 760, 590, 950, 845]  # 11.2k row-points
+        rows = [(x[:n], y[:n]) for n in ns]
+        starts = np.vstack([_lattice_seeds(*row, S_ROW)[i % len(S_ROW)] for i, row in enumerate(rows)])
         calls = []
-        lm = fitting._projected_lm
+        evaluate = fitting._evaluate
 
-        def spy(x, y, sizes, starts):
-            calls.append(np.asarray(sizes))
-            return lm(x, y, sizes, starts)
+        def spy(theta, x, y, sizes, *args):
+            calls.append([ns.index(n) for n in sizes])
+            return evaluate(theta, x, y, sizes, *args)
 
-        monkeypatch.setattr(fitting, "_projected_lm", spy)
+        monkeypatch.setattr(fitting, "_evaluate", spy)
         monkeypatch.setattr(fitting, "BATCH_POINTS", budget)
-        _fit_hinge_family(self.PROBLEMS, free_s)
-        seeds = len(S_ROW) if free_s else 1
-        # every problem's seeds are solved once, in input order
-        np.testing.assert_array_equal(np.concatenate(calls),
-                                      np.repeat([x.size for x, _ in self.PROBLEMS], seeds))
-        for sizes in calls:
-            assert sizes.sum() <= budget or sizes.size == seeds
-        # and a batch ends only where the next problem would overflow it
-        for sizes, after in zip(calls, calls[1:]):
-            assert sizes.sum() + after[:seeds].sum() > budget
+        got = _projected_lm(rows, starts)
+        seen, mid_batch = [], 0
+        for i, live in enumerate(calls):
+            # live row-points stay within the budget unless one row is alone
+            assert sum(ns[j] for j in live) <= budget or len(live) == 1
+            new = [j for j in live if j not in seen]
+            # rows are admitted in input order, after the rows still live
+            assert live == sorted(live) and live[len(live) - len(new):] == new
+            mid_batch += bool(new) and len(new) < len(live) and i > 0
+            seen += new
+            # and the batch is refilled while the next row fits
+            if len(seen) < len(ns):
+                assert sum(ns[j] for j in live) + ns[len(seen)] > budget
+        assert seen == list(range(len(ns)))
+        # a row stays live from its admission until it stops: it is admitted once
+        for j in range(len(ns)):
+            present = [i for i, live in enumerate(calls) if j in live]
+            assert present == list(range(present[0], present[-1] + 1))
+        assert mid_batch > 0
+        # a row admitted in the middle of a batch gets the same bits as alone
+        for j, row in enumerate(rows):
+            for alone, batched in zip(_projected_lm([row], starts[j:j + 1]), got, strict=True):
+                np.testing.assert_array_equal(alone, batched[j:j + 1])
 
     def test_fit_participants_is_fit_participant_per_problem(self):
         problems = self.PROBLEMS[:4]
