@@ -1,22 +1,31 @@
 """Per-participant model fits and AIC-based model comparison.
 
-The soft hinge and the hinge are fit by the same solver: a projected
-Levenberg-Marquardt loop (Moré 1978) that polishes the seeds of many fits at
-once, each seed with its own damping and its own stopping test, and keeps
-each fit's lowest-SSE result, converged or not. All problems of a stage are
-solved together, in chunks of consecutive problems holding at most
-BATCH_POINTS row-points (a problem larger than that is solved alone). A
-seed's points sit back to back in flat arrays, and every per-seed sum is
-taken over that seed's own segment, so a fit does not depend on the fits
-batched beside it. The seeds come from a
-fixed lattice and depend on the data alone: for a fixed (tau, s) the model is
-linear in beta, so its best beta has a closed form (variable projection,
-Golub & Pereyra 1973), and each s of S_ROW seeds the lattice tau of
-TAU_GRID with the lowest SSE. The hinge is the soft hinge with s fixed at 1,
-so it is solved over (beta, tau) only, from one seed. A seed converges when,
-within MAX_NFEV steps, its projected-gradient max-norm falls to
-GTOL * max(1, SSE) or an accepted step shrinks to XTOL * (XTOL + |theta|).
-A fit with no more data points than parameters is never flagged converged.
+The soft hinge y = beta * softplus((x - tau) / s) and the hinge, its s = 1
+case, are fit by one solver. For fixed (tau, s) the curve is linear in beta,
+so beta has a closed form, clip(<f, y> / <f, f>, 0, 1) with
+f = softplus((x - tau) / s) (variable projection, Golub & Pereyra 1973):
+the soft hinge is solved over (tau, s) and the hinge over tau alone, with
+Kaufman's (1975) Jacobian, and beta follows at every step. A clipped beta is
+an active bound with zero derivative.
+
+The solver is a projected Levenberg-Marquardt loop (Moré 1978) that polishes
+the seeds of all problems of a stage in one batch, each seed with its own
+damping and its own stopping test. Seeds are admitted in input order while
+they fit in BATCH_POINTS live row-points (a larger one runs alone), and each
+seed that stops frees its points for the next ones. A seed's points sit back
+to back in flat arrays, and every per-seed sum is taken over that seed's own
+segment, so a fit does not depend on the fits batched beside it.
+
+The seeds come from a fixed lattice and depend on the data alone: each lattice
+knee of TAU_GRID gets its best beta, and the seeds are the local minima of
+that profiled SSE along TAU_GRID. The soft hinge is seeded at the lowest one
+for each s of S_ROW, the hinge at up to HINGE_KNEES of them, lowest first.
+Each fit keeps its lowest-SSE polished seed, converged or not. A seed
+converges when, within MAX_NFEV steps, its projected-gradient max-norm falls
+to GTOL * max(1, SSE) or an accepted step shrinks to XTOL * (XTOL + |theta|),
+theta being (tau, s) or tau. A fit with no more data points than parameters
+is never flagged converged.
+
 The linear baseline has no free parameters to optimize, since its breakpoint
 is the participant's eye-only range and its slope is computed in closed form.
 All three candidates are then ranked by AIC on identical data.
@@ -47,10 +56,9 @@ from .models import (
     compute_eor,
     eval_model,
     hinge_gradient,  # unused here; the benchmark tracer wraps fitting.hinge_gradient
-    model_gradient,  # likewise: the solver calls soft_hinge_partials directly
+    model_gradient,  # likewise: the solver forms its own partials (_evaluate)
     params_from_dict,
     params_to_dict,
-    soft_hinge_partials,
     softplus,
 )
 
@@ -58,7 +66,9 @@ from .models import (
 # scale from near-sharp to near-straight over the [0, 50] domain.
 TAU_GRID = np.linspace(*TAU_RANGE, 31)
 S_ROW = np.logspace(-1.0, 2.0, 10)
-# Solver bounds on (beta, tau, s) and its stopping rules.
+# Most knees the hinge is seeded at: the lowest local minima of its profile.
+HINGE_KNEES = 3
+# Bounds on (beta, tau, s), and the solver's stopping rules.
 LOWER = (0.0, TAU_RANGE[0], S_MIN)
 UPPER = (1.0, TAU_RANGE[1], np.inf)
 MAX_NFEV = 200
@@ -68,13 +78,17 @@ XTOL = 1e-10
 # diagonal: keeps that system nonsingular where two Jacobian columns are
 # collinear to rounding, as where the soft hinge is nearly a straight line.
 LAM_MIN = 1e-12
-# Most row-points (seeds x data points) one batched solve advances at once.
-# Each flat per-point array then holds at most 64 KiB, below glibc's default
-# 128 KiB mmap threshold, so the solver's temporaries come from the heap
-# instead of being mapped and faulted in afresh on every step.
+# Most row-points (seeds x data points) the batched solver holds live at once;
+# a larger seed runs alone. The solver's per-point arrays are views into one
+# buffer allocated per call, and each block of the seed lattice holds at most
+# this many values (64 KiB), below glibc's default 128 KiB mmap threshold, so
+# no temporary is mapped and faulted in afresh on every step.
 BATCH_POINTS = 8192
 
 _N_PARAMS = {"linear": 2, "hinge": 2, "soft-hinge": 3}
+# (row, column) of each upper-triangle entry of the Gram matrix of f and its
+# k partials, for the hinge (k = 1) and the soft hinge (k = 2)
+_GRAM_PAIRS = {k: np.triu_indices(k + 1) for k in (1, 2)}
 # Every candidate model, in the order fits are run and written.
 MODELS = tuple(_N_PARAMS)
 
@@ -226,78 +240,133 @@ def _check_data(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _evaluate(theta: np.ndarray, x: np.ndarray, y: np.ndarray, sizes: np.ndarray,
-              heads: np.ndarray):
-    """Per-row SSE, J'r and J'J of the rows of theta (m, k) on their own points.
+              heads: np.ndarray, owner: np.ndarray, work: np.ndarray):
+    """Projected beta, SSE, J'r and J'J of the rows of theta (m, k) on their points.
 
-    A row is (beta, tau, s), or (beta, tau) for the hinge, whose s is 1. Row
-    i owns sizes[i] points of x and y, from heads[i] on, and each of its
-    sums is taken over that segment alone.
+    A row is (tau, s), or (tau,) for the hinge, whose s is 1. Row i owns
+    sizes[i] points of x and y, from heads[i] on (owner maps each point to
+    its row), and each of its sums is taken over that segment alone. With
+    f = softplus((x - tau) / s), the row's beta = clip(<f, y> / <f, f>, 0, 1)
+    and its residuals are beta * f - y. J is Kaufman's (1975) Jacobian of
+    those residuals: the columns beta * df/dtheta, projected off f while
+    beta is inside (0, 1); a clipped beta is a bound and adds nothing. The
+    products of f, its partials and y are reduced in one stacked reduceat,
+    and every per-point array is a view into work.
     """
     m, k = theta.shape
-    beta, tau = np.repeat(theta[:, 0], sizes), np.repeat(theta[:, 1], sizes)
-    s = np.repeat(theta[:, 2], sizes) if k == 3 else 1.0
-    partials = soft_hinge_partials(beta, tau, s, x)
-    jac = partials[:k]
-    r = beta * partials[0] - y
-    prod = r * r
-    sse = np.add.reduceat(prod, heads)
-    g = np.stack([np.add.reduceat(np.multiply(col, r, out=prod), heads) for col in jac], axis=1)
-    hess = np.empty((m, k, k))
-    for a in range(k):
-        for b in range(a, k):
-            hess[:, a, b] = hess[:, b, a] = np.add.reduceat(
-                np.multiply(jac[a], jac[b], out=prod), heads)
-    return sse, g, hess
+    n = x.size
+    cols = k + 1  # f and its k partials
+    rows = _GRAM_PAIRS[k]
+    block = work[:(5 + rows[0].size + cols) * n].reshape(-1, n)
+    u, e, tmp, f, ds = block[:5]
+    stack = block[5:]
+    # owner holds valid indices only, and take with mode="raise" would buffer out
+    np.take(theta[:, 0], owner, out=u, mode="clip")
+    np.subtract(x, u, out=u)
+    if k == 2:
+        np.take(theta[:, 1], owner, out=tmp, mode="clip")
+        np.divide(u, tmp, out=u)
+    # softplus(u) = max(u, 0) + log1p(exp(-|u|)) and the logistic
+    # sigma(u) = exp(min(u, 0)) / (1 + exp(-|u|)), neither of which overflows
+    np.abs(u, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.log1p(e, out=f)
+    f += np.maximum(u, 0.0, out=ds)
+    e += 1.0
+    np.minimum(u, 0.0, out=ds)
+    np.exp(ds, out=ds)
+    np.divide(ds, e, out=e)
+    # e becomes -df/dtau = sigma / s, and ds -df/ds = u * sigma / s
+    if k == 2:
+        np.divide(e, tmp, out=e)
+        np.multiply(u, e, out=ds)
+    factors = (f, e, ds)[:cols]
+    for row, (a, b) in enumerate(zip(*rows)):
+        np.multiply(factors[a], factors[b], out=stack[row])
+    for row, fac in enumerate(factors, rows[0].size):
+        np.multiply(fac, y, out=stack[row])
+    sums = np.add.reduceat(stack, heads, axis=1).T
+    gram = np.empty((m, cols, cols))
+    gram[:, rows[0], rows[1]] = gram[:, rows[1], rows[0]] = sums[:, :rows[0].size]
+    fy = sums[:, rows[0].size:]  # <f, y> and <-df/dtheta, y>
+    ff = gram[:, 0, 0]
+    # a knee far right of the data can underflow f to zero: beta is then moot
+    raw = np.divide(fy[:, 0], ff, out=np.zeros(m), where=ff > 0.0)
+    beta = np.minimum(np.maximum(raw, 0.0), 1.0)
+    np.take(beta, owner, out=tmp, mode="clip")
+    np.multiply(tmp, f, out=tmp)
+    np.subtract(tmp, y, out=tmp)
+    np.multiply(tmp, tmp, out=tmp)
+    sse = np.add.reduceat(tmp, heads)
+    # J'r = beta * <df/dtheta, r>: the beta term drops, as <f, r> = 0 or beta is clipped
+    cross = gram[:, 0, 1:]
+    g = beta[:, None] * (fy[:, 1:] - beta[:, None] * cross)
+    inside = (raw > 0.0) & (raw < 1.0)
+    proj = np.divide(cross, ff[:, None], out=np.zeros((m, k)), where=inside[:, None])
+    hess = beta[:, None, None] ** 2 * (gram[:, 1:, 1:] - proj[:, :, None] * cross[:, None, :])
+    return beta, sse, g, hess
 
 
 def _projected_lm(rows, starts: np.ndarray):
-    """Projected Levenberg-Marquardt from every row of starts (m, k).
+    """Projected Levenberg-Marquardt over (tau, s), or tau, from every row of starts (m, k).
 
     Row i is solved on the points (x, y) = rows[i], so rows may come from
-    different problems. Rows are admitted in input order, as many at a time
-    as fit in BATCH_POINTS live row-points (a larger row runs alone), and
-    each row that stops frees its points for the next rows within the same
-    step. Every per-row sum (the SSE, J'r and J'J) is taken over the row's
-    own segment alone, so a row's path does not depend on the other rows in
-    the batch, nor on their number. Each row keeps its own damping lam and
-    stops on its own. Per step, a
+    different problems; beta is projected out at every step (_evaluate).
+    Rows are admitted in input order, as many at a time as fit in
+    BATCH_POINTS live row-points (a larger row runs alone), and a row that
+    stops frees its points for the next rows within the same step. Every
+    per-row sum is taken over the row's own segment alone, so a row's path
+    does not depend on the other rows in the batch, nor on their number.
+    The per-point arrays live in one buffer allocated per call.
+
+    Each row keeps its own damping lam and stops on its own. Per step, a
     parameter at a bound whose gradient points outward is frozen, the system
     (J'J + lam * D) step = -J'r is solved over the free ones, with D the
     running maximum of diag(J'J) (Moré 1978), and the trial point is
-    clipped into [LOWER, UPPER]. A trial is accepted when its SSE is not
+    clipped into the bounds. A trial is accepted when its SSE is not
     higher. lam falls 10x when the trial gained more than 3/4 of the SSE
     decrease the linearized model predicts for the clipped step, and rises
     10x when it gained less than 1/4, so steps that overshoot a curved
     valley are damped instead of zig-zagging across it. Convergence is
     tested as stated in the module docstring.
 
-    Returns the final (theta, sse, converged) of every row.
+    Returns the final (params, sse, converged) of every row, params being
+    (beta, tau, s), or (beta, tau), in [LOWER, UPPER].
     """
     m, k = starts.shape
-    lo, hi = np.array(LOWER[:k]), np.array(UPPER[:k])
+    lo, hi = np.array(LOWER[1:k + 1]), np.array(UPPER[1:k + 1])
     row_sizes = np.array([x.size for x, _ in rows], dtype=np.intp)
-    out_theta, out_sse = starts.copy(), np.empty(m)
+    out_params, out_sse = np.empty((m, k + 1)), np.empty(m)
     converged = np.zeros(m, dtype=bool)
+    cap = min(max(BATCH_POINTS, int(row_sizes.max(initial=0))), int(row_sizes.sum()))
+    # the live rows' points as (x, y), and a second copy to compact them into
+    flat = np.empty((2, 2, cap))
+    points = 0
+    work = np.empty((5 + (k + 2) * (k + 1) // 2 + k + 1) * cap)
     # the state of the live rows, in admission order
     live = np.empty(0, dtype=np.intp)
-    theta, sse, g_at = np.empty((0, k)), np.empty(0), np.empty((0, k))
+    theta, beta, sse, g_at = np.empty((0, k)), np.empty(0), np.empty(0), np.empty((0, k))
     hess, scale, lam = np.empty((0, k, k)), np.empty((0, k)), np.empty(0)
     small_step, age = np.empty(0, dtype=bool), np.empty(0, dtype=np.intp)
     admitted = 0
     while True:
-        g = g_at.copy()
-        frozen = ((theta <= lo) & (g > 0.0)) | ((theta >= hi) & (g < 0.0))
-        g[frozen] = 0.0
-        conv = small_step | (np.max(np.abs(g), axis=1, initial=0.0) <= GTOL * np.maximum(1.0, sse))
+        frozen = ((theta <= lo) & (g_at > 0.0)) | ((theta >= hi) & (g_at < 0.0))
+        g = np.where(frozen, 0.0, g_at)
+        conv = small_step | (np.maximum.reduce(np.abs(g), axis=1) <= GTOL * np.maximum(1.0, sse))
         done = conv | (age == MAX_NFEV)
         changed = done.any()
         if changed:
-            out_theta[live[done]], out_sse[live[done]] = theta[done], sse[done]
-            converged[live[done]] = conv[done]
+            stop = live[done]
+            out_params[stop, 0], out_params[stop, 1:] = beta[done], theta[done]
+            out_sse[stop], converged[stop] = sse[done], conv[done]
             keep = ~done
-            live, theta, sse, g_at, g = live[keep], theta[keep], sse[keep], g_at[keep], g[keep]
-            hess, scale, lam = hess[keep], scale[keep], lam[keep]
+            live, theta, beta, sse = live[keep], theta[keep], beta[keep], sse[keep]
+            g_at, g, hess, scale, lam = g_at[keep], g[keep], hess[keep], scale[keep], lam[keep]
             small_step, age, frozen = small_step[keep], age[keep], frozen[keep]
+            before, points = points, int(row_sizes[live].sum())
+            np.compress(keep[owner], flat[0, :, :before], axis=1, out=flat[1, :, :points])
+            flat = flat[::-1]
         # admit the next rows while they fit; a row larger than the budget runs alone
         room = BATCH_POINTS - int(row_sizes[live].sum())
         first = admitted
@@ -307,12 +376,14 @@ def _projected_lm(rows, starts: np.ndarray):
         new = np.arange(first, admitted)
         if live.size == 0 and new.size == 0:
             break
+        for i in new:
+            flat[0, 0, points:points + row_sizes[i]], flat[0, 1, points:points + row_sizes[i]] = rows[i]
+            points += row_sizes[i]
         if changed or new.size:
-            order = np.concatenate([live, new])
-            sizes = row_sizes[order]
+            sizes = row_sizes[np.concatenate([live, new])]
             heads = np.cumsum(sizes) - sizes  # first point of each row
-            x = np.concatenate([rows[i][0] for i in order])
-            y = np.concatenate([rows[i][1] for i in order])
+            owner = np.repeat(np.arange(sizes.size), sizes)  # the row of each point
+            x, y = flat[0, :, :points]
         scale = np.maximum(scale, np.einsum("ikk->ik", hess))
         d = np.sqrt(np.where(scale > 0.0, scale, 1.0))
         free = ~frozen
@@ -320,12 +391,13 @@ def _projected_lm(rows, starts: np.ndarray):
         system *= free[:, :, None] & free[:, None, :]
         system[:, np.arange(k), np.arange(k)] += np.where(free, lam[:, None], 1.0)
         delta = np.linalg.solve(system, -(g / d)[:, :, None])[:, :, 0] / d
-        trial = np.clip(theta + delta, lo, hi)
+        trial = np.minimum(np.maximum(theta + delta, lo), hi)
         move = trial - theta
         # SSE decrease the linearized model predicts for the clipped step
         predicted = -np.einsum("ij,ij->i", move, 2.0 * g + (hess @ move[:, :, None])[:, :, 0])
         # the trials of the live rows and the starts of the new rows, in one pass
-        sse_e, g_e, hess_e = _evaluate(np.vstack([trial, starts[new]]), x, y, sizes, heads)
+        beta_e, sse_e, g_e, hess_e = _evaluate(np.vstack([trial, starts[new]]), x, y, sizes,
+                                               heads, owner, work)
         n = live.size
         sse_t = sse_e[:n]
         gain = np.divide(sse - sse_t, predicted, out=np.full(n, -1.0), where=predicted > 0.0)
@@ -333,63 +405,84 @@ def _projected_lm(rows, starts: np.ndarray):
                        np.where(gain >= 0.25, lam, lam * 10.0))
         ok = sse_t <= sse
         small_step = ok & (
-            np.max(np.abs(move), axis=1, initial=0.0)
-            <= XTOL * (XTOL + np.max(np.abs(theta), axis=1, initial=0.0))
+            np.maximum.reduce(np.abs(move), axis=1)
+            <= XTOL * (XTOL + np.maximum.reduce(np.abs(theta), axis=1))
         )
-        theta[ok], sse[ok], g_at[ok], hess[ok] = trial[ok], sse_t[ok], g_e[:n][ok], hess_e[:n][ok]
-        live = np.concatenate([live, new])
-        theta = np.vstack([theta, starts[new]])
-        sse = np.concatenate([sse, sse_e[n:]])
-        g_at = np.vstack([g_at, g_e[n:]])
-        hess = np.concatenate([hess, hess_e[n:]])
-        scale = np.vstack([scale, np.zeros((new.size, k))])
-        lam = np.concatenate([lam, np.full(new.size, 1e-3)])
-        small_step = np.concatenate([small_step, np.zeros(new.size, dtype=bool)])
-        age = np.concatenate([age + 1, np.zeros(new.size, dtype=np.intp)])
-    return out_theta, out_sse, converged
+        theta[ok], beta[ok], sse[ok] = trial[ok], beta_e[:n][ok], sse_t[ok]
+        g_at[ok], hess[ok] = g_e[:n][ok], hess_e[:n][ok]
+        age += 1
+        if new.size:
+            live = np.concatenate([live, new])
+            theta = np.vstack([theta, starts[new]])
+            beta, sse = np.concatenate([beta, beta_e[n:]]), np.concatenate([sse, sse_e[n:]])
+            g_at, hess = np.vstack([g_at, g_e[n:]]), np.concatenate([hess, hess_e[n:]])
+            scale = np.vstack([scale, np.zeros((new.size, k))])
+            lam = np.concatenate([lam, np.full(new.size, 1e-3)])
+            small_step = np.concatenate([small_step, np.zeros(new.size, dtype=bool)])
+            age = np.concatenate([age, np.zeros(new.size, dtype=np.intp)])
+    return out_params, out_sse, converged
 
 
-def _lattice_seeds(x, y, s_row) -> np.ndarray:
-    """One seed (beta, tau, s) per s in s_row, profiled over TAU_GRID.
+def _lattice_seeds(x, y, s_row, knees: int = 1) -> np.ndarray:
+    """Seeds (beta, tau, s) for each s in s_row, profiled over TAU_GRID.
 
-    For each s the seed is the lattice tau of lowest SSE, with its best
-    beta = clip(<f, y> / <f, f>, 0, 1), f = softplus((x - tau) / s). The
-    lattice is evaluated one s at a time, as a (len(TAU_GRID), n) block.
+    For each s, every lattice tau gets its best beta = clip(<f, y> / <f, f>,
+    0, 1), f = softplus((x - tau) / s), and the seeds are the local minima
+    of that profiled SSE along TAU_GRID, lowest first, at most knees of
+    them. The (s, tau) lattice is evaluated in blocks of at most
+    BATCH_POINTS values, so its temporaries stay below glibc's mmap
+    threshold.
     """
-    seeds = np.empty((len(s_row), 3))
-    for i, s in enumerate(s_row):
-        f = softplus((x - TAU_GRID[:, None]) / s)
+    lattice = np.empty((len(s_row), TAU_GRID.size, 3))  # (beta, tau, s) of each point
+    lattice[:, :, 1] = TAU_GRID
+    lattice[:, :, 2] = np.reshape(s_row, (-1, 1))
+    flat = lattice.reshape(-1, 3)
+    sse = np.empty(flat.shape[0])
+    block = max(1, BATCH_POINTS // x.size)  # lattice points per block
+    for i in range(0, sse.size, block):
+        cut = flat[i:i + block]
+        f = softplus((x - cut[:, 1:2]) / cut[:, 2:3])
         ff = np.einsum("ij,ij->i", f, f)
         # a knee far right of the data can underflow f to zero: beta is then moot
-        beta = np.clip(np.divide(f @ y, ff, out=np.zeros_like(ff), where=ff > 0.0), 0.0, 1.0)
+        beta = np.divide(f @ y, ff, out=np.zeros_like(ff), where=ff > 0.0)
+        cut[:, 0] = beta = np.minimum(np.maximum(beta, 0.0), 1.0)
         r = beta[:, None] * f - y
-        j = int(np.argmin(np.einsum("ij,ij->i", r, r)))
-        seeds[i] = beta[j], TAU_GRID[j], s
-    return seeds
+        sse[i:i + block] = np.einsum("ij,ij->i", r, r)
+    sse = sse.reshape(len(s_row), TAU_GRID.size)
+    # local minima along TAU_GRID, lowest first; the lowest is the first argmin
+    minimum = np.ones(sse.shape, dtype=bool)
+    minimum[:, 1:] = sse[:, 1:] < sse[:, :-1]
+    minimum[:, :-1] &= sse[:, :-1] <= sse[:, 1:]
+    ranked = np.argsort(np.where(minimum, sse, np.inf), axis=1, kind="stable")[:, :knees]
+    ranked += np.arange(len(s_row))[:, None] * TAU_GRID.size  # lattice indices
+    return flat[ranked[minimum.flat[ranked]]]  # each s's minima in turn
 
 
 def _fit_hinge_family(problems, free_s: bool) -> list[FitResult]:
     """Fit y = beta * softplus((x - tau)/s) to each (x, y); s = 1 unless free_s.
 
     Every problem's lattice seeds are polished by one projected LM over all
-    problems (see _projected_lm). Per problem, the winner is the lowest-SSE
-    polished seed, and converged is its own flag. Results come back in input
-    order.
+    problems (see _projected_lm): the soft hinge from the best knee of each
+    s of S_ROW, the hinge from up to HINGE_KNEES knees. Per problem, the
+    winner is the lowest-SSE polished seed, and converged is its own flag.
+    Results come back in input order.
     """
     problems = [_check_data(x, y) for x, y in problems]
     problems = [(_check_domain(x), y) for x, y in problems]
     model = "soft-hinge" if free_s else "hinge"
-    k = _N_PARAMS[model]
-    s_row = S_ROW if free_s else (1.0,)
-    m = len(s_row)  # seeds, and so solver rows, per problem
-    seeds = [_lattice_seeds(x, y, s_row)[:, :k] for x, y in problems]
-    theta, sses, ok = _projected_lm([p for p in problems for _ in range(m)], np.vstack(seeds))
+    k = _N_PARAMS[model] - 1  # beta is projected out of the solver
+    seeds = [_lattice_seeds(x, y, S_ROW) if free_s else _lattice_seeds(x, y, (1.0,), HINGE_KNEES)
+             for x, y in problems]
+    counts = [len(seed) for seed in seeds]
+    starts = np.vstack(seeds)[:, 1:k + 1] if seeds else np.empty((0, k))
+    params, sses, ok = _projected_lm([p for p, c in zip(problems, counts) for _ in range(c)],
+                                     starts)
     results = []
-    for i, (x, y) in enumerate(problems):
-        rows = slice(i * m, (i + 1) * m)
+    for (x, y), end, c in zip(problems, np.cumsum(counts), counts):
+        rows = slice(end - c, end)
         j = int(np.argmin(sses[rows]))
-        params = SoftHingeParams(*theta[rows][j]) if free_s else HingeParams(*theta[rows][j])
-        results.append(_finish(model, params, x, y, bool(ok[rows][j]),
+        best = SoftHingeParams(*params[rows][j]) if free_s else HingeParams(*params[rows][j])
+        results.append(_finish(model, best, x, y, bool(ok[rows][j]),
                                int(ok[rows].sum()), j, sses[rows].tolist()))
     return results
 

@@ -356,7 +356,8 @@ def read_table(
 ) -> dict:
     """Read the named columns of a CSV table: `floats` as float64 arrays, others as strings.
 
-    '#' (provenance) and blank lines before the header are skipped. numpy's C
+    The file is UTF-8, and a byte-order mark at its start is skipped. '#'
+    (provenance) and blank lines before the header are skipped. numpy's C
     reader parses the body, held in memory as one string, in one pass (RFC
     4180 quoting, blank lines skipped, the doubles Python's float() gives).
     TraceSchemaError names the path and the data row of a row not as wide as
@@ -370,7 +371,7 @@ def read_table(
     trailing NULs, so a NUL in such a column is rejected. Either error
     names the path and the data row.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = csv.reader(ln for ln in fh if not ln.startswith("#"))
         header = next((row for row in rows if row), None)
         if header is None:

@@ -189,6 +189,18 @@ class TestLoadTraceCsv:
         np.testing.assert_allclose(back.t, s.t)
         np.testing.assert_allclose(back.yaw, s.yaw)
 
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path):
+        # as Excel's "CSV UTF-8" and Python's utf-8-sig write a file
+        s = stream(pid="pø1", yaw=[1.25, -3.5, 7.0, 2.0])
+        write_trace_csv(tmp_path / "plain.csv", s)
+        text = (tmp_path / "plain.csv").read_text(encoding="utf-8")
+        (tmp_path / "bom.csv").write_text(text, encoding="utf-8-sig")
+        assert (tmp_path / "bom.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+        plain, bom = (load_trace_csv(tmp_path / f"{n}.csv") for n in ("plain", "bom"))
+        assert (bom.participant_id, bom.trial_id) == (plain.participant_id, plain.trial_id)
+        np.testing.assert_array_equal(bom.t, plain.t)
+        np.testing.assert_array_equal(bom.yaw, plain.yaw)
+
     def test_rows_are_sorted_by_timestamp(self, tmp_path):
         p = write_trace(tmp_path / "a.csv", "p01", "t01", [0.2, 0.0, 0.1], [3.0, 1.0, 2.0])
         back = load_trace_csv(p)
