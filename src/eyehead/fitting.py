@@ -257,7 +257,7 @@ def _evaluate(theta: np.ndarray, x: np.ndarray, y: np.ndarray, sizes: np.ndarray
     n = x.size
     cols = k + 1  # f and its k partials
     rows = _GRAM_PAIRS[k]
-    block = work[:(5 + rows[0].size + cols) * n].reshape(-1, n)
+    block = work[:(5 + rows[0].size + cols) * n].reshape(-1, n)  # 5 partials, then products
     u, e, tmp, f, ds = block[:5]
     stack = block[5:]
     # owner holds valid indices only, and take with mode="raise" would buffer out
@@ -343,7 +343,7 @@ def _projected_lm(rows, starts: np.ndarray):
     # the live rows' points as (x, y), and a second copy to compact them into
     flat = np.empty((2, 2, cap))
     points = 0
-    work = np.empty((5 + (k + 2) * (k + 1) // 2 + k + 1) * cap)
+    work = np.empty((5 + _GRAM_PAIRS[k][0].size + k + 1) * cap)  # as _evaluate lays it out
     # the state of the live rows, in admission order
     live = np.empty(0, dtype=np.intp)
     theta, beta, sse, g_at = np.empty((0, k)), np.empty(0), np.empty(0), np.empty((0, k))
