@@ -370,15 +370,17 @@ def _projected_lm(rows, starts: np.ndarray):
         # admit the next rows while they fit; a row larger than the budget runs alone
         room = BATCH_POINTS - int(row_sizes[live].sum())
         first = admitted
-        while admitted < m and (row_sizes[admitted] <= room or (live.size == 0 and admitted == first)):
+        alone = live.size == 0  # the first row admitted into an empty batch always fits
+        while admitted < m and (row_sizes[admitted] <= room or (alone and admitted == first)):
             room -= row_sizes[admitted]
             admitted += 1
         new = np.arange(first, admitted)
         if live.size == 0 and new.size == 0:
             break
         for i in new:
-            flat[0, 0, points:points + row_sizes[i]], flat[0, 1, points:points + row_sizes[i]] = rows[i]
-            points += row_sizes[i]
+            end = points + row_sizes[i]
+            flat[0, 0, points:end], flat[0, 1, points:end] = rows[i]
+            points = end
         if changed or new.size:
             sizes = row_sizes[np.concatenate([live, new])]
             heads = np.cumsum(sizes) - sizes  # first point of each row
