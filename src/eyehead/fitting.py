@@ -68,6 +68,8 @@ TAU_GRID = np.linspace(*TAU_RANGE, 31)
 S_ROW = np.logspace(-1.0, 2.0, 10)
 # Most knees the hinge is seeded at: the lowest local minima of its profile.
 HINGE_KNEES = 3
+# The hinge's row of the lattice: S_ROW[3] is 1.0 exactly.
+_HINGE_ROW = 3
 # Bounds on (beta, tau, s), and the solver's stopping rules.
 LOWER = (0.0, TAU_RANGE[0], S_MIN)
 UPPER = (1.0, TAU_RANGE[1], np.inf)
@@ -87,8 +89,8 @@ BATCH_POINTS = 8192
 
 _N_PARAMS = {"linear": 2, "hinge": 2, "soft-hinge": 3}
 # (row, column) of each upper-triangle entry of the Gram matrix of f and its
-# k partials, for the hinge (k = 1) and the soft hinge (k = 2)
-_GRAM_PAIRS = {k: np.triu_indices(k + 1) for k in (1, 2)}
+# partials in tau and s
+_GRAM_PAIRS = np.triu_indices(3)
 # Every candidate model, in the order fits are run and written.
 MODELS = tuple(_N_PARAMS)
 
@@ -241,31 +243,29 @@ def _check_data(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 def _evaluate(theta: np.ndarray, x: np.ndarray, y: np.ndarray, sizes: np.ndarray,
               heads: np.ndarray, owner: np.ndarray, work: np.ndarray):
-    """Projected beta, SSE, J'r and J'J of the rows of theta (m, k) on their points.
+    """Projected beta, SSE, J'r and J'J of the (tau, s) rows of theta (m, 2) on their points.
 
-    A row is (tau, s), or (tau,) for the hinge, whose s is 1. Row i owns
-    sizes[i] points of x and y, from heads[i] on (owner maps each point to
-    its row), and each of its sums is taken over that segment alone. With
-    f = softplus((x - tau) / s), the row's beta = clip(<f, y> / <f, f>, 0, 1)
-    and its residuals are beta * f - y. J is Kaufman's (1975) Jacobian of
-    those residuals: the columns beta * df/dtheta, projected off f while
-    beta is inside (0, 1); a clipped beta is a bound and adds nothing. The
-    products of f, its partials and y are reduced in one stacked reduceat,
-    and every per-point array is a view into work.
+    Row i owns sizes[i] points of x and y, from heads[i] on (owner maps each
+    point to its row), and each of its sums is taken over that segment
+    alone. With f = softplus((x - tau) / s), the row's beta =
+    clip(<f, y> / <f, f>, 0, 1) and its residuals are beta * f - y. J is
+    Kaufman's (1975) Jacobian of those residuals: the columns
+    beta * df/dtheta, projected off f while beta is inside (0, 1); a clipped
+    beta is a bound and adds nothing. The products of f, its partials and y
+    are reduced in one stacked reduceat, and every per-point array is a view
+    into work.
     """
-    m, k = theta.shape
+    m = theta.shape[0]
     n = x.size
-    cols = k + 1  # f and its k partials
-    rows = _GRAM_PAIRS[k]
-    block = work[:(5 + rows[0].size + cols) * n].reshape(-1, n)  # 5 partials, then products
+    rows = _GRAM_PAIRS
+    block = work[:(8 + rows[0].size) * n].reshape(-1, n)  # 5 partials, then products
     u, e, tmp, f, ds = block[:5]
     stack = block[5:]
     # owner holds valid indices only, and take with mode="raise" would buffer out
     np.take(theta[:, 0], owner, out=u, mode="clip")
     np.subtract(x, u, out=u)
-    if k == 2:
-        np.take(theta[:, 1], owner, out=tmp, mode="clip")
-        np.divide(u, tmp, out=u)
+    np.take(theta[:, 1], owner, out=tmp, mode="clip")
+    np.divide(u, tmp, out=u)
     # softplus(u) = max(u, 0) + log1p(exp(-|u|)) and the logistic
     # sigma(u) = exp(min(u, 0)) / (1 + exp(-|u|)), neither of which overflows
     np.abs(u, out=e)
@@ -278,16 +278,15 @@ def _evaluate(theta: np.ndarray, x: np.ndarray, y: np.ndarray, sizes: np.ndarray
     np.exp(ds, out=ds)
     np.divide(ds, e, out=e)
     # e becomes -df/dtau = sigma / s, and ds -df/ds = u * sigma / s
-    if k == 2:
-        np.divide(e, tmp, out=e)
-        np.multiply(u, e, out=ds)
-    factors = (f, e, ds)[:cols]
+    np.divide(e, tmp, out=e)
+    np.multiply(u, e, out=ds)
+    factors = (f, e, ds)
     for row, (a, b) in enumerate(zip(*rows)):
         np.multiply(factors[a], factors[b], out=stack[row])
     for row, fac in enumerate(factors, rows[0].size):
         np.multiply(fac, y, out=stack[row])
     sums = np.add.reduceat(stack, heads, axis=1).T
-    gram = np.empty((m, cols, cols))
+    gram = np.empty((m, 3, 3))
     gram[:, rows[0], rows[1]] = gram[:, rows[1], rows[0]] = sums[:, :rows[0].size]
     fy = sums[:, rows[0].size:]  # <f, y> and <-df/dtheta, y>
     ff = gram[:, 0, 0]
@@ -303,55 +302,61 @@ def _evaluate(theta: np.ndarray, x: np.ndarray, y: np.ndarray, sizes: np.ndarray
     cross = gram[:, 0, 1:]
     g = beta[:, None] * (fy[:, 1:] - beta[:, None] * cross)
     inside = (raw > 0.0) & (raw < 1.0)
-    proj = np.divide(cross, ff[:, None], out=np.zeros((m, k)), where=inside[:, None])
+    proj = np.divide(cross, ff[:, None], out=np.zeros((m, 2)), where=inside[:, None])
     hess = beta[:, None, None] ** 2 * (gram[:, 1:, 1:] - proj[:, :, None] * cross[:, None, :])
     return beta, sse, g, hess
 
 
-def _projected_lm(rows, starts: np.ndarray):
-    """Projected Levenberg-Marquardt over (tau, s), or tau, from every row of starts (m, k).
+def _projected_lm(rows, starts: np.ndarray, pinned: np.ndarray):
+    """Projected Levenberg-Marquardt over (tau, s) from every row of starts (m, 2).
 
     Row i is solved on the points (x, y) = rows[i], so rows may come from
     different problems; beta is projected out at every step (_evaluate).
-    Rows are admitted in input order, as many at a time as fit in
-    BATCH_POINTS live row-points (a larger row runs alone), and a row that
-    stops frees its points for the next rows within the same step. Every
-    per-row sum is taken over the row's own segment alone, so a row's path
-    does not depend on the other rows in the batch, nor on their number.
-    The per-point arrays live in one buffer allocated per call.
+    Where pinned[i], the row's s is held at its start: a hinge row is the
+    soft hinge with s pinned at 1. Rows are admitted in input order, as many
+    at a time as fit in BATCH_POINTS live row-points (a larger row runs
+    alone), and a row that stops frees its points for the next rows within
+    the same step. Every per-row sum is taken over the row's own segment
+    alone, so a row's path does not depend on the other rows in the batch,
+    nor on their number. The per-point arrays live in one buffer allocated
+    per call.
 
     Each row keeps its own damping lam and stops on its own. Per step, a
-    parameter at a bound whose gradient points outward is frozen, the system
-    (J'J + lam * D) step = -J'r is solved over the free ones, with D the
-    running maximum of diag(J'J) (Moré 1978), and the trial point is
-    clipped into the bounds. A trial is accepted when its SSE is not
-    higher. lam falls 10x when the trial gained more than 3/4 of the SSE
-    decrease the linearized model predicts for the clipped step, and rises
-    10x when it gained less than 1/4, so steps that overshoot a curved
+    pinned parameter, and one at a bound whose gradient points outward, is
+    frozen, the system (J'J + lam * D) step = -J'r is solved over the free
+    ones, with D the running maximum of diag(J'J) (Moré 1978), and the
+    trial point is clipped into the bounds. A trial is accepted when its SSE
+    is not higher. lam falls 10x when the trial gained more than 3/4 of the
+    SSE decrease the linearized model predicts for the clipped step, and
+    rises 10x when it gained less than 1/4, so steps that overshoot a curved
     valley are damped instead of zig-zagging across it. Convergence is
     tested as stated in the module docstring.
 
     Returns the final (params, sse, converged) of every row, params being
-    (beta, tau, s), or (beta, tau), in [LOWER, UPPER].
+    (beta, tau, s) in [LOWER, UPPER].
     """
-    m, k = starts.shape
-    lo, hi = np.array(LOWER[1:k + 1]), np.array(UPPER[1:k + 1])
+    m = starts.shape[0]
+    lo, hi = np.array(LOWER[1:]), np.array(UPPER[1:])
     row_sizes = np.array([x.size for x, _ in rows], dtype=np.intp)
-    out_params, out_sse = np.empty((m, k + 1)), np.empty(m)
+    out_params, out_sse = np.empty((m, 3)), np.empty(m)
     converged = np.zeros(m, dtype=bool)
     cap = min(max(BATCH_POINTS, int(row_sizes.max(initial=0))), int(row_sizes.sum()))
     # the live rows' points as (x, y), and a second copy to compact them into
     flat = np.empty((2, 2, cap))
     points = 0
-    work = np.empty((5 + _GRAM_PAIRS[k][0].size + k + 1) * cap)  # as _evaluate lays it out
+    work = np.empty((8 + _GRAM_PAIRS[0].size) * cap)  # as _evaluate lays it out
+    # the pinned parameters of every row: s where pinned
+    held = np.zeros((m, 2), dtype=bool)
+    held[:, 1] = pinned
     # the state of the live rows, in admission order
     live = np.empty(0, dtype=np.intp)
-    theta, beta, sse, g_at = np.empty((0, k)), np.empty(0), np.empty(0), np.empty((0, k))
-    hess, scale, lam = np.empty((0, k, k)), np.empty((0, k)), np.empty(0)
+    theta, beta, sse, g_at = np.empty((0, 2)), np.empty(0), np.empty(0), np.empty((0, 2))
+    hess, scale, lam = np.empty((0, 2, 2)), np.empty((0, 2)), np.empty(0)
     small_step, age = np.empty(0, dtype=bool), np.empty(0, dtype=np.intp)
+    hold = np.empty((0, 2), dtype=bool)
     admitted = 0
     while True:
-        frozen = ((theta <= lo) & (g_at > 0.0)) | ((theta >= hi) & (g_at < 0.0))
+        frozen = hold | ((theta <= lo) & (g_at > 0.0)) | ((theta >= hi) & (g_at < 0.0))
         g = np.where(frozen, 0.0, g_at)
         conv = small_step | (np.maximum.reduce(np.abs(g), axis=1) <= GTOL * np.maximum(1.0, sse))
         done = conv | (age == MAX_NFEV)
@@ -364,6 +369,7 @@ def _projected_lm(rows, starts: np.ndarray):
             live, theta, beta, sse = live[keep], theta[keep], beta[keep], sse[keep]
             g_at, g, hess, scale, lam = g_at[keep], g[keep], hess[keep], scale[keep], lam[keep]
             small_step, age, frozen = small_step[keep], age[keep], frozen[keep]
+            hold = hold[keep]
             before, points = points, int(row_sizes[live].sum())
             np.compress(keep[owner], flat[0, :, :before], axis=1, out=flat[1, :, :points])
             flat = flat[::-1]
@@ -391,7 +397,7 @@ def _projected_lm(rows, starts: np.ndarray):
         free = ~frozen
         system = hess / (d[:, :, None] * d[:, None, :])
         system *= free[:, :, None] & free[:, None, :]
-        system[:, np.arange(k), np.arange(k)] += np.where(free, lam[:, None], 1.0)
+        system[:, np.arange(2), np.arange(2)] += np.where(free, lam[:, None], 1.0)
         delta = np.linalg.solve(system, -(g / d)[:, :, None])[:, :, 0] / d
         trial = np.minimum(np.maximum(theta + delta, lo), hi)
         move = trial - theta
@@ -406,9 +412,10 @@ def _projected_lm(rows, starts: np.ndarray):
         lam = np.where(gain > 0.75, np.maximum(lam / 10.0, LAM_MIN),
                        np.where(gain >= 0.25, lam, lam * 10.0))
         ok = sse_t <= sse
+        # a pinned s is no parameter: it is left out of the step test
         small_step = ok & (
             np.maximum.reduce(np.abs(move), axis=1)
-            <= XTOL * (XTOL + np.maximum.reduce(np.abs(theta), axis=1))
+            <= XTOL * (XTOL + np.maximum.reduce(np.where(hold, 0.0, np.abs(theta)), axis=1))
         )
         theta[ok], beta[ok], sse[ok] = trial[ok], beta_e[:n][ok], sse_t[ok]
         g_at[ok], hess[ok] = g_e[:n][ok], hess_e[:n][ok]
@@ -418,26 +425,29 @@ def _projected_lm(rows, starts: np.ndarray):
             theta = np.vstack([theta, starts[new]])
             beta, sse = np.concatenate([beta, beta_e[n:]]), np.concatenate([sse, sse_e[n:]])
             g_at, hess = np.vstack([g_at, g_e[n:]]), np.concatenate([hess, hess_e[n:]])
-            scale = np.vstack([scale, np.zeros((new.size, k))])
+            scale = np.vstack([scale, np.zeros((new.size, 2))])
             lam = np.concatenate([lam, np.full(new.size, 1e-3)])
             small_step = np.concatenate([small_step, np.zeros(new.size, dtype=bool)])
             age = np.concatenate([age, np.zeros(new.size, dtype=np.intp)])
+            hold = np.vstack([hold, held[new]])
     return out_params, out_sse, converged
 
 
-def _lattice_seeds(x, y, s_row, knees: int = 1) -> np.ndarray:
-    """Seeds (beta, tau, s) for each s in s_row, profiled over TAU_GRID.
+def _lattice_seeds(x, y, models) -> dict[str, np.ndarray]:
+    """Seeds (beta, tau, s) of each hinge-family model in models, from one lattice.
 
-    For each s, every lattice tau gets its best beta = clip(<f, y> / <f, f>,
-    0, 1), f = softplus((x - tau) / s), and the seeds are the local minima
-    of that profiled SSE along TAU_GRID, lowest first, at most knees of
-    them. The (s, tau) lattice is evaluated in blocks of at most
-    BATCH_POINTS values, so its temporaries stay below glibc's mmap
-    threshold.
+    Every knee of TAU_GRID, for each s of S_ROW, gets its best beta =
+    clip(<f, y> / <f, f>, 0, 1), f = softplus((x - tau) / s). The soft hinge
+    is seeded at the lowest-SSE knee of each s; the hinge at the local
+    minima of the s = 1 row's SSE along TAU_GRID, lowest first, at most
+    HINGE_KNEES of them. Without the soft hinge only the s = 1 row is
+    evaluated. The lattice is evaluated in blocks of at most BATCH_POINTS
+    values, so its temporaries stay below glibc's mmap threshold.
     """
+    s_row = S_ROW if "soft-hinge" in models else S_ROW[_HINGE_ROW:_HINGE_ROW + 1]
     lattice = np.empty((len(s_row), TAU_GRID.size, 3))  # (beta, tau, s) of each point
     lattice[:, :, 1] = TAU_GRID
-    lattice[:, :, 2] = np.reshape(s_row, (-1, 1))
+    lattice[:, :, 2] = s_row[:, None]
     flat = lattice.reshape(-1, 3)
     sse = np.empty(flat.shape[0])
     block = max(1, BATCH_POINTS // x.size)  # lattice points per block
@@ -451,52 +461,56 @@ def _lattice_seeds(x, y, s_row, knees: int = 1) -> np.ndarray:
         r = beta[:, None] * f - y
         sse[i:i + block] = np.einsum("ij,ij->i", r, r)
     sse = sse.reshape(len(s_row), TAU_GRID.size)
-    # local minima along TAU_GRID, lowest first; the lowest is the first argmin
-    minimum = np.ones(sse.shape, dtype=bool)
-    minimum[:, 1:] = sse[:, 1:] < sse[:, :-1]
-    minimum[:, :-1] &= sse[:, :-1] <= sse[:, 1:]
-    ranked = np.argsort(np.where(minimum, sse, np.inf), axis=1, kind="stable")[:, :knees]
-    ranked += np.arange(len(s_row))[:, None] * TAU_GRID.size  # lattice indices
-    return flat[ranked[minimum.flat[ranked]]]  # each s's minima in turn
+    seeds = {}
+    if "soft-hinge" in models:
+        seeds["soft-hinge"] = lattice[np.arange(len(s_row)), np.argmin(sse, axis=1)]
+    if "hinge" in models:
+        row = _HINGE_ROW if len(s_row) > 1 else 0
+        profile = sse[row]
+        minimum = np.ones(profile.size, dtype=bool)  # local minima along TAU_GRID
+        minimum[1:] = profile[1:] < profile[:-1]
+        minimum[:-1] &= profile[:-1] <= profile[1:]
+        ranked = np.argsort(np.where(minimum, profile, np.inf), kind="stable")[:HINGE_KNEES]
+        seeds["hinge"] = lattice[row, ranked[minimum[ranked]]]
+    return seeds
 
 
-def _fit_hinge_family(problems, free_s: bool) -> list[FitResult]:
-    """Fit y = beta * softplus((x - tau)/s) to each (x, y); s = 1 unless free_s.
+def _fit_hinge_family(problems, models) -> dict[str, list[FitResult]]:
+    """Fit each hinge-family model in models to each (x, y), in one batch.
 
-    Every problem's lattice seeds are polished by one projected LM over all
-    problems (see _projected_lm): the soft hinge from the best knee of each
-    s of S_ROW, the hinge from up to HINGE_KNEES knees. Per problem, the
-    winner is the lowest-SSE polished seed, and converged is its own flag.
-    Results come back in input order.
+    y = beta * softplus((x - tau)/s), with s = 1 for the hinge. Every
+    problem's lattice seeds for every model are polished by one projected
+    LM (see _projected_lm), the hinge's with s pinned. Per problem and
+    model, the winner is the lowest-SSE polished seed, and converged is its
+    own flag. Each model's results come back in input order.
     """
     problems = [_check_data(x, y) for x, y in problems]
     problems = [(_check_domain(x), y) for x, y in problems]
-    model = "soft-hinge" if free_s else "hinge"
-    k = _N_PARAMS[model] - 1  # beta is projected out of the solver
-    seeds = [_lattice_seeds(x, y, S_ROW) if free_s else _lattice_seeds(x, y, (1.0,), HINGE_KNEES)
-             for x, y in problems]
-    counts = [len(seed) for seed in seeds]
-    starts = np.vstack(seeds)[:, 1:k + 1] if seeds else np.empty((0, k))
-    params, sses, ok = _projected_lm([p for p, c in zip(problems, counts) for _ in range(c)],
-                                     starts)
-    results = []
-    for (x, y), end, c in zip(problems, np.cumsum(counts), counts):
-        rows = slice(end - c, end)
+    blocks = [(p, model, seeds) for p in problems
+              for model, seeds in _lattice_seeds(*p, models).items()]
+    starts = np.vstack([seeds[:, 1:] for *_, seeds in blocks] + [np.empty((0, 2))])
+    pinned = np.array([model == "hinge" for _, model, seeds in blocks for _ in seeds], dtype=bool)
+    params, sses, ok = _projected_lm([p for p, _, seeds in blocks for _ in seeds], starts, pinned)
+    fits = {model: [] for model in models}
+    end = 0
+    for (x, y), model, seeds in blocks:
+        rows = slice(end, end := end + len(seeds))
         j = int(np.argmin(sses[rows]))
-        best = SoftHingeParams(*params[rows][j]) if free_s else HingeParams(*params[rows][j])
-        results.append(_finish(model, best, x, y, bool(ok[rows][j]),
-                               int(ok[rows].sum()), j, sses[rows].tolist()))
-    return results
+        best = (SoftHingeParams(*params[rows][j]) if model == "soft-hinge"
+                else HingeParams(*params[rows][j, :2]))
+        fits[model].append(_finish(model, best, x, y, bool(ok[rows][j]),
+                                   int(ok[rows].sum()), j, sses[rows].tolist()))
+    return fits
 
 
 def fit_soft_hinge(x, y) -> FitResult:
     """Bounded least squares for y = beta * softplus((x - tau)/s)."""
-    return _fit_hinge_family([(x, y)], free_s=True)[0]
+    return _fit_hinge_family([(x, y)], ("soft-hinge",))["soft-hinge"][0]
 
 
 def fit_hinge(x, y) -> FitResult:
     """Bounded least squares for y = beta * softplus(x - tau)."""
-    return _fit_hinge_family([(x, y)], free_s=False)[0]
+    return _fit_hinge_family([(x, y)], ("hinge",))["hinge"][0]
 
 
 def fit_linear(x, y) -> FitResult:
@@ -545,11 +559,10 @@ def fit_participants(problems, models: tuple[str, ...] = MODELS) -> list[Partici
     if unknown:
         raise ValueError(f"unknown model kind(s): {sorted(unknown)}")
     problems = [_check_data(x, y) for x, y in problems]
-    fits = {
-        name: [fit_linear(x, y) for x, y in problems] if name == "linear"
-        else _fit_hinge_family(problems, free_s=name == "soft-hinge")
-        for name in models
-    }
+    family = tuple(m for m in models if m != "linear")
+    fits = _fit_hinge_family(problems, family) if family else {}
+    if "linear" in models:
+        fits["linear"] = [fit_linear(x, y) for x, y in problems]
     out = []
     for i, (x, _) in enumerate(problems):
         own = {name: fits[name][i] for name in models}

@@ -408,6 +408,20 @@ class TestNoFitSeed:
             assert got[("copy", model)] == want[(pids[0], model)]
 
 
+class TestModelChoice:
+    def test_each_model_alone_writes_the_rows_of_all(self, tmp_path):
+        # the hinge and the soft hinge share one lattice and one solver batch
+        # under --model all; alone, each writes the same rows
+        shifts = preprocess(tmp_path, synth_dir(tmp_path, participants=3, trials=1, shifts=30))
+        rows = {}
+        for model in ("all", "linear", "hinge", "soft-hinge"):
+            out = tmp_path / f"{model}.json"
+            assert run(["fit", "--in", shifts, "--out", out, "--model", model]) == 0
+            rows[model] = read_json_array(out)
+        for model in ("linear", "hinge", "soft-hinge"):
+            assert rows[model] == [r for r in rows["all"] if r["model"] == model]
+
+
 class TestConfigOnEveryStage:
     """project and report take no option, yet read and check --config."""
 

@@ -116,15 +116,16 @@ class TestSoftHingeFit:
         assert a.start_index == b.start_index
         np.testing.assert_array_equal(a.start_sses, b.start_sses)
 
-    @pytest.mark.parametrize("s_row", [S_ROW, (1.0,)], ids=["soft-hinge", "hinge"])
-    def test_lattice_seeds_are_profiled_minima(self, s_row):
+    @pytest.mark.parametrize("model, s_row", [("soft-hinge", S_ROW), ("hinge", (1.0,))],
+                             ids=["soft-hinge", "hinge"])
+    def test_lattice_seeds_are_profiled_minima(self, model, s_row):
         # the last set lies near 0 deg, so knees far to its right underflow
         # softplus to zero there and leave <f, f> = 0
         sets = [noisy_set(seed) for seed in range(3)]
         sets.append((np.linspace(0.0, 2.0, 7), np.linspace(0.0, 0.3, 7)))
         betas = np.linspace(0.0, 1.0, 501)
         for x, y in sets:
-            seeds = _lattice_seeds(x, y, s_row)
+            seeds = _lattice_seeds(x, y, (model,))[model][:len(s_row)]  # the hinge's lowest
             assert seeds.shape == (len(s_row), 3)
             np.testing.assert_array_equal(seeds[:, 2], s_row)
             assert np.all((seeds >= LOWER) & (seeds <= UPPER))
@@ -188,6 +189,32 @@ class TestHingeFit:
         assert len(fit.start_sses) == 2
         assert fit.sse <= hinge_lattice_min_sse(x, y)
 
+    def test_hinge_row_of_the_lattice_is_s_one(self):
+        # the hinge reads its seeds off the soft hinge's lattice, at this row
+        assert S_ROW[fitting._HINGE_ROW] == 1.0
+
+    def test_seeds_are_the_local_minima_of_the_s_one_profile(self):
+        # the s = 1 knee profile computed apart, with the reference softplus
+        sets = [tiny_set(seed) for seed in range(20000, 20030)] + [noisy_set(s) for s in range(5)]
+        n_minima = set()
+        for x, y in sets:
+            f = ref_softplus(x[None, :] - TAU_GRID[:, None])
+            beta = np.clip((f @ y) / np.einsum("ij,ij->i", f, f), 0.0, 1.0)
+            profile = np.sum((beta[:, None] * f - y) ** 2, axis=1)
+            last = TAU_GRID.size - 1
+            minima = [j for j in range(TAU_GRID.size)
+                      if (j == 0 or profile[j] < profile[j - 1])
+                      and (j == last or profile[j] <= profile[j + 1])]
+            minima = sorted(minima, key=lambda j: profile[j])[:HINGE_KNEES]
+            n_minima.add(len(minima))
+            alone = _lattice_seeds(x, y, ("hinge",))["hinge"]
+            shared = _lattice_seeds(x, y, ("hinge", "soft-hinge"))["hinge"]
+            np.testing.assert_array_equal(alone, shared)
+            np.testing.assert_array_equal(alone[:, 1], TAU_GRID[minima])
+            np.testing.assert_array_equal(alone[:, 2], 1.0)
+            np.testing.assert_allclose(alone[:, 0], beta[minima], rtol=1e-12)
+        assert n_minima >= {1, 2}  # sets with one basin and with more
+
     def test_optimizer_matches_lattice_oracle(self):
         # noisy soft-hinge data, so the hinge (s = 1) is misspecified for
         # most draws and its SSE surface is not the one it was generated on
@@ -199,21 +226,28 @@ class TestHingeFit:
         assert worst <= 1.01
 
 
-def solve(x, y, starts):
+def solve(x, y, starts, pinned):
     """_projected_lm with every row of starts on the same (x, y)."""
-    return _projected_lm([(x, y)] * len(starts), starts)
+    return _projected_lm([(x, y)] * len(starts), starts, pinned)
+
+
+def pin(starts, k):
+    """(tau, s) starts and their pinned flags: for k = 1 (the hinge) s is pinned at 1."""
+    starts = np.array(starts, dtype=float)
+    if k == 1:
+        starts[:, 1] = 1.0
+    return starts, np.full(len(starts), k == 1)
 
 
 def random_starts(seed, k, m=20):
-    """m (tau, s) starts, or tau starts for k = 1, uniform in a box inside the bounds."""
+    """m (tau, s) starts uniform in a box inside the bounds, pinned as pin() pins them."""
     rng = np.random.default_rng(seed)
-    return rng.uniform((0.0, 0.5), (50.0, 20.0), (m, 2))[:, :k]
+    return pin(rng.uniform((0.0, 0.5), (50.0, 20.0), (m, 2)), k)
 
 
 def profiled_sse(x, y, starts):
-    """SSE of each (tau, s) or (tau,) start at its best beta = clip(<f, y>/<f, f>, 0, 1)."""
-    s = starts[:, 1:2] if starts.shape[1] == 2 else 1.0
-    f = ref_soft_hinge(1.0, starts[:, :1], s, x)
+    """SSE of each (tau, s) start at its best beta = clip(<f, y>/<f, f>, 0, 1)."""
+    f = ref_soft_hinge(1.0, starts[:, :1], starts[:, 1:2], x)
     beta = np.clip((f @ y) / np.einsum("ij,ij->i", f, f), 0.0, 1.0)
     return np.sum((beta[:, None] * f - y) ** 2, axis=1)
 
@@ -224,11 +258,13 @@ class TestBatchedSolver:
         # each row's result is bit-identical alone, in a subset and in the full batch
         for seed in range(5):
             x, y = noisy_set(seed)
-            starts = np.vstack([_lattice_seeds(x, y, S_ROW)[:, 1:k + 1], random_starts(seed, k, 6)])
-            full = solve(x, y, starts)
+            starts, pinned = pin(np.vstack([_lattice_seeds(x, y, ("soft-hinge",))["soft-hinge"][:, 1:],
+                                            random_starts(seed, k, 6)[0]]), k)
+            full = solve(x, y, starts, pinned)
             subset = np.arange(1, len(starts), 3)
-            batches = [(subset, solve(x, y, starts[subset]))]
-            batches += [([i], solve(x, y, starts[i:i + 1])) for i in range(len(starts))]
+            batches = [(subset, solve(x, y, starts[subset], pinned[subset]))]
+            batches += [([i], solve(x, y, starts[i:i + 1], pinned[i:i + 1]))
+                        for i in range(len(starts))]
             for rows, part in batches:
                 for got, want in zip(part, full):
                     np.testing.assert_array_equal(got, want[rows])
@@ -239,25 +275,26 @@ class TestBatchedSolver:
         k = n_params - 1  # beta is projected out
         for seed in range(5):
             x, y = noisy_set(seed)
-            starts = random_starts(seed, k)
-            params, sses, _ = solve(x, y, starts)
+            starts, pinned = random_starts(seed, k)
+            params, sses, _ = solve(x, y, starts, pinned)
             assert np.all(sses <= profiled_sse(x, y, starts))
-            assert np.all((params >= LOWER[:k + 1]) & (params <= UPPER[:k + 1]))
+            assert np.all((params >= LOWER) & (params <= UPPER))
+            # a pinned s stays where it started
+            np.testing.assert_array_equal(params[pinned, 2], starts[pinned, 1])
             # and the SSE it reports is that of the parameters it returns
-            s = params[:, 2:3] if k == 2 else 1.0
-            fitted = ref_soft_hinge(params[:, :1], params[:, 1:2], s, x)
+            fitted = ref_soft_hinge(params[:, :1], params[:, 1:2], params[:, 2:3], x)
             np.testing.assert_allclose(sses, np.sum((fitted - y) ** 2, axis=1), rtol=1e-12)
 
-    @pytest.mark.parametrize("fit, s_row, knees, k",
-                             [(fit_hinge, (1.0,), HINGE_KNEES, 2), (fit_soft_hinge, S_ROW, 1, 3)],
+    @pytest.mark.parametrize("fit, model, k",
+                             [(fit_hinge, "hinge", 2), (fit_soft_hinge, "soft-hinge", 3)],
                              ids=["hinge", "soft-hinge"])
-    def test_best_of_starts_matches_scipy_oracle(self, fit, s_row, knees, k):
+    def test_best_of_starts_matches_scipy_oracle(self, fit, model, k):
         # scipy polishes the same lattice seeds over (beta, tau[, s])
         worst = 0.0
         for seed in range(20):
             x, y = noisy_set(seed)
             result = fit(x, y)
-            seeds = _lattice_seeds(x, y, s_row, knees)[:, :k]
+            seeds = _lattice_seeds(x, y, (model,))[model][:, :k]
             worst = max(worst, result.sse / trf_min_sse(x, y, seeds))
         assert worst <= 1.0 + 1e-6
 
@@ -266,8 +303,8 @@ class TestBatchedSolver:
         # convergence test: it still wins, and the fit says it did not converge
         lm = fitting._projected_lm
 
-        def best_seed_unconverged(rows, starts):
-            params, sses, _ = lm(rows, starts)
+        def best_seed_unconverged(rows, starts, pinned):
+            params, sses, _ = lm(rows, starts, pinned)
             converged = np.ones(len(sses), dtype=bool)
             converged[np.argmin(sses)] = False
             return params, sses, converged
@@ -323,7 +360,7 @@ class TestProjection:
     def rows_and_thetas(k):
         rows = [noisy_set(seed) for seed in range(6)]
         # the last knee sits right of most of the data, so its beta clips at 1
-        theta = np.vstack([random_starts(7, k, 5), np.array([[48.0, 0.5]])[:, :k]])
+        theta, _ = pin(np.vstack([random_starts(7, k, 5)[0], [[48.0, 0.5]]]), k)
         return rows, theta
 
     @pytest.mark.parametrize("k", [1, 2], ids=["hinge", "soft-hinge"])
@@ -332,14 +369,14 @@ class TestProjection:
         beta, sse, g, hess = evaluate(rows, theta)
         assert beta[-1] == 1.0
         for (x, y), th, *got in zip(rows, theta, beta, sse, g, hess, strict=True):
-            s = th[1] if k == 2 else 1.0
+            s = th[1]
             u = (x - th[0]) / s
             f = ref_softplus(u)
             raw = (f @ y) / (f @ f)
             b = min(max(raw, 0.0), 1.0)
             r = b * f - y
             sig = ref_logistic(u)
-            jac = b * np.column_stack([-sig / s, -u * sig / s][:k])
+            jac = b * np.column_stack([-sig / s, -u * sig / s])
             if 0.0 < raw < 1.0:
                 jac -= np.outer(f, f @ jac) / (f @ f)  # projected off f
             want = (b, r @ r, jac.T @ r, jac.T @ jac)
@@ -370,27 +407,30 @@ class TestBatchContract:
     PROBLEMS = [tiny_set(20039), noisy_set(1), tiny_set(56), noisy_set(2), noisy_set(3),
                 tiny_set(7), soft_hinge_data(n=1000, noise_sd=2.0, seed=8), tiny_set(9)]
 
-    @pytest.mark.parametrize("free_s", [False, True], ids=["hinge", "soft-hinge"])
-    def test_fit_is_the_same_alone_batched_and_split(self, monkeypatch, free_s):
-        alone = [_fit_hinge_family([p], free_s)[0] for p in self.PROBLEMS]
-        batched = _fit_hinge_family(self.PROBLEMS, free_s)
+    @pytest.mark.parametrize("model", ["hinge", "soft-hinge"])
+    def test_fit_is_the_same_alone_batched_and_split(self, monkeypatch, model):
+        alone = [_fit_hinge_family([p], (model,))[model][0] for p in self.PROBLEMS]
+        batched = _fit_hinge_family(self.PROBLEMS, (model,))[model]
         monkeypatch.setattr(fitting, "BATCH_POINTS", 200)
-        split = _fit_hinge_family(self.PROBLEMS, free_s)
+        split = _fit_hinge_family(self.PROBLEMS, (model,))[model]
         for want, got_batched, got_split in zip(alone, batched, split, strict=True):
             same_fit(got_batched, want)
             same_fit(got_split, want)
 
     @pytest.mark.parametrize("budget", [200, 1000, fitting.BATCH_POINTS])
-    @pytest.mark.parametrize("free_s", [False, True], ids=["hinge", "soft-hinge"])
-    def test_a_batch_holds_at_most_batch_points(self, monkeypatch, budget, free_s):
+    @pytest.mark.parametrize("k", [1, 2, "mixed"], ids=["hinge", "soft-hinge", "mixed"])
+    def test_a_batch_holds_at_most_batch_points(self, monkeypatch, budget, k):
         # one batch that refills as rows stop; rows of distinct sizes, so the
         # sizes each evaluation sees name its rows
         x, y = soft_hinge_data(n=1000, noise_sd=2.0, seed=8)
         ns = [37, 150, 23, 410, 90, 1000, 64, 12, 230, 75, 300, 41, 520, 18, 95,
               700, 810, 905, 640, 999, 880, 760, 590, 950, 845]  # 11.2k row-points
         rows = [(x[:n], y[:n]) for n in ns]
-        starts = np.vstack([_lattice_seeds(*row, S_ROW)[i % len(S_ROW), 1:]
-                            for i, row in enumerate(rows)])[:, :2 if free_s else 1]
+        starts = np.vstack([_lattice_seeds(*row, ("soft-hinge",))["soft-hinge"][i % len(S_ROW), 1:]
+                            for i, row in enumerate(rows)])
+        # mixed: every other row a hinge (s pinned at 1) among soft-hinge rows
+        pinned = np.arange(len(ns)) % 2 == 0 if k == "mixed" else np.full(len(ns), k == 1)
+        starts[pinned, 1] = 1.0
         calls = []
         evaluate = fitting._evaluate
 
@@ -400,7 +440,7 @@ class TestBatchContract:
 
         monkeypatch.setattr(fitting, "_evaluate", spy)
         monkeypatch.setattr(fitting, "BATCH_POINTS", budget)
-        got = _projected_lm(rows, starts)
+        got = _projected_lm(rows, starts, pinned)
         seen, mid_batch = [], 0
         for i, live in enumerate(calls):
             # live row-points stay within the budget unless one row is alone
@@ -421,8 +461,35 @@ class TestBatchContract:
         assert mid_batch > 0
         # a row admitted in the middle of a batch gets the same bits as alone
         for j, row in enumerate(rows):
-            for alone, batched in zip(_projected_lm([row], starts[j:j + 1]), got, strict=True):
+            for alone, batched in zip(_projected_lm([row], starts[j:j + 1], pinned[j:j + 1]), got,
+                                      strict=True):
                 np.testing.assert_array_equal(alone, batched[j:j + 1])
+
+    def test_hinge_rows_batched_among_soft_hinge_rows_fit_as_alone(self, monkeypatch):
+        # one batch of both models: each hinge row, s pinned, gets its own bits
+        alone = {m: _fit_hinge_family(self.PROBLEMS, (m,))[m] for m in ("hinge", "soft-hinge")}
+        for budget in (200, fitting.BATCH_POINTS):
+            monkeypatch.setattr(fitting, "BATCH_POINTS", budget)
+            together = _fit_hinge_family(self.PROBLEMS, ("hinge", "soft-hinge"))
+            for model, want in alone.items():
+                for a, b in zip(together[model], want, strict=True):
+                    same_fit(a, b)
+
+    @pytest.mark.parametrize("models", [fitting.MODELS, ("hinge",), ("soft-hinge",),
+                                        ("soft-hinge", "hinge"), ("linear", "soft-hinge")])
+    def test_fit_participants_makes_one_solver_call(self, monkeypatch, models):
+        calls = []
+        lm = fitting._projected_lm
+
+        def spy(rows, starts, pinned):
+            calls.append(len(starts))
+            return lm(rows, starts, pinned)
+
+        monkeypatch.setattr(fitting, "_projected_lm", spy)
+        pfits = fitting.fit_participants(self.PROBLEMS[:4], models)
+        assert len(calls) == 1
+        assert calls[0] == sum(len(f.start_sses) for p in pfits for m, f in p.fits.items()
+                               if m != "linear")
 
     def test_no_problems_give_no_fits(self):
         assert fitting.fit_participants([]) == []
