@@ -88,9 +88,6 @@ LAM_MIN = 1e-12
 BATCH_POINTS = 8192
 
 _N_PARAMS = {"linear": 2, "hinge": 2, "soft-hinge": 3}
-# (row, column) of each upper-triangle entry of the Gram matrix of f and its
-# partials in tau and s
-_GRAM_PAIRS = np.triu_indices(3)
 # Every candidate model, in the order fits are run and written.
 MODELS = tuple(_N_PARAMS)
 
@@ -242,29 +239,28 @@ def _check_data(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _evaluate(theta: np.ndarray, x: np.ndarray, y: np.ndarray, sizes: np.ndarray,
-              heads: np.ndarray, owner: np.ndarray, work: np.ndarray):
-    """Projected beta, SSE, J'r and J'J of the (tau, s) rows of theta (m, 2) on their points.
+              heads: np.ndarray, owner: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Projected beta, SSE, J'r and J'J of the (tau, s) columns of theta (2, m) on their points.
 
-    Row i owns sizes[i] points of x and y, from heads[i] on (owner maps each
-    point to its row), and each of its sums is taken over that segment
-    alone. With f = softplus((x - tau) / s), the row's beta =
+    Column i owns sizes[i] points of x and y, from heads[i] on (owner maps
+    each point to its column), and each of its sums is taken over that
+    segment alone. With f = softplus((x - tau) / s), its beta =
     clip(<f, y> / <f, f>, 0, 1) and its residuals are beta * f - y. J is
     Kaufman's (1975) Jacobian of those residuals: the columns
     beta * df/dtheta, projected off f while beta is inside (0, 1); a clipped
     beta is a bound and adds nothing. The products of f, its partials and y
     are reduced in one stacked reduceat, and every per-point array is a view
-    into work.
+    into work. Returns the rows (beta, sse, J'r, J'J as h00, h01, h11).
     """
-    m = theta.shape[0]
+    m = theta.shape[1]
     n = x.size
-    rows = _GRAM_PAIRS
-    block = work[:(8 + rows[0].size) * n].reshape(-1, n)  # 5 partials, then products
+    block = work[:14 * n].reshape(-1, n)  # 5 partials, then 9 products
     u, e, tmp, f, ds = block[:5]
     stack = block[5:]
     # owner holds valid indices only, and take with mode="raise" would buffer out
-    np.take(theta[:, 0], owner, out=u, mode="clip")
+    np.take(theta[0], owner, out=u, mode="clip")
     np.subtract(x, u, out=u)
-    np.take(theta[:, 1], owner, out=tmp, mode="clip")
+    np.take(theta[1], owner, out=tmp, mode="clip")
     np.divide(u, tmp, out=u)
     # softplus(u) = max(u, 0) + log1p(exp(-|u|)) and the logistic
     # sigma(u) = exp(min(u, 0)) / (1 + exp(-|u|)), neither of which overflows
@@ -280,18 +276,12 @@ def _evaluate(theta: np.ndarray, x: np.ndarray, y: np.ndarray, sizes: np.ndarray
     # e becomes -df/dtau = sigma / s, and ds -df/ds = u * sigma / s
     np.divide(e, tmp, out=e)
     np.multiply(u, e, out=ds)
-    factors = (f, e, ds)
-    for row, (a, b) in enumerate(zip(*rows)):
-        np.multiply(factors[a], factors[b], out=stack[row])
-    for row, fac in enumerate(factors, rows[0].size):
-        np.multiply(fac, y, out=stack[row])
-    sums = np.add.reduceat(stack, heads, axis=1).T
-    gram = np.empty((m, 3, 3))
-    gram[:, rows[0], rows[1]] = gram[:, rows[1], rows[0]] = sums[:, :rows[0].size]
-    fy = sums[:, rows[0].size:]  # <f, y> and <-df/dtheta, y>
-    ff = gram[:, 0, 0]
+    pairs = ((f, f), (f, e), (f, ds), (e, e), (e, ds), (ds, ds), (f, y), (e, y), (ds, y))
+    for row, (a, b) in enumerate(pairs):
+        np.multiply(a, b, out=stack[row])
+    ff, fe, fd, ee, ed, dd, fy, ey, dy = np.add.reduceat(stack, heads, axis=1)
     # a knee far right of the data can underflow f to zero: beta is then moot
-    raw = np.divide(fy[:, 0], ff, out=np.zeros(m), where=ff > 0.0)
+    raw = np.divide(fy, ff, out=np.zeros(m), where=ff > 0.0)
     beta = np.minimum(np.maximum(raw, 0.0), 1.0)
     np.take(beta, owner, out=tmp, mode="clip")
     np.multiply(tmp, f, out=tmp)
@@ -299,12 +289,32 @@ def _evaluate(theta: np.ndarray, x: np.ndarray, y: np.ndarray, sizes: np.ndarray
     np.multiply(tmp, tmp, out=tmp)
     sse = np.add.reduceat(tmp, heads)
     # J'r = beta * <df/dtheta, r>: the beta term drops, as <f, r> = 0 or beta is clipped
-    cross = gram[:, 0, 1:]
-    g = beta[:, None] * (fy[:, 1:] - beta[:, None] * cross)
     inside = (raw > 0.0) & (raw < 1.0)
-    proj = np.divide(cross, ff[:, None], out=np.zeros((m, 2)), where=inside[:, None])
-    hess = beta[:, None, None] ** 2 * (gram[:, 1:, 1:] - proj[:, :, None] * cross[:, None, :])
-    return beta, sse, g, hess
+    pe = np.divide(fe, ff, out=np.zeros(m), where=inside)
+    pd = np.divide(fd, ff, out=np.zeros(m), where=inside)
+    b2 = beta * beta
+    return np.stack([beta, sse, beta * (ey - beta * fe), beta * (dy - beta * fd),
+                     b2 * (ee - pe * fe), b2 * (ed - pe * fd), b2 * (dd - pd * fd)])
+
+
+def _damped_step(hess: np.ndarray, g: np.ndarray, scale: np.ndarray, lam: np.ndarray,
+                 free: np.ndarray) -> np.ndarray:
+    """The step of (J'J + lam * D) step = -J'r over the free parameters of each column.
+
+    hess holds the rows (h00, h01, h11) of each column's J'J, g its J'r and
+    scale D, the running maximum of diag(J'J) (Moré 1978); lam and free are
+    the column's damping and free parameters. The system is scaled to a unit
+    diagonal by D; a frozen parameter gets a zero off-diagonal, a unit
+    diagonal and a zero right-hand side, so its step is exactly 0. The 2x2
+    system is solved by Cramer's rule, forward stable for n = 2 (Higham 2002).
+    """
+    d = np.sqrt(np.where(scale > 0.0, scale, 1.0))
+    a = np.where(free[0], hess[0] / (d[0] * d[0]) + lam, 1.0)
+    c = np.where(free[1], hess[2] / (d[1] * d[1]) + lam, 1.0)
+    b = np.where(free[0] & free[1], hess[1] / (d[0] * d[1]), 0.0)
+    r = np.where(free, -g / d, 0.0)
+    det = a * c - b * b
+    return np.stack([(r[0] * c - b * r[1]) / det, (a * r[1] - b * r[0]) / det]) / d
 
 
 def _projected_lm(rows, starts: np.ndarray, pinned: np.ndarray):
@@ -319,118 +329,101 @@ def _projected_lm(rows, starts: np.ndarray, pinned: np.ndarray):
     the same step. Every per-row sum is taken over the row's own segment
     alone, so a row's path does not depend on the other rows in the batch,
     nor on their number. The per-point arrays live in one buffer allocated
-    per call.
+    per call, and the live rows' state in one array, a column per row.
 
     Each row keeps its own damping lam and stops on its own. Per step, a
     pinned parameter, and one at a bound whose gradient points outward, is
-    frozen, the system (J'J + lam * D) step = -J'r is solved over the free
-    ones, with D the running maximum of diag(J'J) (Moré 1978), and the
-    trial point is clipped into the bounds. A trial is accepted when its SSE
-    is not higher. lam falls 10x when the trial gained more than 3/4 of the
-    SSE decrease the linearized model predicts for the clipped step, and
-    rises 10x when it gained less than 1/4, so steps that overshoot a curved
-    valley are damped instead of zig-zagging across it. Convergence is
-    tested as stated in the module docstring.
+    frozen, the damped system is solved over the free ones (_damped_step),
+    and the trial point is clipped into the bounds. A trial is accepted when
+    its SSE is not higher. lam falls 10x when the trial gained more than 3/4
+    of the SSE decrease the linearized model predicts for the clipped step,
+    and rises 10x when it gained less than 1/4, so steps that overshoot a
+    curved valley are damped instead of zig-zagging across it. Convergence
+    is tested as stated in the module docstring.
 
     Returns the final (params, sse, converged) of every row, params being
     (beta, tau, s) in [LOWER, UPPER].
     """
     m = starts.shape[0]
-    lo, hi = np.array(LOWER[1:]), np.array(UPPER[1:])
+    lo, hi = np.array(LOWER[1:])[:, None], np.array(UPPER[1:])[:, None]
     row_sizes = np.array([x.size for x, _ in rows], dtype=np.intp)
-    out_params, out_sse = np.empty((m, 3)), np.empty(m)
-    converged = np.zeros(m, dtype=bool)
+    out = np.empty((5, m))  # beta, tau, s, sse and converged of every row
     cap = min(max(BATCH_POINTS, int(row_sizes.max(initial=0))), int(row_sizes.sum()))
     # the live rows' points as (x, y), and a second copy to compact them into
     flat = np.empty((2, 2, cap))
     points = 0
-    work = np.empty((8 + _GRAM_PAIRS[0].size) * cap)  # as _evaluate lays it out
-    # the pinned parameters of every row: s where pinned
-    held = np.zeros((m, 2), dtype=bool)
-    held[:, 1] = pinned
-    # the state of the live rows, in admission order
-    live = np.empty(0, dtype=np.intp)
-    theta, beta, sse, g_at = np.empty((0, 2)), np.empty(0), np.empty(0), np.empty((0, 2))
-    hess, scale, lam = np.empty((0, 2, 2)), np.empty((0, 2)), np.empty(0)
-    small_step, age = np.empty(0, dtype=bool), np.empty(0, dtype=np.intp)
-    hold = np.empty((0, 2), dtype=bool)
+    work = np.empty(14 * cap)  # as _evaluate lays it out
+    # A live row's state, a column per row in admission order: beta, tau, s,
+    # SSE, J'r (2), J'J (h00, h01, h11), then what init starts: diag(J'J)'s
+    # running maximum (2), lam, the step count, whether the last accepted
+    # step was small, whether s is pinned, and the row's input index.
+    init = np.zeros((7, m))
+    init[2], init[5], init[6] = 1e-3, pinned, np.arange(m)
+    state = np.empty((16, 0))
     admitted = 0
     while True:
-        frozen = hold | ((theta <= lo) & (g_at > 0.0)) | ((theta >= hi) & (g_at < 0.0))
+        theta, g_at = state[1:3], state[4:6]
+        frozen = ((theta <= lo) & (g_at > 0.0)) | ((theta >= hi) & (g_at < 0.0))
+        frozen[1] |= state[14] == 1.0
         g = np.where(frozen, 0.0, g_at)
-        conv = small_step | (np.maximum.reduce(np.abs(g), axis=1) <= GTOL * np.maximum(1.0, sse))
-        done = conv | (age == MAX_NFEV)
+        conv = (state[13] == 1.0) | (
+            np.maximum(np.abs(g[0]), np.abs(g[1])) <= GTOL * np.maximum(1.0, state[3]))
+        done = conv | (state[12] == MAX_NFEV)
         changed = done.any()
         if changed:
-            stop = live[done]
-            out_params[stop, 0], out_params[stop, 1:] = beta[done], theta[done]
-            out_sse[stop], converged[stop] = sse[done], conv[done]
+            stop = state[:, done]
+            index = stop[15].astype(np.intp)
+            out[:4, index], out[4, index] = stop[:4], conv[done]
             keep = ~done
-            live, theta, beta, sse = live[keep], theta[keep], beta[keep], sse[keep]
-            g_at, g, hess, scale, lam = g_at[keep], g[keep], hess[keep], scale[keep], lam[keep]
-            small_step, age, frozen = small_step[keep], age[keep], frozen[keep]
-            hold = hold[keep]
-            before, points = points, int(row_sizes[live].sum())
+            state, g, frozen = state[:, keep], g[:, keep], frozen[:, keep]
+            before, points = points, int(row_sizes[state[15].astype(np.intp)].sum())
             np.compress(keep[owner], flat[0, :, :before], axis=1, out=flat[1, :, :points])
             flat = flat[::-1]
         # admit the next rows while they fit; a row larger than the budget runs alone
-        room = BATCH_POINTS - int(row_sizes[live].sum())
+        room = BATCH_POINTS - points
         first = admitted
-        alone = live.size == 0  # the first row admitted into an empty batch always fits
+        alone = state.shape[1] == 0  # the first row admitted into an empty batch always fits
         while admitted < m and (row_sizes[admitted] <= room or (alone and admitted == first)):
             room -= row_sizes[admitted]
             admitted += 1
         new = np.arange(first, admitted)
-        if live.size == 0 and new.size == 0:
+        if alone and new.size == 0:
             break
         for i in new:
             end = points + row_sizes[i]
             flat[0, 0, points:end], flat[0, 1, points:end] = rows[i]
             points = end
         if changed or new.size:
-            sizes = row_sizes[np.concatenate([live, new])]
+            sizes = row_sizes[np.concatenate([state[15].astype(np.intp), new])]
             heads = np.cumsum(sizes) - sizes  # first point of each row
             owner = np.repeat(np.arange(sizes.size), sizes)  # the row of each point
             x, y = flat[0, :, :points]
-        scale = np.maximum(scale, np.einsum("ikk->ik", hess))
-        d = np.sqrt(np.where(scale > 0.0, scale, 1.0))
-        free = ~frozen
-        system = hess / (d[:, :, None] * d[:, None, :])
-        system *= free[:, :, None] & free[:, None, :]
-        system[:, np.arange(2), np.arange(2)] += np.where(free, lam[:, None], 1.0)
-        delta = np.linalg.solve(system, -(g / d)[:, :, None])[:, :, 0] / d
-        trial = np.minimum(np.maximum(theta + delta, lo), hi)
+        theta, sse, hess, scale, lam = state[1:3], state[3], state[6:9], state[9:11], state[11]
+        np.maximum(scale, hess[::2], out=scale)
+        trial = np.minimum(np.maximum(theta + _damped_step(hess, g, scale, lam, ~frozen), lo), hi)
         move = trial - theta
         # SSE decrease the linearized model predicts for the clipped step
-        predicted = -np.einsum("ij,ij->i", move, 2.0 * g + (hess @ move[:, :, None])[:, :, 0])
+        h00, h01, h11 = hess
+        predicted = -(move[0] * (2.0 * g[0] + (h00 * move[0] + h01 * move[1]))
+                      + move[1] * (2.0 * g[1] + (h01 * move[0] + h11 * move[1])))
         # the trials of the live rows and the starts of the new rows, in one pass
-        beta_e, sse_e, g_e, hess_e = _evaluate(np.vstack([trial, starts[new]]), x, y, sizes,
-                                               heads, owner, work)
-        n = live.size
-        sse_t = sse_e[:n]
+        found = _evaluate(np.concatenate([trial, starts[new].T], axis=1), x, y, sizes, heads,
+                          owner, work)
+        n = state.shape[1]
+        sse_t = found[1, :n]
         gain = np.divide(sse - sse_t, predicted, out=np.full(n, -1.0), where=predicted > 0.0)
-        lam = np.where(gain > 0.75, np.maximum(lam / 10.0, LAM_MIN),
-                       np.where(gain >= 0.25, lam, lam * 10.0))
+        state[11] = np.where(gain > 0.75, np.maximum(lam / 10.0, LAM_MIN),
+                             np.where(gain >= 0.25, lam, lam * 10.0))
         ok = sse_t <= sse
         # a pinned s is no parameter: it is left out of the step test
-        small_step = ok & (
-            np.maximum.reduce(np.abs(move), axis=1)
-            <= XTOL * (XTOL + np.maximum.reduce(np.where(hold, 0.0, np.abs(theta)), axis=1))
-        )
-        theta[ok], beta[ok], sse[ok] = trial[ok], beta_e[:n][ok], sse_t[ok]
-        g_at[ok], hess[ok] = g_e[:n][ok], hess_e[:n][ok]
-        age += 1
+        size = np.maximum(np.abs(theta[0]), np.where(state[14] == 1.0, 0.0, np.abs(theta[1])))
+        state[13] = ok & (np.maximum(np.abs(move[0]), np.abs(move[1])) <= XTOL * (XTOL + size))
+        np.copyto(state[:9], np.concatenate([found[:1, :n], trial, found[1:, :n]]), where=ok)
+        state[12] += 1
         if new.size:
-            live = np.concatenate([live, new])
-            theta = np.vstack([theta, starts[new]])
-            beta, sse = np.concatenate([beta, beta_e[n:]]), np.concatenate([sse, sse_e[n:]])
-            g_at, hess = np.vstack([g_at, g_e[n:]]), np.concatenate([hess, hess_e[n:]])
-            scale = np.vstack([scale, np.zeros((new.size, 2))])
-            lam = np.concatenate([lam, np.full(new.size, 1e-3)])
-            small_step = np.concatenate([small_step, np.zeros(new.size, dtype=bool)])
-            age = np.concatenate([age, np.zeros(new.size, dtype=np.intp)])
-            hold = np.vstack([hold, held[new]])
-    return out_params, out_sse, converged
+            fresh = np.concatenate([found[:1, n:], starts[new].T, found[1:, n:], init[:, new]])
+            state = np.concatenate([state, fresh], axis=1)
+    return out[:3].T, out[3], out[4] == 1.0
 
 
 def _lattice_seeds(x, y, models) -> dict[str, np.ndarray]:
