@@ -266,9 +266,9 @@ def cmd_preprocess(args: argparse.Namespace, cfg: dict) -> int:
     )
     if args.symmetry_out:
         symmetry = {}
-        for pid in signed.participants():
+        for pid, sub in signed.by_participant().items():
             try:
-                symmetry[pid] = symmetry_check(signed.for_participant(pid)).to_dict()
+                symmetry[pid] = symmetry_check(sub).to_dict()
             except EyeheadError as exc:
                 symmetry[pid] = {"error": type(exc).__name__, "message": str(exc)}
         write_json_object(args.symmetry_out, {"participants": symmetry}, provenance)
@@ -288,12 +288,11 @@ def cmd_fit(args: argparse.Namespace, cfg: dict) -> int:
         None,
         _input_map([args.in_path], os.path.dirname(os.path.abspath(args.in_path))),
     )
-    pids = shifts.participants()
-    subs = [shifts.for_participant(pid) for pid in pids]
-    pfits = fit_participants([(sub.x, sub.y) for sub in subs], models)
+    subs = shifts.by_participant()
+    pfits = fit_participants([(sub.x, sub.y) for sub in subs.values()], models)
     rows = [
         {"participant_id": pid, **pfit.fits[model].to_file_dict()}
-        for pid, pfit in zip(pids, pfits)
+        for pid, pfit in zip(subs, pfits)
         for model in models
     ]
     write_json_array(args.out, rows, provenance)

@@ -1,30 +1,27 @@
 """Per-participant model fits and AIC-based model comparison.
 
-The soft hinge y = beta * softplus((x - tau) / s) and the hinge, its s = 1
-case, are fit by one solver. For fixed (tau, s) the curve is linear in beta,
-so beta has a closed form, clip(<f, y> / <f, f>, 0, 1) with
+The hinge is the soft hinge y = beta * softplus((x - tau) / s) with s pinned
+at 1, so one solver fits both. For fixed (tau, s) the curve is linear in
+beta, so beta has a closed form, clip(<f, y> / <f, f>, 0, 1) with
 f = softplus((x - tau) / s) (variable projection, Golub & Pereyra 1973):
-the soft hinge is solved over (tau, s) and the hinge over tau alone, with
-Kaufman's (1975) Jacobian, and beta follows at every step. A clipped beta is
-an active bound with zero derivative.
+both models are solved over (tau, s), the hinge with s frozen, with Kaufman's
+(1975) Jacobian, and beta follows at every step. A clipped beta is an active
+bound with zero derivative.
 
-The solver is a projected Levenberg-Marquardt loop (Moré 1978) that polishes
-the seeds of all problems of a stage in one batch, each seed with its own
-damping and its own stopping test. Seeds are admitted in input order while
-they fit in BATCH_POINTS live row-points (a larger one runs alone), and each
-seed that stops frees its points for the next ones. A seed's points sit back
-to back in flat arrays, and every per-seed sum is taken over that seed's own
-segment, so a fit does not depend on the fits batched beside it.
-
-The seeds come from a fixed lattice and depend on the data alone: each lattice
-knee of TAU_GRID gets its best beta, and the seeds are the local minima of
-that profiled SSE along TAU_GRID. The soft hinge is seeded at the lowest one
-for each s of S_ROW, the hinge at up to HINGE_KNEES of them, lowest first.
+Both models share one seed lattice per problem, and the seeds depend on the
+data alone: each (s, tau) point of S_ROW x TAU_GRID gets its best beta. The
+soft hinge is seeded at the lowest knee of each s, the hinge at the local
+minima of the s = 1 row along TAU_GRID, at most HINGE_KNEES, lowest first.
+The seeds of all problems and both models of a stage are polished in one
+projected Levenberg-Marquardt batch (Moré 1978), each seed with its own
+damping and its own stopping test; every per-seed sum is taken over that
+seed's own points, so a fit does not depend on the fits batched beside it.
 Each fit keeps its lowest-SSE polished seed, converged or not. A seed
 converges when, within MAX_NFEV steps, its projected-gradient max-norm falls
-to GTOL * max(1, SSE) or an accepted step shrinks to XTOL * (XTOL + |theta|),
-theta being (tau, s) or tau. A fit with no more data points than parameters
-is never flagged converged.
+to GTOL * max(1, SSE) or an accepted step shrinks to XTOL * (XTOL + |theta|);
+the step test reads the parameters that are not pinned, so theta is the
+hinge's tau alone. A fit with no more data points than parameters is never
+flagged converged.
 
 The linear baseline has no free parameters to optimize, since its breakpoint
 is the participant's eye-only range and its slope is computed in closed form.
@@ -84,7 +81,9 @@ LAM_MIN = 1e-12
 # a larger seed runs alone. The solver's per-point arrays are views into one
 # buffer allocated per call, and each block of the seed lattice holds at most
 # this many values (64 KiB), below glibc's default 128 KiB mmap threshold, so
-# no temporary is mapped and faulted in afresh on every step.
+# no temporary is mapped and faulted in afresh on every step. 32768 fits a
+# study cohort faster, but the peak RSS of preprocess, fit and sensitivity in
+# one process rises from 40.7 to 45.3 MiB (+11%; seed 101, 2-vCPU x86-64 host).
 BATCH_POINTS = 8192
 
 _N_PARAMS = {"linear": 2, "hinge": 2, "soft-hinge": 3}
@@ -240,7 +239,7 @@ def _check_data(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 def _evaluate(theta: np.ndarray, x: np.ndarray, y: np.ndarray, sizes: np.ndarray,
               heads: np.ndarray, owner: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Projected beta, SSE, J'r and J'J of the (tau, s) columns of theta (2, m) on their points.
+    """Rows (beta, SSE, J'r, J'J as h00, h01, h11) of the (tau, s) columns of theta (2, m).
 
     Column i owns sizes[i] points of x and y, from heads[i] on (owner maps
     each point to its column), and each of its sums is taken over that
@@ -248,9 +247,8 @@ def _evaluate(theta: np.ndarray, x: np.ndarray, y: np.ndarray, sizes: np.ndarray
     clip(<f, y> / <f, f>, 0, 1) and its residuals are beta * f - y. J is
     Kaufman's (1975) Jacobian of those residuals: the columns
     beta * df/dtheta, projected off f while beta is inside (0, 1); a clipped
-    beta is a bound and adds nothing. The products of f, its partials and y
-    are reduced in one stacked reduceat, and every per-point array is a view
-    into work. Returns the rows (beta, sse, J'r, J'J as h00, h01, h11).
+    beta adds nothing. The products of f, its partials and y are reduced in
+    one stacked reduceat, and every per-point array is a view into work.
     """
     m = theta.shape[1]
     n = x.size
@@ -321,25 +319,20 @@ def _projected_lm(rows, starts: np.ndarray, pinned: np.ndarray):
     """Projected Levenberg-Marquardt over (tau, s) from every row of starts (m, 2).
 
     Row i is solved on the points (x, y) = rows[i], so rows may come from
-    different problems; beta is projected out at every step (_evaluate).
-    Where pinned[i], the row's s is held at its start: a hinge row is the
-    soft hinge with s pinned at 1. Rows are admitted in input order, as many
-    at a time as fit in BATCH_POINTS live row-points (a larger row runs
-    alone), and a row that stops frees its points for the next rows within
-    the same step. Every per-row sum is taken over the row's own segment
-    alone, so a row's path does not depend on the other rows in the batch,
-    nor on their number. The per-point arrays live in one buffer allocated
-    per call, and the live rows' state in one array, a column per row.
+    different problems and models; where pinned[i], its s is held at its
+    start. Rows are admitted in input order while they fit in BATCH_POINTS
+    live row-points (a larger row runs alone), and a row that stops frees its
+    points for the next rows within the same step. A row's sums are taken
+    over its own segment alone, so its path does not depend on the rows
+    beside it.
 
-    Each row keeps its own damping lam and stops on its own. Per step, a
-    pinned parameter, and one at a bound whose gradient points outward, is
-    frozen, the damped system is solved over the free ones (_damped_step),
-    and the trial point is clipped into the bounds. A trial is accepted when
-    its SSE is not higher. lam falls 10x when the trial gained more than 3/4
-    of the SSE decrease the linearized model predicts for the clipped step,
-    and rises 10x when it gained less than 1/4, so steps that overshoot a
-    curved valley are damped instead of zig-zagging across it. Convergence
-    is tested as stated in the module docstring.
+    Per step and row, a pinned parameter, and one at a bound whose gradient
+    points outward, is frozen; the damped system is solved over the free
+    ones (_damped_step), and the trial point is clipped into the bounds and
+    accepted when its SSE is not higher. lam falls 10x when the trial gained
+    more than 3/4 of the SSE decrease the linearized model predicts for the
+    clipped step, and rises 10x when it gained less than 1/4, so steps that
+    overshoot a curved valley are damped instead of zig-zagging across it.
 
     Returns the final (params, sse, converged) of every row, params being
     (beta, tau, s) in [LOWER, UPPER].
@@ -353,8 +346,8 @@ def _projected_lm(rows, starts: np.ndarray, pinned: np.ndarray):
     flat = np.empty((2, 2, cap))
     points = 0
     work = np.empty(14 * cap)  # as _evaluate lays it out
-    # A live row's state, a column per row in admission order: beta, tau, s,
-    # SSE, J'r (2), J'J (h00, h01, h11), then what init starts: diag(J'J)'s
+    # The live rows' state, a column per row in admission order: beta, tau,
+    # s, SSE, J'r (2), J'J (h00, h01, h11), then what init starts: diag(J'J)'s
     # running maximum (2), lam, the step count, whether the last accepted
     # step was small, whether s is pinned, and the row's input index.
     init = np.zeros((7, m))
@@ -371,9 +364,8 @@ def _projected_lm(rows, starts: np.ndarray, pinned: np.ndarray):
         done = conv | (state[12] == MAX_NFEV)
         changed = done.any()
         if changed:
-            stop = state[:, done]
-            index = stop[15].astype(np.intp)
-            out[:4, index], out[4, index] = stop[:4], conv[done]
+            index = state[15, done].astype(np.intp)
+            out[:4, index], out[4, index] = state[:4, done], conv[done]
             keep = ~done
             state, g, frozen = state[:, keep], g[:, keep], frozen[:, keep]
             before, points = points, int(row_sizes[state[15].astype(np.intp)].sum())
@@ -429,13 +421,11 @@ def _projected_lm(rows, starts: np.ndarray, pinned: np.ndarray):
 def _lattice_seeds(x, y, models) -> dict[str, np.ndarray]:
     """Seeds (beta, tau, s) of each hinge-family model in models, from one lattice.
 
-    Every knee of TAU_GRID, for each s of S_ROW, gets its best beta =
-    clip(<f, y> / <f, f>, 0, 1), f = softplus((x - tau) / s). The soft hinge
-    is seeded at the lowest-SSE knee of each s; the hinge at the local
-    minima of the s = 1 row's SSE along TAU_GRID, lowest first, at most
-    HINGE_KNEES of them. Without the soft hinge only the s = 1 row is
-    evaluated. The lattice is evaluated in blocks of at most BATCH_POINTS
-    values, so its temporaries stay below glibc's mmap threshold.
+    Every knee of TAU_GRID, for each s of S_ROW (only s = 1 without the soft
+    hinge), gets its best beta = clip(<f, y> / <f, f>, 0, 1), with
+    f = softplus((x - tau) / s), and the seeds are chosen as the module
+    docstring states. The lattice is evaluated in blocks of at most
+    BATCH_POINTS values, so its temporaries stay below glibc's mmap threshold.
     """
     s_row = S_ROW if "soft-hinge" in models else S_ROW[_HINGE_ROW:_HINGE_ROW + 1]
     lattice = np.empty((len(s_row), TAU_GRID.size, 3))  # (beta, tau, s) of each point
@@ -469,16 +459,13 @@ def _lattice_seeds(x, y, models) -> dict[str, np.ndarray]:
 
 
 def _fit_hinge_family(problems, models) -> dict[str, list[FitResult]]:
-    """Fit each hinge-family model in models to each (x, y), in one batch.
+    """Fit each hinge-family model in models to each (x, y) in one _projected_lm batch.
 
-    y = beta * softplus((x - tau)/s), with s = 1 for the hinge. Every
-    problem's lattice seeds for every model are polished by one projected
-    LM (see _projected_lm), the hinge's with s pinned. Per problem and
+    The hinge's seeds are polished with s pinned at 1. Per problem and
     model, the winner is the lowest-SSE polished seed, and converged is its
     own flag. Each model's results come back in input order.
     """
-    problems = [_check_data(x, y) for x, y in problems]
-    problems = [(_check_domain(x), y) for x, y in problems]
+    problems = [(_check_domain(x), y) for x, y in (_check_data(*p) for p in problems)]
     blocks = [(p, model, seeds) for p in problems
               for model, seeds in _lattice_seeds(*p, models).items()]
     starts = np.vstack([seeds[:, 1:] for *_, seeds in blocks] + [np.empty((0, 2))])

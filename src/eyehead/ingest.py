@@ -119,6 +119,14 @@ class ShiftSet:
         mask = np.array([p == pid for p in self.participant_id], dtype=bool)
         return self.select(mask)
 
+    def by_participant(self) -> dict[str, "ShiftSet"]:
+        """Each participant's shifts, split in one pass: ids in first-seen order, rows in order."""
+        rows: dict[str, list[int]] = {}
+        for i, pid in enumerate(self.participant_id):
+            rows.setdefault(pid, []).append(i)
+        return {pid: ShiftSet([pid] * len(idx), [self.trial_id[i] for i in idx], self.x[idx],
+                              self.y[idx]) for pid, idx in rows.items()}
+
     def participants(self) -> list[str]:
         seen: dict[str, None] = {}
         for p in self.participant_id:

@@ -20,11 +20,13 @@ from eyehead import (
 from eyehead import fitting
 from eyehead.fitting import (
     HINGE_KNEES,
+    LAM_MIN,
     LOWER,
     S_ROW,
     TAU_GRID,
     UPPER,
     FitResult,
+    _damped_step,
     _fit_hinge_family,
     _lattice_seeds,
     _projected_lm,
@@ -392,6 +394,61 @@ class TestProjection:
         for (x, y), th, got in zip(rows, theta, g, strict=True):
             fd = fd_gradient(lambda t: profiled_sse(x, y, t[None, :])[0], th, h=1e-6)
             np.testing.assert_allclose(got, fd / 2.0, rtol=1e-5, atol=1e-6)
+
+
+def lu_step(hess, g, scale, lam, free):
+    """The solver's damped system, column by column, solved by np.linalg.solve."""
+    d = np.sqrt(np.where(scale > 0.0, scale, 1.0))
+    steps = []
+    for (h00, h01, h11), gj, dj, lj, fj in zip(hess.T, g.T, d.T, lam, free.T, strict=True):
+        system = np.array([[h00, h01], [h01, h11]]) / np.outer(dj, dj) * np.outer(fj, fj)
+        system[np.diag_indices(2)] += np.where(fj, lj, 1.0)
+        steps.append(np.linalg.solve(system, -np.where(fj, gj, 0.0) / dj) / dj)
+    return np.array(steps).T
+
+
+class TestDampedStep:
+    """The closed-form 2x2 step against an LU solve of the same system."""
+
+    @staticmethod
+    def systems(seed, m=500):
+        # J'J of random 6x2 Jacobians with columns of very different sizes,
+        # a running diag(J'J) maximum at or above the diagonal, lam over 14 decades
+        rng = np.random.default_rng(seed)
+        jac = rng.normal(size=(m, 6, 2)) * rng.uniform(0.01, 100.0, (m, 1, 2))
+        jtj = np.einsum("mki,mkj->mij", jac, jac)
+        hess = np.stack([jtj[:, 0, 0], jtj[:, 0, 1], jtj[:, 1, 1]])
+        scale = hess[::2] * rng.uniform(1.0, 3.0, (2, m))
+        return hess, 10.0 * rng.normal(size=(2, m)), scale, 10.0 ** rng.uniform(-12, 2, m), rng
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_lu_solve_to_rounding(self, seed):
+        hess, g, scale, lam, _ = self.systems(seed)
+        free = np.ones(g.shape, dtype=bool)
+        np.testing.assert_allclose(_damped_step(hess, g, scale, lam, free),
+                                   lu_step(hess, g, scale, lam, free), rtol=1e-12)
+
+    def test_frozen_or_pinned_parameter_steps_exactly_zero(self):
+        hess, g, scale, lam, rng = self.systems(3)
+        free = rng.random(g.shape) < 0.6
+        free[:, :50] = [[True], [False]]  # hinge columns: s pinned, tau free
+        step = _damped_step(hess, g, scale, lam, free)
+        assert np.all(step[~free] == 0.0)
+        np.testing.assert_allclose(step, lu_step(hess, g, scale, lam, free), rtol=1e-12)
+
+    @pytest.mark.parametrize("tilt", [0.0, 1e-9, 1e-6])
+    def test_collinear_columns_at_lam_min_stay_finite(self, tilt):
+        # the soft hinge near a straight line: df/dtau and df/ds all but parallel
+        rng = np.random.default_rng(4)
+        col = rng.normal(size=(20, 1))
+        jac = np.hstack([col, 3.0 * col + tilt * rng.normal(size=(20, 1))])
+        jtj = jac.T @ jac
+        hess = np.array([[jtj[0, 0]], [jtj[0, 1]], [jtj[1, 1]]])
+        g, scale, lam = np.array([[1.0], [-2.0]]), hess[::2].copy(), np.array([LAM_MIN])
+        free = np.ones((2, 1), dtype=bool)
+        step = _damped_step(hess, g, scale, lam, free)
+        assert np.all(np.isfinite(step))
+        np.testing.assert_allclose(step, lu_step(hess, g, scale, lam, free), rtol=1e-3)
 
 
 def same_fit(a, b):

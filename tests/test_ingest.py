@@ -509,6 +509,22 @@ class TestSymmetrizeAndClean:
 ODD_ID = 'p,"01"'
 
 
+class TestByParticipant:
+    @given(st.lists(st.sampled_from(["p2", "p10", "p1", ODD_ID]), max_size=40))
+    def test_one_pass_split_is_for_participant_per_id(self, pids):
+        # ids interleaved at random: first-seen order, and each id's rows in order
+        n = len(pids)
+        s = ShiftSet(pids, [f"t{i % 3}" for i in range(n)],
+                     np.arange(n, dtype=float), -np.arange(n, dtype=float))
+        split = s.by_participant()
+        assert list(split) == s.participants()
+        for pid, sub in split.items():
+            want = s.for_participant(pid)
+            assert (sub.participant_id, sub.trial_id) == (want.participant_id, want.trial_id)
+            np.testing.assert_array_equal(sub.x, want.x)
+            np.testing.assert_array_equal(sub.y, want.y)
+
+
 class TestShiftCsv:
     def test_id_with_comma_and_quote_round_trips(self, tmp_path):
         s = ShiftSet([ODD_ID, "p02"], ['t,"1"', "t2"],
