@@ -532,8 +532,8 @@ class ParticipantFit:
 def fit_participants(problems, models: tuple[str, ...] = MODELS) -> list[ParticipantFit]:
     """Fit the requested candidate models to each participant's (x, y) shifts.
 
-    Each hinge-family model is fit to all participants in one batched call;
-    results come back in input order.
+    The hinge and the soft hinge are fit to all participants in one solver
+    batch; results come back in input order.
     """
     unknown = set(models) - set(MODELS)
     if unknown:

@@ -127,11 +127,6 @@ class ShiftSet:
         return {pid: ShiftSet([pid] * len(idx), [self.trial_id[i] for i in idx], self.x[idx],
                               self.y[idx]) for pid, idx in rows.items()}
 
-    def participants(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for p in self.participant_id:
-            seen.setdefault(p)
-        return list(seen)
 
 
 def concat_shift_sets(parts: list[ShiftSet]) -> ShiftSet:

@@ -386,7 +386,7 @@ class TestNoFitSeed:
     def test_renamed_participants_get_the_same_fits(self, tmp_path):
         shifts = preprocess(tmp_path, synth_dir(tmp_path, participants=3, trials=1, shifts=30))
         table = read_shifts_csv(shifts)
-        pids = table.participants()
+        pids = list(table.by_participant())
         renamed = {pid: f"renamed{i}" for i, pid in enumerate(reversed(pids))}
         # the first participant's shifts once more, under a third name
         copy = table.for_participant(pids[0])
@@ -742,7 +742,7 @@ class TestExpectedTrials:
         sens = tmp_path / "sens.json"
         assert run(["sensitivity", "--in-dir", raw, "--out", sens,
                     "--thresholds", "15,20", *setting]) == 0
-        kept = read_shifts_csv(shifts).participants()
+        kept = list(read_shifts_csv(shifts).by_participant())
         assert len(kept) == 2
         assert sorted(json.loads(sens.read_text())["participants"]) == sorted(kept)
 
