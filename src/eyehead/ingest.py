@@ -128,7 +128,6 @@ class ShiftSet:
                               self.y[idx]) for pid, idx in rows.items()}
 
 
-
 def concat_shift_sets(parts: list[ShiftSet]) -> ShiftSet:
     parts = [p for p in parts if len(p)]
     if not parts:
