@@ -49,7 +49,7 @@ def convert_file(path, out_dir, opts) -> str | None:
 
     t, gaze, head = [], [], []
     dropped = 0
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         missing = {opts.time_col, opts.gaze_col, opts.head_col} - set(reader.fieldnames or ())
         if missing:

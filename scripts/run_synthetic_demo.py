@@ -64,9 +64,9 @@ def main() -> None:
          "--out-dir", os.path.join(out, "report")])
 
     # compare fitted soft-hinge curves against the generating parameters
-    with open(os.path.join(raw, "truth.json")) as fh:
+    with open(os.path.join(raw, "truth.json"), encoding="utf-8") as fh:
         truth = json.load(fh)["population"]
-    with open(fits) as fh:
+    with open(fits, encoding="utf-8") as fh:
         fit_rows = [r for r in json.load(fh) if r.get("model") == "soft-hinge"]
 
     print(f"\n{'participant':<12} {'rms curve error (deg)':>22} {'true beta/tau/s':>22}")
@@ -83,7 +83,7 @@ def main() -> None:
         print(f"{pid:<12} {rms:>22.3f} "
               f"{true_p['beta']:>8.2f}/{true_p['tau']:.1f}/{true_p['s']:.1f}")
 
-    with open(os.path.join(out, "report", "summary.json")) as fh:
+    with open(os.path.join(out, "report", "summary.json"), encoding="utf-8") as fh:
         summary = json.load(fh)
     ratio = summary["explained_ratio"]
     print(f"\nmedian rms curve error: {np.median(errors):.3f} deg")

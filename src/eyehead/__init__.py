@@ -27,7 +27,6 @@ from .errors import (
     TooFewSamplesError,
     TraceSchemaError,
     ZeroSpreadError,
-    ZeroVarianceError,
 )
 from .events import (
     Fixation,

@@ -195,7 +195,7 @@ def _trace_pairs(in_dir: str) -> list[tuple[str, str]]:
 
 def _input_map(paths: list[str], base: str) -> dict[str, str]:
     """Name inputs by path relative to `base`; make_provenance digests them."""
-    return {os.path.relpath(p, base): p for p in paths if os.path.exists(p)}
+    return {os.path.relpath(p, base): p for p in paths}
 
 
 def _sane_traces(in_dir: str, cfg: dict):
@@ -367,6 +367,11 @@ def cmd_report(args: argparse.Namespace, cfg: dict) -> int:
 
 def cmd_sensitivity(args: argparse.Namespace, cfg: dict) -> int:
     thresholds = tuple(float(v) for v in cfg["thresholds"].split(","))
+    # the output is keyed by each threshold's %g text, so two alike would merge
+    keys = [f"{thr:g}" for thr in thresholds]
+    repeated = [key for i, key in enumerate(keys) if key in keys[:i]]
+    if repeated:
+        raise ValueError(f"threshold {repeated[0]} is repeated in {cfg['thresholds']!r}")
     traces, _, input_paths = _sane_traces(args.in_dir, cfg)
 
     result = threshold_sensitivity(

@@ -64,12 +64,8 @@ class EmptyDataError(EyeheadError, ValueError):
     """Fit requested on an empty shift set."""
 
 
-class ZeroVarianceError(EyeheadError, ValueError):
-    """A variance-based statistic is undefined for constant data."""
-
-
 class MismatchedDataError(EyeheadError, ValueError):
-    """Fit results being compared come from different shift sets."""
+    """A fit's eccentricities x and head contributions y differ in shape."""
 
 
 # --- fpca -----------------------------------------------------------------

@@ -30,17 +30,11 @@ All three candidates are then ranked by AIC on identical data.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    EmptyDataError,
-    MismatchedDataError,
-    TooFewPointsError,
-    ZeroVarianceError,
-)
+from .errors import EmptyDataError, MismatchedDataError, TooFewPointsError
 from .models import (
     S_MIN,
     TAU_RANGE,
@@ -54,7 +48,6 @@ from .models import (
     eval_model,
     hinge_gradient,  # unused here; the benchmark tracer wraps fitting.hinge_gradient
     model_gradient,  # likewise: the solver forms its own partials (_evaluate)
-    params_from_dict,
     params_to_dict,
     softplus,
 )
@@ -104,7 +97,6 @@ class FitResult:
     converged: bool
     n_converged: int
     start_index: int
-    data_digest: str
     # per-seed polished SSEs, in seed order (not serialized)
     start_sses: list[float] = field(default_factory=list, repr=False)
 
@@ -121,47 +113,10 @@ class FitResult:
             "converged": self.converged,
         }
 
-    @staticmethod
-    def from_file_dict(d: dict) -> "FitResult":
-        params = params_from_dict(d["params"])
-        model = d["model"]
-        return FitResult(
-            model=model,
-            params=params,
-            sse=float(d["sse"]),
-            rmse=float(d["rmse"]),
-            r2=float("nan") if d["r2"] is None else float(d["r2"]),
-            aic=float(d["aic"]),
-            n_points=int(d["n_points"]),
-            n_params=_N_PARAMS[model],
-            converged=bool(d["converged"]),
-            n_converged=-1,
-            start_index=-1,
-            data_digest=d.get("data_digest", ""),
-        )
-
 
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
-
-def sum_squared_error(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
-    r = eval_model(params, x) - y
-    return float(np.dot(r, r))
-
-
-def r_squared(sse: float, y: np.ndarray) -> float:
-    """1 - SSE/TSS; undefined (raises) when the responses have no variance."""
-    y = np.asarray(y, dtype=float)
-    tss = float(np.sum((y - y.mean()) ** 2))
-    if tss == 0.0:
-        raise ZeroVarianceError("response variance is zero, r^2 undefined")
-    return 1.0 - sse / tss
-
-
-def rmse_from_sse(sse: float, n: int) -> float:
-    return float(np.sqrt(sse / n))
-
 
 def aic_gaussian(sse: float, n: int, k: int) -> float:
     """AIC for Gaussian residuals up to a constant: n*ln(SSE/n) + 2k.
@@ -176,20 +131,12 @@ def aic_gaussian(sse: float, n: int, k: int) -> float:
 def fit_metrics(x, y, params: ModelParams, k: int) -> tuple[float, float, float, float]:
     """(sse, r2, rmse, aic) of a parameter set on data; r2 is nan when var(y)=0."""
     x, y = _check_data(x, y)
-    sse = sum_squared_error(params, x, y)
-    try:
-        r2 = r_squared(sse, y)
-    except ZeroVarianceError:
-        r2 = float("nan")
-    return sse, r2, rmse_from_sse(sse, int(x.size)), aic_gaussian(sse, int(x.size), k)
-
-
-def data_digest(x: np.ndarray, y: np.ndarray) -> str:
-    """Fingerprint of the exact (x, y) arrays a fit was computed on."""
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(x, dtype=float).tobytes())
-    h.update(np.ascontiguousarray(y, dtype=float).tobytes())
-    return h.hexdigest()
+    r = eval_model(params, x) - y
+    sse = float(np.dot(r, r))
+    tss = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - sse / tss if tss > 0.0 else float("nan")
+    n = int(x.size)
+    return sse, r2, float(np.sqrt(sse / n)), aic_gaussian(sse, n, k)
 
 
 def _finish(
@@ -218,7 +165,6 @@ def _finish(
         converged=converged,
         n_converged=n_converged,
         start_index=start_index,
-        data_digest=data_digest(x, y),
         start_sses=start_sses,
     )
 
@@ -463,9 +409,10 @@ def _fit_hinge_family(problems, models) -> dict[str, list[FitResult]]:
 
     The hinge's seeds are polished with s pinned at 1. Per problem and
     model, the winner is the lowest-SSE polished seed, and converged is its
-    own flag. Each model's results come back in input order.
+    own flag. Each model's results come back in input order. Every (x, y)
+    must have passed _check_data already, as fit_participants sees to.
     """
-    problems = [(_check_domain(x), y) for x, y in (_check_data(*p) for p in problems)]
+    problems = [(_check_domain(x), y) for x, y in problems]
     blocks = [(p, model, seeds) for p in problems
               for model, seeds in _lattice_seeds(*p, models).items()]
     starts = np.vstack([seeds[:, 1:] for *_, seeds in blocks] + [np.empty((0, 2))])
@@ -485,12 +432,12 @@ def _fit_hinge_family(problems, models) -> dict[str, list[FitResult]]:
 
 def fit_soft_hinge(x, y) -> FitResult:
     """Bounded least squares for y = beta * softplus((x - tau)/s)."""
-    return _fit_hinge_family([(x, y)], ("soft-hinge",))["soft-hinge"][0]
+    return fit_participant(x, y, ("soft-hinge",)).fits["soft-hinge"]
 
 
 def fit_hinge(x, y) -> FitResult:
     """Bounded least squares for y = beta * softplus(x - tau)."""
-    return _fit_hinge_family([(x, y)], ("hinge",))["hinge"][0]
+    return fit_participant(x, y, ("hinge",)).fits["hinge"]
 
 
 def fit_linear(x, y) -> FitResult:
@@ -508,23 +455,14 @@ def fit_linear(x, y) -> FitResult:
 
 
 def compare_models(results: list[FitResult]) -> list[FitResult]:
-    """Rank by AIC ascending; ties prefer fewer parameters, then lower RMSE.
-
-    All candidates must have been fit on the same data (same digest).
-    """
+    """Rank by AIC ascending; ties prefer fewer parameters, then lower RMSE."""
     if not results:
         raise EmptyDataError("no fits to compare")
-    digests = {r.data_digest for r in results}
-    if len(digests) != 1:
-        raise MismatchedDataError(
-            f"fits were computed on different data: {sorted(digests)}"
-        )
     return sorted(results, key=lambda r: (r.aic, r.n_params, r.rmse))
 
 
 @dataclass
 class ParticipantFit:
-    n_shifts: int
     fits: dict[str, FitResult]
     best_model: str
 
@@ -544,10 +482,10 @@ def fit_participants(problems, models: tuple[str, ...] = MODELS) -> list[Partici
     if "linear" in models:
         fits["linear"] = [fit_linear(x, y) for x, y in problems]
     out = []
-    for i, (x, _) in enumerate(problems):
+    for i in range(len(problems)):
         own = {name: fits[name][i] for name in models}
         best = compare_models(list(own.values()))[0]
-        out.append(ParticipantFit(n_shifts=int(x.size), fits=own, best_model=best.model))
+        out.append(ParticipantFit(fits=own, best_model=best.model))
     return out
 
 

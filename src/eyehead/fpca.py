@@ -10,7 +10,7 @@ against a reference score distribution by linear interpolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,8 +61,7 @@ def sample_curves(
 class Spectrum:
     """Population modes: grid, mean curve, and orthonormal components.
 
-    Fit-time artifacts (training curve ids and their scores) ride along for
-    projection-consistency checks and percentile references.
+    The training curves' scores ride along as the percentile reference.
     """
 
     grid: np.ndarray
@@ -71,7 +70,6 @@ class Spectrum:
     eigenvalues: np.ndarray  # (n_components,)
     explained_ratio: np.ndarray  # (n_components,), fractions of *total* variance
     sign_convention: str = SIGN_CONVENTION
-    curve_ids: list[str] = field(default_factory=list)
     scores: np.ndarray | None = None  # (n_curves, n_components)
 
     def to_dict(self) -> dict:
@@ -159,7 +157,6 @@ def fit_fpca(curves: CurveGrid, n_components: int = 2) -> Spectrum:
         components=components,
         eigenvalues=kept.copy(),
         explained_ratio=ratio,
-        curve_ids=list(curves.curve_ids),
         scores=scores,
     )
 

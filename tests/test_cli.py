@@ -1,19 +1,19 @@
 import inspect
 import json
-import math
 import re
 import warnings
 
 import numpy as np
 import pytest
 
-from eyehead import FitResult, SoftHingeParams, SynthConfig, read_shifts_csv, synth_trace
+from eyehead import SoftHingeParams, SynthConfig, read_shifts_csv, synth_trace
 from eyehead import ingest
 from eyehead.cli import (
     DEFAULTS,
     STAGE_OPTIONS,
     _filter_config,
     _fixation_config,
+    _input_map,
     _resolve,
     build_parser,
     dispatch,
@@ -106,6 +106,18 @@ class TestPipeline:
         med = payload["median_r"]
         assert set(med) == {"15", "20"}
         assert med["15"] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("thresholds", ["10,15,15", "15,15.0000001"])
+    def test_repeated_threshold_rejected(self, tmp_path, capsys, thresholds):
+        # the output is keyed by each threshold's %g text: a repeat would merge keys
+        raw = synth_dir(tmp_path, participants=2, trials=1, shifts=30)
+        out = tmp_path / "sens.json"
+        assert run(["sensitivity", "--in-dir", raw, "--out", out,
+                    "--thresholds", thresholds, "--min-overlap-s", "2.0"]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert (payload["stage"], payload["error"]) == ("sensitivity", "ValueError")
+        assert "threshold 15 is repeated" in payload["message"]
+        assert not out.exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         raw = synth_dir(tmp_path, participants=2, trials=1, shifts=10)
@@ -502,6 +514,12 @@ class TestProvenance:
         digest = prov["inputs"][shifts.name]
         assert len(digest) == 64 and int(digest, 16) >= 0
 
+    def test_an_input_gone_before_hashing_is_an_error(self, tmp_path):
+        # an input that vanishes between its read and its digest is not left out
+        gone = tmp_path / "gone.csv"
+        with pytest.raises(OSError):
+            report.make_provenance({}, None, _input_map([str(gone)], str(tmp_path)))
+
     def test_shift_csv_carries_provenance_header(self, tmp_path):
         raw = synth_dir(tmp_path, participants=2, trials=1, shifts=10)
         shifts = preprocess(tmp_path, raw)
@@ -616,7 +634,6 @@ class TestArtifactContract:
         rows = read_json_array(fits)
         flat = [r for r in rows if r["participant_id"] == "flat"]
         assert flat and all(r["r2"] is None for r in flat)
-        assert all(math.isnan(FitResult.from_file_dict(r).r2) for r in flat)
         assert all(r["r2"] is not None for r in rows if r["participant_id"] == "mover")
 
     def test_preprocess_creates_output_directories(self, tmp_path):

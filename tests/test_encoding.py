@@ -12,6 +12,7 @@ from eyehead.ingest import write_trace_csv
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PKG = os.path.join(ROOT, "src", "eyehead")
+SCRIPTS = os.path.join(ROOT, "scripts")
 
 
 def _text_opens_without_encoding(path):
@@ -32,12 +33,14 @@ def _text_opens_without_encoding(path):
 
 
 def test_every_text_open_names_its_encoding():
-    modules = sorted(f for f in os.listdir(PKG) if f.endswith(".py"))
-    assert "ingest.py" in modules
+    modules = sorted(os.path.join(d, f) for d in (PKG, SCRIPTS)
+                     for f in os.listdir(d) if f.endswith(".py"))
+    assert os.path.join(PKG, "ingest.py") in modules
+    assert os.path.join(SCRIPTS, "run_synthetic_demo.py") in modules
     bad = {
-        f"{name}:{line}": call
-        for name in modules
-        for line, call in _text_opens_without_encoding(os.path.join(PKG, name))
+        f"{os.path.relpath(path, ROOT)}:{line}": call
+        for path in modules
+        for line, call in _text_opens_without_encoding(path)
     }
     assert bad == {}
 

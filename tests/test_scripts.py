@@ -70,3 +70,16 @@ def test_adapt_dataset_rebases_epoch_timestamps(tmp_path):
     for kind in ("gaze", "head"):
         back = load_trace_csv(str(out / f"P01_a.{kind}.csv"), kind)
         assert back.t.tolist() == [0.0, 0.01, 0.02, 0.03, 0.04]
+
+
+def test_adapt_dataset_reads_a_byte_order_mark(tmp_path):
+    """A UTF-8 byte-order mark is not part of the first column's name."""
+    src, out = tmp_path / "src", tmp_path / "out"
+    src.mkdir()
+    (src / "P02_a.csv").write_bytes(
+        b"\xef\xbb\xbfframe_ts,gaze_yaw,head_yaw\n0,1.5,0.5\n10,2.5,1.0\n")
+    proc = adapt(src, out, "--time-scale", "0.001")
+    assert proc.returncode == 0, proc.stderr
+    assert "wrote 1 trace pairs" in proc.stdout
+    back = load_trace_csv(str(out / "P02_a.gaze.csv"), "gaze")
+    assert (back.t.tolist(), back.yaw.tolist()) == ([0.0, 0.01], [1.5, 2.5])
