@@ -186,7 +186,7 @@ def _trace_pairs(in_dir: str) -> list[tuple[str, str]]:
     stems = {
         path[: -len(".gaze.csv")]
         for kind in ("gaze", "head")
-        for path in glob.glob(os.path.join(in_dir, f"*.{kind}.csv"))
+        for path in glob.glob(os.path.join(glob.escape(in_dir), f"*.{kind}.csv"))
     }
     if not stems:
         raise MissingInputError(f"no *.gaze.csv or *.head.csv files under {in_dir}")

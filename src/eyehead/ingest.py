@@ -19,7 +19,6 @@ layer consumes.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
@@ -358,48 +357,53 @@ def read_table(
 ) -> dict:
     """Read the named columns of a CSV table: `floats` as float64 arrays, others as strings.
 
-    The file is UTF-8, and a byte-order mark at its start is skipped. '#'
-    (provenance) and blank lines before the header are skipped. numpy's C
-    reader parses the body, held in memory as one string, in one pass (RFC
-    4180 quoting, blank lines skipped, the doubles Python's float() gives).
-    TraceSchemaError names the path and the data row of a row not as wide as
-    the header or of a non-number.
+    The file is UTF-8, and a byte-order mark at its start is skipped. Its
+    lines are read once, each ending at '\\n', '\\r' or '\\r\\n' only. '#'
+    (provenance) and blank lines before the header are skipped, and
+    csv.reader reads the header from those lines. numpy's C reader then
+    parses the list of lines from data row 1 on in one call (RFC 4180
+    quoting, a quoted field may span lines, blank lines skipped, the doubles
+    Python's float() gives). TraceSchemaError names the path and the data
+    row of a row not as wide as the header or of a non-number.
 
     Every row of a column named in `single` must hold the value of data row
-    1, which comes back as that one string. Row 1 is read on its own; the
-    body is then parsed with each such column as a numpy string one
-    character wider than row 1's value, so any other value is kept whole or
-    cut to a string that still differs from it. numpy's strings drop
-    trailing NULs, so a NUL in such a column is rejected. Either error
-    names the path and the data row.
+    1, which comes back as that one string. csv.reader reads row 1 from the
+    same lines, and numpy parses each such column as a string one character
+    wider than csv's value, so any other value is kept whole or cut to a
+    string that still differs from it. Rows are compared with numpy's own
+    reading of row 1. numpy's strings drop trailing NULs, so a NUL in such a
+    column is rejected. Either error names the path and the data row.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = csv.reader(ln for ln in fh if not ln.startswith("#"))
-        header = next((row for row in rows if row), None)
-        if header is None:
-            raise EmptyFileError(path)
-        if missing := [col for col in columns if col not in header]:
-            raise MissingColumnError(column=missing[0], path=path)
-        first = next((ln for ln in fh if ln.strip("\r\n")), None)
-        if first is None:  # numpy would only warn about an empty body
-            raise EmptyFileError(path)
-        body = first + fh.read()
+        lines = fh.readlines()
+    numbered = enumerate(lines)
+    rows = csv.reader(ln for _, ln in numbered if not ln.startswith("#"))
+    header = next((row for row in rows if row), None)
+    if header is None:
+        raise EmptyFileError(path)
+    if missing := [col for col in columns if col not in header]:
+        raise MissingColumnError(column=missing[0], path=path)
+    start = next((i for i, ln in numbered if ln.strip("\r\n")), None)
+    if start is None:  # numpy would only warn about an empty body
+        raise EmptyFileError(path)
+    body = lines[start:]
 
-    text = io.StringIO(body, newline="")
-
-    def parse(kinds: dict, max_rows: int | None = None) -> np.ndarray:
-        text.seek(0)
-        try:
-            return np.loadtxt(text, delimiter=",", quotechar='"', comments=None, ndmin=1,
-                              dtype=[(c, kinds.get(c, object)) for c in header], max_rows=max_rows)
-        except ValueError as exc:
-            raise TraceSchemaError(f"{path}: {_data_row_message(str(exc))}") from exc
-
-    one = parse({}, max_rows=1)[0] if single else None
-    nul = "\0" in body
     kinds = {c: "f8" for c in floats}
-    kinds.update({c: object if nul else f"U{len(one[c]) + 1}" for c in single})
-    data = parse(kinds)
+    if single:
+        nul = "\0" in "".join(body)
+        try:
+            first = dict(zip(header, next(csv.reader(body))))
+        except csv.Error:  # a field past csv's size limit: numpy reads it as object
+            first = {}
+        # a row 1 narrower than the header gets object columns; numpy rejects it
+        kinds.update({c: f"U{len(first[c]) + 1}" if c in first and not nul else object
+                      for c in single})
+    try:
+        data = np.loadtxt(body, delimiter=",", quotechar='"', comments=None, ndmin=1,
+                          dtype=[(c, kinds.get(c, object)) for c in header])
+    except ValueError as exc:
+        raise TraceSchemaError(f"{path}: {_data_row_message(str(exc))}") from exc
+    one = {col: str(data[col][0]) for col in single}
     for col in single:
         if nul and (k := next((i for i, v in enumerate(data[col], 1) if "\0" in v), 0)):
             raise TraceSchemaError(f"{path}: data row {k} has a NUL character in {col}")

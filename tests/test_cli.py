@@ -701,6 +701,29 @@ class TestHeadOnlyTrial:
         assert "synth001_t02.gaze.csv" not in inputs
 
 
+class TestGlobCharactersInTheTraceDirectory:
+    """A trace directory is a path, not a glob pattern: "session[1]" is not "session1"."""
+
+    @pytest.mark.parametrize("decoy", [False, True], ids=["alone", "beside-session1"])
+    @pytest.mark.parametrize("stage", ["preprocess", "sensitivity"])
+    def test_only_the_named_directory_is_read(self, tmp_path, stage, decoy):
+        raw = synth_dir(tmp_path, participants=2, trials=1, shifts=30)
+        in_dir = raw.rename(tmp_path / "session[1]")
+        if decoy:  # the directory the unescaped pattern matches
+            (tmp_path / "session1").mkdir()
+            for kind in ("gaze", "head"):
+                text = (in_dir / f"synth001_t01.{kind}.csv").read_text()
+                (tmp_path / "session1" / f"other_t01.{kind}.csv").write_text(text)
+        out = tmp_path / ("shifts.csv" if stage == "preprocess" else "sens.json")
+        argv = [stage, "--in-dir", in_dir, "--out", out, "--min-overlap-s", 2.0]
+        assert run(argv + (["--thresholds", "15,20"] if stage == "sensitivity" else [])) == 0
+        if stage == "preprocess":
+            provenance = strict_json_lines((tmp_path / "sanity.jsonl").read_text())[0]["provenance"]
+        else:
+            provenance = json.loads(out.read_text())["provenance"]
+        assert sorted(provenance["inputs"]) == sorted(p.name for p in in_dir.iterdir())
+
+
 class TestDisjointClocks:
     """A trace pair whose gaze and head clocks share no window fails alone."""
 

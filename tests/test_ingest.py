@@ -285,18 +285,48 @@ class TestLoadTraceCsv:
         with pytest.raises(ValueError):
             load_trace_csv(p, kind="torso")
 
-    @pytest.mark.parametrize("last_row", ["p01,t01,0.2", "p01,t01,0.2,1.0,9.9"],
-                             ids=["too-few-fields", "too-many-fields"])
-    def test_row_width_must_match_header(self, tmp_path, last_row):
+    # a bad row last, or first, where it also sets the width of the id columns;
+    # an unterminated quote runs to the end of the file
+    @pytest.mark.parametrize("row, bad, fields", [
+        (3, "p01,t01,0.2", 3),
+        (3, "p01,t01,0.2,1.0,9.9", 5),
+        (1, "p01,t01,0.2", 3),
+        (1, "p01,t01,0.2,1.0,9.9", 5),
+        (1, 'p01,"t01,0.2,1.0', 2),
+    ], ids=["too-few-fields", "too-many-fields", "row-1-too-few-fields",
+            "row-1-too-many-fields", "row-1-unterminated-quote"])
+    def test_row_width_must_match_header(self, tmp_path, row, bad, fields):
+        rows = ["p01,t01,0.0,0.0", "p01,t01,0.1,0.5"]
+        rows.insert(row - 1, bad)
         p = tmp_path / "a.csv"
-        p.write_text(
-            "participant_id,trial_id,timestamp_s,yaw_deg\n"
-            "p01,t01,0.0,0.0\np01,t01,0.1,0.5\n" + last_row + "\n"
-        )
+        p.write_text("participant_id,trial_id,timestamp_s,yaw_deg\n" + "\n".join(rows) + "\n")
         with pytest.raises(TraceSchemaError) as err:
             load_trace_csv(p)
-        assert str(p) in str(err.value)
-        assert "row 3" in str(err.value)
+        assert str(err.value) == f"{p}: data row {row} has {fields} fields, the header has 4"
+
+    # csv.reader refuses a field past 131072 characters; numpy reads it whole
+    def test_id_past_csvs_field_limit_round_trips(self, tmp_path):
+        pid = "p" * 200_000
+        p = write_trace(tmp_path / "a.csv", pid, "t01", [0.0, 0.1], [1.0, 2.0])
+        assert load_trace_csv(p).participant_id == pid
+
+    def test_unterminated_quote_past_csvs_field_limit(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text("participant_id,trial_id,timestamp_s,yaw_deg\n"
+                     'p01,"t01,0.0,0.0\n' + "p01,t01,0.1,0.5\n" * 10_000)
+        with pytest.raises(TraceSchemaError) as err:
+            load_trace_csv(p)
+        assert str(err.value) == f"{p}: data row 1 has 2 fields, the header has 4"
+
+    @pytest.mark.parametrize("single", [(), ("participant_id", "trial_id")],
+                             ids=["no-single", "ids"])
+    def test_one_loadtxt_call_per_file(self, tmp_path, monkeypatch, single):
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: calls.append(1) or loadtxt(*a, **kw))
+        p = write_trace(tmp_path / "a.csv", "p01", "t01", [0.0, 0.1, 0.2], [1.0, 2.0, 3.0])
+        ingest.read_table(p, TRACE_COLUMNS, floats=("timestamp_s", "yaw_deg"), single=single)
+        assert len(calls) == 1
 
 
 class TestTable:
@@ -560,7 +590,9 @@ class TestShiftCsv:
 # Ids are built from awkward pieces. The oracle skips every physical line
 # that starts with '#', so no id starts a line with one: the first column
 # never starts with '#', and no id has a '#' right after a line break.
-ID_PIECES = ["p", "7", ",", '"', " ", "#", "\r\n", "é"]
+# Form feed, the separators \x1c-\x1e, NEL and U+2028 break a line for
+# str.splitlines but end no CSV row: only '\n', '\r' and '\r\n' do.
+ID_PIECES = ["p", "7", ",", '"', " ", "#", "\r\n", "é", "\x0c", "\x1c", "\x85", "\u2028"]
 ids = st.lists(st.sampled_from(ID_PIECES), max_size=6).map("".join).filter(
     lambda s: "\n#" not in s
 )
