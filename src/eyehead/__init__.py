@@ -100,6 +100,7 @@ from .stats import (
     skewness,
     symmetry_check,
     threshold_sensitivity,
+    threshold_shifts,
 )
 from .synth import SynthConfig, draw_population, synth_shifts, synth_trace
 

@@ -56,7 +56,7 @@ from .report import (
     write_json_lines,
     write_json_object,
 )
-from .stats import symmetry_check, threshold_sensitivity
+from .stats import symmetry_check, threshold_sensitivity, threshold_shifts
 from .synth import SynthConfig, draw_population, synth_shifts, synth_trace
 
 # Every option: key -> (built-in default, help text). The default's type is
@@ -198,37 +198,59 @@ def _input_map(paths: list[str], base: str) -> dict[str, str]:
     return {os.path.relpath(p, base): p for p in paths}
 
 
-def _sane_traces(in_dir: str, cfg: dict):
-    """Load, align and sanity-check every trace pair.
+def _check_trial(found: list[tuple[str, str]], cfg: dict, use):
+    """Load, align and sanity-check one trial; hand it to `use` if it passed.
 
-    Returns (traces that passed, one sanity report per trial, input paths).
-    With expected_trials > 0, a participant's traces are kept only when
+    Returns (sanity report, whether the streams aligned, use's result or
+    the EyeheadError it raised; None unless the trial passed). The trial's
+    samples are dropped on return.
+    """
+    streams = [load_trace_csv(p, kind=kind) for p, kind in found]
+    first = streams[0]
+    if len(streams) == 1:
+        return missing_stream_report(first.participant_id, first.trial_id), False, None
+    try:
+        trace = align_head_to_gaze(*streams)
+    except NoOverlapError:
+        return unaligned_report(first.participant_id, first.trial_id, "no_overlap"), False, None
+    report = sanity_check(trace, cfg["min_overlap_s"], cfg["max_gap_s"])
+    if report.verdict != "pass":
+        return report, True, None
+    try:
+        return report, True, use(trace)
+    except EyeheadError as exc:
+        # raised by _sane_traces only if the trial is kept; its traceback's
+        # frames would hold the trial's samples until then
+        return report, True, exc.with_traceback(None)
+
+
+def _sane_traces(in_dir: str, cfg: dict, use):
+    """Load, align and sanity-check each trace pair, and hand each passing trace to `use`.
+
+    Trials are read one at a time, and each trace is dropped once `use` has
+    seen it, so a stage holds one trial's samples at a time. Returns
+    ([(participant_id, use's result)] for the kept trials in trial order,
+    one sanity report per trial, input paths). The reports list the trials
+    that could not be aligned first, then the checked ones.
+    With expected_trials > 0, a participant's trials are kept only when
     exactly that many trials were found and all of them passed. A trial
     with only one of its two files yields a missing_stream report, and a
     gaze and head stream with no shared time window a no_overlap report.
+
+    A file that fails to load raises at once. MissingInputError is raised
+    when no trial is kept, and only then the first error `use` raised for a
+    kept trial, so a participant dropped by expected_trials cannot fail the
+    stage.
     """
-    aligned = []
-    reports = []
-    paths = []
+    unaligned, checked, paths, outcomes = [], [], [], []
     for pair in _trace_pairs(in_dir):
         found = [(p, kind) for p, kind in zip(pair, ("gaze", "head")) if os.path.exists(p)]
-        streams = [load_trace_csv(p, kind=kind) for p, kind in found]
+        report, aligned, outcome = _check_trial(found, cfg, use)
         paths.extend(p for p, _ in found)
-        if len(streams) == 1:
-            reports.append(missing_stream_report(streams[0].participant_id, streams[0].trial_id))
-            continue
-        gaze, head = streams
-        try:
-            aligned.append(align_head_to_gaze(gaze, head))
-        except NoOverlapError:
-            reports.append(unaligned_report(gaze.participant_id, gaze.trial_id, "no_overlap"))
-
-    passed = []
-    for trace in aligned:
-        report = sanity_check(trace, cfg["min_overlap_s"], cfg["max_gap_s"])
-        reports.append(report)
+        (checked if aligned else unaligned).append(report)
         if report.verdict == "pass":
-            passed.append(trace)
+            outcomes.append((report.participant_id, outcome))
+    reports = unaligned + checked
 
     if cfg["expected_trials"] > 0:
         grouped: dict[str, list] = {}
@@ -239,11 +261,14 @@ def _sane_traces(in_dir: str, cfg: dict):
             for pid, group in grouped.items()
             if participant_passes(group, cfg["expected_trials"])
         }
-        passed = [t for t in passed if t.participant_id in kept]
+        outcomes = [(pid, outcome) for pid, outcome in outcomes if pid in kept]
 
-    if not passed:
+    if not outcomes:
         raise MissingInputError("no trials passed the sanity checks")
-    return passed, reports, paths
+    for _, outcome in outcomes:
+        if isinstance(outcome, EyeheadError):
+            raise outcome
+    return outcomes, reports, paths
 
 
 # ---------------------------------------------------------------------------
@@ -251,15 +276,15 @@ def _sane_traces(in_dir: str, cfg: dict):
 # ---------------------------------------------------------------------------
 
 def cmd_preprocess(args: argparse.Namespace, cfg: dict) -> int:
-    traces, reports, input_paths = _sane_traces(args.in_dir, cfg)
+    filter_cfg = _filter_config(cfg)
+    fixation_cfg = _fixation_config(cfg)
+    trials, reports, input_paths = _sane_traces(
+        args.in_dir, cfg, lambda trace: preprocess_trial(trace, filter_cfg, fixation_cfg)
+    )
     provenance = make_provenance(
         {"command": "preprocess", **cfg}, None, _input_map(input_paths, args.in_dir)
     )
-    filter_cfg = _filter_config(cfg)
-    fixation_cfg = _fixation_config(cfg)
-    signed = concat_shift_sets(
-        [preprocess_trial(trace, filter_cfg, fixation_cfg) for trace in traces]
-    )
+    signed = concat_shift_sets([shifts for _, shifts in trials])
 
     sanity_path = args.sanity_out or os.path.join(
         os.path.dirname(os.path.abspath(args.out)), "sanity.jsonl"
@@ -372,13 +397,23 @@ def cmd_sensitivity(args: argparse.Namespace, cfg: dict) -> int:
     repeated = [key for i, key in enumerate(keys) if key in keys[:i]]
     if repeated:
         raise ValueError(f"threshold {repeated[0]} is repeated in {cfg['thresholds']!r}")
-    traces, _, input_paths = _sane_traces(args.in_dir, cfg)
+    filter_cfg = _filter_config(cfg)
+    fixation_cfg = _fixation_config(cfg)
+    trials, _, input_paths = _sane_traces(
+        args.in_dir,
+        cfg,
+        lambda trace: threshold_shifts(trace, thresholds, filter_cfg, fixation_cfg),
+    )
+    # each participant's trials, pooled in trial order per threshold
+    pooled: dict[tuple[str, float], list] = {}
+    for pid, by_threshold in trials:
+        for thr, shifts in by_threshold.items():
+            pooled.setdefault((pid, thr), []).append(shifts)
 
     result = threshold_sensitivity(
-        traces,
+        {key: concat_shift_sets(sets) for key, sets in pooled.items()},
         thresholds=thresholds,
-        filter_cfg=_filter_config(cfg),
-        fixation_cfg=_fixation_config(cfg),
+        base=cfg["fix_threshold"],
         max_ecc=cfg["max_ecc_deg"],
     )
     per_participant = {

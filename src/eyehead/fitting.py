@@ -75,8 +75,9 @@ LAM_MIN = 1e-12
 # buffer allocated per call, and each block of the seed lattice holds at most
 # this many values (64 KiB), below glibc's default 128 KiB mmap threshold, so
 # no temporary is mapped and faulted in afresh on every step. 32768 fits a
-# study cohort faster, but the peak RSS of preprocess, fit and sensitivity in
-# one process rises from 40.7 to 45.3 MiB (+11%; seed 101, 2-vCPU x86-64 host).
+# study cohort faster (benchmark fit_s about -10%), but the benchmark's study
+# peak RSS, with one trial's samples held at a time, rises from 44.5 to 49.2 MiB
+# (+10.5%; seed 101, 3 runs each, 2-vCPU x86-64 host).
 BATCH_POINTS = 8192
 
 _N_PARAMS = {"linear": 2, "hinge": 2, "soft-hinge": 3}

@@ -162,27 +162,24 @@ def compute_eor(x, y) -> float:
         raise TooFewPointsError("EOR needs at least one shift")
 
     eye_only = y <= 0.1 * x
-    centers = np.arange(0.0, X_MAX + EOR_BIN_WIDTH / 2, EOR_BIN_WIDTH)
-    probs = []
-    kept_centers = []
-    for c in centers:
-        mask = (x >= c - EOR_BIN_WIDTH / 2) & (x < c + EOR_BIN_WIDTH / 2)
-        if not np.any(mask):
-            continue
-        kept_centers.append(c)
-        probs.append(float(np.mean(eye_only[mask])))
-
-    if not kept_centers:
+    centers = np.arange(0.0, X_MAX + EOR_BIN_WIDTH / 2, EOR_BIN_WIDTH)[:, None]
+    in_bin = (x >= centers - EOR_BIN_WIDTH / 2) & (x < centers + EOR_BIN_WIDTH / 2)
+    counts = in_bin.sum(axis=1)
+    kept = counts > 0
+    if not np.any(kept):
         raise TooFewPointsError("EOR needs at least one populated bin")
+    kept_centers = centers[kept, 0]
+    probs = (in_bin & eye_only).sum(axis=1)[kept] / counts[kept]
 
     if probs[0] < 0.5:
         return 0.0
-    for (c1, p1), (c2, p2) in zip(
-        zip(kept_centers, probs), zip(kept_centers[1:], probs[1:])
-    ):
-        if p1 >= 0.5 and p2 < 0.5:
-            alpha = c1 + (p1 - 0.5) / (p1 - p2) * (c2 - c1)
-            return float(min(max(alpha, X_MIN), X_MAX))
+    crossings = np.flatnonzero((probs[:-1] >= 0.5) & (probs[1:] < 0.5))
+    if crossings.size:
+        i = crossings[0]
+        c1, c2 = kept_centers[i], kept_centers[i + 1]
+        p1, p2 = probs[i], probs[i + 1]
+        alpha = c1 + (p1 - 0.5) / (p1 - p2) * (c2 - c1)
+        return float(min(max(alpha, X_MIN), X_MAX))
     return X_MAX
 
 

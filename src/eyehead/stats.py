@@ -24,13 +24,7 @@ from .errors import (
 from .events import FixationConfig, gaze_velocity, segment_shifts
 from .fitting import fit_participants
 from .fpca import DEFAULT_GRID
-from .ingest import (
-    AlignedTrace,
-    FilterConfig,
-    ShiftSet,
-    concat_shift_sets,
-    symmetrize_and_clean,
-)
+from .ingest import AlignedTrace, FilterConfig, ShiftSet, symmetrize_and_clean
 from .models import eval_model
 
 
@@ -205,45 +199,58 @@ def symmetry_check(shifts: ShiftSet) -> SymmetryReport:
 # fixation-threshold sensitivity
 # ---------------------------------------------------------------------------
 
-def threshold_sensitivity(
-    traces: list[AlignedTrace],
-    thresholds: tuple[float, ...] = (10.0, 15.0, 20.0),
+def threshold_shifts(
+    trace: AlignedTrace,
+    thresholds: tuple[float, ...],
     filter_cfg: FilterConfig = FilterConfig(),
     fixation_cfg: FixationConfig = FixationConfig(),
+) -> dict[float, ShiftSet]:
+    """One trial's signed shifts at every threshold, and at the base threshold.
+
+    The gaze is smoothed once (the 1-Euro filter and the velocity do not
+    depend on the fixation threshold), and its velocity trace is segmented
+    at each of thresholds and then at fixation_cfg.vel_threshold, the base,
+    unless it is one of them. Returns {threshold: ShiftSet} in that order.
+    """
+    velocity = gaze_velocity(trace, filter_cfg)
+    out: dict[float, ShiftSet] = {}
+    for thr in (*thresholds, fixation_cfg.vel_threshold):
+        if thr not in out:
+            cfg = replace(fixation_cfg, vel_threshold=thr)
+            out[thr] = segment_shifts(trace, velocity, cfg)
+    return out
+
+
+def threshold_sensitivity(
+    shifts: dict[tuple[str, float], ShiftSet],
+    thresholds: tuple[float, ...] = (10.0, 15.0, 20.0),
+    base: float = 15.0,
     max_ecc: float = 50.0,
 ) -> dict[str, dict[float, float] | EyeheadError]:
     """Refit every participant's curve per velocity threshold; r vs base.
 
-    Each trial's gaze is smoothed once, and its velocity trace is
-    segmented into shifts at every threshold before the next trial is
-    smoothed. Per participant and threshold, the soft hinge is refit to the
-    pooled shifts, all in one batched call; each curve is evaluated on
-    DEFAULT_GRID and correlated with the participant's curve at the base
-    threshold, fixation_cfg.vel_threshold (the one preprocess segments at),
-    which maps to r = 1. Returns {participant_id: {threshold: r}} in id
-    order. A participant left with no shifts at some threshold, or with a
-    constant curve (no head movement), maps to that error instead, and the
-    other participants are unaffected.
+    shifts maps (participant_id, threshold) to that participant's signed
+    shifts at that threshold, pooled over trials (threshold_shifts gives one
+    trial's), for every threshold and for base, the threshold preprocess
+    segments at. Each set is symmetrized and cleaned, and the soft hinges of
+    all of them are refit in one batched call; each curve is evaluated on
+    DEFAULT_GRID and correlated with the participant's curve at base, which
+    maps to r = 1. Returns {participant_id: {threshold: r}} in id order. A
+    participant left with no shifts at some threshold, or with a constant
+    curve (no head movement), maps to that error instead, and the other
+    participants are unaffected.
     """
-    base = fixation_cfg.vel_threshold
     all_thresholds = list(thresholds)
     if base not in all_thresholds:
         all_thresholds.append(base)
-
-    parts: dict[str, dict[float, list[ShiftSet]]] = {}
-    for tr in traces:
-        velocity = gaze_velocity(tr, filter_cfg)
-        by_thr = parts.setdefault(tr.participant_id, {thr: [] for thr in all_thresholds})
-        for thr, shift_sets in by_thr.items():
-            cfg = replace(fixation_cfg, vel_threshold=thr)
-            shift_sets.append(segment_shifts(tr, velocity, cfg))
+    pids = sorted({pid for pid, _ in shifts})
 
     cleaned = {
-        (pid, thr): symmetrize_and_clean(concat_shift_sets(sets), max_ecc=max_ecc)
-        for pid in sorted(parts)
-        for thr, sets in parts[pid].items()
+        (pid, thr): symmetrize_and_clean(shifts[(pid, thr)], max_ecc=max_ecc)
+        for pid in pids
+        for thr in all_thresholds
     }
-    keys = [key for key, shifts in cleaned.items() if len(shifts)]
+    keys = [key for key, sub in cleaned.items() if len(sub)]
     fits = fit_participants([(cleaned[key].x, cleaned[key].y) for key in keys], ("soft-hinge",))
     curves = {
         key: eval_model(fit.fits["soft-hinge"].params, DEFAULT_GRID)
@@ -251,7 +258,7 @@ def threshold_sensitivity(
     }
 
     out: dict[str, dict[float, float] | EyeheadError] = {}
-    for pid in sorted(parts):
+    for pid in pids:
         empty = [thr for thr in all_thresholds if (pid, thr) not in curves]
         if empty:
             out[pid] = EmptyDataError(f"no shifts at a threshold of {empty[0]:g} deg/s")

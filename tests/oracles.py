@@ -45,6 +45,37 @@ def ref_linear(alpha, gamma, x):
     return gamma * np.maximum(0.0, x - alpha)
 
 
+def compute_eor_loop(x, y, bin_width=5.0, x_min=0.0, x_max=50.0):
+    """Eye-only range, one bin at a time: where P(y <= 0.1 x) first drops to 0.5.
+
+    Bins are centered on multiples of bin_width over [0, x_max]; the
+    crossing is interpolated between adjacent non-empty bin centers and
+    clamped to [x_min, x_max]. Raises ValueError when no bin is populated.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    eye_only = y <= 0.1 * x
+    probs = []
+    kept_centers = []
+    for c in np.arange(0.0, x_max + bin_width / 2, bin_width):
+        mask = (x >= c - bin_width / 2) & (x < c + bin_width / 2)
+        if not np.any(mask):
+            continue
+        kept_centers.append(c)
+        probs.append(float(np.mean(eye_only[mask])))
+    if not kept_centers:
+        raise ValueError("no populated bin")
+    if probs[0] < 0.5:
+        return 0.0
+    for (c1, p1), (c2, p2) in zip(
+        zip(kept_centers, probs), zip(kept_centers[1:], probs[1:])
+    ):
+        if p1 >= 0.5 and p2 < 0.5:
+            alpha = c1 + (p1 - 0.5) / (p1 - p2) * (c2 - c1)
+            return float(min(max(alpha, x_min), x_max))
+    return x_max
+
+
 def fd_gradient(f, theta, h=1e-5):
     """Central finite-difference gradient of f: R^k -> R^n."""
     theta = np.asarray(theta, dtype=float)

@@ -41,6 +41,7 @@ from eyehead import (
     synth_shifts,
     synth_trace,
     threshold_sensitivity,
+    threshold_shifts,
 )
 from eyehead.fpca import CurveGrid, DEFAULT_GRID
 
@@ -219,14 +220,16 @@ def test_criterion_07_aic_prefers_generating_model():
 
 
 def test_criterion_08_threshold_sensitivity():
-    traces = []
+    shifts = {}
     for i, pid in enumerate(("pa", "pb", "pc")):
         params = SoftHingeParams(0.5 + 0.15 * i, 10.0 + 4.0 * i, 3.0 + i)
         gaze, head, _ = synth_trace(
             SynthConfig(params, n_shifts=60, seed=20 + i, participant_id=pid)
         )
-        traces.append(align_head_to_gaze(gaze, head))
-    result = threshold_sensitivity(traces, thresholds=(10.0, 15.0, 20.0))
+        trace = align_head_to_gaze(gaze, head)
+        for thr, sub in threshold_shifts(trace, (10.0, 15.0, 20.0)).items():
+            shifts[(pid, thr)] = sub
+    result = threshold_sensitivity(shifts, thresholds=(10.0, 15.0, 20.0))
     medians = {10.0: [], 15.0: [], 20.0: []}
     for pid in ("pa", "pb", "pc"):
         for thr, r in result[pid].items():

@@ -1,13 +1,15 @@
 import inspect
 import json
 import re
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from eyehead import SoftHingeParams, SynthConfig, read_shifts_csv, synth_trace
-from eyehead import ingest
+from eyehead import cli, ingest
 from eyehead.cli import (
     DEFAULTS,
     STAGE_OPTIONS,
@@ -29,7 +31,7 @@ from eyehead.ingest import (
 )
 from eyehead import report
 from eyehead.report import read_json_array
-from eyehead.stats import threshold_sensitivity
+from eyehead.stats import threshold_sensitivity, threshold_shifts
 
 
 def run(argv):
@@ -44,6 +46,13 @@ def synth_dir(tmp_path, participants=4, trials=2, shifts=12, seed=0):
     ])
     assert code == 0
     return out / "traces"
+
+
+def never_settle(gaze_path):
+    """Rewrite a gaze file so the gaze sweeps at 40 deg/s and never fixates."""
+    stream = ingest.load_trace_csv(str(gaze_path), kind="gaze")
+    stream.yaw = 40.0 * (stream.t - stream.t[0])
+    ingest.write_trace_csv(str(gaze_path), stream)
 
 
 def preprocess(tmp_path, raw, name="shifts.csv", extra=()):
@@ -191,6 +200,21 @@ class TestErrorHandling:
         assert payload["error"] == "MissingColumnError"
         assert "pc2" in payload["message"]
 
+    @pytest.mark.parametrize("stage", ["preprocess", "sensitivity"])
+    def test_a_load_error_comes_before_an_earlier_trial_that_never_settles(
+            self, tmp_path, capsys, stage):
+        raw = synth_dir(tmp_path, participants=3, trials=1, shifts=30)
+        never_settle(raw / "synth001_t01.gaze.csv")
+        gaze = raw / "synth003_t01.gaze.csv"
+        lines = gaze.read_text().splitlines(keepends=True)
+        lines[5] = "synth003,t01,abc,0\n"
+        gaze.write_text("".join(lines))
+        out = tmp_path / ("shifts.csv" if stage == "preprocess" else "sens.json")
+        assert run([stage, "--in-dir", raw, "--out", out, "--min-overlap-s", 2.0]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert (payload["stage"], payload["error"]) == (stage, "TraceSchemaError")
+        assert not out.exists()
+
     def test_bad_model_name(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args([
@@ -269,6 +293,9 @@ class TestConfigResolution:
         assert default(threshold_sensitivity, "thresholds") == tuple(
             float(v) for v in DEFAULTS["thresholds"].split(",")
         )
+        assert default(threshold_sensitivity, "base") == DEFAULTS["fix_threshold"]
+        assert default(threshold_shifts, "filter_cfg") == _filter_config(DEFAULTS)
+        assert default(threshold_shifts, "fixation_cfg") == _fixation_config(DEFAULTS)
 
 
 # The file arguments each stage requires; no test here reads them.
@@ -785,6 +812,69 @@ class TestExpectedTrials:
         kept = list(read_shifts_csv(shifts).by_participant())
         assert len(kept) == 2
         assert sorted(json.loads(sens.read_text())["participants"]) == sorted(kept)
+
+
+    def test_a_dropped_participant_whose_gaze_never_settles_cannot_fail_the_stage(
+            self, tmp_path):
+        raw = synth_dir(tmp_path, participants=3, trials=2, shifts=30)
+        (raw / "synth002_t01.head.csv").unlink()
+        never_settle(raw / "synth002_t02.gaze.csv")
+        setting = ["--min-overlap-s", 2.0, "--expected-trials", 2]
+        shifts, sens = tmp_path / "shifts.csv", tmp_path / "sens.json"
+        assert run(["preprocess", "--in-dir", raw, "--out", shifts, *setting]) == 0
+        assert run(["sensitivity", "--in-dir", raw, "--out", sens, *setting]) == 0
+        assert list(read_shifts_csv(str(shifts)).by_participant()) == ["synth001", "synth003"]
+        assert sorted(json.loads(sens.read_text())["participants"]) == ["synth001", "synth003"]
+        records = strict_json_lines((tmp_path / "sanity.jsonl").read_text())[1:]
+        assert [(r["participant_id"], r["trial_id"], r["verdict"]) for r in records
+                if r["participant_id"] == "synth002"] == [
+            ("synth002", "t01", "fail"), ("synth002", "t02", "pass")]
+
+
+class TestOneTrialAtATime:
+    """preprocess and sensitivity hold one trial's samples at a time."""
+
+    @pytest.mark.parametrize("faults", [False, True], ids=["clean", "deferred-errors"])
+    @pytest.mark.parametrize("stage", ["preprocess", "sensitivity"])
+    def test_a_trace_is_dropped_before_the_next_is_built(self, tmp_path, monkeypatch, stage,
+                                                         faults):
+        raw = synth_dir(tmp_path, participants=3, trials=2, shifts=30)
+        extra = []
+        if faults:  # two trials fail to segment, and expected_trials drops both participants
+            for pid in ("synth001", "synth002"):
+                (raw / f"{pid}_t01.head.csv").unlink()
+                never_settle(raw / f"{pid}_t02.gaze.csv")
+            extra = ["--expected-trials", 2]
+        built = []  # a weak reference to every trace built so far
+        seen = []
+        align = cli.align_head_to_gaze
+
+        def tracked(gaze, head):
+            seen.append(sum(ref() is not None for ref in built))
+            trace = align(gaze, head)
+            built.append(weakref.ref(trace))
+            return trace
+
+        monkeypatch.setattr(cli, "align_head_to_gaze", tracked)
+        out = tmp_path / ("shifts.csv" if stage == "preprocess" else "sens.json")
+        assert run([stage, "--in-dir", raw, "--out", out, "--min-overlap-s", 2.0, *extra]) == 0
+        assert len(seen) == (4 if faults else 6)
+        assert max(seen) <= 1
+
+    def test_preprocess_peak_memory_does_not_grow_with_the_cohort(self, tmp_path):
+        def peak(trials):
+            raw = synth_dir(tmp_path / f"trials{trials}", participants=3, trials=trials,
+                            shifts=40)
+            tracemalloc.start()
+            try:
+                assert run(["preprocess", "--in-dir", raw, "--out",
+                            tmp_path / f"shifts{trials}.csv", "--min-overlap-s", 5.0]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(2), peak(8)
+        assert large <= 1.25 * small, (small, large)
 
 
 class TestHeadStillParticipant:

@@ -24,7 +24,7 @@ from eyehead import (
 )
 from eyehead.models import soft_hinge_partials
 
-from .oracles import fd_gradient, ref_logistic, ref_soft_hinge
+from .oracles import compute_eor_loop, fd_gradient, ref_logistic, ref_soft_hinge
 
 finite_yaw = st.floats(-50.0, 50.0, allow_nan=False)
 
@@ -279,6 +279,27 @@ class TestEyeOnlyRange:
         x = np.full(6, 10.0)
         y = np.full(6, 1.0)
         assert compute_eor(x, y) == 50.0
+
+
+# every bin edge, c +- 2.5 for the bin centers 0, 5, ..., 50
+EOR_EDGES = [c + side for c in np.arange(0.0, 55.0, 5.0) for side in (-2.5, 2.5)]
+eor_x = st.one_of(st.sampled_from(EOR_EDGES), st.floats(-5.0, 60.0, allow_nan=False))
+
+
+class TestEyeOnlyRangeMatchesBinLoop:
+    @given(st.lists(st.tuples(eor_x, st.floats(-10.0, 20.0, allow_nan=False)),
+                    min_size=1, max_size=60))
+    def test_bit_equal(self, pairs):
+        x, y = (np.array(v) for v in zip(*pairs))
+        try:
+            want = compute_eor_loop(x, y)
+        except ValueError:
+            with pytest.raises(TooFewPointsError):
+                compute_eor(x, y)
+            return
+        got = compute_eor(x, y)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestHeadRecruitmentSlope:

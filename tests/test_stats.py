@@ -22,6 +22,7 @@ from eyehead import (
     symmetry_check,
     synth_trace,
     threshold_sensitivity,
+    threshold_shifts,
 )
 
 from eyehead import AlignedTrace, align_head_to_gaze, events, preprocess_trial, stats
@@ -34,6 +35,16 @@ from eyehead.models import eval_model
 def make_shifts(x, y):
     x = np.asarray(x, dtype=float)
     return ShiftSet(["p01"] * x.size, ["t01"] * x.size, x, np.asarray(y, dtype=float))
+
+
+def pooled_shifts(traces, thresholds, filter_cfg=FilterConfig(),
+                  fixation_cfg=FixationConfig()):
+    """threshold_shifts of every trace, pooled per (participant, threshold) in trace order."""
+    pooled = {}
+    for tr in traces:
+        for thr, sub in threshold_shifts(tr, thresholds, filter_cfg, fixation_cfg).items():
+            pooled.setdefault((tr.participant_id, thr), []).append(sub)
+    return {key: concat_shift_sets(sets) for key, sets in pooled.items()}
 
 
 def staircase_trace(amplitudes, trial_id="t01", rate=128.0, plateau_s=0.4, ramp_s=0.15):
@@ -257,6 +268,26 @@ class TestSymmetryCheck:
             symmetry_check(make_shifts(xs, ys))
 
 
+class TestThresholdShifts:
+    def test_each_threshold_then_the_base_matches_preprocess_trial(self, monkeypatch):
+        amps = np.linspace(6.0, 48.0, 16) * (-1.0) ** np.arange(16)
+        trace = staircase_trace(amps)
+        filt = FilterConfig(min_cutoff=3.0)
+        fix = FixationConfig(vel_threshold=15.0, pad_s=0.0)
+        calls = []
+        one_euro = events.one_euro
+        monkeypatch.setattr(events, "one_euro", lambda *a: calls.append(1) or one_euro(*a))
+        got = threshold_shifts(trace, (20.0, 10.0, 20.0), filt, fix)
+        assert len(calls) == 1
+        assert list(got) == [20.0, 10.0, 15.0]
+        for thr, shifts in got.items():
+            want = preprocess_trial(trace, filt, FixationConfig(vel_threshold=thr, pad_s=0.0))
+            assert shifts.participant_id == want.participant_id
+            assert shifts.trial_id == want.trial_id
+            np.testing.assert_array_equal(shifts.x, want.x)
+            np.testing.assert_array_equal(shifts.y, want.y)
+
+
 class TestThresholdSensitivity:
     def test_base_maps_to_one_and_neighbors_stay_high(self):
         # two clean trials with plenty of shifts spanning the domain;
@@ -266,12 +297,13 @@ class TestThresholdSensitivity:
             staircase_trace(amps, trial_id="t01"),
             staircase_trace(amps[::-1], trial_id="t02"),
         ]
-        out = threshold_sensitivity(
+        shifts = pooled_shifts(
             traces,
-            thresholds=(10.0, 15.0, 20.0),
+            (10.0, 15.0, 20.0),
             filter_cfg=FilterConfig(min_cutoff=1e9),
             fixation_cfg=FixationConfig(pad_s=0.0),
-        )["p01"]
+        )
+        out = threshold_sensitivity(shifts, thresholds=(10.0, 15.0, 20.0))["p01"]
         assert set(out) == {10.0, 15.0, 20.0}
         assert out[15.0] == pytest.approx(1.0, abs=1e-12)
         assert out[10.0] > 0.99
@@ -300,7 +332,8 @@ class TestThresholdSensitivity:
         calls = []
         one_euro = events.one_euro
         monkeypatch.setattr(events, "one_euro", lambda *a: calls.append(1) or one_euro(*a))
-        got = threshold_sensitivity(traces, thresholds, filt, fix)["p01"]
+        got = threshold_sensitivity(pooled_shifts(traces, thresholds, filt, fix),
+                                    thresholds, base)["p01"]
         assert got == want
         assert len(calls) == len(traces)
 
@@ -325,15 +358,15 @@ class TestThresholdSensitivity:
         batched = stats.fit_participants
         monkeypatch.setattr(stats, "fit_participants",
                             lambda *a: calls.append(1) or batched(*a))
-        got = threshold_sensitivity(traces, **kwargs)
+        got = threshold_sensitivity(pooled_shifts(traces, kwargs["thresholds"]), **kwargs)
         assert len(calls) == 1
         assert list(got) == ["pa", "pb", "pc", "pd"]
         assert isinstance(got["pa"], ZeroSpreadError)
         assert isinstance(got["pd"], EmptyDataError)
         assert set(got["pb"]) == set(got["pc"]) == {10.0, 20.0}
         for pid, result in got.items():
-            alone = threshold_sensitivity([t for t in traces if t.participant_id == pid],
-                                          **kwargs)
+            own = [t for t in traces if t.participant_id == pid]
+            alone = threshold_sensitivity(pooled_shifts(own, kwargs["thresholds"]), **kwargs)
             assert list(alone) == [pid]
             if isinstance(result, Exception):
                 assert (type(result), str(result)) == (type(alone[pid]), str(alone[pid]))
