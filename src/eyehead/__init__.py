@@ -29,7 +29,6 @@ from .errors import (
     ZeroSpreadError,
 )
 from .events import (
-    Fixation,
     FixationConfig,
     angular_velocity,
     detect_fixations,

@@ -24,6 +24,7 @@ import glob
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -52,6 +53,7 @@ from .report import (
     emit_report,
     make_provenance,
     read_json_array,
+    read_json_object,
     write_json_array,
     write_json_lines,
     write_json_object,
@@ -293,14 +295,14 @@ def cmd_preprocess(args: argparse.Namespace, cfg: dict) -> int:
         symmetry = {}
         for pid, sub in signed.by_participant().items():
             try:
-                symmetry[pid] = symmetry_check(sub).to_dict()
+                symmetry[pid] = asdict(symmetry_check(sub))
             except EyeheadError as exc:
                 symmetry[pid] = {"error": type(exc).__name__, "message": str(exc)}
         write_json_object(args.symmetry_out, {"participants": symmetry}, provenance)
 
     clean = symmetrize_and_clean(signed, max_ecc=cfg["max_ecc_deg"])
     write_shifts_csv(args.out, clean, provenance)
-    write_json_lines(sanity_path, [r.to_dict() for r in reports], provenance)
+    write_json_lines(sanity_path, [asdict(r) for r in reports], provenance)
     return 0
 
 
@@ -348,15 +350,8 @@ def cmd_fpca(args: argparse.Namespace, cfg: dict) -> int:
     return 0
 
 
-def _load_spectrum(path: str) -> Spectrum:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    payload.pop("provenance", None)
-    return Spectrum.from_dict(payload)
-
-
 def cmd_project(args: argparse.Namespace, cfg: dict) -> int:
-    spectrum = _load_spectrum(args.model_path)
+    spectrum = Spectrum.from_dict(read_json_object(args.model_path))
     rows = read_json_array(args.in_path)
     curves = _soft_hinge_curves(rows, grid=spectrum.grid)
     table = score_table(spectrum, curves)
@@ -376,8 +371,8 @@ def cmd_report(args: argparse.Namespace, cfg: dict) -> int:
     fit_rows = read_json_array(args.fits)
     if not fit_rows:
         raise MissingInputError(f"{args.fits}: empty fit table")
-    spectrum = _load_spectrum(args.spectrum)
-    score_rows = read_scores_csv(args.scores)
+    spectrum = Spectrum.from_dict(read_json_object(args.spectrum))
+    scores = read_scores_csv(args.scores)
     provenance = make_provenance(
         {"command": "report", **cfg},
         None,
@@ -386,7 +381,7 @@ def cmd_report(args: argparse.Namespace, cfg: dict) -> int:
             os.path.dirname(os.path.abspath(args.fits)),
         ),
     )
-    emit_report(fit_rows, spectrum, score_rows, args.out_dir, provenance)
+    emit_report(fit_rows, spectrum, scores, args.out_dir, provenance)
     return 0
 
 
@@ -552,7 +547,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, _resolve(args))
-    except (EyeheadError, OSError, ValueError, json.JSONDecodeError, KeyError) as exc:
+    except (EyeheadError, OSError, ValueError, KeyError) as exc:
         payload = {
             "stage": args.command,
             "error": type(exc).__name__,

@@ -30,14 +30,6 @@ class FixationConfig:
     merge_gap_s: float = 0.020
 
 
-@dataclass(frozen=True)
-class Fixation:
-    """Inclusive sample-index span [start, end] on the trial timebase."""
-
-    start: int
-    end: int
-
-
 def angular_velocity(t: np.ndarray, yaw: np.ndarray) -> np.ndarray:
     """Yaw velocity in degrees/s: central differences inside, one-sided at ends."""
     t = np.asarray(t, dtype=float)
@@ -55,8 +47,8 @@ def detect_fixations(
     t: np.ndarray,
     velocity: np.ndarray,
     cfg: FixationConfig = FixationConfig(),
-) -> list[Fixation]:
-    """Threshold fixation detector.
+) -> np.ndarray:
+    """Threshold fixation detector: a (k, 2) intp array of inclusive [start, end] spans.
 
     1. keep runs with |velocity| < vel_threshold lasting >= min_duration_s,
     2. pad each run outward by pad_s (clamped to the trace),
@@ -81,21 +73,20 @@ def detect_fixations(
     new[1:] = ~(t[starts[1:]] - t[ends[:-1]] < cfg.merge_gap_s)
     # a merged run ends where the next one starts anew; new[0] rolls round to close the last
     last = np.roll(new, -1)
-    return [Fixation(a, b) for a, b in zip(starts[new].tolist(), ends[last].tolist())]
+    return np.column_stack((starts[new], ends[last]))
 
 
-def extract_shifts(trace: AlignedTrace, fixations: list[Fixation]) -> ShiftSet:
-    """One signed shift per consecutive fixation pair, anchored on raw yaw.
+def extract_shifts(trace: AlignedTrace, spans: np.ndarray) -> ShiftSet:
+    """One signed shift per consecutive pair of fixation spans, anchored on raw yaw.
 
-    x = gaze displacement between the end of one fixation and the start of
-    the next; y = head displacement between the same two samples.
+    spans holds inclusive [start, end] sample indices, one row per fixation
+    (detect_fixations). x = gaze displacement between the end of one
+    fixation and the start of the next; y = head displacement between the
+    same two samples.
     """
-    if len(fixations) < 2:
-        raise TooFewFixationsError(
-            f"need >= 2 fixations to form a shift, got {len(fixations)}"
-        )
-    a_idx = np.array([f.end for f in fixations[:-1]])
-    b_idx = np.array([f.start for f in fixations[1:]])
+    if len(spans) < 2:
+        raise TooFewFixationsError(f"need >= 2 fixations to form a shift, got {len(spans)}")
+    a_idx, b_idx = spans[:-1, 1], spans[1:, 0]
     x = trace.gaze_yaw[b_idx] - trace.gaze_yaw[a_idx]
     y = trace.head_yaw[b_idx] - trace.head_yaw[a_idx]
     n = x.size

@@ -70,6 +70,8 @@ XTOL = 1e-10
 # diagonal: keeps that system nonsingular where two Jacobian columns are
 # collinear to rounding, as where the soft hinge is nearly a straight line.
 LAM_MIN = 1e-12
+# Rows per data point of the work buffer _evaluate lays out: 5 partials, then 9 products.
+WORK_ROWS = 14
 # Most row-points (seeds x data points) the batched solver holds live at once;
 # a larger seed runs alone. The solver's per-point arrays are views into one
 # buffer allocated per call, and each block of the seed lattice holds at most
@@ -199,7 +201,7 @@ def _evaluate(theta: np.ndarray, x: np.ndarray, y: np.ndarray, sizes: np.ndarray
     """
     m = theta.shape[1]
     n = x.size
-    block = work[:14 * n].reshape(-1, n)  # 5 partials, then 9 products
+    block = work[:WORK_ROWS * n].reshape(-1, n)
     u, e, tmp, f, ds = block[:5]
     stack = block[5:]
     # owner holds valid indices only, and take with mode="raise" would buffer out
@@ -292,7 +294,7 @@ def _projected_lm(rows, starts: np.ndarray, pinned: np.ndarray):
     # the live rows' points as (x, y), and a second copy to compact them into
     flat = np.empty((2, 2, cap))
     points = 0
-    work = np.empty(14 * cap)  # as _evaluate lays it out
+    work = np.empty(WORK_ROWS * cap)
     # The live rows' state, a column per row in admission order: beta, tau,
     # s, SSE, J'r (2), J'J (h00, h01, h11), then what init starts: diag(J'J)'s
     # running maximum (2), lam, the step count, whether the last accepted

@@ -198,42 +198,38 @@ def reconstruct_mode(spectrum: Spectrum, component: int, c: float) -> np.ndarray
     return spectrum.mean_curve + c * sd * spectrum.components[component]
 
 
-def score_percentile(score: float, reference: np.ndarray) -> float:
-    """Percentile of score within a reference sample, linearly interpolated.
+def score_percentile(score, reference: np.ndarray):
+    """Percentile of a score, or of each of an array of scores, within a reference sample.
 
-    The sorted reference maps onto equally spaced percentiles 0..100; scores
-    outside the reference range clamp to 0 or 100. A singleton reference
-    carries no spread, so everything ranks at 50.
+    The sorted reference maps onto equally spaced percentiles 0..100 and a
+    score is placed by linear interpolation; scores outside the reference
+    range clamp to 0 or 100. A singleton reference carries no spread, so
+    everything ranks at 50.
     """
     reference = np.asarray(reference, dtype=float)
     if reference.size == 0:
         raise EmptyReferenceError("percentile needs a non-empty reference sample")
     if reference.size == 1:
-        return 50.0
+        return np.full(np.shape(score), 50.0)[()]  # [()] makes a 0-d result a scalar
     ref = np.sort(reference)
-    return float(np.interp(score, ref, np.linspace(0.0, 100.0, ref.size)))
+    return np.interp(score, ref, np.linspace(0.0, 100.0, ref.size))
 
 
-def score_table(spectrum: Spectrum, curves: CurveGrid) -> list[dict]:
-    """Rows {curve_id, pc1, pc2, percentile_pc1} for a batch of curves.
+def score_table(spectrum: Spectrum, curves: CurveGrid) -> dict:
+    """Score columns {curve_id, pc1, pc2, percentile_pc1}, one row per curve.
 
-    Percentiles rank PC1 scores against the spectrum's training scores,
-    failing that against the batch itself. With one retained component pc2
-    is reported as 0.
+    curve_id is a list, the others are float arrays. Percentiles rank PC1
+    scores against the spectrum's training scores, failing that against the
+    batch itself. With one retained component pc2 is reported as 0.
     """
     scores = project(spectrum, curves.values)
     try:
         reference = spectrum.reference_scores()
     except EmptyReferenceError:
         reference = scores[:, 0]
-    rows = []
-    for cid, row in zip(curves.curve_ids, scores):
-        rows.append(
-            {
-                "curve_id": cid,
-                "pc1": float(row[0]),
-                "pc2": float(row[1]) if row.size > 1 else 0.0,
-                "percentile_pc1": score_percentile(float(row[0]), reference),
-            }
-        )
-    return rows
+    return {
+        "curve_id": list(curves.curve_ids),
+        "pc1": scores[:, 0],
+        "pc2": scores[:, 1] if scores.shape[1] > 1 else np.zeros(len(scores)),
+        "percentile_pc1": score_percentile(scores[:, 0], reference),
+    }

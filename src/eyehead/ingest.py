@@ -82,16 +82,6 @@ class SanityReport:
     # "short_overlap" | "discontinuity" | "missing_stream" | "no_overlap"
     reason: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "participant_id": self.participant_id,
-            "trial_id": self.trial_id,
-            "overlap_s": self.overlap_s,
-            "gap_max_s": self.gap_max_s,
-            "verdict": self.verdict,
-            "reason": self.reason,
-        }
-
 
 @dataclass
 class ShiftSet:
@@ -523,15 +513,11 @@ def write_shifts_csv(path: str, shifts: ShiftSet, provenance: dict | None = None
     write_table(path, SHIFT_COLUMNS, cols, provenance)
 
 
-def read_scores_csv(path: str) -> list[dict]:
-    """Read a score table; leading '#' lines (provenance) are skipped."""
-    cols = read_table(path, SCORE_COLUMNS, floats=SCORE_COLUMNS[1:])
-    values = [cols["curve_id"]] + [cols[c].tolist() for c in SCORE_COLUMNS[1:]]
-    return [dict(zip(SCORE_COLUMNS, row)) for row in zip(*values)]
+def read_scores_csv(path: str) -> dict:
+    """Read a score table as columns: curve_id a list, the others float arrays."""
+    return read_table(path, SCORE_COLUMNS, floats=SCORE_COLUMNS[1:])
 
 
-def write_scores_csv(path: str, rows: list[dict], provenance: dict | None = None) -> None:
-    """Write a score table (one dict per curve, keyed by SCORE_COLUMNS)."""
-    cols = [[r["curve_id"] for r in rows]]
-    cols += [np.array([r[c] for r in rows], dtype=float) for c in SCORE_COLUMNS[1:]]
-    write_table(path, SCORE_COLUMNS, cols, provenance)
+def write_scores_csv(path: str, table: dict, provenance: dict | None = None) -> None:
+    """Write a score table given as columns keyed by SCORE_COLUMNS (score_table's shape)."""
+    write_table(path, SCORE_COLUMNS, [table[c] for c in SCORE_COLUMNS], provenance)

@@ -15,7 +15,7 @@ the hinge exactly; its asymptotic slope for large x is beta / s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -218,11 +218,17 @@ def params_to_dict(params: ModelParams) -> dict:
 
 
 def params_from_dict(d: dict) -> ModelParams:
+    """The parameters params_to_dict wrote; a null or non-numeric value is a ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"model parameters must be an object, got {d!r}")
     kind = d.get("model")
-    if kind == "linear":
-        return LinearParams(alpha=float(d["alpha"]), gamma=float(d["gamma"]))
-    if kind == "hinge":
-        return HingeParams(beta=float(d["beta"]), tau=float(d["tau"]))
-    if kind == "soft-hinge":
-        return SoftHingeParams(beta=float(d["beta"]), tau=float(d["tau"]), s=float(d["s"]))
-    raise ValueError(f"unknown model tag {kind!r}")
+    classes = {"linear": LinearParams, "hinge": HingeParams, "soft-hinge": SoftHingeParams}
+    if not isinstance(kind, str) or kind not in classes:
+        raise ValueError(f"unknown model tag {kind!r}")
+    values = {}
+    for key in (f.name for f in fields(classes[kind])):
+        try:
+            values[key] = float(d[key])
+        except (TypeError, ValueError):
+            raise ValueError(f"{kind} parameter {key!r} is not a number: {d[key]!r}") from None
+    return classes[kind](**values)

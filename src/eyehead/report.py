@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import os
+from dataclasses import asdict
 
 import numpy as np
 
@@ -89,13 +90,23 @@ def write_json_lines(path: str, records: list[dict], provenance: dict) -> None:
             fh.write(_dump(record, indent=None) + "\n")
 
 
-def read_json_array(path: str) -> list:
+def read_json_object(path: str) -> dict:
+    """Payload of a write_json_object file; the provenance key is dropped."""
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise MissingInputError(f"{path}: expected a JSON object")
+    data.pop("provenance", None)
+    return data
+
+
+def read_json_array(path: str) -> list[dict]:
     """Items of a write_json_array file; the provenance header is dropped."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    if not isinstance(data, list):
-        raise MissingInputError(f"{path}: expected a JSON array")
-    return [e for e in data if not (isinstance(e, dict) and set(e) == {"provenance"})]
+    if not isinstance(data, list) or not all(isinstance(e, dict) for e in data):
+        raise MissingInputError(f"{path}: expected a JSON array of objects")
+    return [e for e in data if set(e) != {"provenance"}]
 
 
 # ---------------------------------------------------------------------------
@@ -121,20 +132,21 @@ def _model_comparison(fit_rows: list[dict]) -> dict:
 def emit_report(
     fit_rows: list[dict],
     spectrum: Spectrum,
-    score_rows: list[dict],
+    scores: dict,
     out_dir: str,
     provenance: dict,
 ) -> list[str]:
     """Write the report bundle; returns the paths written (relative to out_dir).
 
     Bundle contents: mode-reconstruction curves (mean and +-2 SD along each
-    retained component) as two-column CSVs, the score table, a KDE density
+    retained component) as two-column CSVs, the score table (score_table's
+    columns), a KDE density
     of the PC1 scores, a model-comparison table, and a Markdown summary
     linking everything with relative paths only.
     """
     if not fit_rows:
         raise MissingInputError("report needs at least one fit result")
-    if not score_rows:
+    if not len(scores["curve_id"]):
         raise MissingInputError("report needs a non-empty score table")
     if spectrum.grid.size != spectrum.mean_curve.size:
         raise GridMismatchError("spectrum grid and mean curve disagree in length")
@@ -153,10 +165,10 @@ def emit_report(
             name = f"modes/pc{j + 1}_{'minus' if c < 0 else 'plus'}2sd.csv"
             put_csv(name, ("x_deg", "y_deg"), (grid, reconstruct_mode(spectrum, j, c)))
 
-    write_scores_csv(os.path.join(out_dir, "scores.csv"), score_rows, provenance)
+    write_scores_csv(os.path.join(out_dir, "scores.csv"), scores, provenance)
     written.append("scores.csv")
 
-    pc1 = np.array([float(r["pc1"]) for r in score_rows])
+    pc1 = np.asarray(scores["pc1"], dtype=float)
     summary_stats = describe_distribution(pc1)
     if pc1.size >= 2 and float(np.std(pc1, ddof=1)) > 0:
         span = float(pc1.max() - pc1.min()) or 1.0
@@ -169,7 +181,7 @@ def emit_report(
         "n_participants": len({r["participant_id"] for r in fit_rows}),
         "explained_ratio": spectrum.explained_ratio.tolist(),
         "eigenvalues": spectrum.eigenvalues.tolist(),
-        "pc1_distribution": summary_stats.to_dict(),
+        "pc1_distribution": asdict(summary_stats),
         "model_comparison": comparison,
         "files": None,  # filled below
     }

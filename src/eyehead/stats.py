@@ -87,17 +87,6 @@ class DistributionSummary:
     max: float
     skewness: float  # nan when undefined (n < 3 or zero spread)
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "min": self.min,
-            "q1": self.q1,
-            "median": self.median,
-            "q3": self.q3,
-            "max": self.max,
-            "skewness": self.skewness,
-        }
-
 
 def describe_distribution(values) -> DistributionSummary:
     values = np.asarray(values, dtype=float)
@@ -142,13 +131,6 @@ class SymmetryReport:
     mirror_correlation: float
     normalized_difference: float
     n_bins: int
-
-    def to_dict(self) -> dict:
-        return {
-            "mirror_correlation": self.mirror_correlation,
-            "normalized_difference": self.normalized_difference,
-            "n_bins": self.n_bins,
-        }
 
 
 SYMMETRY_BIN_WIDTH = 5.0

@@ -223,6 +223,87 @@ class TestErrorHandling:
         assert exc.value.code == 2
 
 
+def one_line_error(capsys):
+    """The stage error payload, checked to be one JSON line of {stage, error, message}."""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    payload = json.loads(err)
+    assert set(payload) == {"stage", "error", "message"}
+    return payload
+
+
+class TestMalformedJsonInputs:
+    """A JSON input of the wrong shape is a one-line stage error, not a traceback."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        raw = synth_dir(tmp_path, participants=3, trials=1, shifts=10)
+        shifts = preprocess(tmp_path, raw)
+        fits, spectrum = tmp_path / "fits.json", tmp_path / "spectrum.json"
+        assert run(["fit", "--in", shifts, "--out", fits]) == 0
+        assert run(["fpca", "--in", fits, "--out", spectrum]) == 0
+        assert run(["project", "--model", spectrum, "--in", fits,
+                    "--out", tmp_path / "scores.csv"]) == 0
+        return tmp_path
+
+    def argv(self, d, stage, fits, spectrum):
+        return {
+            "fpca": ["fpca", "--in", fits, "--out", d / "out.json"],
+            "project": ["project", "--model", spectrum, "--in", fits, "--out", d / "out.csv"],
+            "report": ["report", "--fits", fits, "--spectrum", spectrum,
+                       "--scores", d / "scores.csv", "--out-dir", d / "report"],
+        }[stage]
+
+    @pytest.mark.parametrize("stage", ["project", "report"])
+    def test_an_array_given_as_the_spectrum(self, inputs, capsys, stage):
+        fits = inputs / "fits.json"
+        assert run(self.argv(inputs, stage, fits, fits)) == 1
+        payload = one_line_error(capsys)
+        assert (payload["stage"], payload["error"]) == (stage, "MissingInputError")
+        assert "expected a JSON object" in payload["message"]
+
+    @pytest.mark.parametrize("stage", ["fpca", "project", "report"])
+    @pytest.mark.parametrize("item", ["x", 3, None, ["p01"]])
+    def test_a_fit_row_that_is_not_an_object(self, inputs, capsys, stage, item):
+        fits = inputs / "fits.json"
+        fits.write_text(json.dumps(json.loads(fits.read_text()) + [item]))
+        assert run(self.argv(inputs, stage, fits, inputs / "spectrum.json")) == 1
+        payload = one_line_error(capsys)
+        assert (payload["stage"], payload["error"]) == (stage, "MissingInputError")
+        assert "expected a JSON array of objects" in payload["message"]
+
+    @pytest.mark.parametrize("stage", ["fpca", "project"])
+    @pytest.mark.parametrize("value", [None, "steep", [1.0]])
+    def test_a_soft_hinge_parameter_that_is_not_a_number(self, inputs, capsys, stage, value):
+        fits = inputs / "fits.json"
+        rows = json.loads(fits.read_text())
+        soft = next(r for r in rows if r.get("model") == "soft-hinge")
+        soft["params"]["beta"] = value  # _strict writes a non-finite beta as null
+        fits.write_text(json.dumps(rows))
+        assert run(self.argv(inputs, stage, fits, inputs / "spectrum.json")) == 1
+        payload = one_line_error(capsys)
+        assert (payload["stage"], payload["error"]) == (stage, "ValueError")
+        assert "soft-hinge parameter 'beta' is not a number" in payload["message"]
+
+    @pytest.mark.parametrize("stage", ["fpca", "project"])
+    def test_soft_hinge_params_that_are_not_an_object(self, inputs, capsys, stage):
+        fits = inputs / "fits.json"
+        rows = json.loads(fits.read_text())
+        next(r for r in rows if r.get("model") == "soft-hinge")["params"] = [0.5, 10.0, 2.0]
+        fits.write_text(json.dumps(rows))
+        assert run(self.argv(inputs, stage, fits, inputs / "spectrum.json")) == 1
+        payload = one_line_error(capsys)
+        assert (payload["stage"], payload["error"]) == (stage, "ValueError")
+        assert "model parameters must be an object" in payload["message"]
+
+    def test_malformed_json_is_a_stage_error(self, inputs, capsys):
+        spectrum = inputs / "spectrum.json"
+        spectrum.write_text(spectrum.read_text()[:-5])
+        assert run(self.argv(inputs, "project", inputs / "fits.json", spectrum)) == 1
+        payload = one_line_error(capsys)
+        assert (payload["stage"], payload["error"]) == ("project", "JSONDecodeError")
+
+
 class TestConfigResolution:
     def test_config_file_feeds_defaults(self, tmp_path, capsys):
         raw = synth_dir(tmp_path, participants=2, trials=1, shifts=10)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from eyehead import (
     AlignedTrace,
     FilterConfig,
-    Fixation,
     FixationConfig,
     TooFewFixationsError,
     TooFewSamplesError,
@@ -66,13 +65,14 @@ class TestDetectFixations:
         # below-threshold runs [0,29] and [36,63]; one-sample padding pulls
         # the first fixation's end to 30 and the second's start to 35
         out = detect_fixations(self.t, self.v, cfg)
-        assert [(f.start, f.end) for f in out] == [(0, 30), (35, 63)]
+        assert out.tolist() == [[0, 30], [35, 63]]
+        assert out.dtype == np.intp
 
     def test_merge_of_nearby_fixations(self):
         cfg = FixationConfig(pad_s=DT, merge_gap_s=0.05)
         # padded gap is 5 samples = 39.06 ms < 50 ms, so the pair merges
         out = detect_fixations(self.t, self.v, cfg)
-        assert [(f.start, f.end) for f in out] == [(0, 63)]
+        assert out.tolist() == [[0, 63]]
 
     def test_gap_at_default_merge_threshold_stays_split(self):
         out = detect_fixations(self.t, self.v, FixationConfig(pad_s=DT))
@@ -81,22 +81,22 @@ class TestDetectFixations:
     def test_short_runs_are_dropped(self):
         v = np.full(64, 30.0)
         v[10:15] = 5.0  # 4*DT = 31 ms < 60 ms minimum
-        assert detect_fixations(self.t, v, FixationConfig(pad_s=0.0)) == []
+        assert detect_fixations(self.t, v, FixationConfig(pad_s=0.0)).shape == (0, 2)
 
     def test_minimum_duration_is_inclusive_span(self):
         v = np.full(64, 30.0)
         v[10:19] = 5.0  # spans t[18]-t[10] = 8*DT = 62.5 ms >= 60 ms
         out = detect_fixations(self.t, v, FixationConfig(pad_s=0.0))
-        assert [(f.start, f.end) for f in out] == [(10, 18)]
+        assert out.tolist() == [[10, 18]]
 
     def test_padding_clamps_at_trace_edges(self):
         v = np.full(64, 5.0)
         out = detect_fixations(self.t, v, FixationConfig(pad_s=1.0))
-        assert [(f.start, f.end) for f in out] == [(0, 63)]
+        assert out.tolist() == [[0, 63]]
 
     def test_threshold_is_strict(self):
         v = np.full(64, 15.0)  # exactly at threshold: not below it
-        assert detect_fixations(self.t, v, FixationConfig()) == []
+        assert detect_fixations(self.t, v, FixationConfig()).shape == (0, 2)
 
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamplesError):
@@ -113,8 +113,8 @@ class TestDetectFixations:
         v = np.abs(rng.normal(10.0, 10.0, t.size))
         lo = detect_fixations(t, v, FixationConfig(vel_threshold=thr_lo))
         hi = detect_fixations(t, v, FixationConfig(vel_threshold=thr_lo + bump))
-        total_hi = sum(t[f.end] - t[f.start] for f in hi)
-        total_lo = sum(t[f.end] - t[f.start] for f in lo)
+        total_hi = sum(t[end] - t[start] for start, end in hi)
+        total_lo = sum(t[end] - t[start] for start, end in lo)
         assert total_hi >= total_lo - 1e-12
 
 
@@ -156,7 +156,7 @@ class TestDetectFixationsMatchesSpanLoop:
         t = np.cumsum(steps)
         v = np.where(slow, -5.0, 30.0)
         cfg = FixationConfig(pad_s=pad_s, merge_gap_s=merge_gap_s, min_duration_s=min_duration_s)
-        got = [(f.start, f.end) for f in detect_fixations(t, v, cfg)]
+        got = [tuple(span) for span in detect_fixations(t, v, cfg).tolist()]
         assert got == detect_fixations_loop(
             t, v, vel_threshold=cfg.vel_threshold, min_duration_s=min_duration_s,
             pad_s=pad_s, merge_gap_s=merge_gap_s,
@@ -167,7 +167,7 @@ class TestExtractShifts:
     def test_anchors_read_raw_traces_at_fixation_bounds(self):
         t = np.arange(64) * DT
         trace = aligned(t, 64.0 * t, 16.0 * t)
-        fx = [Fixation(0, 30), Fixation(35, 63)]
+        fx = np.array([[0, 30], [35, 63]])
         out = extract_shifts(trace, fx)
         assert len(out) == 1
         # gaze(t[35]) - gaze(t[30]) with slopes chosen for exact arithmetic
@@ -177,7 +177,7 @@ class TestExtractShifts:
     def test_one_shift_per_consecutive_pair(self):
         t = np.arange(64) * DT
         trace = aligned(t, np.sin(t), np.cos(t))
-        fx = [Fixation(0, 10), Fixation(20, 30), Fixation(40, 63)]
+        fx = np.array([[0, 10], [20, 30], [40, 63]])
         out = extract_shifts(trace, fx)
         assert len(out) == 2
 
@@ -185,12 +185,12 @@ class TestExtractShifts:
         t = np.arange(64) * DT
         trace = aligned(t, np.zeros(64), np.zeros(64))
         with pytest.raises(TooFewFixationsError):
-            extract_shifts(trace, [Fixation(0, 63)])
+            extract_shifts(trace, np.array([[0, 63]]))
 
     def test_signs_are_preserved(self):
         t = np.arange(64) * DT
         trace = aligned(t, -64.0 * t, -16.0 * t)
-        out = extract_shifts(trace, [Fixation(0, 30), Fixation(35, 63)])
+        out = extract_shifts(trace, np.array([[0, 30], [35, 63]]))
         assert out.x[0] < 0 and out.y[0] < 0
 
 

@@ -353,7 +353,7 @@ def evaluate(rows, theta):
     sizes = np.array([x.size for x, _ in rows])
     x, y = (np.concatenate(col) for col in zip(*rows))
     found = fitting._evaluate(theta.T, x, y, sizes, np.cumsum(sizes) - sizes,
-                              np.repeat(np.arange(len(rows)), sizes), np.empty(16 * x.size))
+                              np.repeat(np.arange(len(rows)), sizes), np.empty(fitting.WORK_ROWS * x.size))
     # beta, SSE, J'r and J'J of each row
     return found[0], found[1], found[2:4].T, found[[4, 5, 5, 6]].T.reshape(-1, 2, 2)
 

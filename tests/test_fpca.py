@@ -202,14 +202,25 @@ class TestSerializationAndTable:
     def test_score_table_rows(self):
         curves = random_curves(10, seed=8)
         spec = fit_fpca(curves, n_components=2)
-        rows = score_table(spec, curves)
-        assert [r["curve_id"] for r in rows] == curves.curve_ids
-        for r in rows:
-            assert set(r) == {"curve_id", "pc1", "pc2", "percentile_pc1"}
-            assert 0.0 <= r["percentile_pc1"] <= 100.0
+        table = score_table(spec, curves)
+        assert list(table) == ["curve_id", "pc1", "pc2", "percentile_pc1"]
+        assert table["curve_id"] == curves.curve_ids
+        np.testing.assert_array_equal(np.c_[table["pc1"], table["pc2"]], spec.scores)
+        assert np.all((0.0 <= table["percentile_pc1"]) & (table["percentile_pc1"] <= 100.0))
+
+    @pytest.mark.parametrize("n_ref", [1, 2, 3, 7, 300])
+    def test_score_table_percentiles_are_the_per_score_ones(self, n_ref):
+        curves = random_curves(12, seed=10)
+        spec = fit_fpca(curves, n_components=2)
+        pc1 = spec.scores[:, 0]
+        # a reference inside the batch's range, so few percentiles clamp
+        spec.scores = np.random.default_rng(n_ref).uniform(pc1.min(), pc1.max(), (n_ref, 1))
+        table = score_table(spec, curves)
+        ref = spec.reference_scores()
+        assert table["percentile_pc1"].tolist() == [score_percentile(v, ref) for v in table["pc1"]]
 
     def test_score_table_single_component_pads_pc2(self):
         curves = random_curves(6, seed=9)
         spec = fit_fpca(curves, n_components=1)
-        rows = score_table(spec, curves)
-        assert all(r["pc2"] == 0.0 for r in rows)
+        table = score_table(spec, curves)
+        assert table["pc2"].tolist() == [0.0] * 6

@@ -568,13 +568,15 @@ class TestShiftCsv:
         np.testing.assert_array_equal(back.y, s.y)
 
     def test_score_id_with_comma_and_quote_round_trips(self, tmp_path):
-        rows = [
-            {"curve_id": ODD_ID, "pc1": -4.0, "pc2": 0.5, "percentile_pc1": 25.0},
-            {"curve_id": "p02", "pc1": 4.0, "pc2": -0.5, "percentile_pc1": 75.0},
-        ]
+        table = {"curve_id": [ODD_ID, "p02"], "pc1": np.array([-4.0, 4.0]),
+                 "pc2": np.array([0.5, -0.5]), "percentile_pc1": np.array([25.0, 75.0])}
         path = tmp_path / "scores.csv"
-        ingest.write_scores_csv(path, rows, provenance={"seed": 1})
-        assert ingest.read_scores_csv(path) == rows
+        ingest.write_scores_csv(path, table, provenance={"seed": 1})
+        back = ingest.read_scores_csv(path)
+        assert list(back) == list(table)
+        assert back["curve_id"] == table["curve_id"]
+        for col in ingest.SCORE_COLUMNS[1:]:
+            np.testing.assert_array_equal(back[col], table[col])
 
     def test_round_trip_with_provenance(self, tmp_path):
         s = shift_set([10.0, 20.0], [1.0, 2.5])

@@ -151,6 +151,16 @@ class TestParamValidation:
         with pytest.raises((KeyError, ValueError)):
             params_from_dict({"model": "quadratic", "a": 1.0})
 
+    @pytest.mark.parametrize("value", [None, "abc", [0.5], {}])
+    @pytest.mark.parametrize("kind,key", [("linear", "gamma"), ("hinge", "tau"),
+                                          ("soft-hinge", "s")])
+    def test_a_value_that_is_not_a_number_names_the_model_and_key(self, kind, key, value):
+        d = params_to_dict({"linear": LinearParams(22.5, 0.41), "hinge": HingeParams(0.3, 12.0),
+                            "soft-hinge": SoftHingeParams(0.62, 17.5, 3.25)}[kind])
+        d[key] = value
+        with pytest.raises(ValueError, match=f"^{kind} parameter '{key}' is not a number"):
+            params_from_dict(d)
+
 
 class TestGradients:
     @given(

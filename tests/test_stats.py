@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -186,8 +188,7 @@ class TestDescribeDistribution:
         assert s.n == 4
         assert s.min == 1.0 and s.max == 4.0
         assert (s.q1, s.median, s.q3) == pytest.approx((1.75, 2.5, 3.25))
-        d = s.to_dict()
-        assert set(d) == {"n", "min", "q1", "median", "q3", "max", "skewness"}
+        assert set(asdict(s)) == {"n", "min", "q1", "median", "q3", "max", "skewness"}
 
     def test_degenerate_sample_gets_nan_skew(self):
         s = describe_distribution([7.0, 7.0, 7.0])
