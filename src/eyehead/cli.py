@@ -24,11 +24,17 @@ import glob
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
-from .errors import EyeheadError, MissingInputError, NoOverlapError
+from .errors import (
+    EyeheadError,
+    MissingInputError,
+    NoOverlapError,
+    TooFewFixationsError,
+    TooFewSamplesError,
+)
 from .events import FixationConfig, preprocess_trial
 from .fitting import MODELS, fit_participants
 from .fpca import Spectrum, fit_fpca, sample_curves, score_table
@@ -203,27 +209,28 @@ def _input_map(paths: list[str], base: str) -> dict[str, str]:
 def _check_trial(found: list[tuple[str, str]], cfg: dict, use):
     """Load, align and sanity-check one trial; hand it to `use` if it passed.
 
-    Returns (sanity report, whether the streams aligned, use's result or
-    the EyeheadError it raised; None unless the trial passed). The trial's
-    samples are dropped on return.
+    Returns (sanity report, use's result; None unless the trial passed). A
+    trial that passed but that `use` cannot segment is reported failed, as
+    too_few_fixations or too_few_samples. The trial's samples are dropped
+    on return.
     """
     streams = [load_trace_csv(p, kind=kind) for p, kind in found]
     first = streams[0]
     if len(streams) == 1:
-        return missing_stream_report(first.participant_id, first.trial_id), False, None
+        return missing_stream_report(first.participant_id, first.trial_id), None
     try:
         trace = align_head_to_gaze(*streams)
     except NoOverlapError:
-        return unaligned_report(first.participant_id, first.trial_id, "no_overlap"), False, None
+        return unaligned_report(first.participant_id, first.trial_id, "no_overlap"), None
     report = sanity_check(trace, cfg["min_overlap_s"], cfg["max_gap_s"])
     if report.verdict != "pass":
-        return report, True, None
+        return report, None
     try:
-        return report, True, use(trace)
-    except EyeheadError as exc:
-        # raised by _sane_traces only if the trial is kept; its traceback's
-        # frames would hold the trial's samples until then
-        return report, True, exc.with_traceback(None)
+        return report, use(trace)
+    except TooFewFixationsError:
+        return replace(report, verdict="fail", reason="too_few_fixations"), None
+    except TooFewSamplesError:
+        return replace(report, verdict="fail", reason="too_few_samples"), None
 
 
 def _sane_traces(in_dir: str, cfg: dict, use):
@@ -231,45 +238,37 @@ def _sane_traces(in_dir: str, cfg: dict, use):
 
     Trials are read one at a time, and each trace is dropped once `use` has
     seen it, so a stage holds one trial's samples at a time. Returns
-    ([(participant_id, use's result)] for the kept trials in trial order,
-    one sanity report per trial, input paths). The reports list the trials
-    that could not be aligned first, then the checked ones.
-    With expected_trials > 0, a participant's trials are kept only when
-    exactly that many trials were found and all of them passed. A trial
-    with only one of its two files yields a missing_stream report, and a
-    gaze and head stream with no shared time window a no_overlap report.
+    ([(participant_id, use's result)] for the kept trials, one sanity
+    report per trial, input paths), each in trial order. A trial with only
+    one of its two files is reported missing_stream, one whose streams
+    share no time window no_overlap, and one that `use` cannot segment
+    too_few_fixations or too_few_samples. With expected_trials > 0, a
+    participant's trials are kept only when exactly that many trials were
+    found and all of them passed.
 
-    A file that fails to load raises at once. MissingInputError is raised
-    when no trial is kept, and only then the first error `use` raised for a
-    kept trial, so a participant dropped by expected_trials cannot fail the
-    stage.
+    A file that does not load fails the stage at once; every other
+    per-trial fault is a report. MissingInputError is raised when no trial
+    is kept.
     """
-    unaligned, checked, paths, outcomes = [], [], [], []
+    reports, paths, outcomes = [], [], []
     for pair in _trace_pairs(in_dir):
         found = [(p, kind) for p, kind in zip(pair, ("gaze", "head")) if os.path.exists(p)]
-        report, aligned, outcome = _check_trial(found, cfg, use)
+        report, outcome = _check_trial(found, cfg, use)
         paths.extend(p for p, _ in found)
-        (checked if aligned else unaligned).append(report)
+        reports.append(report)
         if report.verdict == "pass":
             outcomes.append((report.participant_id, outcome))
-    reports = unaligned + checked
 
     if cfg["expected_trials"] > 0:
         grouped: dict[str, list] = {}
         for report in reports:
             grouped.setdefault(report.participant_id, []).append(report)
-        kept = {
-            pid
-            for pid, group in grouped.items()
-            if participant_passes(group, cfg["expected_trials"])
-        }
-        outcomes = [(pid, outcome) for pid, outcome in outcomes if pid in kept]
-
+        outcomes = [
+            (pid, outcome) for pid, outcome in outcomes
+            if participant_passes(grouped[pid], cfg["expected_trials"])
+        ]
     if not outcomes:
         raise MissingInputError("no trials passed the sanity checks")
-    for _, outcome in outcomes:
-        if isinstance(outcome, EyeheadError):
-            raise outcome
     return outcomes, reports, paths
 
 

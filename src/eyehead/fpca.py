@@ -18,6 +18,7 @@ from .errors import (
     EmptyReferenceError,
     GridMismatchError,
     IndexOutOfRangeError,
+    MissingInputError,
     TooFewCurvesError,
 )
 from .models import SoftHingeParams, eval_model
@@ -89,16 +90,20 @@ class Spectrum:
 
     @staticmethod
     def from_dict(d: dict) -> "Spectrum":
-        ref = d.get("reference_scores_pc1")
+        """The spectrum to_dict wrote; a missing field or one of another shape is an error."""
+        grid = _field(d, "grid", (None,))
+        n = grid.size
+        components = _field(d, "components", (None, n))
+        k = components.shape[0]
         scores = None
-        if ref is not None:
-            scores = np.asarray(ref, dtype=float)[:, None]
+        if "reference_scores_pc1" in d:
+            scores = _field(d, "reference_scores_pc1", (None,))[:, None]
         return Spectrum(
-            grid=np.asarray(d["grid"], dtype=float),
-            mean_curve=np.asarray(d["mean_curve"], dtype=float),
-            components=np.asarray(d["components"], dtype=float),
-            eigenvalues=np.asarray(d["eigenvalues"], dtype=float),
-            explained_ratio=np.asarray(d["explained_ratio"], dtype=float),
+            grid=grid,
+            mean_curve=_field(d, "mean_curve", (n,)),
+            components=components,
+            eigenvalues=_field(d, "eigenvalues", (k,)),
+            explained_ratio=_field(d, "explained_ratio", (k,)),
             sign_convention=d.get("sign_convention", SIGN_CONVENTION),
             scores=scores,
         )
@@ -109,6 +114,32 @@ class Spectrum:
                 "spectrum carries no training scores to rank against"
             )
         return np.asarray(self.scores)[:, 0]
+
+
+def _field(d: dict, key: str, shape: tuple) -> np.ndarray:
+    """d[key] as a finite float array of `shape`, where None matches any length.
+
+    A missing key, or a value of another shape or not made of finite
+    numbers (the JSON writers write NaN as null), is a MissingInputError
+    that names the key.
+    """
+    if key not in d:
+        raise MissingInputError(f"spectrum has no field {key!r}")
+    try:
+        value = np.asarray(d[key], dtype=float)
+    except (TypeError, ValueError):
+        value = None
+    if (
+        value is None
+        or len(value.shape) != len(shape)
+        or any(want is not None and got != want for got, want in zip(value.shape, shape))
+        or not np.all(np.isfinite(value))
+    ):
+        raise MissingInputError(
+            f"spectrum field {key!r} is not an array of finite numbers "
+            "of the shape to_dict writes"
+        )
+    return value
 
 
 def fit_fpca(curves: CurveGrid, n_components: int = 2) -> Spectrum:

@@ -80,6 +80,7 @@ class SanityReport:
     gap_max_s: float
     verdict: str  # "pass" | "fail"
     # "short_overlap" | "discontinuity" | "missing_stream" | "no_overlap"
+    # | "too_few_fixations" | "too_few_samples"
     reason: str | None = None
 
 

@@ -1,12 +1,17 @@
 import inspect
 import json
+import pathlib
 import re
+import shutil
+import tempfile
 import tracemalloc
 import warnings
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eyehead import SoftHingeParams, SynthConfig, read_shifts_csv, synth_trace
 from eyehead import cli, ingest
@@ -302,6 +307,25 @@ class TestMalformedJsonInputs:
         assert run(self.argv(inputs, "project", inputs / "fits.json", spectrum)) == 1
         payload = one_line_error(capsys)
         assert (payload["stage"], payload["error"]) == ("project", "JSONDecodeError")
+
+    @pytest.mark.parametrize("stage", ["project", "report"])
+    @pytest.mark.parametrize("key, value", [
+        ("reference_scores_pc1", 5),
+        ("grid", "missing"),
+        ("reference_scores_pc1", [[1, 2]]),
+    ], ids=["scalar-reference", "no-grid", "nested-reference"])
+    def test_a_spectrum_field_of_the_wrong_shape(self, inputs, capsys, stage, key, value):
+        spectrum = inputs / "spectrum.json"
+        data = json.loads(spectrum.read_text())
+        if value == "missing":
+            del data[key]
+        else:
+            data[key] = value
+        spectrum.write_text(json.dumps(data))
+        assert run(self.argv(inputs, stage, inputs / "fits.json", spectrum)) == 1
+        payload = one_line_error(capsys)
+        assert (payload["stage"], payload["error"]) == (stage, "MissingInputError")
+        assert repr(key) in payload["message"]
 
 
 class TestConfigResolution:
@@ -907,15 +931,77 @@ class TestExpectedTrials:
         assert list(read_shifts_csv(str(shifts)).by_participant()) == ["synth001", "synth003"]
         assert sorted(json.loads(sens.read_text())["participants"]) == ["synth001", "synth003"]
         records = strict_json_lines((tmp_path / "sanity.jsonl").read_text())[1:]
-        assert [(r["participant_id"], r["trial_id"], r["verdict"]) for r in records
-                if r["participant_id"] == "synth002"] == [
-            ("synth002", "t01", "fail"), ("synth002", "t02", "pass")]
+        assert [(r["participant_id"], r["trial_id"], r["verdict"], r["reason"])
+                for r in records if r["participant_id"] == "synth002"] == [
+            ("synth002", "t01", "fail", "missing_stream"),
+            ("synth002", "t02", "fail", "too_few_fixations"),
+        ]
+
+
+TRIALS = [f"synth00{p}_t0{t}" for p in (1, 2, 3) for t in (1, 2)]
+
+
+class TestSegmentationFaults:
+    """A trial that passes the sanity check but cannot be segmented is a sanity record."""
+
+    @pytest.fixture(scope="class")
+    def cohort(self, tmp_path_factory):
+        return synth_dir(tmp_path_factory.mktemp("cohort"), participants=3, trials=2, shifts=30)
+
+    @settings(max_examples=20)
+    @given(chosen=st.sets(st.sampled_from(TRIALS), min_size=1, max_size=len(TRIALS) - 1))
+    def test_trials_that_never_settle_are_recorded_and_the_rest_kept(self, cohort, chosen):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = pathlib.Path(tmp)
+            faulty, rest = tmp / "faulty", tmp / "rest"
+            shutil.copytree(cohort, faulty)
+            shutil.copytree(cohort, rest)
+            for stem in chosen:
+                never_settle(faulty / f"{stem}.gaze.csv")
+                for kind in ("gaze", "head"):
+                    (rest / f"{stem}.{kind}.csv").unlink()
+            shifts = preprocess(tmp / "faulty-out", faulty)
+            # the oracle: the same cohort without the chosen trials
+            expected = preprocess(tmp / "rest-out", rest)
+            assert shifts.read_text().splitlines()[1:] == expected.read_text().splitlines()[1:]
+            records = strict_json_lines((tmp / "faulty-out" / "sanity.jsonl").read_text())[1:]
+            assert [(f"{r['participant_id']}_{r['trial_id']}", r["verdict"], r["reason"])
+                    for r in records] == [
+                (stem, "fail", "too_few_fixations") if stem in chosen else (stem, "pass", None)
+                for stem in TRIALS
+            ]
+            sens = tmp / "sens.json"
+            assert run(["sensitivity", "--in-dir", faulty, "--out", sens,
+                        "--min-overlap-s", 2.0]) == 0
+            assert (sorted(json.loads(sens.read_text())["participants"])
+                    == sorted(read_shifts_csv(str(shifts)).by_participant()))
+
+    def test_a_trial_left_two_samples_in_the_shared_window_is_too_few_samples(self, tmp_path):
+        raw = synth_dir(tmp_path, participants=3, trials=1, shifts=30)
+        gaze = raw / "synth002_t01.gaze.csv"
+        header, *rows = gaze.read_text().splitlines(keepends=True)
+        # the first gaze sample comes before the first head sample, so two are aligned
+        gaze.write_text("".join([header, rows[0], rows[1], rows[-1]]))
+        setting = ["--min-overlap-s", 2.0, "--max-gap-s", 100]
+        shifts, sens = tmp_path / "shifts.csv", tmp_path / "sens.json"
+        assert run(["preprocess", "--in-dir", raw, "--out", shifts, *setting]) == 0
+        assert run(["sensitivity", "--in-dir", raw, "--out", sens, *setting]) == 0
+        records = strict_json_lines((tmp_path / "sanity.jsonl").read_text())[1:]
+        assert [(r["participant_id"], r["verdict"], r["reason"]) for r in records] == [
+            ("synth001", "pass", None),
+            ("synth002", "fail", "too_few_samples"),
+            ("synth003", "pass", None),
+        ]
+        # the record keeps the trial's measured overlap and gap
+        assert records[1]["overlap_s"] > 2.0 and records[1]["gap_max_s"] > 10.0
+        assert list(read_shifts_csv(str(shifts)).by_participant()) == ["synth001", "synth003"]
+        assert sorted(json.loads(sens.read_text())["participants"]) == ["synth001", "synth003"]
 
 
 class TestOneTrialAtATime:
     """preprocess and sensitivity hold one trial's samples at a time."""
 
-    @pytest.mark.parametrize("faults", [False, True], ids=["clean", "deferred-errors"])
+    @pytest.mark.parametrize("faults", [False, True], ids=["clean", "recorded-faults"])
     @pytest.mark.parametrize("stage", ["preprocess", "sensitivity"])
     def test_a_trace_is_dropped_before_the_next_is_built(self, tmp_path, monkeypatch, stage,
                                                          faults):

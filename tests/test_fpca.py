@@ -7,7 +7,9 @@ from eyehead import (
     EmptyReferenceError,
     GridMismatchError,
     IndexOutOfRangeError,
+    MissingInputError,
     SoftHingeParams,
+    Spectrum,
     TooFewCurvesError,
     eval_model,
     fit_fpca,
@@ -191,13 +193,44 @@ class TestSerializationAndTable:
             "grid", "mean_curve", "components", "eigenvalues",
             "explained_ratio", "sign_convention", "reference_scores_pc1",
         }
-        from eyehead import Spectrum
-
         back = Spectrum.from_dict(d)
         np.testing.assert_allclose(project(back, curves.values), spec.scores, atol=1e-9)
         np.testing.assert_allclose(
             np.sort(back.reference_scores()), np.sort(spec.scores[:, 0]), atol=1e-12
         )
+
+    @pytest.mark.parametrize("key, value", [
+        ("grid", "missing"),
+        ("grid", [[0.0, 1.0]]),
+        ("mean_curve", "missing"),
+        ("mean_curve", [0.0, 1.0]),
+        ("mean_curve", [0.0] * 50 + [None]),
+        ("components", "missing"),
+        ("components", [0.0] * 51),
+        ("components", [[0.0] * 50] * 2),
+        ("components", [[0.0] * 51, [0.0] * 50]),
+        ("eigenvalues", "missing"),
+        ("eigenvalues", [1.0]),
+        ("explained_ratio", [0.5, 0.2, 0.1]),
+        ("explained_ratio", "steep"),
+        ("reference_scores_pc1", 5),
+        ("reference_scores_pc1", None),
+        ("reference_scores_pc1", [[1.0, 2.0]]),
+        ("reference_scores_pc1", [1.0, None]),
+    ])
+    def test_a_field_that_is_missing_or_of_the_wrong_shape_is_named(self, key, value):
+        d = fit_fpca(random_curves(10, seed=6), n_components=2).to_dict()
+        if value == "missing":
+            del d[key]
+        else:
+            d[key] = value
+        with pytest.raises(MissingInputError, match=repr(key)):
+            Spectrum.from_dict(d)
+
+    def test_a_spectrum_without_reference_scores_reads_back(self):
+        d = fit_fpca(random_curves(10, seed=6), n_components=2).to_dict()
+        del d["reference_scores_pc1"]
+        assert Spectrum.from_dict(d).scores is None
 
     def test_score_table_rows(self):
         curves = random_curves(10, seed=8)
