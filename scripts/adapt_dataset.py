@@ -74,8 +74,8 @@ def convert_file(path, out_dir, opts) -> str | None:
     t = (np.asarray(t) - min(t)) * opts.time_scale
     gaze, head = np.asarray(gaze), np.asarray(head)
     stem = os.path.join(out_dir, f"{pid}_{tid}")
-    write_trace_csv(stem + ".gaze.csv", RawStream(pid, tid, "gaze", t, gaze))
-    write_trace_csv(stem + ".head.csv", RawStream(pid, tid, "head", t, head))
+    write_trace_csv(stem + ".gaze.csv", RawStream(pid, tid, t, gaze))
+    write_trace_csv(stem + ".head.csv", RawStream(pid, tid, t, head))
     return stem
 
 

@@ -53,7 +53,7 @@ def build_cohort(work: str) -> str:
     traces = os.path.join(work, "synth", "traces")
     os.remove(os.path.join(traces, MISSING_HEAD))
     path = os.path.join(traces, NO_OVERLAP_HEAD)
-    head = load_trace_csv(path, kind="head")
+    head = load_trace_csv(path)
     head.t = head.t + CLOCK_OFFSET_S
     write_trace_csv(path, head)
     return traces

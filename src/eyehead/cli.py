@@ -58,7 +58,7 @@ from .models import params_from_dict, params_to_dict
 from .report import (
     emit_report,
     make_provenance,
-    read_json_array,
+    read_fit_rows,
     read_json_object,
     write_json_array,
     write_json_lines,
@@ -172,21 +172,36 @@ def _resolve(args: argparse.Namespace) -> dict:
     return resolved
 
 
+def _config(cls, cfg: dict, fields: dict[str, tuple[str, float]]):
+    """cls with each field set to cfg[option] / divisor, from fields' (option, divisor).
+
+    Each field is first checked alone, beside cls's defaults, so a value
+    that cls rejects is a ValueError naming the option that set it.
+    """
+    values = {field: cfg[option] / divisor for field, (option, divisor) in fields.items()}
+    for field, (option, _) in fields.items():
+        try:
+            cls(**{field: values[field]})
+        except ValueError as exc:
+            raise ValueError(f"--{option.replace('_', '-')}: {exc}") from None
+    return cls(**values)
+
+
 def _filter_config(cfg: dict) -> FilterConfig:
-    return FilterConfig(
-        min_cutoff=cfg["min_cutoff"],
-        beta=cfg["filter_beta"],
-        derivative_cutoff=cfg["derivative_cutoff"],
-    )
+    return _config(FilterConfig, cfg, {
+        "min_cutoff": ("min_cutoff", 1.0),
+        "beta": ("filter_beta", 1.0),
+        "derivative_cutoff": ("derivative_cutoff", 1.0),
+    })
 
 
 def _fixation_config(cfg: dict) -> FixationConfig:
-    return FixationConfig(
-        vel_threshold=cfg["fix_threshold"],
-        min_duration_s=cfg["min_dur_ms"] / 1000.0,
-        pad_s=cfg["pad_ms"] / 1000.0,
-        merge_gap_s=cfg["merge_gap_ms"] / 1000.0,
-    )
+    return _config(FixationConfig, cfg, {
+        "vel_threshold": ("fix_threshold", 1.0),
+        "min_duration_s": ("min_dur_ms", 1000.0),
+        "pad_s": ("pad_ms", 1000.0),
+        "merge_gap_s": ("merge_gap_ms", 1000.0),
+    })
 
 
 def _trace_pairs(in_dir: str) -> list[tuple[str, str]]:
@@ -206,7 +221,7 @@ def _input_map(paths: list[str], base: str) -> dict[str, str]:
     return {os.path.relpath(p, base): p for p in paths}
 
 
-def _check_trial(found: list[tuple[str, str]], cfg: dict, use):
+def _check_trial(found: list[str], cfg: dict, use):
     """Load, align and sanity-check one trial; hand it to `use` if it passed.
 
     Returns (sanity report, use's result; None unless the trial passed). A
@@ -214,7 +229,7 @@ def _check_trial(found: list[tuple[str, str]], cfg: dict, use):
     too_few_fixations or too_few_samples. The trial's samples are dropped
     on return.
     """
-    streams = [load_trace_csv(p, kind=kind) for p, kind in found]
+    streams = [load_trace_csv(p) for p in found]
     first = streams[0]
     if len(streams) == 1:
         return missing_stream_report(first.participant_id, first.trial_id), None
@@ -252,9 +267,9 @@ def _sane_traces(in_dir: str, cfg: dict, use):
     """
     reports, paths, outcomes = [], [], []
     for pair in _trace_pairs(in_dir):
-        found = [(p, kind) for p, kind in zip(pair, ("gaze", "head")) if os.path.exists(p)]
+        found = [p for p in pair if os.path.exists(p)]
         report, outcome = _check_trial(found, cfg, use)
-        paths.extend(p for p, _ in found)
+        paths.extend(found)
         reports.append(report)
         if report.verdict == "pass":
             outcomes.append((report.participant_id, outcome))
@@ -326,7 +341,7 @@ def cmd_fit(args: argparse.Namespace, cfg: dict) -> int:
 
 
 def _soft_hinge_curves(fit_rows: list[dict], grid=None):
-    soft = [r for r in fit_rows if r.get("model") == "soft-hinge"]
+    soft = [r for r in fit_rows if r["model"] == "soft-hinge"]
     if not soft:
         raise MissingInputError("no soft-hinge fits in the input")
     params = [params_from_dict(r["params"]) for r in soft]
@@ -335,7 +350,7 @@ def _soft_hinge_curves(fit_rows: list[dict], grid=None):
 
 
 def cmd_fpca(args: argparse.Namespace, cfg: dict) -> int:
-    rows = read_json_array(args.in_path)
+    rows = read_fit_rows(args.in_path)
     curves = _soft_hinge_curves(rows)
     n_curves = len(curves.curve_ids)
     n_components = cfg["components"] or max(1, min(2, n_curves - 1))
@@ -351,7 +366,7 @@ def cmd_fpca(args: argparse.Namespace, cfg: dict) -> int:
 
 def cmd_project(args: argparse.Namespace, cfg: dict) -> int:
     spectrum = Spectrum.from_dict(read_json_object(args.model_path))
-    rows = read_json_array(args.in_path)
+    rows = read_fit_rows(args.in_path)
     curves = _soft_hinge_curves(rows, grid=spectrum.grid)
     table = score_table(spectrum, curves)
     provenance = make_provenance(
@@ -367,7 +382,7 @@ def cmd_project(args: argparse.Namespace, cfg: dict) -> int:
 
 
 def cmd_report(args: argparse.Namespace, cfg: dict) -> int:
-    fit_rows = read_json_array(args.fits)
+    fit_rows = read_fit_rows(args.fits)
     if not fit_rows:
         raise MissingInputError(f"{args.fits}: empty fit table")
     spectrum = Spectrum.from_dict(read_json_object(args.spectrum))
@@ -393,6 +408,8 @@ def cmd_sensitivity(args: argparse.Namespace, cfg: dict) -> int:
         raise ValueError(f"threshold {repeated[0]} is repeated in {cfg['thresholds']!r}")
     filter_cfg = _filter_config(cfg)
     fixation_cfg = _fixation_config(cfg)
+    for thr in thresholds:  # each threshold's config, checked before a trace is read
+        _config(FixationConfig, {"thresholds": thr}, {"vel_threshold": ("thresholds", 1.0)})
     trials, _, input_paths = _sane_traces(
         args.in_dir,
         cfg,

@@ -12,6 +12,7 @@ vestibulo-ocular reflex) is not counted as contribution to the shift.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,14 @@ class FixationConfig:
     min_duration_s: float = 0.060
     pad_s: float = 0.010
     merge_gap_s: float = 0.020
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.vel_threshold) and self.vel_threshold > 0):
+            raise ValueError(f"vel_threshold must be finite and > 0, got {self.vel_threshold}")
+        for name in ("min_duration_s", "pad_s", "merge_gap_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 def angular_velocity(t: np.ndarray, yaw: np.ndarray) -> np.ndarray:

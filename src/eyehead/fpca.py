@@ -70,7 +70,6 @@ class Spectrum:
     components: np.ndarray  # (n_components, len(grid))
     eigenvalues: np.ndarray  # (n_components,)
     explained_ratio: np.ndarray  # (n_components,), fractions of *total* variance
-    sign_convention: str = SIGN_CONVENTION
     scores: np.ndarray | None = None  # (n_curves, n_components)
 
     def to_dict(self) -> dict:
@@ -80,7 +79,7 @@ class Spectrum:
             "components": self.components.tolist(),
             "eigenvalues": self.eigenvalues.tolist(),
             "explained_ratio": self.explained_ratio.tolist(),
-            "sign_convention": self.sign_convention,
+            "sign_convention": SIGN_CONVENTION,
         }
         if self.scores is not None:
             # Training PC1 scores double as the percentile reference when the
@@ -91,6 +90,8 @@ class Spectrum:
     @staticmethod
     def from_dict(d: dict) -> "Spectrum":
         """The spectrum to_dict wrote; a missing field or one of another shape is an error."""
+        if d.get("sign_convention") != SIGN_CONVENTION:  # another would flip every PC1 score
+            raise MissingInputError(f"spectrum field 'sign_convention' is not {SIGN_CONVENTION!r}")
         grid = _field(d, "grid", (None,))
         n = grid.size
         components = _field(d, "components", (None, n))
@@ -104,7 +105,6 @@ class Spectrum:
             components=components,
             eigenvalues=_field(d, "eigenvalues", (k,)),
             explained_ratio=_field(d, "explained_ratio", (k,)),
-            sign_convention=d.get("sign_convention", SIGN_CONVENTION),
             scores=scores,
         )
 

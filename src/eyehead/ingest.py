@@ -44,11 +44,10 @@ _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 @dataclass
 class RawStream:
-    """One yaw channel for one (participant, trial); kind is 'gaze' or 'head'."""
+    """One yaw channel (gaze or head) for one (participant, trial)."""
 
     participant_id: str
     trial_id: str
-    kind: str
     t: np.ndarray
     yaw: np.ndarray
 
@@ -161,10 +160,13 @@ class FilterConfig:
     derivative_cutoff: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.min_cutoff <= 0:
+        # `not x > 0` also rejects NaN
+        if not self.min_cutoff > 0:
             raise ValueError(f"min_cutoff must be > 0, got {self.min_cutoff}")
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
+        if not self.derivative_cutoff > 0:
+            raise ValueError(f"derivative_cutoff must be > 0, got {self.derivative_cutoff}")
 
 
 def _smoothing_factor(te: np.ndarray, cutoff: float | np.ndarray) -> np.ndarray:
@@ -472,17 +474,15 @@ def _csv_field(text: str, lone: bool) -> str:
     return text
 
 
-def load_trace_csv(path: str, kind: str = "gaze") -> RawStream:
+def load_trace_csv(path: str) -> RawStream:
     """Read one stream file; columns participant_id,trial_id,timestamp_s,yaw_deg.
 
     The file holds one (participant_id, trial_id) pair: every data row must
     repeat data row 1's ids (see `read_table`'s `single`). Samples are
     sorted by timestamp; duplicate timestamps are rejected
-    (NonMonotonicTimeError names the offending row), as are non-finite yaw
-    values.
+    (NonMonotonicTimeError names the 1-based data row of the later
+    duplicate in the file), as are non-finite yaw values.
     """
-    if kind not in ("gaze", "head"):
-        raise ValueError(f"kind must be 'gaze' or 'head', got {kind!r}")
     cols = read_table(path, TRACE_COLUMNS, floats=("timestamp_s", "yaw_deg"),
                       single=("participant_id", "trial_id"))
     t, yaw = cols["timestamp_s"], cols["yaw_deg"]
@@ -492,9 +492,9 @@ def load_trace_csv(path: str, kind: str = "gaze") -> RawStream:
     t, yaw = t[order], yaw[order]
     dup = np.flatnonzero(np.diff(t) == 0)
     if dup.size:
-        i = int(dup[0]) + 1
-        raise NonMonotonicTimeError(index=i, timestamp=float(t[i]), context=path)
-    return RawStream(cols["participant_id"], cols["trial_id"], kind, t, yaw)
+        i = int(dup[0]) + 1  # the stable sort keeps tied rows in file order
+        raise NonMonotonicTimeError(index=int(order[i]) + 1, timestamp=float(t[i]), context=path)
+    return RawStream(cols["participant_id"], cols["trial_id"], t, yaw)
 
 
 def write_trace_csv(path: str, stream: RawStream) -> None:

@@ -218,7 +218,7 @@ def params_to_dict(params: ModelParams) -> dict:
 
 
 def params_from_dict(d: dict) -> ModelParams:
-    """The parameters params_to_dict wrote; a null or non-numeric value is a ValueError."""
+    """The parameters params_to_dict wrote; a missing, null or non-numeric value is a ValueError."""
     if not isinstance(d, dict):
         raise ValueError(f"model parameters must be an object, got {d!r}")
     kind = d.get("model")
@@ -227,6 +227,8 @@ def params_from_dict(d: dict) -> ModelParams:
         raise ValueError(f"unknown model tag {kind!r}")
     values = {}
     for key in (f.name for f in fields(classes[kind])):
+        if key not in d:
+            raise ValueError(f"{kind} parameter {key!r} is missing")
         try:
             values[key] = float(d[key])
         except (TypeError, ValueError):

@@ -21,6 +21,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import GridMismatchError, MissingInputError
+from .fitting import MODELS
 from .fpca import Spectrum, reconstruct_mode
 from .ingest import open_output, write_scores_csv, write_table
 from .stats import describe_distribution, kde_density
@@ -107,6 +108,31 @@ def read_json_array(path: str) -> list[dict]:
     if not isinstance(data, list) or not all(isinstance(e, dict) for e in data):
         raise MissingInputError(f"{path}: expected a JSON array of objects")
     return [e for e in data if set(e) != {"provenance"}]
+
+
+# the fields of a fit row that fpca, project and report read: what each must hold
+_FIT_ROW_FIELDS = {
+    "participant_id": ("a string", lambda v: isinstance(v, str)),
+    "model": (f"one of {list(MODELS)}", lambda v: v in MODELS),
+    "params": ("an object", lambda v: isinstance(v, dict)),
+    # type(), not isinstance(): a JSON true or false is not a number
+    **{key: ("a number or null", lambda v: v is None or type(v) in (int, float))
+       for key in ("r2", "rmse", "aic")},
+}
+
+
+def read_fit_rows(path: str) -> list[dict]:
+    """The rows of a fits.json, each checked against _FIT_ROW_FIELDS.
+
+    MissingInputError names the file, the 1-based fit row and the key.
+    """
+    rows = read_json_array(path)
+    for i, row in enumerate(rows, 1):
+        for key, (want, ok) in _FIT_ROW_FIELDS.items():
+            if key not in row or not ok(row[key]):
+                got = repr(row[key]) if key in row else "nothing"
+                raise MissingInputError(f"{path}: fit row {i}: {key!r} must be {want}, got {got}")
+    return rows
 
 
 # ---------------------------------------------------------------------------

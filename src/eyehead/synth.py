@@ -35,6 +35,9 @@ SAMPLE_RATE_HZ = 120.0
 HEAD_RATE_HZ = 90.0
 HEAD_OFFSET_S = 0.003
 START_YAW_DEG = 0.0
+# gaze shift amplitudes (uniform) and the bound that turns a shift back
+AMP_RANGE_DEG = (5.0, 45.0)
+POSITION_BOUND_DEG = 150.0
 
 # draw_population's uniform ranges of the true soft-hinge parameters
 POP_BETA_RANGE = (0.4, 0.95)
@@ -50,10 +53,6 @@ class SynthConfig:
     seed: int = 0
     participant_id: str = "synth"
     trial_id: str = "t01"
-    # trace construction
-    amp_min_deg: float = 5.0
-    amp_max_deg: float = 45.0
-    position_bound_deg: float = 150.0
     wrap_output: bool = False
 
     def __post_init__(self) -> None:
@@ -144,23 +143,23 @@ def _wrap(yaw: np.ndarray) -> np.ndarray:
 def synth_trace(cfg: SynthConfig) -> tuple[RawStream, RawStream, dict]:
     """Build one trial's gaze and head recordings with known segmentation.
 
-    Gaze shift amplitudes are drawn uniform in [amp_min_deg, amp_max_deg]
-    with signs chosen to keep the cumulative position inside
-    +-position_bound_deg; the head moves synchronously with each gaze ramp
-    by model(|amplitude|), capped at the gaze amplitude. Gaze and head are
-    sampled on their own clocks (different rates, small offset). With
-    wrap_output the emitted yaw wraps into [-180, 180) like a real device.
+    Gaze shift amplitudes are drawn uniform in AMP_RANGE_DEG with signs
+    chosen to keep the cumulative position inside +-POSITION_BOUND_DEG; the
+    head moves synchronously with each gaze ramp by model(|amplitude|),
+    capped at the gaze amplitude. Gaze and head are sampled on their own
+    clocks (different rates, small offset). With wrap_output the emitted
+    yaw wraps into [-180, 180) like a real device.
     """
     n = cfg.n_shifts
     rng = _rng(cfg.seed, cfg.participant_id, f"trace:{cfg.trial_id}")
 
-    amps = rng.uniform(cfg.amp_min_deg, cfg.amp_max_deg, n)
+    amps = rng.uniform(*AMP_RANGE_DEG, n)
     signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
     gaze_amp = np.empty(n)
     pos = START_YAW_DEG
     for i in range(n):
         step = signs[i] * amps[i]
-        if abs(pos + step) > cfg.position_bound_deg:
+        if abs(pos + step) > POSITION_BOUND_DEG:
             step = -step
         gaze_amp[i] = step
         pos += step
@@ -202,8 +201,8 @@ def synth_trace(cfg: SynthConfig) -> tuple[RawStream, RawStream, dict]:
         "fixations": fixation_truth,
         "total_duration_s": float(total_s),
     }
-    gaze = RawStream(cfg.participant_id, cfg.trial_id, "gaze", t_gaze, gaze_yaw)
-    head = RawStream(cfg.participant_id, cfg.trial_id, "head", t_head, head_yaw)
+    gaze = RawStream(cfg.participant_id, cfg.trial_id, t_gaze, gaze_yaw)
+    head = RawStream(cfg.participant_id, cfg.trial_id, t_head, head_yaw)
     return gaze, head, truth
 
 

@@ -191,8 +191,8 @@ def test_criterion_06_pipeline_end_to_end():
     amp_ok = count_ok and float(np.max(np.abs(out.x - ga))) <= 0.5
     head_ok = count_ok and float(np.max(np.abs(out.y - ha))) <= 0.5
 
-    flip_g = RawStream(gaze.participant_id, gaze.trial_id, "gaze", gaze.t, -gaze.yaw)
-    flip_h = RawStream(head.participant_id, head.trial_id, "head", head.t, -head.yaw)
+    flip_g = RawStream(gaze.participant_id, gaze.trial_id, gaze.t, -gaze.yaw)
+    flip_h = RawStream(head.participant_id, head.trial_id, head.t, -head.yaw)
     out_flip = preprocess_trial(align_head_to_gaze(flip_g, flip_h), filt, fix)
     a = symmetrize_and_clean(out)
     b = symmetrize_and_clean(out_flip)
@@ -267,8 +267,8 @@ def dataset_results():
         hpath = gpath[: -len(".gaze.csv")] + ".head.csv"
         if not os.path.exists(hpath):
             continue
-        gaze = load_trace_csv(gpath, kind="gaze")
-        head = load_trace_csv(hpath, kind="head")
+        gaze = load_trace_csv(gpath)
+        head = load_trace_csv(hpath)
         try:
             trace = align_head_to_gaze(gaze, head)
         except Exception:

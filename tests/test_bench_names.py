@@ -56,8 +56,8 @@ def test_result_hooks_count_what_preprocess_saw(tmp_path):
         head_path = gaze_path.with_name(gaze_path.name.replace(".gaze.", ".head."))
         for path in (gaze_path, head_path):
             rows += len(read_table_csv(path, ("timestamp_s",))["timestamp_s"])
-        trace = ingest.align_head_to_gaze(ingest.load_trace_csv(gaze_path, "gaze"),
-                                          ingest.load_trace_csv(head_path, "head"))
+        trace = ingest.align_head_to_gaze(ingest.load_trace_csv(gaze_path),
+                                          ingest.load_trace_csv(head_path))
         samples += trace.t.size
         fixations += len(detect_fixations_loop(trace.t, events.gaze_velocity(trace)))
 

@@ -55,7 +55,7 @@ def synth_dir(tmp_path, participants=4, trials=2, shifts=12, seed=0):
 
 def never_settle(gaze_path):
     """Rewrite a gaze file so the gaze sweeps at 40 deg/s and never fixates."""
-    stream = ingest.load_trace_csv(str(gaze_path), kind="gaze")
+    stream = ingest.load_trace_csv(str(gaze_path))
     stream.yaw = 40.0 * (stream.t - stream.t[0])
     ingest.write_trace_csv(str(gaze_path), stream)
 
@@ -237,6 +237,38 @@ def one_line_error(capsys):
     return payload
 
 
+class TestOptionRanges:
+    """A fixation or filter option out of range is a stage error before any trace is read."""
+
+    @pytest.mark.parametrize("stage, option, value", [
+        ("preprocess", "fix_threshold", "-1"),
+        ("preprocess", "fix_threshold", "nan"),
+        ("preprocess", "min_dur_ms", "-5"),
+        ("preprocess", "pad_ms", "inf"),
+        ("preprocess", "merge_gap_ms", "-20"),
+        ("preprocess", "min_cutoff", "0"),
+        ("preprocess", "filter_beta", "-1"),
+        ("preprocess", "derivative_cutoff", "0"),
+        ("sensitivity", "thresholds", "10,nan,20"),
+        ("sensitivity", "thresholds", "10,-5"),
+        ("sensitivity", "fix_threshold", "0"),
+        ("sensitivity", "min_dur_ms", "-5"),
+        ("sensitivity", "derivative_cutoff", "-1"),
+    ])
+    def test_an_option_out_of_range_is_named(self, tmp_path, capsys, monkeypatch,
+                                             stage, option, value):
+        raw = synth_dir(tmp_path, participants=2, trials=1, shifts=10)
+        loaded = []
+        monkeypatch.setattr(cli, "load_trace_csv", lambda p: loaded.append(p))
+        flag = "--" + option.replace("_", "-")
+        out = tmp_path / ("shifts.csv" if stage == "preprocess" else "sens.json")
+        assert run([stage, "--in-dir", raw, "--out", out, f"{flag}={value}"]) == 1
+        payload = one_line_error(capsys)
+        assert (payload["stage"], payload["error"]) == (stage, "ValueError")
+        assert payload["message"].startswith(f"{flag}: ")
+        assert loaded == [] and not out.exists()
+
+
 class TestMalformedJsonInputs:
     """A JSON input of the wrong shape is a one-line stage error, not a traceback."""
 
@@ -291,15 +323,56 @@ class TestMalformedJsonInputs:
         assert "soft-hinge parameter 'beta' is not a number" in payload["message"]
 
     @pytest.mark.parametrize("stage", ["fpca", "project"])
-    def test_soft_hinge_params_that_are_not_an_object(self, inputs, capsys, stage):
+    def test_a_missing_soft_hinge_parameter(self, inputs, capsys, stage):
         fits = inputs / "fits.json"
         rows = json.loads(fits.read_text())
-        next(r for r in rows if r.get("model") == "soft-hinge")["params"] = [0.5, 10.0, 2.0]
+        del next(r for r in rows if r.get("model") == "soft-hinge")["params"]["s"]
         fits.write_text(json.dumps(rows))
         assert run(self.argv(inputs, stage, fits, inputs / "spectrum.json")) == 1
         payload = one_line_error(capsys)
         assert (payload["stage"], payload["error"]) == (stage, "ValueError")
-        assert "model parameters must be an object" in payload["message"]
+        assert payload["message"] == "soft-hinge parameter 's' is missing"
+
+    # every fit row is checked on read, whatever its model and whether or not
+    # the stage reads the field
+    @pytest.mark.parametrize("stage", ["fpca", "project", "report"])
+    @pytest.mark.parametrize("key, value", [
+        ("participant_id", "missing"),
+        ("participant_id", 5),
+        ("participant_id", None),
+        ("model", "missing"),
+        ("model", "quadratic"),
+        ("model", None),
+        ("params", "missing"),
+        ("params", [0.5, 10.0, 2.0]),
+        ("r2", "missing"),
+        ("rmse", "high"),
+        ("aic", True),
+        ("aic", [1.0]),
+    ])
+    def test_a_fit_row_field_of_the_wrong_type(self, inputs, capsys, stage, key, value):
+        fits = inputs / "fits.json"
+        rows = json.loads(fits.read_text())
+        row = 3  # rows[0] is the provenance header; rows[3] is the first soft-hinge row
+        assert rows[row]["model"] == "soft-hinge"
+        if value == "missing":
+            del rows[row][key]
+        else:
+            rows[row][key] = value
+        fits.write_text(json.dumps(rows))
+        assert run(self.argv(inputs, stage, fits, inputs / "spectrum.json")) == 1
+        payload = one_line_error(capsys)
+        assert (payload["stage"], payload["error"]) == (stage, "MissingInputError")
+        assert payload["message"].startswith(f"{fits}: fit row {row}: {key!r} must be ")
+
+    @pytest.mark.parametrize("stage", ["fpca", "project", "report"])
+    def test_null_fit_metrics_are_read(self, inputs, stage):
+        fits = inputs / "fits.json"
+        rows = json.loads(fits.read_text())
+        for row in rows[1:]:
+            row.update(r2=None, rmse=None, aic=None)
+        fits.write_text(json.dumps(rows))
+        assert run(self.argv(inputs, stage, fits, inputs / "spectrum.json")) == 0
 
     def test_malformed_json_is_a_stage_error(self, inputs, capsys):
         spectrum = inputs / "spectrum.json"
@@ -313,7 +386,8 @@ class TestMalformedJsonInputs:
         ("reference_scores_pc1", 5),
         ("grid", "missing"),
         ("reference_scores_pc1", [[1, 2]]),
-    ], ids=["scalar-reference", "no-grid", "nested-reference"])
+        ("sign_convention", "missing"),
+    ], ids=["scalar-reference", "no-grid", "nested-reference", "no-sign-convention"])
     def test_a_spectrum_field_of_the_wrong_shape(self, inputs, capsys, stage, key, value):
         spectrum = inputs / "spectrum.json"
         data = json.loads(spectrum.read_text())
@@ -864,7 +938,7 @@ class TestDisjointClocks:
         tmp = tmp_path_factory.mktemp("cohorts")
         raw = synth_dir(tmp, participants=3, trials=2, shifts=20)
         head = raw / "synth002_t01.head.csv"
-        stream = ingest.load_trace_csv(str(head), kind="head")
+        stream = ingest.load_trace_csv(str(head))
         stream.t = stream.t + 1e4
         ingest.write_trace_csv(str(head), stream)
         # the same cohort without the broken pair

@@ -30,6 +30,22 @@ def aligned(t, gaze, head, pid="p01", tid="t01"):
     )
 
 
+class TestFixationConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("vel_threshold", 0.0), ("vel_threshold", -1.0), ("vel_threshold", float("nan")),
+        ("vel_threshold", float("inf")),
+        ("min_duration_s", -0.005), ("min_duration_s", float("nan")),
+        ("pad_s", -1e-3), ("pad_s", float("inf")),
+        ("merge_gap_s", -0.02), ("merge_gap_s", float("nan")),
+    ])
+    def test_out_of_range_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and "):
+            FixationConfig(**{field: value})
+
+    def test_zero_durations_accepted(self):
+        FixationConfig(min_duration_s=0.0, pad_s=0.0, merge_gap_s=0.0)
+
+
 class TestAngularVelocity:
     def test_linear_yaw_gives_constant_velocity(self):
         t = np.arange(20) * DT

@@ -84,7 +84,7 @@ class TestFitFpca:
     def test_sign_convention_mean_loading_nonnegative(self):
         curves = random_curves(15, seed=3)
         spec = fit_fpca(curves, n_components=3)
-        assert spec.sign_convention == "mean-loading-nonnegative"
+        assert spec.to_dict()["sign_convention"] == "mean-loading-nonnegative"
         assert np.all(spec.components.mean(axis=1) >= -1e-12)
 
     def test_score_variance_matches_eigenvalues(self):
@@ -217,6 +217,9 @@ class TestSerializationAndTable:
         ("reference_scores_pc1", None),
         ("reference_scores_pc1", [[1.0, 2.0]]),
         ("reference_scores_pc1", [1.0, None]),
+        ("sign_convention", "missing"),
+        ("sign_convention", None),
+        ("sign_convention", "mean-loading-nonpositive"),
     ])
     def test_a_field_that_is_missing_or_of_the_wrong_shape_is_named(self, key, value):
         d = fit_fpca(random_curves(10, seed=6), n_components=2).to_dict()

@@ -36,10 +36,10 @@ from .conftest import write_trace
 from .oracles import TimeOrderError, one_euro_loop, read_table_csv, write_table_rows
 
 
-def stream(kind="gaze", pid="p01", tid="t01", t=None, yaw=None):
+def stream(pid="p01", tid="t01", t=None, yaw=None):
     t = np.asarray([0.0, 0.1, 0.2, 0.3] if t is None else t, dtype=float)
     yaw = np.asarray(np.zeros_like(t) if yaw is None else yaw, dtype=float)
-    return RawStream(pid, tid, kind, t, yaw)
+    return RawStream(pid, tid, t, yaw)
 
 
 class TestUnwrap:
@@ -105,6 +105,15 @@ class TestOneEuro:
         x = np.sin(7.0 * t) * 30.0
         out = one_euro(t, x, FilterConfig(min_cutoff=1e9))
         np.testing.assert_allclose(out, x, atol=1e-6)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("min_cutoff", 0.0), ("min_cutoff", float("nan")), ("beta", -0.1), ("beta", float("nan")),
+    ("derivative_cutoff", 0.0), ("derivative_cutoff", -1.0), ("derivative_cutoff", float("nan")),
+])
+def test_filter_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        FilterConfig(**{field: value})
 
 
 @st.composite
@@ -184,7 +193,7 @@ class TestLoadTraceCsv:
     def test_round_trip(self, tmp_path):
         s = stream(yaw=[1.25, -3.5, 7.0, 2.0])
         write_trace_csv(tmp_path / "a.csv", s)
-        back = load_trace_csv(tmp_path / "a.csv", kind="gaze")
+        back = load_trace_csv(tmp_path / "a.csv")
         assert back.participant_id == "p01" and back.trial_id == "t01"
         np.testing.assert_allclose(back.t, s.t)
         np.testing.assert_allclose(back.yaw, s.yaw)
@@ -207,11 +216,20 @@ class TestLoadTraceCsv:
         np.testing.assert_allclose(back.t, [0.0, 0.1, 0.2])
         np.testing.assert_allclose(back.yaw, [1.0, 2.0, 3.0])
 
-    def test_duplicate_timestamps_rejected(self, tmp_path):
-        p = write_trace(tmp_path / "a.csv", "p01", "t01", [1.0, 1.0], [0.0, 0.1])
+    # the later repeat is named by its data row in the file, not its place once sorted
+    @pytest.mark.parametrize("t, row", [
+        ([1.0, 1.0], 2),
+        ([0.0, 0.3, 0.1, 0.2, 0.1], 5),
+        ([0.1, 0.0, 0.1], 3),
+        ([0.2, 0.2, 0.0, 0.1], 2),
+        ([0.3, 0.1, 0.2, 0.1, 0.1], 4),
+    ])
+    def test_duplicate_timestamps_rejected(self, tmp_path, t, row):
+        p = write_trace(tmp_path / "a.csv", "p01", "t01", t, [0.0] * len(t))
         with pytest.raises(NonMonotonicTimeError) as err:
             load_trace_csv(p)
-        assert err.value.timestamp == 1.0
+        assert (err.value.index, err.value.timestamp) == (row, t[row - 1])
+        assert f"at row {row} " in str(err.value) and str(p) in str(err.value)
 
     def test_missing_column(self, tmp_path):
         p = tmp_path / "a.csv"
@@ -279,11 +297,6 @@ class TestLoadTraceCsv:
         back = load_trace_csv(p)
         assert (back.participant_id, back.trial_id) == ("p01", "t01")
         assert back.t.size == 3
-
-    def test_bad_kind_rejected(self, tmp_path):
-        p = write_trace(tmp_path / "a.csv", "p01", "t01", [0.0, 0.1], [0.0, 1.0])
-        with pytest.raises(ValueError):
-            load_trace_csv(p, kind="torso")
 
     # a bad row last, or first, where it also sets the width of the id columns;
     # an unterminated quote runs to the end of the file
@@ -374,36 +387,36 @@ class TestTable:
 
 class TestAlignment:
     def test_linear_head_interpolates_exactly(self):
-        gaze = stream("gaze", t=np.linspace(0.0, 1.0, 61))
+        gaze = stream(t=np.linspace(0.0, 1.0, 61))
         head_t = np.linspace(-0.1, 1.1, 41)
-        head = stream("head", t=head_t, yaw=3.0 * head_t + 1.0)
+        head = stream(t=head_t, yaw=3.0 * head_t + 1.0)
         aligned = align_head_to_gaze(gaze, head)
         np.testing.assert_allclose(aligned.head_yaw, 3.0 * aligned.t + 1.0, atol=1e-12)
 
     def test_output_times_are_gaze_times_in_overlap(self):
-        gaze = stream("gaze", t=np.linspace(0.0, 2.0, 121))
-        head = stream("head", t=np.linspace(0.5, 1.5, 91))
+        gaze = stream(t=np.linspace(0.0, 2.0, 121))
+        head = stream(t=np.linspace(0.5, 1.5, 91))
         aligned = align_head_to_gaze(gaze, head)
         keep = (gaze.t >= 0.5) & (gaze.t <= 1.5)
         np.testing.assert_array_equal(aligned.t, gaze.t[keep])
         assert aligned.overlap_s == pytest.approx(aligned.t[-1] - aligned.t[0])
 
     def test_disjoint_windows_raise(self):
-        gaze = stream("gaze", t=[0.0, 0.1, 0.2])
-        head = stream("head", t=[1.0, 1.1, 1.2])
+        gaze = stream(t=[0.0, 0.1, 0.2])
+        head = stream(t=[1.0, 1.1, 1.2])
         with pytest.raises(NoOverlapError):
             align_head_to_gaze(gaze, head)
 
     def test_mismatched_ids_raise(self):
-        gaze = stream("gaze", pid="p01")
-        head = stream("head", pid="p02")
+        gaze = stream(pid="p01")
+        head = stream(pid="p02")
         with pytest.raises(TraceSchemaError):
             align_head_to_gaze(gaze, head)
 
     def test_gap_reflects_worst_stream(self):
         t_gaze = np.concatenate([np.arange(0.0, 1.0, 0.01), np.arange(1.3, 2.0, 0.01)])
-        gaze = stream("gaze", t=t_gaze, yaw=np.zeros(t_gaze.size))
-        head = stream("head", t=np.arange(0.0, 2.0, 0.02), yaw=np.zeros(100))
+        gaze = stream(t=t_gaze, yaw=np.zeros(t_gaze.size))
+        head = stream(t=np.arange(0.0, 2.0, 0.02), yaw=np.zeros(100))
         aligned = align_head_to_gaze(gaze, head)
         # gaze jumps from 0.99 to 1.30 while head samples every 0.02
         assert aligned.gap_max_s == pytest.approx(0.31, abs=1e-6)
@@ -412,8 +425,8 @@ class TestAlignment:
         t = np.linspace(0.0, 2.0, 241)
         path = 150.0 + 40.0 * t  # drifts through +180
         wrapped = (path + 180.0) % 360.0 - 180.0
-        gaze = stream("gaze", t=t, yaw=wrapped)
-        head = stream("head", t=t, yaw=wrapped)
+        gaze = stream(t=t, yaw=wrapped)
+        head = stream(t=t, yaw=wrapped)
         aligned = align_head_to_gaze(gaze, head)
         assert np.max(np.abs(np.diff(aligned.gaze_yaw))) < 5.0
         assert np.max(np.abs(np.diff(aligned.head_yaw))) < 5.0
@@ -425,9 +438,9 @@ class TestAlignment:
     )
     def test_affine_signal_exactness(self, offset, slope, intercept):
         t = np.linspace(0.0, 1.0, 31)
-        gaze = stream("gaze", t=t)
+        gaze = stream(t=t)
         head_t = t + offset
-        head = stream("head", t=head_t, yaw=slope * head_t + intercept)
+        head = stream(t=head_t, yaw=slope * head_t + intercept)
         try:
             aligned = align_head_to_gaze(gaze, head)
         except NoOverlapError:

@@ -161,6 +161,15 @@ class TestParamValidation:
         with pytest.raises(ValueError, match=f"^{kind} parameter '{key}' is not a number"):
             params_from_dict(d)
 
+    @pytest.mark.parametrize("kind,key", [("linear", "alpha"), ("hinge", "beta"),
+                                          ("soft-hinge", "s")])
+    def test_a_missing_value_names_the_model_and_key(self, kind, key):
+        d = params_to_dict({"linear": LinearParams(22.5, 0.41), "hinge": HingeParams(0.3, 12.0),
+                            "soft-hinge": SoftHingeParams(0.62, 17.5, 3.25)}[kind])
+        del d[key]
+        with pytest.raises(ValueError, match=f"^{kind} parameter '{key}' is missing$"):
+            params_from_dict(d)
+
 
 class TestGradients:
     @given(

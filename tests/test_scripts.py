@@ -52,7 +52,7 @@ def test_adapt_dataset_writes_loadable_trace_pairs(tmp_path):
     }
     for (pid, tid), (ms, gaze, head) in expected.items():
         for kind, yaw in (("gaze", gaze), ("head", head)):
-            back = load_trace_csv(str(out / f"{pid}_{tid}.{kind}.csv"), kind)
+            back = load_trace_csv(str(out / f"{pid}_{tid}.{kind}.csv"))
             assert (back.participant_id, back.trial_id) == (pid, tid)
             assert back.t.tolist() == [float(f"{v * 0.001:.9g}") for v in ms]
             assert back.yaw.tolist() == yaw
@@ -68,7 +68,7 @@ def test_adapt_dataset_rebases_epoch_timestamps(tmp_path):
     proc = adapt(src, out, "--time-scale", "0.001")
     assert proc.returncode == 0, proc.stderr
     for kind in ("gaze", "head"):
-        back = load_trace_csv(str(out / f"P01_a.{kind}.csv"), kind)
+        back = load_trace_csv(str(out / f"P01_a.{kind}.csv"))
         assert back.t.tolist() == [0.0, 0.01, 0.02, 0.03, 0.04]
 
 
@@ -81,5 +81,5 @@ def test_adapt_dataset_reads_a_byte_order_mark(tmp_path):
     proc = adapt(src, out, "--time-scale", "0.001")
     assert proc.returncode == 0, proc.stderr
     assert "wrote 1 trace pairs" in proc.stdout
-    back = load_trace_csv(str(out / "P02_a.gaze.csv"), "gaze")
+    back = load_trace_csv(str(out / "P02_a.gaze.csv"))
     assert (back.t.tolist(), back.yaw.tolist()) == ([0.0, 0.01], [1.5, 2.5])

@@ -27,7 +27,7 @@ from eyehead import (
     threshold_shifts,
 )
 
-from eyehead import AlignedTrace, align_head_to_gaze, events, preprocess_trial, stats
+from eyehead import AlignedTrace, align_head_to_gaze, events, preprocess_trial, stats, synth
 from eyehead.fitting import fit_soft_hinge
 from eyehead.fpca import DEFAULT_GRID
 from eyehead.ingest import concat_shift_sets, symmetrize_and_clean
@@ -342,9 +342,9 @@ class TestThresholdSensitivity:
         # pa never moves the head, so its curve is constant; pd's shifts all
         # exceed max_ecc, so it has none; pb has two trials
         def trace(pid, beta, seed, trial="t01", amps=(5.0, 12.0)):
+            monkeypatch.setattr(synth, "AMP_RANGE_DEG", amps)
             cfg = SynthConfig(SoftHingeParams(beta, 8.0, 2.0), n_shifts=40, seed=seed,
-                              participant_id=pid, trial_id=trial,
-                              amp_min_deg=amps[0], amp_max_deg=amps[1])
+                              participant_id=pid, trial_id=trial)
             return align_head_to_gaze(*synth_trace(cfg)[:2])
 
         traces = [

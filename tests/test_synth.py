@@ -9,6 +9,7 @@ from eyehead import (
     synth_shifts,
     synth_trace,
 )
+from eyehead import synth
 
 PARAMS = SoftHingeParams(beta=0.7, tau=15.0, s=5.0)
 
@@ -73,7 +74,6 @@ class TestSynthTrace:
         gaze, head, truth = synth_trace(cfg)
         assert len(truth["shifts"]) == 30
         assert len(truth["fixations"]) == 31
-        assert gaze.kind == "gaze" and head.kind == "head"
 
     def test_sampling_clocks(self):
         cfg = SynthConfig(PARAMS, n_shifts=5, seed=7)
@@ -105,10 +105,10 @@ class TestSynthTrace:
             # endpoints sampled within one frame of the ramp edges
             assert moved == pytest.approx(rec["gaze_amplitude"], abs=0.02 * abs(rec["gaze_amplitude"]))
 
-    def test_wrap_output_bounds_yaw(self):
-        cfg = SynthConfig(
-            PARAMS, n_shifts=60, seed=10, wrap_output=True, position_bound_deg=400.0
-        )
+    def test_wrap_output_bounds_yaw(self, monkeypatch):
+        # a wide bound lets the unwrapped yaw pass +-180, so the wrap is exercised
+        monkeypatch.setattr(synth, "POSITION_BOUND_DEG", 400.0)
+        cfg = SynthConfig(PARAMS, n_shifts=60, seed=10, wrap_output=True)
         gaze, head, _ = synth_trace(cfg)
         for yaw in (gaze.yaw, head.yaw):
             assert np.all(yaw >= -180.0) and np.all(yaw < 180.0)
