@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import glob
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -37,7 +38,7 @@ from .errors import (
 )
 from .events import FixationConfig, preprocess_trial
 from .fitting import MODELS, fit_participants
-from .fpca import Spectrum, fit_fpca, sample_curves, score_table
+from .fpca import fit_fpca, sample_curves, score_table
 from .ingest import (
     FilterConfig,
     align_head_to_gaze,
@@ -59,7 +60,7 @@ from .report import (
     emit_report,
     make_provenance,
     read_fit_rows,
-    read_json_object,
+    read_spectrum,
     write_json_array,
     write_json_lines,
     write_json_object,
@@ -93,6 +94,22 @@ OPTIONS = {
 DEFAULTS = {key: default for key, (default, _) in OPTIONS.items()}
 CHOICES = {"model": MODELS + ("all",)}
 
+# The range of each numeric option that no config class checks, as
+# (comparison, bound); a float option must also be finite. A value out of
+# range is a ValueError naming the option before the stage reads an input.
+RANGES = {
+    "max_ecc_deg": (">", 0),
+    "min_overlap_s": (">=", 0),
+    "max_gap_s": (">", 0),
+    "expected_trials": (">=", 0),
+    "components": (">=", 0),
+    "participants": (">=", 1),
+    "trials": (">=", 1),
+    "shifts": (">=", 1),
+    "noise_sd": (">=", 0),
+    "seed": (">=", 0),
+}
+
 # The options each stage takes. One config file serves every stage, so a
 # stage accepts (and checks) keys it does not use.
 _TRACE_OPTIONS = (
@@ -117,6 +134,10 @@ STAGE_OPTIONS = {
     "sensitivity": ("thresholds",) + _TRACE_OPTIONS,
     "synth": ("participants", "trials", "shifts", "noise_sd", "seed"),
 }
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -162,13 +183,18 @@ def _resolve(args: argparse.Namespace) -> dict:
     """The stage's options: CLI flags over config-file values over defaults.
 
     The config file is loaded and checked whether or not the stage takes
-    any option.
+    any option. Each value is checked against its RANGES entry.
     """
     from_file = _load_config_file(args.config)
     resolved = {}
     for key in STAGE_OPTIONS[args.command]:
         value = getattr(args, key)
-        resolved[key] = from_file.get(key, DEFAULTS[key]) if value is None else value
+        resolved[key] = value = from_file.get(key, DEFAULTS[key]) if value is None else value
+        if key in RANGES:
+            op, bound = RANGES[key]
+            if not (math.isfinite(value) and (value > bound if op == ">" else value >= bound)):
+                finite = "finite and " if isinstance(value, float) else ""
+                raise ValueError(f"{_flag(key)}: must be {finite}{op} {bound}, got {value}")
     return resolved
 
 
@@ -183,7 +209,7 @@ def _config(cls, cfg: dict, fields: dict[str, tuple[str, float]]):
         try:
             cls(**{field: values[field]})
         except ValueError as exc:
-            raise ValueError(f"--{option.replace('_', '-')}: {exc}") from None
+            raise ValueError(f"{_flag(option)}: {exc}") from None
     return cls(**values)
 
 
@@ -216,13 +242,24 @@ def _trace_pairs(in_dir: str) -> list[tuple[str, str]]:
     return sorted((stem + ".gaze.csv", stem + ".head.csv") for stem in stems)
 
 
-def _input_map(paths: list[str], base: str) -> dict[str, str]:
-    """Name inputs by path relative to `base`; make_provenance digests them."""
-    return {os.path.relpath(p, base): p for p in paths}
+def _provenance(args: argparse.Namespace, cfg: dict, paths=(), base: str | None = None) -> dict:
+    """The stage's provenance record: its command and options, seed and inputs.
+
+    Only synth takes a seed; every other stage records None. Each input is
+    named by its path relative to base, by default the directory of
+    paths[0], the stage's primary input (--in, or --fits for report).
+    """
+    if base is None and paths:
+        base = os.path.dirname(os.path.abspath(paths[0]))
+    return make_provenance(
+        {"command": args.command, **cfg},
+        cfg.get("seed"),
+        {os.path.relpath(p, base): p for p in paths},
+    )
 
 
-def _check_trial(found: list[str], cfg: dict, use):
-    """Load, align and sanity-check one trial; hand it to `use` if it passed.
+def _check_trial(found: list[str], cfg: dict, use, configs):
+    """Load, align and sanity-check one trial; hand it and configs to `use` if it passed.
 
     Returns (sanity report, use's result; None unless the trial passed). A
     trial that passed but that `use` cannot segment is reported failed, as
@@ -241,21 +278,23 @@ def _check_trial(found: list[str], cfg: dict, use):
     if report.verdict != "pass":
         return report, None
     try:
-        return report, use(trace)
+        return report, use(trace, *configs)
     except TooFewFixationsError:
         return replace(report, verdict="fail", reason="too_few_fixations"), None
     except TooFewSamplesError:
         return replace(report, verdict="fail", reason="too_few_samples"), None
 
 
-def _sane_traces(in_dir: str, cfg: dict, use):
-    """Load, align and sanity-check each trace pair, and hand each passing trace to `use`.
+def _sane_traces(args: argparse.Namespace, cfg: dict, use):
+    """The trace stages' frame: hand each passing trace of --in-dir to `use`.
 
-    Trials are read one at a time, and each trace is dropped once `use` has
-    seen it, so a stage holds one trial's samples at a time. Returns
-    ([(participant_id, use's result)] for the kept trials, one sanity
-    report per trial, input paths), each in trial order. A trial with only
-    one of its two files is reported missing_stream, one whose streams
+    The filter and fixation configs are built once, before a trace is read.
+    `use(trace, filter_cfg, fixation_cfg)` sees one trial at a time, and
+    the trace is dropped once it has, so a stage holds one trial's samples
+    at a time. Returns ([(participant_id, use's result)] for the kept
+    trials and one sanity report per trial, each in trial order, and the
+    stage's provenance, naming the trace files from --in-dir). A trial with
+    only one of its two files is reported missing_stream, one whose streams
     share no time window no_overlap, and one that `use` cannot segment
     too_few_fixations or too_few_samples. With expected_trials > 0, a
     participant's trials are kept only when exactly that many trials were
@@ -265,10 +304,11 @@ def _sane_traces(in_dir: str, cfg: dict, use):
     per-trial fault is a report. MissingInputError is raised when no trial
     is kept.
     """
+    configs = _filter_config(cfg), _fixation_config(cfg)
     reports, paths, outcomes = [], [], []
-    for pair in _trace_pairs(in_dir):
+    for pair in _trace_pairs(args.in_dir):
         found = [p for p in pair if os.path.exists(p)]
-        report, outcome = _check_trial(found, cfg, use)
+        report, outcome = _check_trial(found, cfg, use, configs)
         paths.extend(found)
         reports.append(report)
         if report.verdict == "pass":
@@ -284,7 +324,7 @@ def _sane_traces(in_dir: str, cfg: dict, use):
         ]
     if not outcomes:
         raise MissingInputError("no trials passed the sanity checks")
-    return outcomes, reports, paths
+    return outcomes, reports, _provenance(args, cfg, paths, base=args.in_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +332,7 @@ def _sane_traces(in_dir: str, cfg: dict, use):
 # ---------------------------------------------------------------------------
 
 def cmd_preprocess(args: argparse.Namespace, cfg: dict) -> int:
-    filter_cfg = _filter_config(cfg)
-    fixation_cfg = _fixation_config(cfg)
-    trials, reports, input_paths = _sane_traces(
-        args.in_dir, cfg, lambda trace: preprocess_trial(trace, filter_cfg, fixation_cfg)
-    )
-    provenance = make_provenance(
-        {"command": "preprocess", **cfg}, None, _input_map(input_paths, args.in_dir)
-    )
+    trials, reports, provenance = _sane_traces(args, cfg, preprocess_trial)
     signed = concat_shift_sets([shifts for _, shifts in trials])
 
     sanity_path = args.sanity_out or os.path.join(
@@ -324,11 +357,7 @@ def cmd_fit(args: argparse.Namespace, cfg: dict) -> int:
     models = MODELS if cfg["model"] == "all" else (cfg["model"],)
 
     shifts = read_shifts_csv(args.in_path)
-    provenance = make_provenance(
-        {"command": "fit", **cfg},
-        None,
-        _input_map([args.in_path], os.path.dirname(os.path.abspath(args.in_path))),
-    )
+    provenance = _provenance(args, cfg, [args.in_path])
     subs = shifts.by_participant()
     pfits = fit_participants([(sub.x, sub.y) for sub in subs.values()], models)
     rows = [
@@ -355,28 +384,17 @@ def cmd_fpca(args: argparse.Namespace, cfg: dict) -> int:
     n_curves = len(curves.curve_ids)
     n_components = cfg["components"] or max(1, min(2, n_curves - 1))
     spectrum = fit_fpca(curves, n_components=n_components)
-    provenance = make_provenance(
-        {"command": "fpca", **cfg, "n_components": n_components},
-        None,
-        _input_map([args.in_path], os.path.dirname(os.path.abspath(args.in_path))),
-    )
+    provenance = _provenance(args, {**cfg, "n_components": n_components}, [args.in_path])
     write_json_object(args.out, spectrum.to_dict(), provenance)
     return 0
 
 
 def cmd_project(args: argparse.Namespace, cfg: dict) -> int:
-    spectrum = Spectrum.from_dict(read_json_object(args.model_path))
+    spectrum = read_spectrum(args.model_path)
     rows = read_fit_rows(args.in_path)
     curves = _soft_hinge_curves(rows, grid=spectrum.grid)
     table = score_table(spectrum, curves)
-    provenance = make_provenance(
-        {"command": "project", **cfg},
-        None,
-        _input_map(
-            [args.model_path, args.in_path],
-            os.path.dirname(os.path.abspath(args.in_path)),
-        ),
-    )
+    provenance = _provenance(args, cfg, [args.in_path, args.model_path])
     write_scores_csv(args.out, table, provenance)
     return 0
 
@@ -385,35 +403,29 @@ def cmd_report(args: argparse.Namespace, cfg: dict) -> int:
     fit_rows = read_fit_rows(args.fits)
     if not fit_rows:
         raise MissingInputError(f"{args.fits}: empty fit table")
-    spectrum = Spectrum.from_dict(read_json_object(args.spectrum))
+    spectrum = read_spectrum(args.spectrum)
     scores = read_scores_csv(args.scores)
-    provenance = make_provenance(
-        {"command": "report", **cfg},
-        None,
-        _input_map(
-            [args.fits, args.spectrum, args.scores],
-            os.path.dirname(os.path.abspath(args.fits)),
-        ),
-    )
+    provenance = _provenance(args, cfg, [args.fits, args.spectrum, args.scores])
     emit_report(fit_rows, spectrum, scores, args.out_dir, provenance)
     return 0
 
 
 def cmd_sensitivity(args: argparse.Namespace, cfg: dict) -> int:
-    thresholds = tuple(float(v) for v in cfg["thresholds"].split(","))
+    try:
+        thresholds = tuple(float(v) for v in cfg["thresholds"].split(","))
+    except ValueError as exc:
+        raise ValueError(f"--thresholds: {exc}") from None
     # the output is keyed by each threshold's %g text, so two alike would merge
     keys = [f"{thr:g}" for thr in thresholds]
     repeated = [key for i, key in enumerate(keys) if key in keys[:i]]
     if repeated:
-        raise ValueError(f"threshold {repeated[0]} is repeated in {cfg['thresholds']!r}")
-    filter_cfg = _filter_config(cfg)
-    fixation_cfg = _fixation_config(cfg)
+        raise ValueError(
+            f"--thresholds: threshold {repeated[0]} is repeated in {cfg['thresholds']!r}"
+        )
     for thr in thresholds:  # each threshold's config, checked before a trace is read
         _config(FixationConfig, {"thresholds": thr}, {"vel_threshold": ("thresholds", 1.0)})
-    trials, _, input_paths = _sane_traces(
-        args.in_dir,
-        cfg,
-        lambda trace: threshold_shifts(trace, thresholds, filter_cfg, fixation_cfg),
+    trials, _, provenance = _sane_traces(
+        args, cfg, lambda trace, *configs: threshold_shifts(trace, thresholds, *configs)
     )
     # each participant's trials, pooled in trial order per threshold
     pooled: dict[tuple[str, float], list] = {}
@@ -438,11 +450,6 @@ def cmd_sensitivity(args: argparse.Namespace, cfg: dict) -> int:
         f"{thr:g}": float(np.median([r[thr] for r in ok])) if ok else None
         for thr in thresholds
     }
-    provenance = make_provenance(
-        {"command": "sensitivity", **cfg},
-        None,
-        _input_map(input_paths, args.in_dir),
-    )
     write_json_object(
         args.out,
         {
@@ -458,7 +465,7 @@ def cmd_sensitivity(args: argparse.Namespace, cfg: dict) -> int:
 
 def cmd_synth(args: argparse.Namespace, cfg: dict) -> int:
     population = draw_population(cfg["participants"], seed=cfg["seed"])
-    provenance = make_provenance({"command": "synth", **cfg}, cfg["seed"], {})
+    provenance = _provenance(args, cfg)
 
     traces_dir = os.path.join(args.out_dir, "traces")
     os.makedirs(traces_dir, exist_ok=True)
@@ -553,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command, p in sub.choices.items():
         for key in STAGE_OPTIONS[command]:
             default, help_text = OPTIONS[key]
-            p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
+            p.add_argument(_flag(key), dest=key, type=type(default),
                            choices=CHOICES.get(key), help=help_text)
         p.add_argument("--config", help="flat JSON file with default option values")
     return parser

@@ -370,16 +370,16 @@ def _projected_lm(rows, starts: np.ndarray, pinned: np.ndarray):
 def _lattice_seeds(x, y, models) -> dict[str, np.ndarray]:
     """Seeds (beta, tau, s) of each hinge-family model in models, from one lattice.
 
-    Every knee of TAU_GRID, for each s of S_ROW (only s = 1 without the soft
-    hinge), gets its best beta = clip(<f, y> / <f, f>, 0, 1), with
-    f = softplus((x - tau) / s), and the seeds are chosen as the module
-    docstring states. The lattice is evaluated in blocks of at most
-    BATCH_POINTS values, so its temporaries stay below glibc's mmap threshold.
+    Every knee of TAU_GRID, for each s of S_ROW, gets its best beta =
+    clip(<f, y> / <f, f>, 0, 1), with f = softplus((x - tau) / s), and the
+    seeds are chosen as the module docstring states; a hinge-only fit
+    evaluates the whole lattice too. The lattice is evaluated in blocks of
+    at most BATCH_POINTS values, so its temporaries stay below glibc's mmap
+    threshold.
     """
-    s_row = S_ROW if "soft-hinge" in models else S_ROW[_HINGE_ROW:_HINGE_ROW + 1]
-    lattice = np.empty((len(s_row), TAU_GRID.size, 3))  # (beta, tau, s) of each point
+    lattice = np.empty((S_ROW.size, TAU_GRID.size, 3))  # (beta, tau, s) of each point
     lattice[:, :, 1] = TAU_GRID
-    lattice[:, :, 2] = s_row[:, None]
+    lattice[:, :, 2] = S_ROW[:, None]
     flat = lattice.reshape(-1, 3)
     sse = np.empty(flat.shape[0])
     block = max(1, BATCH_POINTS // x.size)  # lattice points per block
@@ -392,18 +392,17 @@ def _lattice_seeds(x, y, models) -> dict[str, np.ndarray]:
         cut[:, 0] = beta = np.minimum(np.maximum(beta, 0.0), 1.0)
         r = beta[:, None] * f - y
         sse[i:i + block] = np.einsum("ij,ij->i", r, r)
-    sse = sse.reshape(len(s_row), TAU_GRID.size)
+    sse = sse.reshape(S_ROW.size, TAU_GRID.size)
     seeds = {}
     if "soft-hinge" in models:
-        seeds["soft-hinge"] = lattice[np.arange(len(s_row)), np.argmin(sse, axis=1)]
+        seeds["soft-hinge"] = lattice[np.arange(S_ROW.size), np.argmin(sse, axis=1)]
     if "hinge" in models:
-        row = _HINGE_ROW if len(s_row) > 1 else 0
-        profile = sse[row]
+        profile = sse[_HINGE_ROW]
         minimum = np.ones(profile.size, dtype=bool)  # local minima along TAU_GRID
         minimum[1:] = profile[1:] < profile[:-1]
         minimum[:-1] &= profile[:-1] <= profile[1:]
         ranked = np.argsort(np.where(minimum, profile, np.inf), kind="stable")[:HINGE_KNEES]
-        seeds["hinge"] = lattice[row, ranked[minimum[ranked]]]
+        seeds["hinge"] = lattice[_HINGE_ROW, ranked[minimum[ranked]]]
     return seeds
 
 

@@ -357,7 +357,8 @@ def read_table(
     parses the list of lines from data row 1 on in one call (RFC 4180
     quoting, a quoted field may span lines, blank lines skipped, the doubles
     Python's float() gives). TraceSchemaError names the path and the data
-    row of a row not as wide as the header or of a non-number.
+    row of a row not as wide as the header or of a non-number, and also the
+    column of a non-finite value (nan, inf) in a `floats` column.
 
     Every row of a column named in `single` must hold the value of data row
     1, which comes back as that one string. csv.reader reads row 1 from the
@@ -396,6 +397,11 @@ def read_table(
                           dtype=[(c, kinds.get(c, object)) for c in header])
     except ValueError as exc:
         raise TraceSchemaError(f"{path}: {_data_row_message(str(exc))}") from exc
+    if not all(np.isfinite(data[col]).all() for col in floats):
+        named = [col for col in header if col in floats]
+        row, j = np.argwhere(~np.isfinite(np.column_stack([data[c] for c in named])))[0]
+        raise TraceSchemaError(f"{path}: non-finite value {data[named[j]][row]} "
+                               f"in data row {row + 1}, column {named[j]}")
     one = {col: str(data[col][0]) for col in single}
     for col in single:
         if nul and (k := next((i for i, v in enumerate(data[col], 1) if "\0" in v), 0)):
@@ -481,13 +487,11 @@ def load_trace_csv(path: str) -> RawStream:
     repeat data row 1's ids (see `read_table`'s `single`). Samples are
     sorted by timestamp; duplicate timestamps are rejected
     (NonMonotonicTimeError names the 1-based data row of the later
-    duplicate in the file), as are non-finite yaw values.
+    duplicate in the file), as are non-finite values (see `read_table`).
     """
     cols = read_table(path, TRACE_COLUMNS, floats=("timestamp_s", "yaw_deg"),
                       single=("participant_id", "trial_id"))
     t, yaw = cols["timestamp_s"], cols["yaw_deg"]
-    if not np.all(np.isfinite(t)) or not np.all(np.isfinite(yaw)):
-        raise TraceSchemaError(f"{path}: non-finite timestamp or yaw value")
     order = np.argsort(t, kind="stable")
     t, yaw = t[order], yaw[order]
     dup = np.flatnonzero(np.diff(t) == 0)

@@ -135,6 +135,15 @@ def read_fit_rows(path: str) -> list[dict]:
     return rows
 
 
+def read_spectrum(path: str) -> Spectrum:
+    """The spectrum of a spectrum.json; MissingInputError names the file."""
+    data = read_json_object(path)
+    try:
+        return Spectrum.from_dict(data)
+    except MissingInputError as exc:
+        raise MissingInputError(f"{path}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # report bundle
 # ---------------------------------------------------------------------------

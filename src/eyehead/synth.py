@@ -58,7 +58,7 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.n_shifts < 1:
             raise ValueError(f"n_shifts must be >= 1, got {self.n_shifts}")
-        if self.noise_sd < 0:
+        if not self.noise_sd >= 0:  # NaN fails too
             raise ValueError(f"noise_sd must be >= 0, got {self.noise_sd}")
 
 

@@ -10,6 +10,7 @@ generator wrote, so the per-layer split of `setup_s` stays readable.
 """
 
 import importlib
+import json
 import importlib.util
 import pathlib
 import sys
@@ -92,3 +93,50 @@ def test_set_up_spans_count_files_and_trials(tmp_path):
     assert files == info["sizes"]["csv_files"] == 2 * cohort.trial_pairs - 1
     assert spans.count("ingest.write_trace_csv") == files
     assert spans.count("synth.synth_trace") == cohort.trial_pairs
+
+
+def test_a_traced_pass_of_every_stage_counts_its_inputs(tmp_path):
+    """The benchmark's six stages run traced, as `bench/worker.stage_argv` gives them."""
+    raw = tmp_path / "raw"
+    assert cli.dispatch(["synth", "--out-dir", str(raw), "--participants", "3",
+                         "--trials", "2", "--seed", "3"]) == 0
+    traces = raw / "traces"
+    (traces / "synth002_t01.head.csv").unlink()  # one missing_stream trial
+    out = tmp_path / "out"
+    argv = [
+        ["preprocess", "--in-dir", traces, "--out", out / "shifts.csv",
+         "--symmetry-out", out / "symmetry.json"],
+        ["fit", "--in", out / "shifts.csv", "--out", out / "fits.json"],
+        ["fpca", "--in", out / "fits.json", "--out", out / "spectrum.json"],
+        ["project", "--model", out / "spectrum.json", "--in", out / "fits.json",
+         "--out", out / "scores.csv"],
+        ["report", "--fits", out / "fits.json", "--spectrum", out / "spectrum.json",
+         "--scores", out / "scores.csv", "--out-dir", out / "report"],
+        ["sensitivity", "--in-dir", traces, "--out", out / "sensitivity.json"],
+    ]
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        codes = [cli.dispatch([str(a) for a in stage]) for stage in argv]
+    finally:
+        uninstall()
+    assert codes == [0] * len(argv)
+
+    def size(*names):
+        return sum((out / name).stat().st_size for name in names)
+
+    trace_bytes = sum(p.stat().st_size for p in traces.glob("*.csv"))
+    hashed = (
+        2 * trace_bytes  # preprocess and sensitivity
+        + size("shifts.csv")  # fit
+        + size("fits.json")  # fpca
+        + size("spectrum.json", "fits.json")  # project
+        + size("fits.json", "spectrum.json", "scores.csv")  # report
+    )
+    counts = tracing.summarize(tracer.spans, tracer.counters)
+    assert counts["report.make_provenance.bytes_hashed"] == hashed
+    sanity = [json.loads(line) for line in (out / "sanity.jsonl").read_text().splitlines()[1:]]
+    passed = [r for r in sanity if r["verdict"] == "pass"]
+    assert len(sanity) == 6 and len(passed) == 5
+    assert counts["events.preprocess_trial.calls"] == len(passed)

@@ -1,5 +1,7 @@
+import argparse
 import inspect
 import json
+import os
 import pathlib
 import re
 import shutil
@@ -20,7 +22,6 @@ from eyehead.cli import (
     STAGE_OPTIONS,
     _filter_config,
     _fixation_config,
-    _input_map,
     _resolve,
     build_parser,
     dispatch,
@@ -238,7 +239,7 @@ def one_line_error(capsys):
 
 
 class TestOptionRanges:
-    """A fixation or filter option out of range is a stage error before any trace is read."""
+    """A numeric option out of range is a stage error that names it, before any input is read."""
 
     @pytest.mark.parametrize("stage, option, value", [
         ("preprocess", "fix_threshold", "-1"),
@@ -254,6 +255,22 @@ class TestOptionRanges:
         ("sensitivity", "fix_threshold", "0"),
         ("sensitivity", "min_dur_ms", "-5"),
         ("sensitivity", "derivative_cutoff", "-1"),
+        # the options no config class checks (cli.RANGES), and --thresholds' parse
+        ("preprocess", "max_ecc_deg", "nan"),
+        ("preprocess", "max_ecc_deg", "0"),
+        ("preprocess", "max_gap_s", "nan"),
+        ("preprocess", "min_overlap_s", "nan"),
+        ("preprocess", "min_overlap_s", "-1"),
+        ("preprocess", "expected_trials", "-2"),
+        ("sensitivity", "max_ecc_deg", "nan"),
+        ("sensitivity", "max_gap_s", "inf"),
+        ("sensitivity", "thresholds", "10,abc"),
+        ("fpca", "components", "-1"),
+        ("synth", "participants", "0"),
+        ("synth", "trials", "0"),
+        ("synth", "shifts", "0"),
+        ("synth", "noise_sd", "nan"),
+        ("synth", "seed", "-1"),
     ])
     def test_an_option_out_of_range_is_named(self, tmp_path, capsys, monkeypatch,
                                              stage, option, value):
@@ -261,12 +278,79 @@ class TestOptionRanges:
         loaded = []
         monkeypatch.setattr(cli, "load_trace_csv", lambda p: loaded.append(p))
         flag = "--" + option.replace("_", "-")
-        out = tmp_path / ("shifts.csv" if stage == "preprocess" else "sens.json")
-        assert run([stage, "--in-dir", raw, "--out", out, f"{flag}={value}"]) == 1
+        out = tmp_path / "out"
+        argv = {
+            "preprocess": ["preprocess", "--in-dir", raw, "--out", out],
+            "sensitivity": ["sensitivity", "--in-dir", raw, "--out", out],
+            "fpca": ["fpca", "--in", tmp_path / "fits.json", "--out", out],
+            "synth": ["synth", "--out-dir", out],
+        }[stage]
+        assert run([*argv, f"{flag}={value}"]) == 1
         payload = one_line_error(capsys)
         assert (payload["stage"], payload["error"]) == (stage, "ValueError")
         assert payload["message"].startswith(f"{flag}: ")
         assert loaded == [] and not out.exists()
+
+    @pytest.mark.parametrize("stage", sorted(STAGE_OPTIONS))
+    def test_every_default_is_in_range(self, stage):
+        args = argparse.Namespace(command=stage, config=None,
+                                  **dict.fromkeys(STAGE_OPTIONS[stage]))
+        assert _resolve(args) == {key: DEFAULTS[key] for key in STAGE_OPTIONS[stage]}
+
+
+def set_cell(path, row, column, value):
+    """Rewrite one cell of a CSV table of plain fields: `row` counts data rows from 1."""
+    lines = path.read_text().splitlines(keepends=True)
+    top = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    fields = lines[top + row].rstrip("\r\n").split(",")
+    fields[lines[top].rstrip("\r\n").split(",").index(column)] = value
+    lines[top + row] = ",".join(fields) + "\r\n"
+    path.write_text("".join(lines), newline="")
+
+
+class TestNonFiniteTableValues:
+    """A non-finite number in a CSV input is a stage error naming its file, data row and column."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("inputs")
+        raw = synth_dir(tmp, participants=3, trials=1, shifts=10)
+        shifts = preprocess(tmp, raw)
+        assert run(["fit", "--in", shifts, "--out", tmp / "fits.json"]) == 0
+        assert run(["fpca", "--in", tmp / "fits.json", "--out", tmp / "spectrum.json"]) == 0
+        assert run(["project", "--model", tmp / "spectrum.json", "--in", tmp / "fits.json",
+                    "--out", tmp / "scores.csv"]) == 0
+        return tmp
+
+    @pytest.mark.parametrize("stage, name, column, value", [
+        ("fit", "shifts.csv", "y_deg", "nan"),
+        ("fit", "shifts.csv", "x_deg", "inf"),
+        ("report", "scores.csv", "pc1", "nan"),
+        ("report", "scores.csv", "percentile_pc1", "-inf"),
+        ("preprocess", "raw/traces/synth002_t01.gaze.csv", "yaw_deg", "nan"),
+        ("sensitivity", "raw/traces/synth001_t01.head.csv", "timestamp_s", "inf"),
+    ])
+    def test_the_value_is_named(self, inputs, tmp_path, capsys, stage, name, column, value):
+        shutil.copytree(inputs, tmp_path / "in")
+        d = tmp_path / "in"
+        set_cell(d / name, 3, column, value)
+        traces = d / "raw" / "traces"
+        argv = {
+            "fit": ["fit", "--in", d / "shifts.csv", "--out", tmp_path / "out"],
+            "report": ["report", "--fits", d / "fits.json", "--spectrum", d / "spectrum.json",
+                       "--scores", d / "scores.csv", "--out-dir", tmp_path / "out"],
+            "preprocess": ["preprocess", "--in-dir", traces, "--out", tmp_path / "out",
+                           "--min-overlap-s", 2.0],
+            "sensitivity": ["sensitivity", "--in-dir", traces, "--out", tmp_path / "out",
+                            "--min-overlap-s", 2.0],
+        }[stage]
+        assert run(argv) == 1
+        payload = one_line_error(capsys)
+        assert (payload["stage"], payload["error"]) == (stage, "TraceSchemaError")
+        assert payload["message"] == (
+            f"{d / name}: non-finite value {value} in data row 3, column {column}"
+        )
+        assert not (tmp_path / "out").exists()
 
 
 class TestMalformedJsonInputs:
@@ -399,6 +483,7 @@ class TestMalformedJsonInputs:
         assert run(self.argv(inputs, stage, inputs / "fits.json", spectrum)) == 1
         payload = one_line_error(capsys)
         assert (payload["stage"], payload["error"]) == (stage, "MissingInputError")
+        assert payload["message"].startswith(f"{spectrum}: ")
         assert repr(key) in payload["message"]
 
 
@@ -720,11 +805,34 @@ class TestProvenance:
         digest = prov["inputs"][shifts.name]
         assert len(digest) == 64 and int(digest, 16) >= 0
 
+    @pytest.mark.parametrize("stage", ["project", "report"])
+    def test_inputs_are_named_relative_to_the_primary_input(self, tmp_path, monkeypatch, stage):
+        raw = synth_dir(tmp_path, participants=3, trials=1, shifts=10)
+        shifts = preprocess(tmp_path, raw)
+        monkeypatch.chdir(tmp_path)
+        for d in ("a", "b"):
+            (tmp_path / d).mkdir()
+        fits, spectrum, scores = "a/fits.json", "b/spectrum.json", "b/scores.csv"
+        assert run(["fit", "--in", shifts, "--out", fits]) == 0
+        assert run(["fpca", "--in", fits, "--out", spectrum]) == 0
+        assert run(["project", "--model", spectrum, "--in", fits, "--out", scores]) == 0
+        sibling = {"../b/spectrum.json": spectrum, "fits.json": fits}
+        if stage == "project":
+            prov = json.loads(pathlib.Path(scores).read_text().splitlines()[0].split(":", 1)[1])
+        else:
+            assert run(["report", "--fits", fits, "--spectrum", spectrum,
+                        "--scores", scores, "--out-dir", "report"]) == 0
+            prov = json.loads(pathlib.Path("report/summary.json").read_text())["provenance"]
+            sibling["../b/scores.csv"] = scores
+        assert prov["inputs"] == {
+            name.replace("/", os.sep): report.file_sha256(path) for name, path in sibling.items()
+        }
+
     def test_an_input_gone_before_hashing_is_an_error(self, tmp_path):
         # an input that vanishes between its read and its digest is not left out
         gone = tmp_path / "gone.csv"
         with pytest.raises(OSError):
-            report.make_provenance({}, None, _input_map([str(gone)], str(tmp_path)))
+            report.make_provenance({}, None, {gone.name: str(gone)})
 
     def test_shift_csv_carries_provenance_header(self, tmp_path):
         raw = synth_dir(tmp_path, participants=2, trials=1, shifts=10)

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import os
 import tempfile
 import warnings
@@ -249,10 +250,21 @@ class TestLoadTraceCsv:
         with pytest.raises(EmptyFileError):
             load_trace_csv(p)
 
-    def test_non_finite_yaw_rejected(self, tmp_path):
-        p = write_trace(tmp_path / "a.csv", "p01", "t01", [0.0, 0.1], ["nan", 1.0])
-        with pytest.raises(TraceSchemaError):
+    @pytest.mark.parametrize("t, yaw, named", [
+        ([0.0, 0.1], [math.nan, 1.0], "nan in data row 1, column yaw_deg"),
+        ([0.0, math.inf], [1.0, -math.inf], "inf in data row 2, column timestamp_s"),
+        ([0.0, 0.1, 0.2], [1.0, 2.0, -math.inf], "-inf in data row 3, column yaw_deg"),
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, t, yaw, named):
+        p = write_trace(tmp_path / "a.csv", "p01", "t01", t, yaw)
+        with pytest.raises(TraceSchemaError) as err:
             load_trace_csv(p)
+        assert str(err.value) == f"{p}: non-finite value {named}"
+
+    def test_non_finite_text_in_a_string_column_is_kept(self, tmp_path):
+        p = write_trace(tmp_path / "a.csv", "nan", "inf", [0.0, 0.1], [1.0, 2.0])
+        assert ingest.read_table(p, TRACE_COLUMNS, floats=("yaw_deg",))["participant_id"] == [
+            "nan", "nan"]
 
     def test_non_numeric_rejected(self, tmp_path):
         p = write_trace(tmp_path / "a.csv", "p01", "t01", [0.0, 0.1], ["abc", 1.0])
@@ -721,6 +733,16 @@ class TestWriteTableMatchesRowWriter:
                 return
             floats = tuple(n for n, k in zip(names, kinds) if k == "float")
             singles = tuple(n for n, k in zip(names, kinds) if k == "single")
+            bad = [(i, names[j], f"{v:.9g}") for i, row in enumerate(rows, 1)
+                   for j, v in enumerate(row) if kinds[j] == "float" and not math.isfinite(v)]
+            if bad:  # the first non-finite float is named
+                with pytest.raises(TraceSchemaError) as err:
+                    ingest.read_table(path, names, floats=floats, single=singles)
+                row, column, text = bad[0]
+                assert str(err.value) == (
+                    f"{path}: non-finite value {text} in data row {row}, column {column}"
+                )
+                return
             back = ingest.read_table(path, names, floats=floats, single=singles)
         for name, kind, col in zip(names, kinds, cols):
             if kind == "float":

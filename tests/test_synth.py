@@ -64,8 +64,9 @@ class TestSynthShifts:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SynthConfig(PARAMS, n_shifts=0)
-        with pytest.raises(ValueError):
-            SynthConfig(PARAMS, noise_sd=-1.0)
+        for noise_sd in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                SynthConfig(PARAMS, noise_sd=noise_sd)
 
 
 class TestSynthTrace:
