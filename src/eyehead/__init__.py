@@ -53,7 +53,6 @@ from .fpca import (
     Spectrum,
     fit_fpca,
     project,
-    reconstruct,
     reconstruct_mode,
     sample_curves,
     score_percentile,

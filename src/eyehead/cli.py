@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import (
     EyeheadError,
+    IndexOutOfRangeError,
     MissingInputError,
     NoOverlapError,
     TooFewFixationsError,
@@ -383,7 +384,10 @@ def cmd_fpca(args: argparse.Namespace, cfg: dict) -> int:
     curves = _soft_hinge_curves(rows)
     n_curves = len(curves.curve_ids)
     n_components = cfg["components"] or max(1, min(2, n_curves - 1))
-    spectrum = fit_fpca(curves, n_components=n_components)
+    try:
+        spectrum = fit_fpca(curves, n_components=n_components)
+    except IndexOutOfRangeError as exc:  # only a --components out of range raises it
+        raise IndexOutOfRangeError(f"--components: {exc}") from None
     provenance = _provenance(args, {**cfg, "n_components": n_components}, [args.in_path])
     write_json_object(args.out, spectrum.to_dict(), provenance)
     return 0
@@ -401,8 +405,6 @@ def cmd_project(args: argparse.Namespace, cfg: dict) -> int:
 
 def cmd_report(args: argparse.Namespace, cfg: dict) -> int:
     fit_rows = read_fit_rows(args.fits)
-    if not fit_rows:
-        raise MissingInputError(f"{args.fits}: empty fit table")
     spectrum = read_spectrum(args.spectrum)
     scores = read_scores_csv(args.scores)
     provenance = _provenance(args, cfg, [args.fits, args.spectrum, args.scores])

@@ -4,8 +4,9 @@ Every participant's fitted curve is sampled on a common eccentricity grid
 (0..50 degrees, 1-degree steps), the pointwise mean is removed, and the
 eigenvectors of the sample covariance give the population's dominant modes
 of variation. A participant's coordinates along those modes ("scores")
-place them on the eye-mover / head-mover spectrum; percentiles are taken
-against a reference score distribution by linear interpolation.
+place them on the eye-mover / head-mover spectrum; a PC1 percentile is
+taken against the PC1 scores of the curves the spectrum was fit on, by
+linear interpolation.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import (
     MissingInputError,
     TooFewCurvesError,
 )
-from .models import SoftHingeParams, eval_model
+from .models import X_MAX, X_MIN, SoftHingeParams, eval_model, is_number
 
 GRID_STEP = 1.0
 DEFAULT_GRID = np.arange(0.0, 50.0 + GRID_STEP / 2, GRID_STEP)
@@ -70,76 +71,71 @@ class Spectrum:
     components: np.ndarray  # (n_components, len(grid))
     eigenvalues: np.ndarray  # (n_components,)
     explained_ratio: np.ndarray  # (n_components,), fractions of *total* variance
-    scores: np.ndarray | None = None  # (n_curves, n_components)
+    scores: np.ndarray  # (n_curves, n_components); from_dict reads back PC1 alone
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "grid": self.grid.tolist(),
             "mean_curve": self.mean_curve.tolist(),
             "components": self.components.tolist(),
             "eigenvalues": self.eigenvalues.tolist(),
             "explained_ratio": self.explained_ratio.tolist(),
             "sign_convention": SIGN_CONVENTION,
+            "reference_scores_pc1": self.scores[:, 0].tolist(),
         }
-        if self.scores is not None:
-            # Training PC1 scores double as the percentile reference when the
-            # spectrum file is reused to place new curves.
-            out["reference_scores_pc1"] = self.scores[:, 0].tolist()
-        return out
 
     @staticmethod
     def from_dict(d: dict) -> "Spectrum":
-        """The spectrum to_dict wrote; a missing field or one of another shape is an error."""
+        """The spectrum to_dict wrote; a field to_dict could not have written is an error.
+
+        The grid must rise strictly inside [X_MIN, X_MAX], and the reference
+        must hold the >= 2 PC1 scores of a fit (fit_fpca needs two curves).
+        """
         if d.get("sign_convention") != SIGN_CONVENTION:  # another would flip every PC1 score
             raise MissingInputError(f"spectrum field 'sign_convention' is not {SIGN_CONVENTION!r}")
         grid = _field(d, "grid", (None,))
+        if np.any(np.diff(grid) <= 0) or np.any((grid < X_MIN) | (grid > X_MAX)):
+            raise MissingInputError(
+                f"spectrum field 'grid' does not rise strictly inside [{X_MIN:g}, {X_MAX:g}]"
+            )
         n = grid.size
         components = _field(d, "components", (None, n))
         k = components.shape[0]
-        scores = None
-        if "reference_scores_pc1" in d:
-            scores = _field(d, "reference_scores_pc1", (None,))[:, None]
+        reference = _field(d, "reference_scores_pc1", (None,))
+        if reference.size < 2:
+            raise MissingInputError(
+                f"spectrum field 'reference_scores_pc1' holds {reference.size} scores, not >= 2"
+            )
         return Spectrum(
             grid=grid,
             mean_curve=_field(d, "mean_curve", (n,)),
             components=components,
             eigenvalues=_field(d, "eigenvalues", (k,)),
             explained_ratio=_field(d, "explained_ratio", (k,)),
-            scores=scores,
+            scores=reference[:, None],
         )
-
-    def reference_scores(self) -> np.ndarray:
-        if self.scores is None or self.scores.size == 0:
-            raise EmptyReferenceError(
-                "spectrum carries no training scores to rank against"
-            )
-        return np.asarray(self.scores)[:, 0]
 
 
 def _field(d: dict, key: str, shape: tuple) -> np.ndarray:
-    """d[key] as a finite float array of `shape`, where None matches any length.
+    """d[key] as a float array of `shape`, where None matches any length.
 
-    A missing key, or a value of another shape or not made of finite
-    numbers (the JSON writers write NaN as null), is a MissingInputError
-    that names the key.
+    A missing key, or a value of another shape or holding anything but
+    numbers (models.is_number: the JSON writers write NaN as null), is a
+    MissingInputError that names the key.
     """
     if key not in d:
         raise MissingInputError(f"spectrum has no field {key!r}")
-    try:
-        value = np.asarray(d[key], dtype=float)
-    except (TypeError, ValueError):
-        value = None
+    value = np.asarray(d[key], dtype=object)  # the JSON values themselves; ragged lists stay lists
     if (
-        value is None
-        or len(value.shape) != len(shape)
+        len(value.shape) != len(shape)
         or any(want is not None and got != want for got, want in zip(value.shape, shape))
-        or not np.all(np.isfinite(value))
+        or not all(map(is_number, value.flat))
     ):
         raise MissingInputError(
             f"spectrum field {key!r} is not an array of finite numbers "
             "of the shape to_dict writes"
         )
-    return value
+    return value.astype(float)
 
 
 def fit_fpca(curves: CurveGrid, n_components: int = 2) -> Spectrum:
@@ -206,20 +202,6 @@ def project(spectrum: Spectrum, curves: np.ndarray) -> np.ndarray:
     return scores[0] if single else scores
 
 
-def reconstruct(spectrum: Spectrum, scores: np.ndarray) -> np.ndarray:
-    """Curve(s) rebuilt from scores: mean + scores @ components."""
-    scores = np.asarray(scores, dtype=float)
-    single = scores.ndim == 1
-    if single:
-        scores = scores[None, :]
-    if scores.shape[1] != spectrum.components.shape[0]:
-        raise GridMismatchError(
-            f"got {scores.shape[1]} scores for {spectrum.components.shape[0]} components"
-        )
-    curves = spectrum.mean_curve + scores @ spectrum.components
-    return curves[0] if single else curves
-
-
 def reconstruct_mode(spectrum: Spectrum, component: int, c: float) -> np.ndarray:
     """Mean curve displaced c standard deviations along one mode."""
     k = spectrum.components.shape[0]
@@ -250,17 +232,13 @@ def score_table(spectrum: Spectrum, curves: CurveGrid) -> dict:
     """Score columns {curve_id, pc1, pc2, percentile_pc1}, one row per curve.
 
     curve_id is a list, the others are float arrays. Percentiles rank PC1
-    scores against the spectrum's training scores, failing that against the
-    batch itself. With one retained component pc2 is reported as 0.
+    scores against the PC1 scores of the curves the spectrum was fit on.
+    With one retained component pc2 is reported as 0.
     """
     scores = project(spectrum, curves.values)
-    try:
-        reference = spectrum.reference_scores()
-    except EmptyReferenceError:
-        reference = scores[:, 0]
     return {
         "curve_id": list(curves.curve_ids),
         "pc1": scores[:, 0],
         "pc2": scores[:, 1] if scores.shape[1] > 1 else np.zeros(len(scores)),
-        "percentile_pc1": score_percentile(scores[:, 0], reference),
+        "percentile_pc1": score_percentile(scores[:, 0], spectrum.scores[:, 0]),
     }

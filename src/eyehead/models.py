@@ -15,6 +15,7 @@ the hinge exactly; its asymptotic slope for large x is beta / s.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -217,8 +218,18 @@ def params_to_dict(params: ModelParams) -> dict:
     raise TypeError(f"unsupported params type {type(params).__name__}")
 
 
+def is_number(v) -> bool:
+    """Whether v is a finite number: an int or float (a numpy float too), not a bool.
+
+    The one rule for a number read from a JSON artifact, whose writers write
+    only finite numbers or null: a string, a boolean or NaN is not one.
+    """
+    # abs(v) <= the largest float: false for NaN, infinities and an int no float holds
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
 def params_from_dict(d: dict) -> ModelParams:
-    """The parameters params_to_dict wrote; a missing, null or non-numeric value is a ValueError."""
+    """The parameters params_to_dict wrote; a value missing or not is_number is a ValueError."""
     if not isinstance(d, dict):
         raise ValueError(f"model parameters must be an object, got {d!r}")
     kind = d.get("model")
@@ -229,8 +240,7 @@ def params_from_dict(d: dict) -> ModelParams:
     for key in (f.name for f in fields(classes[kind])):
         if key not in d:
             raise ValueError(f"{kind} parameter {key!r} is missing")
-        try:
-            values[key] = float(d[key])
-        except (TypeError, ValueError):
-            raise ValueError(f"{kind} parameter {key!r} is not a number: {d[key]!r}") from None
+        if not is_number(d[key]):
+            raise ValueError(f"{kind} parameter {key!r} is not a number: {d[key]!r}")
+        values[key] = float(d[key])
     return classes[kind](**values)

@@ -24,6 +24,7 @@ from .errors import GridMismatchError, MissingInputError
 from .fitting import MODELS
 from .fpca import Spectrum, reconstruct_mode
 from .ingest import open_output, write_scores_csv, write_table
+from .models import is_number
 from .stats import describe_distribution, kde_density
 
 DENSITY_POINTS = 201
@@ -115,8 +116,7 @@ _FIT_ROW_FIELDS = {
     "participant_id": ("a string", lambda v: isinstance(v, str)),
     "model": (f"one of {list(MODELS)}", lambda v: v in MODELS),
     "params": ("an object", lambda v: isinstance(v, dict)),
-    # type(), not isinstance(): a JSON true or false is not a number
-    **{key: ("a number or null", lambda v: v is None or type(v) in (int, float))
+    **{key: ("a finite number or null", lambda v: v is None or is_number(v))
        for key in ("r2", "rmse", "aic")},
 }
 
@@ -124,9 +124,12 @@ _FIT_ROW_FIELDS = {
 def read_fit_rows(path: str) -> list[dict]:
     """The rows of a fits.json, each checked against _FIT_ROW_FIELDS.
 
-    MissingInputError names the file, the 1-based fit row and the key.
+    MissingInputError names the file, the 1-based fit row and the key; a
+    file with no fit row, which fit never writes, is one too.
     """
     rows = read_json_array(path)
+    if not rows:
+        raise MissingInputError(f"{path}: no fit rows")
     for i, row in enumerate(rows, 1):
         for key, (want, ok) in _FIT_ROW_FIELDS.items():
             if key not in row or not ok(row[key]):

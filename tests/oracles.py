@@ -89,6 +89,11 @@ def fd_gradient(f, theta, h=1e-5):
     return np.stack(cols, axis=-1)
 
 
+def reconstruct(spectrum, scores):
+    """Curve(s) rebuilt from a spectrum's scores: mean + scores @ components."""
+    return spectrum.mean_curve + np.asarray(scores, dtype=float) @ spectrum.components
+
+
 def _lattice(n_grid):
     betas = np.linspace(*BETA_BOX, n_grid)
     taus = np.linspace(*TAU_BOX, n_grid)

@@ -32,7 +32,6 @@ from eyehead import (
     model_gradient,
     preprocess_trial,
     project,
-    reconstruct,
     sample_curves,
     sanity_check,
     softplus,
@@ -45,7 +44,7 @@ from eyehead import (
 )
 from eyehead.fpca import CurveGrid, DEFAULT_GRID
 
-from .oracles import fd_gradient, lattice_argmin, lattice_min_sse
+from .oracles import fd_gradient, lattice_argmin, lattice_min_sse, reconstruct
 
 
 def verdict(num: int, label: str, ok: bool) -> None:

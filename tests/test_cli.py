@@ -291,6 +291,20 @@ class TestOptionRanges:
         assert payload["message"].startswith(f"{flag}: ")
         assert loaded == [] and not out.exists()
 
+    def test_components_beyond_the_curves_is_named(self, tmp_path, capsys):
+        raw = synth_dir(tmp_path, participants=4, trials=1, shifts=40, seed=3)
+        shifts = preprocess(tmp_path, raw, extra=("--min-overlap-s", 5.0))
+        fits = tmp_path / "fits.json"
+        assert run(["fit", "--in", shifts, "--out", fits]) == 0
+        out = tmp_path / "spectrum.json"
+        assert run(["fpca", "--in", fits, "--out", out, "--components", 30]) == 1
+        payload = one_line_error(capsys)
+        assert (payload["stage"], payload["error"]) == ("fpca", "IndexOutOfRangeError")
+        assert payload["message"] == (
+            "--components: n_components must be in [1, 3] for 4 curves, got 30"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("stage", sorted(STAGE_OPTIONS))
     def test_every_default_is_in_range(self, stage):
         args = argparse.Namespace(command=stage, config=None,
@@ -458,6 +472,43 @@ class TestMalformedJsonInputs:
         fits.write_text(json.dumps(rows))
         assert run(self.argv(inputs, stage, fits, inputs / "spectrum.json")) == 0
 
+    @pytest.mark.parametrize("stage", ["fpca", "project", "report"])
+    def test_a_fit_table_without_rows(self, inputs, capsys, stage):
+        fits = inputs / "fits.json"
+        fits.write_text(json.dumps(json.loads(fits.read_text())[:1]))  # the header alone
+        assert run(self.argv(inputs, stage, fits, inputs / "spectrum.json")) == 1
+        payload = one_line_error(capsys)
+        assert (payload["stage"], payload["error"]) == (stage, "MissingInputError")
+        assert payload["message"] == f"{fits}: no fit rows"
+
+    # one rule for a number in a JSON artifact: a finite int or float; a
+    # string, a boolean and the NaN and Infinity literals are not numbers
+    @pytest.mark.parametrize("stage, name, path, value, error", [
+        ("fpca", "fits.json", (3, "params", "tau"), "nan", "ValueError"),
+        ("fpca", "fits.json", (3, "params", "tau"), True, "ValueError"),
+        ("project", "fits.json", (3, "params", "beta"), "0.5", "ValueError"),
+        ("fpca", "fits.json", (3, "r2"), float("nan"), "MissingInputError"),
+        ("report", "fits.json", (3, "aic"), float("inf"), "MissingInputError"),
+        ("project", "spectrum.json", ("grid",), [f"{x}" for x in range(51)],
+         "MissingInputError"),
+        ("report", "spectrum.json", ("components", 0, 0), True, "MissingInputError"),
+        ("project", "spectrum.json", ("reference_scores_pc1", 0), "0.1", "MissingInputError"),
+    ])
+    def test_a_value_that_is_not_a_finite_number(self, inputs, capsys, stage, name, path,
+                                                 value, error):
+        target = inputs / name
+        data = json.loads(target.read_text())
+        parent = data
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = value
+        target.write_text(json.dumps(data))  # NaN and Infinity as json.dumps writes them
+        assert run(self.argv(inputs, stage, inputs / "fits.json", inputs / "spectrum.json")) == 1
+        payload = one_line_error(capsys)
+        assert (payload["stage"], payload["error"]) == (stage, error)
+        key = [step for step in path if isinstance(step, str)][-1]
+        assert repr(key) in payload["message"]
+
     def test_malformed_json_is_a_stage_error(self, inputs, capsys):
         spectrum = inputs / "spectrum.json"
         spectrum.write_text(spectrum.read_text()[:-5])
@@ -471,7 +522,14 @@ class TestMalformedJsonInputs:
         ("grid", "missing"),
         ("reference_scores_pc1", [[1, 2]]),
         ("sign_convention", "missing"),
-    ], ids=["scalar-reference", "no-grid", "nested-reference", "no-sign-convention"])
+        ("reference_scores_pc1", "missing"),
+        ("reference_scores_pc1", []),
+        ("reference_scores_pc1", [0.0]),
+        ("grid", [50.0 - x for x in range(51)]),
+        ("grid", [1.0 + x for x in range(51)]),
+    ], ids=["scalar-reference", "no-grid", "nested-reference", "no-sign-convention",
+            "no-reference", "empty-reference", "one-score-reference", "reversed-grid",
+            "grid-beyond-50"])
     def test_a_spectrum_field_of_the_wrong_shape(self, inputs, capsys, stage, key, value):
         spectrum = inputs / "spectrum.json"
         data = json.loads(spectrum.read_text())

@@ -14,14 +14,13 @@ from eyehead import (
     eval_model,
     fit_fpca,
     project,
-    reconstruct,
     reconstruct_mode,
     sample_curves,
     score_percentile,
     score_table,
 )
 
-from .oracles import ref_soft_hinge
+from .oracles import reconstruct, ref_soft_hinge
 
 
 def two_curve_grid():
@@ -196,7 +195,7 @@ class TestSerializationAndTable:
         back = Spectrum.from_dict(d)
         np.testing.assert_allclose(project(back, curves.values), spec.scores, atol=1e-9)
         np.testing.assert_allclose(
-            np.sort(back.reference_scores()), np.sort(spec.scores[:, 0]), atol=1e-12
+            np.sort(back.scores[:, 0]), np.sort(spec.scores[:, 0]), atol=1e-12
         )
 
     @pytest.mark.parametrize("key, value", [
@@ -213,10 +212,19 @@ class TestSerializationAndTable:
         ("eigenvalues", [1.0]),
         ("explained_ratio", [0.5, 0.2, 0.1]),
         ("explained_ratio", "steep"),
+        ("reference_scores_pc1", "missing"),
         ("reference_scores_pc1", 5),
         ("reference_scores_pc1", None),
         ("reference_scores_pc1", [[1.0, 2.0]]),
         ("reference_scores_pc1", [1.0, None]),
+        ("reference_scores_pc1", []),
+        ("reference_scores_pc1", [0.5]),
+        ("reference_scores_pc1", [0.5, "0.7"]),
+        ("grid", [50.0 - x for x in range(51)]),
+        ("grid", [-1.0 + x for x in range(51)]),
+        ("grid", [float(x) for x in range(50)] + [49.0]),
+        ("mean_curve", [True] * 51),
+        ("eigenvalues", [1.0, float("inf")]),
         ("sign_convention", "missing"),
         ("sign_convention", None),
         ("sign_convention", "mean-loading-nonpositive"),
@@ -229,11 +237,6 @@ class TestSerializationAndTable:
             d[key] = value
         with pytest.raises(MissingInputError, match=repr(key)):
             Spectrum.from_dict(d)
-
-    def test_a_spectrum_without_reference_scores_reads_back(self):
-        d = fit_fpca(random_curves(10, seed=6), n_components=2).to_dict()
-        del d["reference_scores_pc1"]
-        assert Spectrum.from_dict(d).scores is None
 
     def test_score_table_rows(self):
         curves = random_curves(10, seed=8)
@@ -252,8 +255,17 @@ class TestSerializationAndTable:
         # a reference inside the batch's range, so few percentiles clamp
         spec.scores = np.random.default_rng(n_ref).uniform(pc1.min(), pc1.max(), (n_ref, 1))
         table = score_table(spec, curves)
-        ref = spec.reference_scores()
+        ref = spec.scores[:, 0]
         assert table["percentile_pc1"].tolist() == [score_percentile(v, ref) for v in table["pc1"]]
+
+    def test_score_table_ranks_another_cohort_against_the_fitted_one(self):
+        spec = fit_fpca(random_curves(12, seed=10), n_components=2)
+        other = random_curves(7, seed=11)  # none of spec's curves
+        pc1 = project(spec, other.values)[:, 0]
+        want = score_percentile(pc1, spec.scores[:, 0])
+        assert not np.array_equal(want, score_percentile(pc1, pc1))
+        for s in (spec, Spectrum.from_dict(spec.to_dict())):
+            np.testing.assert_array_equal(score_table(s, other)["percentile_pc1"], want)
 
     def test_score_table_single_component_pads_pc2(self):
         curves = random_curves(6, seed=9)
