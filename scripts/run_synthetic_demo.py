@@ -19,9 +19,10 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from eyehead import SoftHingeParams, eval_model, params_from_dict
+from eyehead import SoftHingeParams, eval_model
 from eyehead.cli import dispatch
 from eyehead.fpca import DEFAULT_GRID
+from eyehead.report import read_fit_rows
 
 
 def run(argv) -> None:
@@ -66,14 +67,13 @@ def main() -> None:
     # compare fitted soft-hinge curves against the generating parameters
     with open(os.path.join(raw, "truth.json"), encoding="utf-8") as fh:
         truth = json.load(fh)["population"]
-    with open(fits, encoding="utf-8") as fh:
-        fit_rows = [r for r in json.load(fh) if r.get("model") == "soft-hinge"]
+    fit_rows = [r for r in read_fit_rows(fits) if r["model"] == "soft-hinge"]
 
     print(f"\n{'participant':<12} {'rms curve error (deg)':>22} {'true beta/tau/s':>22}")
     errors = []
     for row in sorted(fit_rows, key=lambda r: r["participant_id"]):
         pid = row["participant_id"]
-        fitted = eval_model(params_from_dict(row["params"]), DEFAULT_GRID)
+        fitted = eval_model(row["params"], DEFAULT_GRID)
         true_p = truth[pid]
         true_curve = eval_model(
             SoftHingeParams(true_p["beta"], true_p["tau"], true_p["s"]), DEFAULT_GRID

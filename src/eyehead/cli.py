@@ -38,7 +38,7 @@ from .errors import (
     TooFewSamplesError,
 )
 from .events import FixationConfig, preprocess_trial
-from .fitting import MODELS, fit_participants
+from .fitting import fit_participants
 from .fpca import fit_fpca, sample_curves, score_table
 from .ingest import (
     FilterConfig,
@@ -56,11 +56,12 @@ from .ingest import (
     write_shifts_csv,
     write_trace_csv,
 )
-from .models import params_from_dict, params_to_dict
+from .models import MODELS, params_to_dict
 from .report import (
     emit_report,
     make_provenance,
     read_fit_rows,
+    read_json,
     read_spectrum,
     write_json_array,
     write_json_lines,
@@ -93,7 +94,7 @@ OPTIONS = {
     "noise_sd": (2.0, "vertical noise SD for the shift table (deg)"),
 }
 DEFAULTS = {key: default for key, (default, _) in OPTIONS.items()}
-CHOICES = {"model": MODELS + ("all",)}
+CHOICES = {"model": (*MODELS, "all")}
 
 # The range of each numeric option that no config class checks, as
 # (comparison, bound); a float option must also be finite. A value out of
@@ -144,13 +145,7 @@ def _flag(key: str) -> str:
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise json.JSONDecodeError(
-                f"{path}: config file is not valid JSON: {exc.msg}", exc.doc, exc.pos
-            ) from exc
+    data = read_json(path, "config file")
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config file must be a flat JSON object")
     unknown = set(data) - set(DEFAULTS)
@@ -355,7 +350,7 @@ def cmd_preprocess(args: argparse.Namespace, cfg: dict) -> int:
 
 
 def cmd_fit(args: argparse.Namespace, cfg: dict) -> int:
-    models = MODELS if cfg["model"] == "all" else (cfg["model"],)
+    models = tuple(MODELS) if cfg["model"] == "all" else (cfg["model"],)
 
     shifts = read_shifts_csv(args.in_path)
     provenance = _provenance(args, cfg, [args.in_path])
@@ -374,9 +369,7 @@ def _soft_hinge_curves(fit_rows: list[dict], grid=None):
     soft = [r for r in fit_rows if r["model"] == "soft-hinge"]
     if not soft:
         raise MissingInputError("no soft-hinge fits in the input")
-    params = [params_from_dict(r["params"]) for r in soft]
-    curve_ids = [r["participant_id"] for r in soft]
-    return sample_curves(params, curve_ids, grid=grid)
+    return sample_curves([r["params"] for r in soft], [r["participant_id"] for r in soft], grid)
 
 
 def cmd_fpca(args: argparse.Namespace, cfg: dict) -> int:

@@ -30,18 +30,17 @@ All three candidates are then ranked by AIC on identical data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import EmptyDataError, MismatchedDataError, TooFewPointsError
 from .models import (
+    MODELS,
     S_MIN,
     TAU_RANGE,
-    HingeParams,
     LinearParams,
     ModelParams,
-    SoftHingeParams,
     _check_domain,
     compute_ehr_slope,
     compute_eor,
@@ -81,10 +80,6 @@ WORK_ROWS = 14
 # peak RSS, with one trial's samples held at a time, rises from 44.5 to 49.2 MiB
 # (+10.5%; seed 101, 3 runs each, 2-vCPU x86-64 host).
 BATCH_POINTS = 8192
-
-_N_PARAMS = {"linear": 2, "hinge": 2, "soft-hinge": 3}
-# Every candidate model, in the order fits are run and written.
-MODELS = tuple(_N_PARAMS)
 
 
 @dataclass
@@ -152,7 +147,7 @@ def _finish(
     start_index: int,
     start_sses: list[float],
 ) -> FitResult:
-    k = _N_PARAMS[model]
+    k = len(fields(params))
     sse, r2, rmse, aic = fit_metrics(x, y, params, k)
     # with n <= k points the curve interpolates them: nothing is identified
     converged = converged and x.size > k
@@ -425,8 +420,8 @@ def _fit_hinge_family(problems, models) -> dict[str, list[FitResult]]:
     for (x, y), model, seeds in blocks:
         rows = slice(end, end := end + len(seeds))
         j = int(np.argmin(sses[rows]))
-        best = (SoftHingeParams(*params[rows][j]) if model == "soft-hinge"
-                else HingeParams(*params[rows][j, :2]))
+        # each class's fields lead the solver's (beta, tau, s)
+        best = MODELS[model](*params[rows][j, :len(fields(MODELS[model]))])
         fits[model].append(_finish(model, best, x, y, bool(ok[rows][j]),
                                    int(ok[rows].sum()), j, sses[rows].tolist()))
     return fits
@@ -469,7 +464,7 @@ class ParticipantFit:
     best_model: str
 
 
-def fit_participants(problems, models: tuple[str, ...] = MODELS) -> list[ParticipantFit]:
+def fit_participants(problems, models: tuple[str, ...] = tuple(MODELS)) -> list[ParticipantFit]:
     """Fit the requested candidate models to each participant's (x, y) shifts.
 
     The hinge and the soft hinge are fit to all participants in one solver
@@ -491,6 +486,6 @@ def fit_participants(problems, models: tuple[str, ...] = MODELS) -> list[Partici
     return out
 
 
-def fit_participant(x, y, models: tuple[str, ...] = MODELS) -> ParticipantFit:
+def fit_participant(x, y, models: tuple[str, ...] = tuple(MODELS)) -> ParticipantFit:
     """Fit the requested candidate models to one participant's cleaned shifts."""
     return fit_participants([(x, y)], models)[0]

@@ -90,6 +90,8 @@ class Spectrum:
 
         The grid must rise strictly inside [X_MIN, X_MAX], and the reference
         must hold the >= 2 PC1 scores of a fit (fit_fpca needs two curves).
+        The eigenvalues must be nonnegative and non-increasing, and each
+        explained ratio in [0, 1].
         """
         if d.get("sign_convention") != SIGN_CONVENTION:  # another would flip every PC1 score
             raise MissingInputError(f"spectrum field 'sign_convention' is not {SIGN_CONVENTION!r}")
@@ -106,12 +108,21 @@ class Spectrum:
             raise MissingInputError(
                 f"spectrum field 'reference_scores_pc1' holds {reference.size} scores, not >= 2"
             )
+        # fit_fpca clamps its eigenvalues at 0, sorts them and divides by their total
+        eigenvalues = _field(d, "eigenvalues", (k,))
+        if np.any(eigenvalues < 0) or np.any(np.diff(eigenvalues) > 0):
+            raise MissingInputError(
+                "spectrum field 'eigenvalues' is not nonnegative and non-increasing"
+            )
+        ratio = _field(d, "explained_ratio", (k,))
+        if np.any((ratio < 0) | (ratio > 1)):
+            raise MissingInputError("spectrum field 'explained_ratio' holds a value outside [0, 1]")
         return Spectrum(
             grid=grid,
             mean_curve=_field(d, "mean_curve", (n,)),
             components=components,
-            eigenvalues=_field(d, "eigenvalues", (k,)),
-            explained_ratio=_field(d, "explained_ratio", (k,)),
+            eigenvalues=eigenvalues,
+            explained_ratio=ratio,
             scores=reference[:, None],
         )
 

@@ -519,8 +519,17 @@ def write_shifts_csv(path: str, shifts: ShiftSet, provenance: dict | None = None
 
 
 def read_scores_csv(path: str) -> dict:
-    """Read a score table as columns: curve_id a list, the others float arrays."""
-    return read_table(path, SCORE_COLUMNS, floats=SCORE_COLUMNS[1:])
+    """Read a score table as columns: curve_id a list, the others float arrays.
+
+    A percentile_pc1 outside [0, 100], which score_table never writes, is a
+    TraceSchemaError naming the path, the data row and the column.
+    """
+    table = read_table(path, SCORE_COLUMNS, floats=SCORE_COLUMNS[1:])
+    percentile = table["percentile_pc1"]
+    if (bad := np.flatnonzero((percentile < 0) | (percentile > 100))).size:
+        raise TraceSchemaError(f"{path}: value {percentile[bad[0]]} outside [0, 100] "
+                               f"in data row {bad[0] + 1}, column percentile_pc1")
+    return table
 
 
 def write_scores_csv(path: str, table: dict, provenance: dict | None = None) -> None:

@@ -16,7 +16,7 @@ the hinge exactly; its asymptotic slope for large x is beta / s.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -75,6 +75,11 @@ class SoftHingeParams:
 
 
 ModelParams = LinearParams | HingeParams | SoftHingeParams
+
+# Every candidate model: its tag in fits.json and the class of its
+# parameters, in the order fits are run and written.
+MODELS = {"linear": LinearParams, "hinge": HingeParams, "soft-hinge": SoftHingeParams}
+_TAGS = {cls: tag for tag, cls in MODELS.items()}
 
 
 def softplus(z):
@@ -204,18 +209,7 @@ def compute_ehr_slope(x, y, alpha: float) -> float:
 
 def params_to_dict(params: ModelParams) -> dict:
     """JSON-ready representation, tagged with the model name."""
-    if isinstance(params, LinearParams):
-        return {"model": "linear", "alpha": params.alpha, "gamma": params.gamma}
-    if isinstance(params, HingeParams):
-        return {"model": "hinge", "beta": params.beta, "tau": params.tau}
-    if isinstance(params, SoftHingeParams):
-        return {
-            "model": "soft-hinge",
-            "beta": params.beta,
-            "tau": params.tau,
-            "s": params.s,
-        }
-    raise TypeError(f"unsupported params type {type(params).__name__}")
+    return {"model": _TAGS[type(params)], **asdict(params)}
 
 
 def is_number(v) -> bool:
@@ -233,14 +227,13 @@ def params_from_dict(d: dict) -> ModelParams:
     if not isinstance(d, dict):
         raise ValueError(f"model parameters must be an object, got {d!r}")
     kind = d.get("model")
-    classes = {"linear": LinearParams, "hinge": HingeParams, "soft-hinge": SoftHingeParams}
-    if not isinstance(kind, str) or kind not in classes:
+    if not isinstance(kind, str) or kind not in MODELS:
         raise ValueError(f"unknown model tag {kind!r}")
     values = {}
-    for key in (f.name for f in fields(classes[kind])):
+    for key in (f.name for f in fields(MODELS[kind])):
         if key not in d:
             raise ValueError(f"{kind} parameter {key!r} is missing")
         if not is_number(d[key]):
             raise ValueError(f"{kind} parameter {key!r} is not a number: {d[key]!r}")
         values[key] = float(d[key])
-    return classes[kind](**values)
+    return MODELS[kind](**values)

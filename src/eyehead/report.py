@@ -21,10 +21,9 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import GridMismatchError, MissingInputError
-from .fitting import MODELS
 from .fpca import Spectrum, reconstruct_mode
 from .ingest import open_output, write_scores_csv, write_table
-from .models import is_number
+from .models import MODELS, is_number, params_from_dict
 from .stats import describe_distribution, kde_density
 
 DENSITY_POINTS = 201
@@ -92,10 +91,20 @@ def write_json_lines(path: str, records: list[dict], provenance: dict) -> None:
             fh.write(_dump(record, indent=None) + "\n")
 
 
+def read_json(path: str, what: str = "file"):
+    """The JSON value a file holds; a JSONDecodeError reads `<path>: <what> is not valid JSON`."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise json.JSONDecodeError(
+                f"{path}: {what} is not valid JSON: {exc.msg}", exc.doc, exc.pos
+            ) from exc
+
+
 def read_json_object(path: str) -> dict:
     """Payload of a write_json_object file; the provenance key is dropped."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if not isinstance(data, dict):
         raise MissingInputError(f"{path}: expected a JSON object")
     data.pop("provenance", None)
@@ -104,8 +113,7 @@ def read_json_object(path: str) -> dict:
 
 def read_json_array(path: str) -> list[dict]:
     """Items of a write_json_array file; the provenance header is dropped."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if not isinstance(data, list) or not all(isinstance(e, dict) for e in data):
         raise MissingInputError(f"{path}: expected a JSON array of objects")
     return [e for e in data if set(e) != {"provenance"}]
@@ -114,7 +122,7 @@ def read_json_array(path: str) -> list[dict]:
 # the fields of a fit row that fpca, project and report read: what each must hold
 _FIT_ROW_FIELDS = {
     "participant_id": ("a string", lambda v: isinstance(v, str)),
-    "model": (f"one of {list(MODELS)}", lambda v: v in MODELS),
+    "model": (f"one of {list(MODELS)}", lambda v: isinstance(v, str) and v in MODELS),
     "params": ("an object", lambda v: isinstance(v, dict)),
     **{key: ("a finite number or null", lambda v: v is None or is_number(v))
        for key in ("r2", "rmse", "aic")},
@@ -122,19 +130,26 @@ _FIT_ROW_FIELDS = {
 
 
 def read_fit_rows(path: str) -> list[dict]:
-    """The rows of a fits.json, each checked against _FIT_ROW_FIELDS.
+    """The rows of a fits.json, each checked against _FIT_ROW_FIELDS, params decoded.
 
-    MissingInputError names the file, the 1-based fit row and the key; a
-    file with no fit row, which fit never writes, is one too.
+    Params must carry their row's model tag. MissingInputError names the file, the
+    1-based fit row and the key; a file with no fit row, which fit never writes, is one too.
     """
     rows = read_json_array(path)
     if not rows:
         raise MissingInputError(f"{path}: no fit rows")
     for i, row in enumerate(rows, 1):
+        where = f"{path}: fit row {i}"
         for key, (want, ok) in _FIT_ROW_FIELDS.items():
             if key not in row or not ok(row[key]):
                 got = repr(row[key]) if key in row else "nothing"
-                raise MissingInputError(f"{path}: fit row {i}: {key!r} must be {want}, got {got}")
+                raise MissingInputError(f"{where}: {key!r} must be {want}, got {got}")
+        if (tag := row["params"].get("model")) != (model := row["model"]):
+            raise MissingInputError(f"{where}: 'params' must be tagged {model!r}, got {tag!r}")
+        try:
+            row["params"] = params_from_dict(row["params"])
+        except ValueError as exc:
+            raise MissingInputError(f"{where}: 'params': {exc}") from None
     return rows
 
 

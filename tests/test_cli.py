@@ -35,6 +35,7 @@ from eyehead.ingest import (
     sanity_check,
     symmetrize_and_clean,
 )
+from eyehead.models import MODELS
 from eyehead import report
 from eyehead.report import read_json_array
 from eyehead.stats import threshold_sensitivity, threshold_shifts
@@ -323,7 +324,8 @@ def set_cell(path, row, column, value):
 
 
 class TestNonFiniteTableValues:
-    """A non-finite number in a CSV input is a stage error naming its file, data row and column."""
+    """A non-finite number, or a percentile outside [0, 100], in a CSV input is a stage
+    error naming its file, data row and column."""
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
@@ -363,6 +365,22 @@ class TestNonFiniteTableValues:
         assert (payload["stage"], payload["error"]) == (stage, "TraceSchemaError")
         assert payload["message"] == (
             f"{d / name}: non-finite value {value} in data row 3, column {column}"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["250", "-0.5"])
+    def test_a_percentile_outside_0_100_is_named(self, inputs, tmp_path, capsys, value):
+        shutil.copytree(inputs, tmp_path / "in")
+        scores = tmp_path / "in" / "scores.csv"
+        set_cell(scores, 2, "percentile_pc1", value)
+        d = tmp_path / "in"
+        assert run(["report", "--fits", d / "fits.json", "--spectrum", d / "spectrum.json",
+                    "--scores", scores, "--out-dir", tmp_path / "out"]) == 1
+        payload = one_line_error(capsys)
+        assert (payload["stage"], payload["error"]) == ("report", "TraceSchemaError")
+        assert payload["message"] == (
+            f"{scores}: value {float(value)} outside [0, 100] in data row 2, "
+            "column percentile_pc1"
         )
         assert not (tmp_path / "out").exists()
 
@@ -412,24 +430,63 @@ class TestMalformedJsonInputs:
     def test_a_soft_hinge_parameter_that_is_not_a_number(self, inputs, capsys, stage, value):
         fits = inputs / "fits.json"
         rows = json.loads(fits.read_text())
-        soft = next(r for r in rows if r.get("model") == "soft-hinge")
-        soft["params"]["beta"] = value  # _strict writes a non-finite beta as null
+        row = next(i for i, r in enumerate(rows) if r.get("model") == "soft-hinge")
+        rows[row]["params"]["beta"] = value  # _strict writes a non-finite beta as null
         fits.write_text(json.dumps(rows))
         assert run(self.argv(inputs, stage, fits, inputs / "spectrum.json")) == 1
         payload = one_line_error(capsys)
-        assert (payload["stage"], payload["error"]) == (stage, "ValueError")
+        assert (payload["stage"], payload["error"]) == (stage, "MissingInputError")
+        assert payload["message"].startswith(f"{fits}: fit row {row}: 'params': ")
         assert "soft-hinge parameter 'beta' is not a number" in payload["message"]
 
     @pytest.mark.parametrize("stage", ["fpca", "project"])
     def test_a_missing_soft_hinge_parameter(self, inputs, capsys, stage):
         fits = inputs / "fits.json"
         rows = json.loads(fits.read_text())
-        del next(r for r in rows if r.get("model") == "soft-hinge")["params"]["s"]
+        row = next(i for i, r in enumerate(rows) if r.get("model") == "soft-hinge")
+        del rows[row]["params"]["s"]
         fits.write_text(json.dumps(rows))
         assert run(self.argv(inputs, stage, fits, inputs / "spectrum.json")) == 1
         payload = one_line_error(capsys)
-        assert (payload["stage"], payload["error"]) == (stage, "ValueError")
-        assert payload["message"] == "soft-hinge parameter 's' is missing"
+        assert (payload["stage"], payload["error"]) == (stage, "MissingInputError")
+        assert payload["message"] == (
+            f"{fits}: fit row {row}: 'params': soft-hinge parameter 's' is missing"
+        )
+
+    # every row's params are decoded on read, so a stage fails on a model it does not use
+    @pytest.mark.parametrize("stage", ["fpca", "project", "report"])
+    def test_a_linear_parameter_that_is_not_a_number(self, inputs, capsys, stage):
+        fits = inputs / "fits.json"
+        rows = json.loads(fits.read_text())
+        row = next(i for i, r in enumerate(rows) if r.get("model") == "linear")
+        rows[row]["params"] = {"model": "linear", "alpha": "x"}
+        fits.write_text(json.dumps(rows))
+        assert run(self.argv(inputs, stage, fits, inputs / "spectrum.json")) == 1
+        payload = one_line_error(capsys)
+        assert (payload["stage"], payload["error"]) == (stage, "MissingInputError")
+        assert payload["message"] == (
+            f"{fits}: fit row {row}: 'params': linear parameter 'alpha' is not a number: 'x'"
+        )
+
+    # a row holding the same participant's params of another model, which
+    # would otherwise build a curve (soft hinge) or compare fits (report) from them
+    @pytest.mark.parametrize("stage", ["fpca", "project", "report"])
+    @pytest.mark.parametrize("model", list(MODELS))
+    def test_params_of_another_model(self, inputs, capsys, stage, model):
+        fits = inputs / "fits.json"
+        rows = json.loads(fits.read_text())
+        row = next(i for i, r in enumerate(rows) if r.get("model") == model)
+        pid = rows[row]["participant_id"]
+        other = next(r for r in rows[1:] if r["participant_id"] == pid and r["model"] != model)
+        rows[row]["params"] = other["params"]
+        fits.write_text(json.dumps(rows))
+        assert run(self.argv(inputs, stage, fits, inputs / "spectrum.json")) == 1
+        payload = one_line_error(capsys)
+        assert (payload["stage"], payload["error"]) == (stage, "MissingInputError")
+        assert payload["message"] == (
+            f"{fits}: fit row {row}: 'params' must be tagged {model!r}, "
+            f"got {other['model']!r}"
+        )
 
     # every fit row is checked on read, whatever its model and whether or not
     # the stage reads the field
@@ -484,9 +541,9 @@ class TestMalformedJsonInputs:
     # one rule for a number in a JSON artifact: a finite int or float; a
     # string, a boolean and the NaN and Infinity literals are not numbers
     @pytest.mark.parametrize("stage, name, path, value, error", [
-        ("fpca", "fits.json", (3, "params", "tau"), "nan", "ValueError"),
-        ("fpca", "fits.json", (3, "params", "tau"), True, "ValueError"),
-        ("project", "fits.json", (3, "params", "beta"), "0.5", "ValueError"),
+        ("fpca", "fits.json", (3, "params", "tau"), "nan", "MissingInputError"),
+        ("fpca", "fits.json", (3, "params", "tau"), True, "MissingInputError"),
+        ("project", "fits.json", (3, "params", "beta"), "0.5", "MissingInputError"),
         ("fpca", "fits.json", (3, "r2"), float("nan"), "MissingInputError"),
         ("report", "fits.json", (3, "aic"), float("inf"), "MissingInputError"),
         ("project", "spectrum.json", ("grid",), [f"{x}" for x in range(51)],
@@ -509,12 +566,19 @@ class TestMalformedJsonInputs:
         key = [step for step in path if isinstance(step, str)][-1]
         assert repr(key) in payload["message"]
 
-    def test_malformed_json_is_a_stage_error(self, inputs, capsys):
-        spectrum = inputs / "spectrum.json"
-        spectrum.write_text(spectrum.read_text()[:-5])
-        assert run(self.argv(inputs, "project", inputs / "fits.json", spectrum)) == 1
+    @pytest.mark.parametrize("stage, name", [
+        ("project", "spectrum.json"),
+        ("fpca", "fits.json"),
+        ("project", "fits.json"),
+        ("report", "fits.json"),
+    ])
+    def test_malformed_json_is_a_stage_error(self, inputs, capsys, stage, name):
+        target = inputs / name
+        target.write_text(target.read_text()[:-5])
+        assert run(self.argv(inputs, stage, inputs / "fits.json", inputs / "spectrum.json")) == 1
         payload = one_line_error(capsys)
-        assert (payload["stage"], payload["error"]) == ("project", "JSONDecodeError")
+        assert (payload["stage"], payload["error"]) == (stage, "JSONDecodeError")
+        assert payload["message"].startswith(f"{target}: file is not valid JSON: ")
 
     @pytest.mark.parametrize("stage", ["project", "report"])
     @pytest.mark.parametrize("key, value", [
@@ -543,6 +607,27 @@ class TestMalformedJsonInputs:
         assert (payload["stage"], payload["error"]) == (stage, "MissingInputError")
         assert payload["message"].startswith(f"{spectrum}: ")
         assert repr(key) in payload["message"]
+
+    # fit_fpca sorts its eigenvalues, clamps them at 0 and divides them by their total
+    @pytest.mark.parametrize("stage", ["project", "report"])
+    @pytest.mark.parametrize("key, index, value", [
+        ("eigenvalues", 0, -1.0),
+        ("eigenvalues", -1, 1e9),
+        ("explained_ratio", 0, 7.0),
+        ("explained_ratio", -1, -0.5),
+    ])
+    def test_a_spectrum_value_fit_fpca_could_not_write(self, inputs, capsys, stage, key, index,
+                                                       value):
+        spectrum = inputs / "spectrum.json"
+        data = json.loads(spectrum.read_text())
+        assert len(data[key]) == 2
+        data[key][index] = value
+        spectrum.write_text(json.dumps(data))
+        assert run(self.argv(inputs, stage, inputs / "fits.json", spectrum)) == 1
+        payload = one_line_error(capsys)
+        assert (payload["stage"], payload["error"]) == (stage, "MissingInputError")
+        assert payload["message"].startswith(f"{spectrum}: spectrum field {key!r} ")
+        assert not (inputs / "out.csv").exists() and not (inputs / "report").exists()
 
 
 class TestConfigResolution:
@@ -770,6 +855,12 @@ class TestNoFitSeed:
 
 
 class TestModelChoice:
+    def test_the_choices_are_every_model_and_all(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["fit", "--help"])
+        assert exc.value.code == 0
+        assert f"--model {{{','.join([*MODELS, 'all'])}}}" in capsys.readouterr().out
+
     def test_each_model_alone_writes_the_rows_of_all(self, tmp_path):
         # the hinge and the soft hinge share one lattice and one solver batch
         # under --model all; alone, each writes the same rows
