@@ -56,7 +56,7 @@ from .ingest import (
     write_shifts_csv,
     write_trace_csv,
 )
-from .models import MODELS, params_to_dict
+from .models import MODELS, X_MAX, params_to_dict
 from .report import (
     emit_report,
     make_provenance,
@@ -97,10 +97,11 @@ DEFAULTS = {key: default for key, (default, _) in OPTIONS.items()}
 CHOICES = {"model": (*MODELS, "all")}
 
 # The range of each numeric option that no config class checks, as
-# (comparison, bound); a float option must also be finite. A value out of
-# range is a ValueError naming the option before the stage reads an input.
+# (comparison, bound) and an optional inclusive upper bound; a float option
+# must also be finite. A value out of range is a ValueError naming the option
+# before the stage reads an input.
 RANGES = {
-    "max_ecc_deg": (">", 0),
+    "max_ecc_deg": (">", 0, X_MAX),  # the models' domain ends at X_MAX
     "min_overlap_s": (">=", 0),
     "max_gap_s": (">", 0),
     "expected_trials": (">=", 0),
@@ -187,10 +188,12 @@ def _resolve(args: argparse.Namespace) -> dict:
         value = getattr(args, key)
         resolved[key] = value = from_file.get(key, DEFAULTS[key]) if value is None else value
         if key in RANGES:
-            op, bound = RANGES[key]
-            if not (math.isfinite(value) and (value > bound if op == ">" else value >= bound)):
+            op, bound, *upper = RANGES[key]
+            if not (math.isfinite(value) and (value > bound if op == ">" else value >= bound)
+                    and all(value <= top for top in upper)):
                 finite = "finite and " if isinstance(value, float) else ""
-                raise ValueError(f"{_flag(key)}: must be {finite}{op} {bound}, got {value}")
+                below = "".join(f" and <= {top}" for top in upper)
+                raise ValueError(f"{_flag(key)}: must be {finite}{op} {bound}{below}, got {value}")
     return resolved
 
 

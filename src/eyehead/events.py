@@ -4,9 +4,11 @@ Fixations are runs where smoothed gaze yaw velocity stays under a threshold
 for long enough; everything between two consecutive fixations is a gaze
 shift. Shift amplitudes are read off the *raw* traces at the fixation
 boundaries (last sample of the earlier fixation, first sample of the later
-one) so smoothing never attenuates the measured displacement - the filtered
-signal is used only to decide where fixations are. Reading the boundary
-samples also means head motion after gaze has settled (stabilized by the
+one); the filtered signal is used only to decide where fixations are. That
+still moves the amplitudes: a filter that lags, as the default 1 Hz low-pass
+does, puts the boundaries inside the ramps, so a shift can read only part of
+its displacement or span two gaze shifts. Reading the boundary samples also
+means head motion after gaze has settled (stabilized by the
 vestibulo-ocular reflex) is not counted as contribution to the shift.
 """
 

@@ -69,17 +69,20 @@ XTOL = 1e-10
 # diagonal: keeps that system nonsingular where two Jacobian columns are
 # collinear to rounding, as where the soft hinge is nearly a straight line.
 LAM_MIN = 1e-12
-# Rows per data point of the work buffer _evaluate lays out: 5 partials, then 9 products.
-WORK_ROWS = 14
+# Rows per data point of the work buffer _evaluate lays out: e, f, ds, then
+# three rows that hold u and s until ds is formed and the products after.
+WORK_ROWS = 6
 # Most row-points (seeds x data points) the batched solver holds live at once;
 # a larger seed runs alone. The solver's per-point arrays are views into one
-# buffer allocated per call, and each block of the seed lattice holds at most
-# this many values (64 KiB), below glibc's default 128 KiB mmap threshold, so
-# no temporary is mapped and faulted in afresh on every step. 32768 fits a
-# study cohort faster (benchmark fit_s about -10%), but the benchmark's study
-# peak RSS, with one trial's samples held at a time, rises from 44.5 to 49.2 MiB
-# (+10.5%; seed 101, 3 runs each, 2-vCPU x86-64 host).
-BATCH_POINTS = 8192
+# buffer allocated per call. Against 8192, the benchmark's fits take 22-39%
+# fewer steps, its fit_s falls 6-12% and its peak RSS rises 0.3-1.2% (seeds
+# 101 and 102, 2-vCPU x86-64 host); 32768 cut the study fit_s no further and
+# raised its peak RSS by 6.2%.
+BATCH_POINTS = 16384
+# Most values per block of the seed lattice (64 KiB), below glibc's default
+# 128 KiB mmap threshold, so no temporary is mapped and faulted in afresh on
+# every block.
+LATTICE_BLOCK = 8192
 
 
 @dataclass
@@ -191,14 +194,15 @@ def _evaluate(theta: np.ndarray, x: np.ndarray, y: np.ndarray, sizes: np.ndarray
     clip(<f, y> / <f, f>, 0, 1) and its residuals are beta * f - y. J is
     Kaufman's (1975) Jacobian of those residuals: the columns
     beta * df/dtheta, projected off f while beta is inside (0, 1); a clipped
-    beta adds nothing. The products of f, its partials and y are reduced in
-    one stacked reduceat, and every per-point array is a view into work.
+    beta adds nothing. The products of f, its partials and y are formed
+    three at a time in the rows u and s held, each three reduced in one
+    reduceat, and every per-point array is a view into work.
     """
     m = theta.shape[1]
     n = x.size
     block = work[:WORK_ROWS * n].reshape(-1, n)
-    u, e, tmp, f, ds = block[:5]
-    stack = block[5:]
+    e, f, ds, u, tmp = block[:5]
+    stack = block[3:]
     # owner holds valid indices only, and take with mode="raise" would buffer out
     np.take(theta[0], owner, out=u, mode="clip")
     np.subtract(x, u, out=u)
@@ -215,13 +219,16 @@ def _evaluate(theta: np.ndarray, x: np.ndarray, y: np.ndarray, sizes: np.ndarray
     np.minimum(u, 0.0, out=ds)
     np.exp(ds, out=ds)
     np.divide(ds, e, out=e)
-    # e becomes -df/dtau = sigma / s, and ds -df/ds = u * sigma / s
+    # e becomes -df/dtau = sigma / s, and ds -df/ds = u * sigma / s; u and s are then dead
     np.divide(e, tmp, out=e)
     np.multiply(u, e, out=ds)
-    pairs = ((f, f), (f, e), (f, ds), (e, e), (e, ds), (ds, ds), (f, y), (e, y), (ds, y))
-    for row, (a, b) in enumerate(pairs):
-        np.multiply(a, b, out=stack[row])
-    ff, fe, fd, ee, ed, dd, fy, ey, dy = np.add.reduceat(stack, heads, axis=1)
+    sums = []
+    for triple in (((f, f), (f, e), (f, ds)), ((e, e), (e, ds), (ds, ds)),
+                   ((f, y), (e, y), (ds, y))):
+        for row, (a, b) in enumerate(triple):
+            np.multiply(a, b, out=stack[row])
+        sums.extend(np.add.reduceat(stack, heads, axis=1))
+    ff, fe, fd, ee, ed, dd, fy, ey, dy = sums
     # a knee far right of the data can underflow f to zero: beta is then moot
     raw = np.divide(fy, ff, out=np.zeros(m), where=ff > 0.0)
     beta = np.minimum(np.maximum(raw, 0.0), 1.0)
@@ -369,7 +376,7 @@ def _lattice_seeds(x, y, models) -> dict[str, np.ndarray]:
     clip(<f, y> / <f, f>, 0, 1), with f = softplus((x - tau) / s), and the
     seeds are chosen as the module docstring states; a hinge-only fit
     evaluates the whole lattice too. The lattice is evaluated in blocks of
-    at most BATCH_POINTS values, so its temporaries stay below glibc's mmap
+    at most LATTICE_BLOCK values, so its temporaries stay below glibc's mmap
     threshold.
     """
     lattice = np.empty((S_ROW.size, TAU_GRID.size, 3))  # (beta, tau, s) of each point
@@ -377,7 +384,7 @@ def _lattice_seeds(x, y, models) -> dict[str, np.ndarray]:
     lattice[:, :, 2] = S_ROW[:, None]
     flat = lattice.reshape(-1, 3)
     sse = np.empty(flat.shape[0])
-    block = max(1, BATCH_POINTS // x.size)  # lattice points per block
+    block = max(1, LATTICE_BLOCK // x.size)  # lattice points per block
     for i in range(0, sse.size, block):
         cut = flat[i:i + block]
         f = softplus((x - cut[:, 1:2]) / cut[:, 2:3])

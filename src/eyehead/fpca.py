@@ -90,8 +90,8 @@ class Spectrum:
 
         The grid must rise strictly inside [X_MIN, X_MAX], and the reference
         must hold the >= 2 PC1 scores of a fit (fit_fpca needs two curves).
-        The eigenvalues must be nonnegative and non-increasing, and each
-        explained ratio in [0, 1].
+        The eigenvalues must be nonnegative and non-increasing, and so must
+        the explained ratios, each in [0, 1] and all summing to at most 1.
         """
         if d.get("sign_convention") != SIGN_CONVENTION:  # another would flip every PC1 score
             raise MissingInputError(f"spectrum field 'sign_convention' is not {SIGN_CONVENTION!r}")
@@ -117,6 +117,11 @@ class Spectrum:
         ratio = _field(d, "explained_ratio", (k,))
         if np.any((ratio < 0) | (ratio > 1)):
             raise MissingInputError("spectrum field 'explained_ratio' holds a value outside [0, 1]")
+        # kept ratios that hold all the variance can round to a few ulps past 1
+        if np.any(np.diff(ratio) > 0) or ratio.sum() > 1.0 + 4 * k * np.finfo(float).eps:
+            raise MissingInputError(
+                "spectrum field 'explained_ratio' is not non-increasing with a sum of at most 1"
+            )
         return Spectrum(
             grid=grid,
             mean_curve=_field(d, "mean_curve", (n,)),

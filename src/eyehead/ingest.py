@@ -34,6 +34,7 @@ from .errors import (
     NoOverlapError,
     TraceSchemaError,
 )
+from .models import X_MAX, X_MIN
 
 TRACE_COLUMNS = ("participant_id", "trial_id", "timestamp_s", "yaw_deg")
 SHIFT_COLUMNS = ("participant_id", "trial_id", "x_deg", "y_deg")
@@ -507,9 +508,20 @@ def write_trace_csv(path: str, stream: RawStream) -> None:
 
 
 def read_shifts_csv(path: str) -> ShiftSet:
-    """Read a shift table; leading '#' lines (provenance) are skipped."""
+    """Read a shift table; leading '#' lines (provenance) are skipped.
+
+    An x_deg outside the models' [0, 50] domain, or a y_deg outside
+    [0, x_deg], neither of which preprocess or synth writes, is a
+    TraceSchemaError naming the path, the data row and the column.
+    """
     cols = read_table(path, SHIFT_COLUMNS, floats=("x_deg", "y_deg"))
-    return ShiftSet(cols["participant_id"], cols["trial_id"], cols["x_deg"], cols["y_deg"])
+    x, y = cols["x_deg"], cols["y_deg"]
+    for col, bad, bound in (("x_deg", (x < X_MIN) | (x > X_MAX), f"[{X_MIN:g}, {X_MAX:g}]"),
+                            ("y_deg", (y < 0) | (y > x), "[0, x_deg]")):
+        if (row := np.flatnonzero(bad)).size:
+            raise TraceSchemaError(f"{path}: value {cols[col][row[0]]} outside {bound} "
+                                   f"in data row {row[0] + 1}, column {col}")
+    return ShiftSet(cols["participant_id"], cols["trial_id"], x, y)
 
 
 def write_shifts_csv(path: str, shifts: ShiftSet, provenance: dict | None = None) -> None:

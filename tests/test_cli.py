@@ -259,11 +259,14 @@ class TestOptionRanges:
         # the options no config class checks (cli.RANGES), and --thresholds' parse
         ("preprocess", "max_ecc_deg", "nan"),
         ("preprocess", "max_ecc_deg", "0"),
+        ("preprocess", "max_ecc_deg", "80"),  # past the models' 0-50 deg domain
+        ("preprocess", "max_ecc_deg", "50.5"),
         ("preprocess", "max_gap_s", "nan"),
         ("preprocess", "min_overlap_s", "nan"),
         ("preprocess", "min_overlap_s", "-1"),
         ("preprocess", "expected_trials", "-2"),
         ("sensitivity", "max_ecc_deg", "nan"),
+        ("sensitivity", "max_ecc_deg", "80"),
         ("sensitivity", "max_gap_s", "inf"),
         ("sensitivity", "thresholds", "10,abc"),
         ("fpca", "components", "-1"),
@@ -290,6 +293,20 @@ class TestOptionRanges:
         payload = one_line_error(capsys)
         assert (payload["stage"], payload["error"]) == (stage, "ValueError")
         assert payload["message"].startswith(f"{flag}: ")
+        assert loaded == [] and not out.exists()
+
+    @pytest.mark.parametrize("stage", ["preprocess", "sensitivity"])
+    def test_a_config_value_out_of_range_is_named(self, tmp_path, capsys, monkeypatch, stage):
+        raw = synth_dir(tmp_path, participants=2, trials=1, shifts=10)
+        loaded = []
+        monkeypatch.setattr(cli, "load_trace_csv", lambda p: loaded.append(p))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_ecc_deg": 80}))
+        out = tmp_path / "out"
+        assert run([stage, "--in-dir", raw, "--out", out, "--config", cfg]) == 1
+        payload = one_line_error(capsys)
+        assert (payload["stage"], payload["error"]) == (stage, "ValueError")
+        assert payload["message"] == "--max-ecc-deg: must be finite and > 0 and <= 50.0, got 80.0"
         assert loaded == [] and not out.exists()
 
     def test_components_beyond_the_curves_is_named(self, tmp_path, capsys):
@@ -324,8 +341,8 @@ def set_cell(path, row, column, value):
 
 
 class TestNonFiniteTableValues:
-    """A non-finite number, or a percentile outside [0, 100], in a CSV input is a stage
-    error naming its file, data row and column."""
+    """A non-finite number, a percentile outside [0, 100] or a shift outside the models'
+    domain in a CSV input is a stage error naming its file, data row and column."""
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
@@ -381,6 +398,25 @@ class TestNonFiniteTableValues:
         assert payload["message"] == (
             f"{scores}: value {float(value)} outside [0, 100] in data row 2, "
             "column percentile_pc1"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("column, value, bound", [
+        ("x_deg", "76.7247417", "[0, 50]"),
+        ("x_deg", "-1", "[0, 50]"),
+        ("y_deg", "-0.5", "[0, x_deg]"),
+        ("y_deg", "60", "[0, x_deg]"),
+    ])
+    def test_a_shift_outside_the_model_domain_is_named(self, inputs, tmp_path, capsys, column,
+                                                       value, bound):
+        shutil.copytree(inputs, tmp_path / "in")
+        shifts = tmp_path / "in" / "shifts.csv"
+        set_cell(shifts, 2, column, value)
+        assert run(["fit", "--in", shifts, "--out", tmp_path / "out"]) == 1
+        payload = one_line_error(capsys)
+        assert (payload["stage"], payload["error"]) == ("fit", "TraceSchemaError")
+        assert payload["message"] == (
+            f"{shifts}: value {float(value)} outside {bound} in data row 2, column {column}"
         )
         assert not (tmp_path / "out").exists()
 
@@ -615,6 +651,8 @@ class TestMalformedJsonInputs:
         ("eigenvalues", -1, 1e9),
         ("explained_ratio", 0, 7.0),
         ("explained_ratio", -1, -0.5),
+        ("explained_ratio", 0, 1.0),  # the two sum past 1
+        ("explained_ratio", -1, 1.0),  # and rise
     ])
     def test_a_spectrum_value_fit_fpca_could_not_write(self, inputs, capsys, stage, key, index,
                                                        value):
@@ -742,7 +780,8 @@ def other_value(key):
         return "hinge"
     if isinstance(default, str):
         return "12,18"
-    return default + 1
+    # a default at the top of its range (cli.RANGES) steps down
+    return default - 1 if default in cli.RANGES.get(key, ())[2:] else default + 1
 
 
 class TestOptionTable:

@@ -459,11 +459,24 @@ def same_fit(a, b):
                                                            b.start_sses)
 
 
+def row_sizes(budget):
+    """Distinct row sizes of at most 1000 points that hold over twice budget row-points.
+
+    The first 25, small and large mixed, hold 11.2k; the rest are more sizes
+    of 12-1000 points in a shuffled order.
+    """
+    sizes = [37, 150, 23, 410, 90, 1000, 64, 12, 230, 75, 300, 41, 520, 18, 95,
+             700, 810, 905, 640, 999, 880, 760, 590, 950, 845]
+    more = np.random.default_rng(27).permutation(np.arange(12, 1001)).tolist()
+    sizes += [n for n in more if n not in sizes]
+    return sizes[:np.searchsorted(np.cumsum(sizes), 2 * budget, "right") + 1]
+
+
 class TestBatchContract:
     """Problems solved in one batch each get the fit they get alone."""
 
-    # 4-19, 60-300 and 1000 shifts: the last is over BATCH_POINTS as a soft
-    # hinge (10 seeds) and under it as a hinge (1 seed)
+    # 4-19, 60-300 and 1000 shifts: the last holds 10k row-points as a soft
+    # hinge (10 seeds) and 1k as a hinge (1 seed)
     PROBLEMS = [tiny_set(20039), noisy_set(1), tiny_set(56), noisy_set(2), noisy_set(3),
                 tiny_set(7), soft_hinge_data(n=1000, noise_sd=2.0, seed=8), tiny_set(9)]
 
@@ -483,8 +496,7 @@ class TestBatchContract:
         # one batch that refills as rows stop; rows of distinct sizes, so the
         # sizes each evaluation sees name its rows
         x, y = soft_hinge_data(n=1000, noise_sd=2.0, seed=8)
-        ns = [37, 150, 23, 410, 90, 1000, 64, 12, 230, 75, 300, 41, 520, 18, 95,
-              700, 810, 905, 640, 999, 880, 760, 590, 950, 845]  # 11.2k row-points
+        ns = row_sizes(fitting.BATCH_POINTS)
         rows = [(x[:n], y[:n]) for n in ns]
         starts = np.vstack([_lattice_seeds(*row, ("soft-hinge",))["soft-hinge"][i % len(S_ROW), 1:]
                             for i, row in enumerate(rows)])

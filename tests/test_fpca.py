@@ -211,6 +211,8 @@ class TestSerializationAndTable:
         ("eigenvalues", "missing"),
         ("eigenvalues", [1.0]),
         ("explained_ratio", [0.5, 0.2, 0.1]),
+        ("explained_ratio", [0.9, 0.9]),
+        ("explained_ratio", [0.1, 0.5]),
         ("explained_ratio", "steep"),
         ("reference_scores_pc1", "missing"),
         ("reference_scores_pc1", 5),
@@ -237,6 +239,14 @@ class TestSerializationAndTable:
             d[key] = value
         with pytest.raises(MissingInputError, match=repr(key)):
             Spectrum.from_dict(d)
+
+    def test_ratios_a_rounding_past_1_are_read(self):
+        # kept components that hold all the variance can sum to 1 plus an ulp
+        d = fit_fpca(random_curves(10, seed=6), n_components=2).to_dict()
+        d["explained_ratio"] = [np.nextafter(0.75, 1.0), np.nextafter(0.25, 1.0)]
+        assert np.sum(d["explained_ratio"]) > 1.0
+        back = Spectrum.from_dict(d)
+        assert back.explained_ratio.tolist() == d["explained_ratio"]
 
     def test_score_table_rows(self):
         curves = random_curves(10, seed=8)

@@ -603,6 +603,24 @@ class TestShiftCsv:
         for col in ingest.SCORE_COLUMNS[1:]:
             np.testing.assert_array_equal(back[col], table[col])
 
+    @pytest.mark.parametrize("x, y, column", [
+        ([10.0, 50.5], [1.0, 2.0], "x_deg"),
+        ([10.0, -0.25], [1.0, 0.0], "x_deg"),
+        ([10.0, 20.0], [1.0, -2.0], "y_deg"),
+        ([10.0, 20.0], [1.0, 20.5], "y_deg"),
+    ])
+    def test_a_shift_outside_the_model_domain_is_rejected(self, tmp_path, x, y, column):
+        path = tmp_path / "shifts.csv"
+        write_shifts_csv(path, shift_set(x, y))
+        with pytest.raises(TraceSchemaError, match=f"in data row 2, column {column}$"):
+            read_shifts_csv(path)
+
+    def test_the_domain_edges_are_read(self, tmp_path):
+        path = tmp_path / "shifts.csv"
+        write_shifts_csv(path, shift_set([0.0, 50.0, 50.0], [0.0, 0.0, 50.0]))
+        back = read_shifts_csv(path)
+        assert back.x.tolist() == [0.0, 50.0, 50.0] and back.y.tolist() == [0.0, 0.0, 50.0]
+
     def test_round_trip_with_provenance(self, tmp_path):
         s = shift_set([10.0, 20.0], [1.0, 2.5])
         path = tmp_path / "shifts.csv"
