@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -96,12 +97,19 @@ OPTIONS = {
 DEFAULTS = {key: default for key, (default, _) in OPTIONS.items()}
 CHOICES = {"model": (*MODELS, "all")}
 
-# The range of each numeric option that no config class checks, as
-# (comparison, bound) and an optional inclusive upper bound; a float option
-# must also be finite. A value out of range is a ValueError naming the option
-# before the stage reads an input.
+# The range of every numeric option, as (comparison, bound) and an optional
+# inclusive upper bound; a float option must also be finite. Each --thresholds
+# value follows fix_threshold's. A value out of range is a ValueError naming
+# the option, in its own units, before the stage reads an input.
 RANGES = {
+    "fix_threshold": (">", 0),
+    "min_dur_ms": (">=", 0),
+    "pad_ms": (">=", 0),
+    "merge_gap_ms": (">=", 0),
     "max_ecc_deg": (">", 0, X_MAX),  # the models' domain ends at X_MAX
+    "min_cutoff": (">", 0),
+    "filter_beta": (">=", 0),
+    "derivative_cutoff": (">", 0),
     "min_overlap_s": (">=", 0),
     "max_gap_s": (">", 0),
     "expected_trials": (">=", 0),
@@ -188,45 +196,28 @@ def _resolve(args: argparse.Namespace) -> dict:
         value = getattr(args, key)
         resolved[key] = value = from_file.get(key, DEFAULTS[key]) if value is None else value
         if key in RANGES:
-            op, bound, *upper = RANGES[key]
-            if not (math.isfinite(value) and (value > bound if op == ">" else value >= bound)
-                    and all(value <= top for top in upper)):
-                finite = "finite and " if isinstance(value, float) else ""
-                below = "".join(f" and <= {top}" for top in upper)
-                raise ValueError(f"{_flag(key)}: must be {finite}{op} {bound}{below}, got {value}")
+            _check_range(key, value, _flag(key))
     return resolved
 
 
-def _config(cls, cfg: dict, fields: dict[str, tuple[str, float]]):
-    """cls with each field set to cfg[option] / divisor, from fields' (option, divisor).
-
-    Each field is first checked alone, beside cls's defaults, so a value
-    that cls rejects is a ValueError naming the option that set it.
-    """
-    values = {field: cfg[option] / divisor for field, (option, divisor) in fields.items()}
-    for field, (option, _) in fields.items():
-        try:
-            cls(**{field: values[field]})
-        except ValueError as exc:
-            raise ValueError(f"{_flag(option)}: {exc}") from None
-    return cls(**values)
+def _check_range(key: str, value, flag: str) -> None:
+    """Raise a ValueError naming flag unless value lies in key's RANGES entry."""
+    op, bound, *upper = RANGES[key]
+    if not (math.isfinite(value) and (value > bound if op == ">" else value >= bound)
+            and all(value <= top for top in upper)):
+        finite = "finite and " if isinstance(value, float) else ""
+        below = "".join(f" and <= {top}" for top in upper)
+        raise ValueError(f"{flag}: must be {finite}{op} {bound}{below}, got {value}")
 
 
 def _filter_config(cfg: dict) -> FilterConfig:
-    return _config(FilterConfig, cfg, {
-        "min_cutoff": ("min_cutoff", 1.0),
-        "beta": ("filter_beta", 1.0),
-        "derivative_cutoff": ("derivative_cutoff", 1.0),
-    })
+    return FilterConfig(min_cutoff=cfg["min_cutoff"], beta=cfg["filter_beta"],
+                        derivative_cutoff=cfg["derivative_cutoff"])
 
 
 def _fixation_config(cfg: dict) -> FixationConfig:
-    return _config(FixationConfig, cfg, {
-        "vel_threshold": ("fix_threshold", 1.0),
-        "min_duration_s": ("min_dur_ms", 1000.0),
-        "pad_s": ("pad_ms", 1000.0),
-        "merge_gap_s": ("merge_gap_ms", 1000.0),
-    })
+    return FixationConfig(cfg["fix_threshold"], cfg["min_dur_ms"] / 1000.0,
+                          cfg["pad_ms"] / 1000.0, cfg["merge_gap_ms"] / 1000.0)
 
 
 def _trace_pairs(in_dir: str) -> list[tuple[str, str]]:
@@ -301,7 +292,8 @@ def _sane_traces(args: argparse.Namespace, cfg: dict, use):
 
     A file that does not load fails the stage at once; every other
     per-trial fault is a report. MissingInputError is raised when no trial
-    is kept.
+    is kept; it gives the trials found, each failure reason's count and the
+    passing trials that expected_trials dropped.
     """
     configs = _filter_config(cfg), _fixation_config(cfg)
     reports, paths, outcomes = [], [], []
@@ -322,7 +314,14 @@ def _sane_traces(args: argparse.Namespace, cfg: dict, use):
             if participant_passes(grouped[pid], cfg["expected_trials"])
         ]
     if not outcomes:
-        raise MissingInputError("no trials passed the sanity checks")
+        failed = Counter(r.reason for r in reports if r.verdict != "pass")
+        passed = len(reports) - sum(failed.values())
+        why = []
+        if failed:
+            why.append("failed: " + ", ".join(f"{k} {n}" for k, n in sorted(failed.items())))
+        if passed:  # only expected_trials drops a trial that passed
+            why.append(f"--expected-trials {cfg['expected_trials']} dropped {passed} that passed")
+        raise MissingInputError(f"no trials kept of {len(reports)} found ({'; '.join(why)})")
     return outcomes, reports, _provenance(args, cfg, paths, base=args.in_dir)
 
 
@@ -420,8 +419,8 @@ def cmd_sensitivity(args: argparse.Namespace, cfg: dict) -> int:
         raise ValueError(
             f"--thresholds: threshold {repeated[0]} is repeated in {cfg['thresholds']!r}"
         )
-    for thr in thresholds:  # each threshold's config, checked before a trace is read
-        _config(FixationConfig, {"thresholds": thr}, {"vel_threshold": ("thresholds", 1.0)})
+    for thr in thresholds:  # each checked before a trace is read
+        _check_range("fix_threshold", thr, "--thresholds")
     trials, _, provenance = _sane_traces(
         args, cfg, lambda trace, *configs: threshold_shifts(trace, thresholds, *configs)
     )

@@ -164,8 +164,9 @@ class FilterConfig:
         # `not x > 0` also rejects NaN
         if not self.min_cutoff > 0:
             raise ValueError(f"min_cutoff must be > 0, got {self.min_cutoff}")
-        if not self.beta >= 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        # an infinite beta times a zero derivative is NaN on every plateau
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
         if not self.derivative_cutoff > 0:
             raise ValueError(f"derivative_cutoff must be > 0, got {self.derivative_cutoff}")
 
@@ -330,8 +331,11 @@ def symmetrize_and_clean(shifts: ShiftSet, max_ecc: float = 50.0) -> ShiftSet:
     Order matters: (1) mirror left shifts so x = |x| and y keeps its sign
     relative to the shift direction, (2) clamp head contributions that
     opposed the shift direction to zero, (3) drop x > max_ecc, (4) drop
-    y > x.
+    y > x. max_ecc must lie in (0, X_MAX], the models' domain, so every
+    shift kept can be written and read back.
     """
+    if not 0 < max_ecc <= X_MAX:  # also rejects NaN
+        raise ValueError(f"max_ecc must be in (0, {X_MAX:g}], got {max_ecc}")
     x = np.abs(shifts.x)
     y = np.sign(shifts.x) * shifts.y
     y = np.where(y < 0.0, 0.0, y)

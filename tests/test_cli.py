@@ -256,7 +256,11 @@ class TestOptionRanges:
         ("sensitivity", "fix_threshold", "0"),
         ("sensitivity", "min_dur_ms", "-5"),
         ("sensitivity", "derivative_cutoff", "-1"),
-        # the options no config class checks (cli.RANGES), and --thresholds' parse
+        # an infinite speed coefficient makes every smoothing factor NaN
+        ("preprocess", "filter_beta", "inf"),
+        # every float option must be finite; 1e308 turns smoothing off
+        ("sensitivity", "min_cutoff", "inf"),
+        ("preprocess", "derivative_cutoff", "inf"),
         ("preprocess", "max_ecc_deg", "nan"),
         ("preprocess", "max_ecc_deg", "0"),
         ("preprocess", "max_ecc_deg", "80"),  # past the models' 0-50 deg domain
@@ -294,6 +298,11 @@ class TestOptionRanges:
         assert (payload["stage"], payload["error"]) == (stage, "ValueError")
         assert payload["message"].startswith(f"{flag}: ")
         assert loaded == [] and not out.exists()
+
+    def test_a_millisecond_option_is_named_in_milliseconds(self, tmp_path, capsys):
+        out = tmp_path / "shifts.csv"
+        assert run(["preprocess", "--in-dir", tmp_path, "--out", out, "--min-dur-ms", -5]) == 1
+        assert one_line_error(capsys)["message"] == "--min-dur-ms: must be finite and >= 0, got -5.0"
 
     @pytest.mark.parametrize("stage", ["preprocess", "sensitivity"])
     def test_a_config_value_out_of_range_is_named(self, tmp_path, capsys, monkeypatch, stage):
@@ -785,6 +794,10 @@ def other_value(key):
 
 
 class TestOptionTable:
+    def test_every_numeric_option_has_one_range(self):
+        numeric = {key for key, default in DEFAULTS.items() if isinstance(default, (int, float))}
+        assert set(cli.RANGES) == numeric
+
     @pytest.mark.parametrize("stage", sorted(STAGE_FLAGS))
     def test_help_lists_exactly_the_stage_flags(self, capsys, stage):
         with pytest.raises(SystemExit) as exc:
@@ -1306,6 +1319,33 @@ class TestExpectedTrials:
             ("synth002", "t01", "fail", "missing_stream"),
             ("synth002", "t02", "fail", "too_few_fixations"),
         ]
+
+
+class TestNoTrialKept:
+    """The stage error of a run that keeps no trial says why."""
+
+    @pytest.mark.parametrize("stage", ["preprocess", "sensitivity"])
+    def test_each_failure_reason_is_counted(self, tmp_path, capsys, stage):
+        raw = synth_dir(tmp_path, participants=3, trials=1, shifts=30)
+        never_settle(raw / "synth001_t01.gaze.csv")
+        (raw / "synth002_t01.head.csv").unlink()
+        never_settle(raw / "synth003_t01.gaze.csv")
+        out = tmp_path / "out"
+        assert run([stage, "--in-dir", raw, "--out", out, "--min-overlap-s", 2.0]) == 1
+        payload = one_line_error(capsys)
+        assert (payload["stage"], payload["error"]) == (stage, "MissingInputError")
+        assert payload["message"] == (
+            "no trials kept of 3 found (failed: missing_stream 1, too_few_fixations 2)"
+        )
+        assert not out.exists()
+
+    def test_passing_trials_dropped_by_expected_trials_are_named(self, tmp_path, capsys):
+        raw = synth_dir(tmp_path, participants=2, trials=1, shifts=30, seed=3)
+        assert run(["preprocess", "--in-dir", raw, "--out", tmp_path / "shifts.csv",
+                    "--min-overlap-s", 5, "--expected-trials", 2]) == 1
+        assert one_line_error(capsys)["message"] == (
+            "no trials kept of 2 found (--expected-trials 2 dropped 2 that passed)"
+        )
 
 
 TRIALS = [f"synth00{p}_t0{t}" for p in (1, 2, 3) for t in (1, 2)]

@@ -110,6 +110,7 @@ class TestOneEuro:
 
 @pytest.mark.parametrize("field, value", [
     ("min_cutoff", 0.0), ("min_cutoff", float("nan")), ("beta", -0.1), ("beta", float("nan")),
+    ("beta", float("inf")),
     ("derivative_cutoff", 0.0), ("derivative_cutoff", -1.0), ("derivative_cutoff", float("nan")),
 ])
 def test_filter_config_rejects_out_of_range_values(field, value):
@@ -552,6 +553,16 @@ class TestSymmetrizeAndClean:
         assert np.all(out.y >= 0.0)
         assert np.all(out.y <= out.x)
         assert np.all(out.x <= 50.0)
+
+    @pytest.mark.parametrize("max_ecc", [80.0, 50.5, 0.0, -1.0, float("nan"), float("inf")])
+    def test_max_ecc_outside_the_models_domain_is_rejected(self, max_ecc):
+        # a shift kept past 50 deg would be written, then rejected on read
+        with pytest.raises(ValueError, match=r"^max_ecc must be in \(0, 50\], got "):
+            symmetrize_and_clean(shift_set([70.0, 20.0], [1.0, 2.0]), max_ecc=max_ecc)
+
+    def test_max_ecc_at_the_domain_edge_is_kept(self):
+        out = symmetrize_and_clean(shift_set([50.0, 20.0], [1.0, 2.0]), max_ecc=50.0)
+        np.testing.assert_allclose(out.x, [50.0, 20.0])
 
     def test_ids_stay_aligned_with_rows(self):
         s = ShiftSet(["a", "b", "c"], ["t1", "t1", "t2"],

@@ -290,6 +290,12 @@ class TestThresholdShifts:
 
 
 class TestThresholdSensitivity:
+    @pytest.mark.parametrize("max_ecc", [80.0, 0.0, float("nan")])
+    def test_max_ecc_outside_the_models_domain_is_rejected(self, max_ecc):
+        shifts = {("p01", 15.0): make_shifts([30.0, 45.0], [3.0, 9.0])}
+        with pytest.raises(ValueError, match="^max_ecc must be in "):
+            threshold_sensitivity(shifts, thresholds=(15.0,), base=15.0, max_ecc=max_ecc)
+
     def test_base_maps_to_one_and_neighbors_stay_high(self):
         # two clean trials with plenty of shifts spanning the domain;
         # alternating signs keep the staircase inside a modest yaw range
