@@ -71,79 +71,48 @@ from .report import (
 from .stats import symmetry_check, threshold_sensitivity, threshold_shifts
 from .synth import SynthConfig, draw_population, synth_shifts, synth_trace
 
-# Every option: key -> (built-in default, help text). The default's type is
-# the option's type, and its flag is the key with dashes (--fix-threshold).
+# Every option, one row each: key -> (built-in default, range, stages, help
+# text). The default's type is the option's type, and its flag is the key
+# with dashes (--fix-threshold). The range is (comparison, bound) and an
+# optional inclusive upper bound, or None for a str option; a float option
+# must also be finite, and each --thresholds value follows fix_threshold's
+# range. A value out of range is a ValueError naming the option, in its own
+# units, before the stage reads an input. The stages are the subcommands that
+# take the option; each lists its flags in row order. One config file serves
+# every stage, so a stage accepts (and checks) keys it does not use.
+_TRACE = ("preprocess", "sensitivity")
 OPTIONS = {
-    "fix_threshold": (15.0, "fixation velocity threshold (deg/s)"),
-    "min_dur_ms": (60.0, "minimum fixation duration (ms)"),
-    "pad_ms": (10.0, "padding applied around fixation bounds (ms)"),
-    "merge_gap_ms": (20.0, "merge fixations separated by less than this gap (ms)"),
-    "max_ecc_deg": (50.0, "drop shifts with eccentricity beyond this (deg)"),
-    "min_cutoff": (1.0, "smoothing filter minimum cutoff (Hz)"),
-    "filter_beta": (0.0, "smoothing filter speed coefficient"),
-    "derivative_cutoff": (1.0, "filter derivative cutoff (Hz); acts only if filter_beta > 0"),
-    "min_overlap_s": (25.0, "keep a trial only if gaze and head overlap longer than this (s)"),
-    "max_gap_s": (0.5, "maximum sampling gap to keep a trial (s)"),
-    "expected_trials": (0, "drop participants without this many passing trials"),
-    "model": ("all", "model family to fit"),
-    "seed": (0, "synthetic data seed"),
-    "components": (0, "components to keep (default: up to 2)"),
-    "thresholds": ("10,15,20", "comma-separated thresholds (deg/s)"),
-    "participants": (12, "synthetic participants"),
-    "trials": (2, "trials per participant"),
-    "shifts": (50, "gaze shifts per trial"),
-    "noise_sd": (2.0, "vertical noise SD for the shift table (deg)"),
+    "thresholds": ("10,15,20", None, ("sensitivity",), "comma-separated thresholds (deg/s)"),
+    "fix_threshold": (15.0, (">", 0), _TRACE, "fixation velocity threshold (deg/s)"),
+    "min_dur_ms": (60.0, (">=", 0), _TRACE, "minimum fixation duration (ms)"),
+    "pad_ms": (10.0, (">=", 0), _TRACE, "padding applied around fixation bounds (ms)"),
+    "merge_gap_ms": (20.0, (">=", 0), _TRACE,
+                     "merge fixations separated by less than this gap (ms)"),
+    "max_ecc_deg": (X_MAX, (">", 0, X_MAX), _TRACE,  # the models' domain ends at X_MAX
+                    "drop shifts with eccentricity beyond this (deg)"),
+    "min_cutoff": (1.0, (">", 0), _TRACE, "smoothing filter minimum cutoff (Hz)"),
+    "filter_beta": (0.0, (">=", 0), _TRACE, "smoothing filter speed coefficient"),
+    "derivative_cutoff": (1.0, (">", 0), _TRACE,
+                          "filter derivative cutoff (Hz); acts only if filter_beta > 0"),
+    "min_overlap_s": (25.0, (">=", 0), _TRACE,
+                      "keep a trial only if gaze and head overlap longer than this (s)"),
+    "max_gap_s": (0.5, (">", 0), _TRACE, "maximum sampling gap to keep a trial (s)"),
+    "expected_trials": (0, (">=", 0), _TRACE,
+                        "drop participants without this many passing trials"),
+    "model": ("all", None, ("fit",), "model family to fit"),
+    "components": (0, (">=", 0), ("fpca",), "components to keep (default: up to 2)"),
+    "participants": (12, (">=", 1), ("synth",), "synthetic participants"),
+    "trials": (2, (">=", 1), ("synth",), "trials per participant"),
+    "shifts": (50, (">=", 1), ("synth",), "gaze shifts per trial"),
+    "noise_sd": (2.0, (">=", 0), ("synth",), "vertical noise SD for the shift table (deg)"),
+    "seed": (0, (">=", 0), ("synth",), "synthetic data seed"),
 }
-DEFAULTS = {key: default for key, (default, _) in OPTIONS.items()}
+DEFAULTS = {key: default for key, (default, *_) in OPTIONS.items()}
 CHOICES = {"model": (*MODELS, "all")}
-
-# The range of every numeric option, as (comparison, bound) and an optional
-# inclusive upper bound; a float option must also be finite. Each --thresholds
-# value follows fix_threshold's. A value out of range is a ValueError naming
-# the option, in its own units, before the stage reads an input.
-RANGES = {
-    "fix_threshold": (">", 0),
-    "min_dur_ms": (">=", 0),
-    "pad_ms": (">=", 0),
-    "merge_gap_ms": (">=", 0),
-    "max_ecc_deg": (">", 0, X_MAX),  # the models' domain ends at X_MAX
-    "min_cutoff": (">", 0),
-    "filter_beta": (">=", 0),
-    "derivative_cutoff": (">", 0),
-    "min_overlap_s": (">=", 0),
-    "max_gap_s": (">", 0),
-    "expected_trials": (">=", 0),
-    "components": (">=", 0),
-    "participants": (">=", 1),
-    "trials": (">=", 1),
-    "shifts": (">=", 1),
-    "noise_sd": (">=", 0),
-    "seed": (">=", 0),
-}
-
-# The options each stage takes. One config file serves every stage, so a
-# stage accepts (and checks) keys it does not use.
-_TRACE_OPTIONS = (
-    "fix_threshold",
-    "min_dur_ms",
-    "pad_ms",
-    "merge_gap_ms",
-    "max_ecc_deg",
-    "min_cutoff",
-    "filter_beta",
-    "derivative_cutoff",
-    "min_overlap_s",
-    "max_gap_s",
-    "expected_trials",
-)
+# Each subcommand's options, read off the stages column.
 STAGE_OPTIONS = {
-    "preprocess": _TRACE_OPTIONS,
-    "fit": ("model",),
-    "fpca": ("components",),
-    "project": (),
-    "report": (),
-    "sensitivity": ("thresholds",) + _TRACE_OPTIONS,
-    "synth": ("participants", "trials", "shifts", "noise_sd", "seed"),
+    stage: tuple(key for key, (_, _, stages, _) in OPTIONS.items() if stage in stages)
+    for stage in ("preprocess", "fit", "fpca", "project", "report", "sensitivity", "synth")
 }
 
 
@@ -188,24 +157,28 @@ def _resolve(args: argparse.Namespace) -> dict:
     """The stage's options: CLI flags over config-file values over defaults.
 
     The config file is loaded and checked whether or not the stage takes
-    any option. Each value is checked against its RANGES entry.
+    any option. Each value with a range is checked against it.
     """
     from_file = _load_config_file(args.config)
     resolved = {}
     for key in STAGE_OPTIONS[args.command]:
         value = getattr(args, key)
         resolved[key] = value = from_file.get(key, DEFAULTS[key]) if value is None else value
-        if key in RANGES:
+        if OPTIONS[key][1]:
             _check_range(key, value, _flag(key))
     return resolved
 
 
 def _check_range(key: str, value, flag: str) -> None:
-    """Raise a ValueError naming flag unless value lies in key's RANGES entry."""
-    op, bound, *upper = RANGES[key]
-    if not (math.isfinite(value) and (value > bound if op == ">" else value >= bound)
+    """Raise a ValueError naming flag unless value lies in key's OPTIONS range.
+
+    Only a float can be infinite or NaN; an int compares exactly at any size.
+    """
+    op, bound, *upper = OPTIONS[key][1]
+    finite = "finite and " if isinstance(value, float) else ""
+    if not ((not finite or math.isfinite(value))
+            and (value > bound if op == ">" else value >= bound)
             and all(value <= top for top in upper)):
-        finite = "finite and " if isinstance(value, float) else ""
         below = "".join(f" and <= {top}" for top in upper)
         raise ValueError(f"{flag}: must be {finite}{op} {bound}{below}, got {value}")
 
@@ -556,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for command, p in sub.choices.items():
         for key in STAGE_OPTIONS[command]:
-            default, help_text = OPTIONS[key]
+            default, _, _, help_text = OPTIONS[key]
             p.add_argument(_flag(key), dest=key, type=type(default),
                            choices=CHOICES.get(key), help=help_text)
         p.add_argument("--config", help="flat JSON file with default option values")

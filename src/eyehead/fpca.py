@@ -25,7 +25,7 @@ from .errors import (
 from .models import X_MAX, X_MIN, SoftHingeParams, eval_model, is_number
 
 GRID_STEP = 1.0
-DEFAULT_GRID = np.arange(0.0, 50.0 + GRID_STEP / 2, GRID_STEP)
+DEFAULT_GRID = np.arange(X_MIN, X_MAX + GRID_STEP / 2, GRID_STEP)
 
 # Each component is flipped, if needed, so its mean loading over the grid is
 # nonnegative: positive score = more head contribution than the mean curve.

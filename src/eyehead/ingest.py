@@ -325,7 +325,7 @@ def participant_passes(reports: list[SanityReport], expected_trials: int) -> boo
 # shift cleaning
 # ---------------------------------------------------------------------------
 
-def symmetrize_and_clean(shifts: ShiftSet, max_ecc: float = 50.0) -> ShiftSet:
+def symmetrize_and_clean(shifts: ShiftSet, max_ecc: float = X_MAX) -> ShiftSet:
     """Fold signed shifts onto one side and enforce 0 <= y <= x <= max_ecc.
 
     Order matters: (1) mirror left shifts so x = |x| and y keeps its sign

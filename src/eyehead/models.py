@@ -42,7 +42,7 @@ class LinearParams:
 
     def __post_init__(self) -> None:
         if not (X_MIN <= self.alpha <= X_MAX):
-            raise DomainError(f"alpha must lie in [0, 50], got {self.alpha}")
+            raise DomainError(f"alpha must lie in [{X_MIN:g}, {X_MAX:g}], got {self.alpha}")
         if self.gamma < 0:
             raise DomainError(f"gamma must be nonnegative, got {self.gamma}")
 
@@ -97,7 +97,7 @@ def _check_domain(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     bad = ~((x >= X_MIN) & (x <= X_MAX))  # catches non-finite values too
     if np.any(bad):
-        raise DomainError(f"eccentricity outside [0, 50]: {x[bad].flat[0]}")
+        raise DomainError(f"eccentricity outside [{X_MIN:g}, {X_MAX:g}]: {x[bad].flat[0]}")
     return x
 
 

@@ -25,7 +25,7 @@ from .events import FixationConfig, gaze_velocity, segment_shifts
 from .fitting import fit_participants
 from .fpca import DEFAULT_GRID
 from .ingest import AlignedTrace, FilterConfig, ShiftSet, symmetrize_and_clean
-from .models import eval_model
+from .models import X_MAX, eval_model
 
 
 def pearson_r(a, b) -> float:
@@ -139,7 +139,7 @@ MIN_PER_BIN = 3
 
 def _side_bin_means(x_abs, y_oriented):
     means: dict[int, float] = {}
-    for b in range(int(np.ceil(50.0 / SYMMETRY_BIN_WIDTH))):
+    for b in range(int(np.ceil(X_MAX / SYMMETRY_BIN_WIDTH))):
         lo, hi = b * SYMMETRY_BIN_WIDTH, (b + 1) * SYMMETRY_BIN_WIDTH
         mask = (x_abs >= lo) & (x_abs < hi)
         if np.count_nonzero(mask) >= MIN_PER_BIN:
@@ -207,7 +207,7 @@ def threshold_sensitivity(
     shifts: dict[tuple[str, float], ShiftSet],
     thresholds: tuple[float, ...] = (10.0, 15.0, 20.0),
     base: float = 15.0,
-    max_ecc: float = 50.0,
+    max_ecc: float = X_MAX,
 ) -> dict[str, dict[float, float] | EyeheadError]:
     """Refit every participant's curve per velocity threshold; r vs base.
 

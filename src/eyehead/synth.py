@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ingest import RawStream, ShiftSet
-from .models import SoftHingeParams, eval_model, params_to_dict
+from .models import X_MAX, X_MIN, SoftHingeParams, eval_model, params_to_dict
 
 # Trace construction: fixation plateaus and raised-cosine ramps of fixed
 # length, gaze and head sampled on their own clocks, starting straight ahead.
@@ -80,7 +80,7 @@ def synth_shifts(cfg: SynthConfig) -> tuple[ShiftSet, dict]:
     feasible wedge is thin.
     """
     rng = _rng(cfg.seed, cfg.participant_id, "shifts")
-    x = rng.uniform(0.0, 50.0, cfg.n_shifts)
+    x = rng.uniform(X_MIN, X_MAX, cfg.n_shifts)
     y = eval_model(cfg.params, x)
     if cfg.noise_sd > 0:
         y = y + rng.normal(0.0, cfg.noise_sd, cfg.n_shifts)

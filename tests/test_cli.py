@@ -5,6 +5,8 @@ import os
 import pathlib
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -230,6 +232,47 @@ class TestErrorHandling:
         assert exc.value.code == 2
 
 
+HUGE = 10 ** 400  # an int past float range: math.isfinite(HUGE) overflows
+
+
+def run_process(*argv, cwd=None):
+    """`python -m eyehead.cli argv` in a child process, on the package under test."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "eyehead.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
+
+
+class TestProcessExitCodes:
+    """main() exits 0 on success, 2 on a usage error, 1 on a stage error."""
+
+    def test_a_stage_that_succeeds_exits_0_and_writes_no_stderr(self, tmp_path):
+        proc = run_process("synth", "--out-dir", tmp_path / "raw",
+                           "--participants", 1, "--trials", 1, "--shifts", 3)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert (tmp_path / "raw" / "shifts.csv").is_file()
+
+    def test_an_unknown_flag_exits_2(self, tmp_path):
+        proc = run_process("fit", "--in", tmp_path / "s.csv", "--out", tmp_path / "f.json",
+                           "--frobnicate")
+        assert proc.returncode == 2
+        assert "--frobnicate" in proc.stderr
+
+    @pytest.mark.parametrize("argv, error", [
+        (["fit", "--in", "missing.csv", "--out", "fits.json"], "FileNotFoundError"),
+        # an int past float range once ended in an OverflowError traceback
+        (["synth", "--out-dir", "raw", "--seed", -HUGE], "ValueError"),
+    ], ids=["missing-input", "int-past-float-range"])
+    def test_a_stage_error_exits_1_with_one_json_line(self, tmp_path, argv, error):
+        proc = run_process(*argv, cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), proc.stderr
+        payload = json.loads(proc.stderr)
+        assert set(payload) == {"stage", "error", "message"}
+        assert (payload["stage"], payload["error"]) == (argv[0], error)
+        assert payload["message"]
+
+
 def one_line_error(capsys):
     """The stage error payload, checked to be one JSON line of {stage, error, message}."""
     err = capsys.readouterr().err
@@ -279,6 +322,7 @@ class TestOptionRanges:
         ("synth", "shifts", "0"),
         ("synth", "noise_sd", "nan"),
         ("synth", "seed", "-1"),
+        pytest.param("synth", "seed", str(-HUGE), id="synth-seed-past-float-range"),
     ])
     def test_an_option_out_of_range_is_named(self, tmp_path, capsys, monkeypatch,
                                              stage, option, value):
@@ -337,6 +381,55 @@ class TestOptionRanges:
         args = argparse.Namespace(command=stage, config=None,
                                   **dict.fromkeys(STAGE_OPTIONS[stage]))
         assert _resolve(args) == {key: DEFAULTS[key] for key in STAGE_OPTIONS[stage]}
+
+
+class TestIntegersPastFloatRange:
+    """An int option compares exactly at any size; one past float range is no traceback."""
+
+    def test_a_huge_seed_seeds_synth(self, tmp_path):
+        out = tmp_path / "raw"
+        assert run(["synth", "--out-dir", out, "--seed", HUGE,
+                    "--participants", 1, "--trials", 1, "--shifts", 3]) == 0
+        assert json.loads((out / "truth.json").read_text())["provenance"]["seed"] == HUGE
+
+    def test_a_huge_negative_config_seed_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -HUGE}))
+        assert run(["synth", "--out-dir", tmp_path / "raw", "--config", cfg]) == 1
+        payload = one_line_error(capsys)
+        assert (payload["stage"], payload["error"]) == ("synth", "ValueError")
+        assert payload["message"] == f"--seed: must be >= 0, got {-HUGE}"
+        assert not (tmp_path / "raw").exists()
+
+    def test_huge_components_are_named(self, tmp_path, capsys):
+        raw = synth_dir(tmp_path, participants=4, trials=1, shifts=40, seed=3)
+        shifts = preprocess(tmp_path, raw, extra=("--min-overlap-s", 5.0))
+        fits = tmp_path / "fits.json"
+        assert run(["fit", "--in", shifts, "--out", fits]) == 0
+        out = tmp_path / "spectrum.json"
+        assert run(["fpca", "--in", fits, "--out", out, "--components", HUGE]) == 1
+        payload = one_line_error(capsys)
+        assert (payload["stage"], payload["error"]) == ("fpca", "IndexOutOfRangeError")
+        assert payload["message"] == (
+            f"--components: n_components must be in [1, 3] for 4 curves, got {HUGE}"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_huge_expected_trials_keep_no_trial(self, tmp_path, capsys, how):
+        raw = synth_dir(tmp_path, participants=2, trials=1, shifts=30, seed=3)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"expected_trials": HUGE}))
+        extra = ["--expected-trials", HUGE] if how == "flag" else ["--config", cfg]
+        out = tmp_path / "shifts.csv"
+        assert run(["preprocess", "--in-dir", raw, "--out", out,
+                    "--min-overlap-s", 5, *extra]) == 1
+        payload = one_line_error(capsys)
+        assert (payload["stage"], payload["error"]) == ("preprocess", "MissingInputError")
+        assert payload["message"] == (
+            f"no trials kept of 2 found (--expected-trials {HUGE} dropped 2 that passed)"
+        )
+        assert not out.exists()
 
 
 def set_cell(path, row, column, value):
@@ -789,14 +882,22 @@ def other_value(key):
         return "hinge"
     if isinstance(default, str):
         return "12,18"
-    # a default at the top of its range (cli.RANGES) steps down
-    return default - 1 if default in cli.RANGES.get(key, ())[2:] else default + 1
+    # a default at the top of its range (cli.OPTIONS' range column) steps down
+    return default - 1 if default in cli.OPTIONS[key][1][2:] else default + 1
 
 
 class TestOptionTable:
     def test_every_numeric_option_has_one_range(self):
         numeric = {key for key, default in DEFAULTS.items() if isinstance(default, (int, float))}
-        assert set(cli.RANGES) == numeric
+        assert {key for key, (_, limits, *_) in cli.OPTIONS.items() if limits} == numeric
+
+    def test_every_option_names_stages_of_the_parser(self):
+        # a typo in the stages column would drop the option from every stage
+        usage = build_parser().format_usage()  # ... {preprocess,fit,...} ...
+        commands = set(re.search(r"\{([a-z,]+)\}", usage).group(1).split(","))
+        for key, (_, _, stages, _) in cli.OPTIONS.items():
+            assert stages and set(stages) <= commands, key
+        assert set(STAGE_OPTIONS) == commands
 
     @pytest.mark.parametrize("stage", sorted(STAGE_FLAGS))
     def test_help_lists_exactly_the_stage_flags(self, capsys, stage):
