@@ -19,6 +19,8 @@ layer consumes.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import json
 import math
 import os
@@ -355,53 +357,63 @@ def read_table(
 ) -> dict:
     """Read the named columns of a CSV table: `floats` as float64 arrays, others as strings.
 
-    The file is UTF-8, and a byte-order mark at its start is skipped. Its
-    lines are read once, each ending at '\\n', '\\r' or '\\r\\n' only. '#'
-    (provenance) and blank lines before the header are skipped, and
-    csv.reader reads the header from those lines. numpy's C reader then
-    parses the list of lines from data row 1 on in one call (RFC 4180
-    quoting, a quoted field may span lines, blank lines skipped, the doubles
-    Python's float() gives). TraceSchemaError names the path and the data
-    row of a row not as wide as the header or of a non-number, and also the
-    column of a non-finite value (nan, inf) in a `floats` column.
+    The file is read once, as bytes. It must be UTF-8, or TraceSchemaError
+    names the path and the offset in the file of the first byte that is not,
+    before any other check. A byte-order mark at its start is skipped. Lines
+    are decoded one at a time as they are read, each ending at '\\n', '\\r' or
+    '\\r\\n' only; no list of them is kept. '#' (provenance) and blank lines
+    before the header are skipped, and csv.reader reads the header from those
+    lines. numpy's C reader then parses the lines from data row 1 on in one
+    call (RFC 4180 quoting, a quoted field may span lines, blank lines
+    skipped, the doubles Python's float() gives). TraceSchemaError names the
+    path and the data row of a row not as wide as the header or of a
+    non-number, and also the column of a non-finite value (nan, inf) in a
+    `floats` column.
 
     Every row of a column named in `single` must hold the value of data row
-    1, which comes back as that one string. csv.reader reads row 1 from the
-    same lines, and numpy parses each such column as a string one character
-    wider than csv's value, so any other value is kept whole or cut to a
-    string that still differs from it. Rows are compared with numpy's own
-    reading of row 1. numpy's strings drop trailing NULs, so a NUL in such a
-    column is rejected. Either error names the path and the data row.
+    1, which comes back as that one string. csv.reader reads row 1 first,
+    and the lines it takes go to numpy ahead of the rest. numpy parses each
+    such column as a string one character wider than csv's value, so any
+    other value is kept whole or cut to a string that still differs from it.
+    Rows are compared with numpy's own reading of row 1. numpy's strings drop
+    trailing NULs, so a NUL in such a column is rejected. Either error names
+    the path and the data row.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        lines = fh.readlines()
-    numbered = enumerate(lines)
-    rows = csv.reader(ln for _, ln in numbered if not ln.startswith("#"))
-    header = next((row for row in rows if row), None)
-    if header is None:
-        raise EmptyFileError(path)
-    if missing := [col for col in columns if col not in header]:
-        raise MissingColumnError(column=missing[0], path=path)
-    start = next((i for i, ln in numbered if ln.strip("\r\n")), None)
-    if start is None:  # numpy would only warn about an empty body
-        raise EmptyFileError(path)
-    body = lines[start:]
-
-    kinds = {c: "f8" for c in floats}
-    if single:
-        nul = "\0" in "".join(body)
-        try:
-            first = dict(zip(header, next(csv.reader(body))))
-        except csv.Error:  # a field past csv's size limit: numpy reads it as object
-            first = {}
-        # a row 1 narrower than the header gets object columns; numpy rejects it
-        kinds.update({c: f"U{len(first[c]) + 1}" if c in first and not nul else object
-                      for c in single})
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        data = np.loadtxt(body, delimiter=",", quotechar='"', comments=None, ndmin=1,
-                          dtype=[(c, kinds.get(c, object)) for c in header])
-    except ValueError as exc:
-        raise TraceSchemaError(f"{path}: {_data_row_message(str(exc))}") from exc
+        raw.decode("utf-8")  # a byte-order mark is valid UTF-8, so offsets count from byte 0
+    except UnicodeDecodeError as exc:
+        raise TraceSchemaError(f"{path}: byte 0x{raw[exc.start]:02x} at offset {exc.start} "
+                               f"is not valid UTF-8 ({exc.reason})") from exc
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as lines:
+        rows = csv.reader(ln for ln in lines if not ln.startswith("#"))
+        header = next((row for row in rows if row), None)
+        if header is None:
+            raise EmptyFileError(path)
+        if missing := [col for col in columns if col not in header]:
+            raise MissingColumnError(column=missing[0], path=path)
+        start = next((ln for ln in lines if ln.strip("\r\n")), None)
+        if start is None:  # numpy would only warn about an empty body
+            raise EmptyFileError(path)
+        row_1 = [start]  # the lines of data row 1, read ahead of numpy
+
+        kinds = {c: "f8" for c in floats}
+        if single:
+            nul = b"\0" in raw
+            try:
+                first = dict(zip(header, next(csv.reader(_taking(row_1, lines)))))
+            except csv.Error:  # a field past csv's size limit: numpy reads it as object
+                first = {}
+            # a row 1 narrower than the header gets object columns; numpy rejects it
+            kinds.update({c: f"U{len(first[c]) + 1}" if c in first and not nul else object
+                          for c in single})
+        try:
+            data = np.loadtxt(itertools.chain(row_1, lines), delimiter=",", quotechar='"',
+                              comments=None, ndmin=1,
+                              dtype=[(c, kinds.get(c, object)) for c in header])
+        except ValueError as exc:
+            raise TraceSchemaError(f"{path}: {_data_row_message(str(exc))}") from exc
     if not all(np.isfinite(data[col]).all() for col in floats):
         named = [col for col in header if col in floats]
         row, j = np.argwhere(~np.isfinite(np.column_stack([data[c] for c in named])))[0]
@@ -420,6 +432,14 @@ def read_table(
         col: one[col] if col in single else data[col] if col in floats else data[col].tolist()
         for col in columns
     }
+
+
+def _taking(taken: list[str], lines):
+    """Yield taken[0], then each line of `lines`, appending it to `taken` as it goes."""
+    yield taken[0]
+    for ln in lines:
+        taken.append(ln)
+        yield ln
 
 
 def _data_row_message(msg: str) -> str:

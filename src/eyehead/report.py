@@ -92,7 +92,11 @@ def write_json_lines(path: str, records: list[dict], provenance: dict) -> None:
 
 
 def read_json(path: str, what: str = "file"):
-    """The JSON value a file holds; a JSONDecodeError reads `<path>: <what> is not valid JSON`."""
+    """The JSON value a file holds; any ValueError reads `<path>: <what> is not valid JSON: ...`.
+
+    That covers a JSONDecodeError, which stays one, bytes that are not UTF-8
+    and an integer past Python's limit on digits in an int string.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -100,6 +104,8 @@ def read_json(path: str, what: str = "file"):
             raise json.JSONDecodeError(
                 f"{path}: {what} is not valid JSON: {exc.msg}", exc.doc, exc.pos
             ) from exc
+        except ValueError as exc:
+            raise ValueError(f"{path}: {what} is not valid JSON: {exc}") from exc
 
 
 def read_json_object(path: str) -> dict:

@@ -401,6 +401,16 @@ class TestIntegersPastFloatRange:
         assert payload["message"] == f"--seed: must be >= 0, got {-HUGE}"
         assert not (tmp_path / "raw").exists()
 
+    def test_a_config_int_past_pythons_digit_limit_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "big.json"
+        cfg.write_text('{"seed": ' + "1" * 5000 + "}")
+        assert run(["synth", "--out-dir", tmp_path / "raw", "--config", cfg]) == 1
+        payload = one_line_error(capsys)
+        assert (payload["stage"], payload["error"]) == ("synth", "ValueError")
+        assert payload["message"].startswith(
+            f"{cfg}: config file is not valid JSON: Exceeds the limit (4300 digits)")
+        assert not (tmp_path / "raw").exists()
+
     def test_huge_components_are_named(self, tmp_path, capsys):
         raw = synth_dir(tmp_path, participants=4, trials=1, shifts=40, seed=3)
         shifts = preprocess(tmp_path, raw, extra=("--min-overlap-s", 5.0))
@@ -717,6 +727,24 @@ class TestMalformedJsonInputs:
         payload = one_line_error(capsys)
         assert (payload["stage"], payload["error"]) == (stage, "JSONDecodeError")
         assert payload["message"].startswith(f"{target}: file is not valid JSON: ")
+
+    # json.loads raises a bare ValueError for an integer past Python's digit limit,
+    # and reading the file one for bytes that are not UTF-8
+    @pytest.mark.parametrize("stage", ["fpca", "project", "report"])
+    @pytest.mark.parametrize("text, reason", [
+        ('[{"provenance": {}}, {"r2": ' + "1" * 5000 + "}]", "Exceeds the limit (4300 digits)"),
+        (b'[{"participant_id": "p\xff"}]', "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["int-past-digit-limit", "not-utf-8"])
+    def test_a_bare_value_error_names_the_fit_table(self, inputs, capsys, stage, text, reason):
+        fits = inputs / "fits.json"
+        if isinstance(text, bytes):
+            fits.write_bytes(text)
+        else:
+            fits.write_text(text)
+        assert run(self.argv(inputs, stage, fits, inputs / "spectrum.json")) == 1
+        payload = one_line_error(capsys)
+        assert (payload["stage"], payload["error"]) == (stage, "ValueError")
+        assert payload["message"].startswith(f"{fits}: file is not valid JSON: {reason}")
 
     @pytest.mark.parametrize("stage", ["project", "report"])
     @pytest.mark.parametrize("key, value", [

@@ -3,6 +3,7 @@ import io
 import math
 import os
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +20,8 @@ from eyehead import (
     NoOverlapError,
     RawStream,
     ShiftSet,
+    SoftHingeParams,
+    SynthConfig,
     TraceSchemaError,
     align_head_to_gaze,
     load_trace_csv,
@@ -26,6 +29,7 @@ from eyehead import (
     read_shifts_csv,
     sanity_check,
     symmetrize_and_clean,
+    synth_trace,
     unwrap_yaw,
     write_shifts_csv,
     write_trace_csv,
@@ -353,6 +357,75 @@ class TestLoadTraceCsv:
         p = write_trace(tmp_path / "a.csv", "p01", "t01", [0.0, 0.1, 0.2], [1.0, 2.0, 3.0])
         ingest.read_table(p, TRACE_COLUMNS, floats=("timestamp_s", "yaw_deg"), single=single)
         assert len(calls) == 1
+
+
+class TestOneBinaryRead:
+    """read_table reads a file once as bytes and hands numpy its lines as they decode."""
+
+    HEADER = b"participant_id,trial_id,timestamp_s,yaw_deg\n"
+
+    def rows(self, n, bad_at=None):
+        return b"".join(b"p01,t01,%d.5,%s\n" % (i, b"abc" if i == bad_at else b"1.0")
+                        for i in range(n))
+
+    # offsets count from the file's first byte, a byte-order mark included,
+    # not from the start of a decode chunk
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_a_byte_past_the_first_8_kib_is_named_by_its_offset(self, tmp_path, bom):
+        raw = bytearray(bom + self.HEADER + self.rows(2000))
+        raw[20_000] = 0xFF
+        p = tmp_path / "a.csv"
+        p.write_bytes(bytes(raw))
+        with pytest.raises(TraceSchemaError) as err:
+            load_trace_csv(p)
+        assert str(err.value) == (
+            f"{p}: byte 0xff at offset 20000 is not valid UTF-8 (invalid start byte)")
+
+    def test_a_character_cut_at_the_end_is_named_by_its_first_byte(self, tmp_path):
+        raw = self.HEADER + self.rows(3) + "é".encode()[:1]
+        p = tmp_path / "a.csv"
+        p.write_bytes(raw)
+        with pytest.raises(TraceSchemaError) as err:
+            load_trace_csv(p)
+        assert str(err.value) == (
+            f"{p}: byte 0xc3 at offset {len(raw) - 1} is not valid UTF-8 (unexpected end of data)")
+
+    def test_bad_utf_8_is_named_before_an_earlier_non_number(self, tmp_path):
+        raw = self.HEADER + self.rows(2000, bad_at=2) + b"p01,t01,\xfe,1.0\n"
+        p = tmp_path / "a.csv"
+        p.write_bytes(raw)
+        with pytest.raises(TraceSchemaError) as err:
+            load_trace_csv(p)
+        at = raw.index(b"\xfe")
+        assert str(err.value).startswith(f"{p}: byte 0xfe at offset {at} ")
+
+    # csv.reader reads row 1 ahead of numpy: each line it takes reaches numpy once
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\r\n\r"])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_row_1_id_across_lines_reaches_numpy_once(self, tmp_path, brk, n):
+        pid = f"p{brk}0{brk}1"
+        s = stream(pid=pid, t=[0.1 * i for i in range(n)], yaw=[float(i) for i in range(n)])
+        write_trace_csv(tmp_path / "a.csv", s)
+        back = load_trace_csv(tmp_path / "a.csv")
+        assert back.participant_id == pid
+        assert back.t.tobytes() == s.t.tobytes() and back.yaw.tobytes() == s.yaw.tobytes()
+
+    # a list of every line as a str, or the body joined into one, puts the
+    # peak of a long-trials gaze file (~20k rows) past 5x its size
+    def test_traced_peak_of_a_long_trace_stays_under_4x_the_file(self, tmp_path):
+        gaze, _, _ = synth_trace(SynthConfig(SoftHingeParams(0.5, 20.0, 3.0), n_shifts=300,
+                                             seed=7))
+        p = tmp_path / "gaze.csv"
+        write_trace_csv(p, gaze)
+        assert 19_000 < gaze.t.size < 21_000
+        tracemalloc.start()
+        try:
+            back = load_trace_csv(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.t.size == gaze.t.size
+        assert peak < 4 * os.path.getsize(p)
 
 
 class TestTable:
