@@ -34,6 +34,7 @@ from .events import (
     detect_fixations,
     extract_shifts,
     preprocess_trial,
+    threshold_shifts,
 )
 from .fitting import (
     FitResult,
@@ -98,7 +99,6 @@ from .stats import (
     skewness,
     symmetry_check,
     threshold_sensitivity,
-    threshold_shifts,
 )
 from .synth import SynthConfig, draw_population, synth_shifts, synth_trace
 

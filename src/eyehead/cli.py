@@ -38,7 +38,7 @@ from .errors import (
     TooFewFixationsError,
     TooFewSamplesError,
 )
-from .events import FixationConfig, preprocess_trial
+from .events import FixationConfig, preprocess_trial, threshold_shifts
 from .fitting import fit_participants
 from .fpca import fit_fpca, sample_curves, score_table
 from .ingest import (
@@ -68,7 +68,7 @@ from .report import (
     write_json_lines,
     write_json_object,
 )
-from .stats import symmetry_check, threshold_sensitivity, threshold_shifts
+from .stats import symmetry_check, threshold_sensitivity
 from .synth import SynthConfig, draw_population, synth_shifts, synth_trace
 
 # Every option, one row each: key -> (built-in default, range, stages, help

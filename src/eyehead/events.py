@@ -10,12 +10,16 @@ does, puts the boundaries inside the ramps, so a shift can read only part of
 its displacement or span two gaze shifts. Reading the boundary samples also
 means head motion after gaze has settled (stabilized by the
 vestibulo-ocular reflex) is not counted as contribution to the shift.
+
+`threshold_shifts` smooths one trial once and segments it at several
+velocity thresholds, for the sensitivity analysis; `preprocess_trial` is
+its one-threshold case, at the base threshold.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,18 +113,26 @@ def extract_shifts(trace: AlignedTrace, spans: np.ndarray) -> ShiftSet:
     )
 
 
-def gaze_velocity(trace: AlignedTrace, filter_cfg: FilterConfig = FilterConfig()) -> np.ndarray:
-    """Yaw velocity (degrees/s) of the smoothed gaze trace, per sample."""
-    return angular_velocity(trace.t, one_euro(trace.t, trace.gaze_yaw, filter_cfg))
-
-
-def segment_shifts(
+def threshold_shifts(
     trace: AlignedTrace,
-    velocity: np.ndarray,
+    thresholds: tuple[float, ...],
+    filter_cfg: FilterConfig = FilterConfig(),
     fixation_cfg: FixationConfig = FixationConfig(),
-) -> ShiftSet:
-    """Detect fixations on a gaze velocity trace and extract the shifts between them."""
-    return extract_shifts(trace, detect_fixations(trace.t, velocity, fixation_cfg))
+) -> dict[float, ShiftSet]:
+    """One trial's signed shifts at every threshold, and at the base threshold.
+
+    The gaze is smoothed once (the 1-Euro filter and the velocity do not
+    depend on the fixation threshold), and its velocity trace is segmented
+    at each of thresholds and then at fixation_cfg.vel_threshold, the base,
+    unless it is one of them. Returns {threshold: ShiftSet} in that order.
+    """
+    velocity = angular_velocity(trace.t, one_euro(trace.t, trace.gaze_yaw, filter_cfg))
+    out: dict[float, ShiftSet] = {}
+    for thr in (*thresholds, fixation_cfg.vel_threshold):
+        if thr not in out:
+            cfg = replace(fixation_cfg, vel_threshold=thr)
+            out[thr] = extract_shifts(trace, detect_fixations(trace.t, velocity, cfg))
+    return out
 
 
 def preprocess_trial(
@@ -129,4 +141,4 @@ def preprocess_trial(
     fixation_cfg: FixationConfig = FixationConfig(),
 ) -> ShiftSet:
     """Smooth gaze, detect fixations, and extract signed shifts for one trial."""
-    return segment_shifts(trace, gaze_velocity(trace, filter_cfg), fixation_cfg)
+    return threshold_shifts(trace, (), filter_cfg, fixation_cfg)[fixation_cfg.vel_threshold]

@@ -363,12 +363,13 @@ def read_table(
     are decoded one at a time as they are read, each ending at '\\n', '\\r' or
     '\\r\\n' only; no list of them is kept. '#' (provenance) and blank lines
     before the header are skipped, and csv.reader reads the header from those
-    lines. numpy's C reader then parses the lines from data row 1 on in one
-    call (RFC 4180 quoting, a quoted field may span lines, blank lines
-    skipped, the doubles Python's float() gives). TraceSchemaError names the
-    path and the data row of a row not as wide as the header or of a
-    non-number, and also the column of a non-finite value (nan, inf) in a
-    `floats` column.
+    lines; a header csv rejects (a field past its size limit) is a
+    TraceSchemaError naming the path. numpy's C reader then parses the lines
+    from data row 1 on in one call (RFC 4180 quoting, a quoted field may span
+    lines, blank lines skipped, the doubles Python's float() gives).
+    TraceSchemaError names the path and the data row of a row not as wide
+    as the header or of a non-number, and also the column of a non-finite
+    value (nan, inf) in a `floats` column.
 
     Every row of a column named in `single` must hold the value of data row
     1, which comes back as that one string. csv.reader reads row 1 first,
@@ -388,7 +389,10 @@ def read_table(
                                f"is not valid UTF-8 ({exc.reason})") from exc
     with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as lines:
         rows = csv.reader(ln for ln in lines if not ln.startswith("#"))
-        header = next((row for row in rows if row), None)
+        try:
+            header = next((row for row in rows if row), None)
+        except csv.Error as exc:  # such as a field past csv's size limit
+            raise TraceSchemaError(f"{path}: header is not valid CSV: {exc}") from exc
         if header is None:
             raise EmptyFileError(path)
         if missing := [col for col in columns if col not in header]:
@@ -460,13 +464,14 @@ def open_output(path: str, newline: str | None = None):
 def write_table(path: str, columns: tuple[str, ...], cols, provenance: dict | None = None) -> None:
     """Write a CSV table, one sequence per column, under an optional '# provenance: {...}' line.
 
-    Floats are written as %.9g, any other value as its str. A column given
-    as one str holds that value on every row, the write-side mirror of
-    `read_table`'s `single`; the other columns set the row count (none
-    when every column is a str). The bytes are those of csv.writer's
-    default dialect: a field is quoted only when it holds a comma, quote or
-    line break, or is the empty only field of its row, and rows end with
-    CRLF.
+    A column is a float array, written as %.9g, a sequence of str, or one
+    str, which holds that value on every row (the write-side mirror of
+    `read_table`'s `single`). A value that is none of these is a TypeError,
+    raised before the file is opened. The columns that are not one str set
+    the row count (none when every column is a str). The bytes are those of
+    csv.writer's default dialect: a field is quoted only when it holds a
+    comma, quote or line break, or is the empty only field of its row, and
+    rows end with CRLF.
     """
     lone = len(columns) == 1
     formats, cells = [], []
@@ -479,12 +484,7 @@ def write_table(path: str, columns: tuple[str, ...], cols, provenance: dict | No
             formats.append("%.9g")
             cells.append(col)
             continue
-        distinct = set(col)
-        if not all(isinstance(v, str) for v in distinct):
-            # a column that is not all text is formatted value by value
-            col = ["%.9g" % v if isinstance(v, float) else str(v) for v in col]
-            distinct = set(col)
-        quoted = {text: _csv_field(text, lone) for text in distinct}
+        quoted = {text: _csv_field(text, lone) for text in set(col)}
         formats.append("%s")
         cells.append(np.array([quoted[text] for text in col], dtype=object))
     # one %-format call over the values row by row; text enters through %s, so a '%' in it is inert

@@ -119,29 +119,21 @@ def eval_model(params: ModelParams, x):
     return out if out.ndim else float(out)
 
 
-def soft_hinge_partials(beta, tau, s, x):
-    """Partials of beta * softplus((x - tau) / s) wrt (beta, tau, s).
+def model_gradient(params: SoftHingeParams, x):
+    """Partials of the soft hinge wrt (beta, tau, s); three arrays shaped like x.
 
     With u = (x - tau) / s and sigma the logistic function:
         dy/dbeta = softplus(u)
         dy/dtau  = -(beta / s) * sigma(u)
         dy/ds    = -(beta * u / s) * sigma(u)
-    All arguments broadcast against each other (e.g. parameters shaped
-    (n, 1) against x shaped (m,)), and the model value is beta * dy/dbeta.
+    The model value is beta * dy/dbeta.
     """
+    beta, tau, s = params.beta, params.tau, params.s
     u = (np.asarray(x, dtype=float) - tau) / s
     # the logistic from e = exp(-|u|), which never overflows
     e = np.exp(-np.abs(u))
     sig = np.where(u >= 0.0, 1.0, e) / (1.0 + e)
-    d_beta = softplus(u)
-    d_tau = -(beta / s) * sig
-    d_s = -(beta * u / s) * sig
-    return np.asarray(d_beta), d_tau, d_s
-
-
-def model_gradient(params: SoftHingeParams, x):
-    """Partials of the soft hinge wrt (beta, tau, s); three arrays shaped like x."""
-    return soft_hinge_partials(params.beta, params.tau, params.s, x)
+    return np.asarray(softplus(u)), -(beta / s) * sig, -(beta * u / s) * sig
 
 
 def hinge_gradient(params: HingeParams, x):

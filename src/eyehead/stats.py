@@ -4,12 +4,13 @@ Plain-formula implementations (Pearson correlation, linear-interpolation
 quartiles, adjusted Fisher-Pearson skewness, fixed-bandwidth Gaussian KDE)
 plus two study-level diagnostics: a left/right symmetry check that justifies
 folding shifts onto one side, and a fixation-threshold sensitivity analysis
-that refits the head-contribution curve under different velocity thresholds.
+that refits the head-contribution curve on the shifts that
+`events.threshold_shifts` segments at different velocity thresholds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,10 +22,9 @@ from .errors import (
     TooFewPointsError,
     ZeroSpreadError,
 )
-from .events import FixationConfig, gaze_velocity, segment_shifts
 from .fitting import fit_participants
 from .fpca import DEFAULT_GRID
-from .ingest import AlignedTrace, FilterConfig, ShiftSet, symmetrize_and_clean
+from .ingest import ShiftSet, symmetrize_and_clean
 from .models import X_MAX, eval_model
 
 
@@ -181,28 +181,6 @@ def symmetry_check(shifts: ShiftSet) -> SymmetryReport:
 # fixation-threshold sensitivity
 # ---------------------------------------------------------------------------
 
-def threshold_shifts(
-    trace: AlignedTrace,
-    thresholds: tuple[float, ...],
-    filter_cfg: FilterConfig = FilterConfig(),
-    fixation_cfg: FixationConfig = FixationConfig(),
-) -> dict[float, ShiftSet]:
-    """One trial's signed shifts at every threshold, and at the base threshold.
-
-    The gaze is smoothed once (the 1-Euro filter and the velocity do not
-    depend on the fixation threshold), and its velocity trace is segmented
-    at each of thresholds and then at fixation_cfg.vel_threshold, the base,
-    unless it is one of them. Returns {threshold: ShiftSet} in that order.
-    """
-    velocity = gaze_velocity(trace, filter_cfg)
-    out: dict[float, ShiftSet] = {}
-    for thr in (*thresholds, fixation_cfg.vel_threshold):
-        if thr not in out:
-            cfg = replace(fixation_cfg, vel_threshold=thr)
-            out[thr] = segment_shifts(trace, velocity, cfg)
-    return out
-
-
 def threshold_sensitivity(
     shifts: dict[tuple[str, float], ShiftSet],
     thresholds: tuple[float, ...] = (10.0, 15.0, 20.0),
@@ -212,15 +190,15 @@ def threshold_sensitivity(
     """Refit every participant's curve per velocity threshold; r vs base.
 
     shifts maps (participant_id, threshold) to that participant's signed
-    shifts at that threshold, pooled over trials (threshold_shifts gives one
-    trial's), for every threshold and for base, the threshold preprocess
-    segments at. Each set is symmetrized and cleaned, and the soft hinges of
-    all of them are refit in one batched call; each curve is evaluated on
-    DEFAULT_GRID and correlated with the participant's curve at base, which
-    maps to r = 1. Returns {participant_id: {threshold: r}} in id order. A
-    participant left with no shifts at some threshold, or with a constant
-    curve (no head movement), maps to that error instead, and the other
-    participants are unaffected.
+    shifts at that threshold, pooled over trials (events.threshold_shifts
+    gives one trial's), for every threshold and for base, the threshold
+    preprocess segments at. Each set is symmetrized and cleaned, and the
+    soft hinges of all of them are refit in one batched call; each curve is
+    evaluated on DEFAULT_GRID and correlated with the participant's curve at
+    base, which maps to r = 1. Returns {participant_id: {threshold: r}} in
+    id order. A participant left with no shifts at some threshold, or with a
+    constant curve (no head movement), maps to that error instead, and the
+    other participants are unaffected.
     """
     all_thresholds = list(thresholds)
     if base not in all_thresholds:

@@ -60,7 +60,8 @@ def test_result_hooks_count_what_preprocess_saw(tmp_path):
         trace = ingest.align_head_to_gaze(ingest.load_trace_csv(gaze_path),
                                           ingest.load_trace_csv(head_path))
         samples += trace.t.size
-        fixations += len(detect_fixations_loop(trace.t, events.gaze_velocity(trace)))
+        velocity = events.angular_velocity(trace.t, ingest.one_euro(trace.t, trace.gaze_yaw))
+        fixations += len(detect_fixations_loop(trace.t, velocity))
 
     tracing = _tracing()
     tracer = tracing.Tracer()

@@ -28,7 +28,7 @@ from eyehead.cli import (
     build_parser,
     dispatch,
 )
-from eyehead.events import FixationConfig
+from eyehead.events import FixationConfig, threshold_shifts
 from eyehead.ingest import (
     SCORE_COLUMNS,
     SHIFT_COLUMNS,
@@ -40,7 +40,7 @@ from eyehead.ingest import (
 from eyehead.models import MODELS
 from eyehead import report
 from eyehead.report import read_json_array
-from eyehead.stats import threshold_sensitivity, threshold_shifts
+from eyehead.stats import threshold_sensitivity
 
 
 def run(argv):
@@ -258,12 +258,17 @@ class TestProcessExitCodes:
         assert proc.returncode == 2
         assert "--frobnicate" in proc.stderr
 
-    @pytest.mark.parametrize("argv, error", [
-        (["fit", "--in", "missing.csv", "--out", "fits.json"], "FileNotFoundError"),
+    @pytest.mark.parametrize("argv, error, files", [
+        (["fit", "--in", "missing.csv", "--out", "fits.json"], "FileNotFoundError", {}),
         # an int past float range once ended in an OverflowError traceback
-        (["synth", "--out-dir", "raw", "--seed", -HUGE], "ValueError"),
-    ], ids=["missing-input", "int-past-float-range"])
-    def test_a_stage_error_exits_1_with_one_json_line(self, tmp_path, argv, error):
+        (["synth", "--out-dir", "raw", "--seed", -HUGE], "ValueError", {}),
+        # and a header field past csv's size limit in a _csv.Error one
+        (["fit", "--in", "wide.csv", "--out", "fits.json"], "TraceSchemaError",
+         {"wide.csv": "participant_id,trial_id,x_deg,y_deg," + "x" * 200_000 + "\n"}),
+    ], ids=["missing-input", "int-past-float-range", "header-past-csvs-field-limit"])
+    def test_a_stage_error_exits_1_with_one_json_line(self, tmp_path, argv, error, files):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
         proc = run_process(*argv, cwd=tmp_path)
         assert proc.returncode == 1
         assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), proc.stderr

@@ -22,7 +22,6 @@ from eyehead import (
     params_to_dict,
     softplus,
 )
-from eyehead.models import soft_hinge_partials
 
 from .oracles import compute_eor_loop, fd_gradient, ref_logistic, ref_soft_hinge
 
@@ -214,13 +213,13 @@ class TestGradients:
 
 
 def partials_sigmoid(u):
-    """The logistic of u inside soft_hinge_partials: its dy/dtau at beta = -1, tau = 0, s = 1."""
-    with np.errstate(invalid="ignore"):  # dy/ds is -inf * 0 at u = -inf
-        return soft_hinge_partials(-1.0, 0.0, 1.0, np.asarray(u, dtype=float))[1]
+    """The logistic of u inside model_gradient: minus its dy/dtau at beta = 1, tau = 0, s = 1."""
+    with np.errstate(invalid="ignore"):  # dy/ds is inf * 0 at u = -inf
+        return -model_gradient(SoftHingeParams(1, 0, 1), np.asarray(u, dtype=float))[1]
 
 
 class TestSigmoid:
-    """The logistic inside soft_hinge_partials against its exact value and scipy's expit."""
+    """The logistic inside model_gradient against its exact value and scipy's expit."""
 
     U = np.concatenate([np.linspace(-800.0, 800.0, 8001), [np.inf, -np.inf, np.nan]])
 

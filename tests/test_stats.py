@@ -28,15 +28,22 @@ from eyehead import (
 )
 
 from eyehead import AlignedTrace, align_head_to_gaze, events, preprocess_trial, stats, synth
+from eyehead.events import angular_velocity, detect_fixations, extract_shifts
 from eyehead.fitting import fit_soft_hinge
 from eyehead.fpca import DEFAULT_GRID
-from eyehead.ingest import concat_shift_sets, symmetrize_and_clean
+from eyehead.ingest import concat_shift_sets, one_euro, symmetrize_and_clean
 from eyehead.models import eval_model
 
 
 def make_shifts(x, y):
     x = np.asarray(x, dtype=float)
     return ShiftSet(["p01"] * x.size, ["t01"] * x.size, x, np.asarray(y, dtype=float))
+
+
+def layered_shifts(trace, filter_cfg, fixation_cfg):
+    """One trial's shifts, composed here from the smoothing and segmentation layers."""
+    velocity = angular_velocity(trace.t, one_euro(trace.t, trace.gaze_yaw, filter_cfg))
+    return extract_shifts(trace, detect_fixations(trace.t, velocity, fixation_cfg))
 
 
 def pooled_shifts(traces, thresholds, filter_cfg=FilterConfig(),
@@ -269,24 +276,35 @@ class TestSymmetryCheck:
             symmetry_check(make_shifts(xs, ys))
 
 
+def assert_same_shifts(got, want):
+    assert got.participant_id == want.participant_id
+    assert got.trial_id == want.trial_id
+    np.testing.assert_array_equal(got.x, want.x)
+    np.testing.assert_array_equal(got.y, want.y)
+
+
 class TestThresholdShifts:
-    def test_each_threshold_then_the_base_matches_preprocess_trial(self, monkeypatch):
+    def test_each_threshold_then_the_base_matches_the_layers(self, monkeypatch):
         amps = np.linspace(6.0, 48.0, 16) * (-1.0) ** np.arange(16)
         trace = staircase_trace(amps)
         filt = FilterConfig(min_cutoff=3.0)
         fix = FixationConfig(vel_threshold=15.0, pad_s=0.0)
         calls = []
-        one_euro = events.one_euro
         monkeypatch.setattr(events, "one_euro", lambda *a: calls.append(1) or one_euro(*a))
         got = threshold_shifts(trace, (20.0, 10.0, 20.0), filt, fix)
         assert len(calls) == 1
         assert list(got) == [20.0, 10.0, 15.0]
         for thr, shifts in got.items():
-            want = preprocess_trial(trace, filt, FixationConfig(vel_threshold=thr, pad_s=0.0))
-            assert shifts.participant_id == want.participant_id
-            assert shifts.trial_id == want.trial_id
-            np.testing.assert_array_equal(shifts.x, want.x)
-            np.testing.assert_array_equal(shifts.y, want.y)
+            want = layered_shifts(trace, filt, FixationConfig(vel_threshold=thr, pad_s=0.0))
+            assert_same_shifts(shifts, want)
+
+    @pytest.mark.parametrize("filt, fix", [
+        (FilterConfig(), FixationConfig()),
+        (FilterConfig(min_cutoff=3.0, beta=0.01), FixationConfig(vel_threshold=25.0, pad_s=0.0)),
+    ], ids=["defaults", "other-configs"])
+    def test_preprocess_trial_is_the_layers_at_the_base_threshold(self, filt, fix):
+        trace = staircase_trace(np.linspace(6.0, 48.0, 16) * (-1.0) ** np.arange(16))
+        assert_same_shifts(preprocess_trial(trace, filt, fix), layered_shifts(trace, filt, fix))
 
 
 class TestThresholdSensitivity:
@@ -326,18 +344,17 @@ class TestThresholdSensitivity:
         filt = FilterConfig(min_cutoff=3.0)
         fix = FixationConfig(vel_threshold=base, pad_s=0.0)
 
-        # reference: every threshold rebuilds its shifts with preprocess_trial
+        # reference: every threshold rebuilds its shifts from the layers
         curves = {}
         for thr in (*thresholds, base):
             fix_thr = FixationConfig(vel_threshold=thr, pad_s=0.0)
-            shifts = concat_shift_sets([preprocess_trial(tr, filt, fix_thr) for tr in traces])
+            shifts = concat_shift_sets([layered_shifts(tr, filt, fix_thr) for tr in traces])
             cleaned = symmetrize_and_clean(shifts)
             curves[thr] = eval_model(fit_soft_hinge(cleaned.x, cleaned.y).params,
                                      DEFAULT_GRID)
         want = {thr: pearson_r(curves[thr], curves[base]) for thr in thresholds}
 
         calls = []
-        one_euro = events.one_euro
         monkeypatch.setattr(events, "one_euro", lambda *a: calls.append(1) or one_euro(*a))
         got = threshold_sensitivity(pooled_shifts(traces, thresholds, filt, fix),
                                     thresholds, base)["p01"]
