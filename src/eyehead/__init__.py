@@ -43,7 +43,6 @@ from .fitting import (
     compare_models,
     fit_hinge,
     fit_linear,
-    fit_metrics,
     fit_participant,
     fit_participants,
     fit_soft_hinge,

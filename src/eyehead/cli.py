@@ -540,7 +540,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, _resolve(args))
-    except (EyeheadError, OSError, ValueError, KeyError) as exc:
+    except (EyeheadError, OSError, ValueError) as exc:
         payload = {
             "stage": args.command,
             "error": type(exc).__name__,

@@ -129,17 +129,6 @@ def aic_gaussian(sse: float, n: int, k: int) -> float:
     return float(n * np.log(mean_sq) + 2 * k)
 
 
-def fit_metrics(x, y, params: ModelParams, k: int) -> tuple[float, float, float, float]:
-    """(sse, r2, rmse, aic) of a parameter set on data; r2 is nan when var(y)=0."""
-    x, y = _check_data(x, y)
-    r = eval_model(params, x) - y
-    sse = float(np.dot(r, r))
-    tss = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - sse / tss if tss > 0.0 else float("nan")
-    n = int(x.size)
-    return sse, r2, float(np.sqrt(sse / n)), aic_gaussian(sse, n, k)
-
-
 def _finish(
     model: str,
     params: ModelParams,
@@ -148,25 +137,32 @@ def _finish(
     converged: bool,
     n_converged: int,
     start_index: int,
-    start_sses: list[float],
+    start_sses: list[float] | None,
 ) -> FitResult:
+    """The FitResult of params on (x, y), which _check_data has passed.
+
+    Its sse is that of the residuals eval_model(params, x) - y, and its r2 is
+    nan when var(y) = 0. start_sses None means the fit is its only start.
+    """
     k = len(fields(params))
-    sse, r2, rmse, aic = fit_metrics(x, y, params, k)
-    # with n <= k points the curve interpolates them: nothing is identified
-    converged = converged and x.size > k
+    n = int(x.size)
+    r = eval_model(params, x) - y
+    sse = float(np.dot(r, r))
+    tss = float(np.sum((y - y.mean()) ** 2))
     return FitResult(
         model=model,
         params=params,
         sse=sse,
-        rmse=rmse,
-        r2=r2,
-        aic=aic,
-        n_points=int(x.size),
+        rmse=float(np.sqrt(sse / n)),
+        r2=1.0 - sse / tss if tss > 0.0 else float("nan"),
+        aic=aic_gaussian(sse, n, k),
+        n_points=n,
         n_params=k,
-        converged=converged,
+        # with n <= k points the curve interpolates them: nothing is identified
+        converged=converged and n > k,
         n_converged=n_converged,
         start_index=start_index,
-        start_sses=start_sses,
+        start_sses=[sse] if start_sses is None else start_sses,
     )
 
 
@@ -453,9 +449,7 @@ def fit_linear(x, y) -> FitResult:
     except TooFewPointsError:
         gamma = 0.0
     gamma = max(gamma, 0.0)
-    result = _finish("linear", LinearParams(alpha, gamma), x, y, True, 1, 0, [])
-    result.start_sses = [result.sse]
-    return result
+    return _finish("linear", LinearParams(alpha, gamma), x, y, True, 1, 0, None)
 
 
 def compare_models(results: list[FitResult]) -> list[FitResult]:

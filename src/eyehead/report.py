@@ -24,7 +24,7 @@ from .errors import GridMismatchError, MissingInputError
 from .fpca import Spectrum, reconstruct_mode
 from .ingest import open_output, write_scores_csv, write_table
 from .models import MODELS, is_number, params_from_dict
-from .stats import describe_distribution, kde_density
+from .stats import describe_distribution, kde_density, kde_grid, mean_sd
 
 DENSITY_POINTS = 201
 
@@ -181,10 +181,9 @@ def _model_comparison(fit_rows: list[dict]) -> dict:
         table[model] = {"n": len(rows)}
         for metric in ("r2", "rmse", "aic"):
             vals = np.array([r[metric] for r in rows], dtype=float)  # null -> nan
-            vals = vals[~np.isnan(vals)]
             # undefined (written as null) without values, or without two for the SD
-            table[model][f"{metric}_mean"] = float(vals.mean()) if vals.size else np.nan
-            table[model][f"{metric}_sd"] = float(vals.std(ddof=1)) if vals.size > 1 else np.nan
+            mean, sd = mean_sd(vals[~np.isnan(vals)])
+            table[model][f"{metric}_mean"], table[model][f"{metric}_sd"] = mean, sd
     return table
 
 
@@ -229,11 +228,9 @@ def emit_report(
 
     pc1 = np.asarray(scores["pc1"], dtype=float)
     summary_stats = describe_distribution(pc1)
-    if pc1.size >= 2 and float(np.std(pc1, ddof=1)) > 0:
-        span = float(pc1.max() - pc1.min()) or 1.0
-        xs = np.linspace(pc1.min() - 0.25 * span, pc1.max() + 0.25 * span, DENSITY_POINTS)
-        dens = kde_density(pc1, xs)
-        put_csv("pc1_density.csv", ("x", "density"), (xs, dens))
+    if pc1.max() > pc1.min():
+        xs = kde_grid(pc1, DENSITY_POINTS)
+        put_csv("pc1_density.csv", ("x", "density"), (xs, kde_density(pc1, xs)))
 
     comparison = _model_comparison(fit_rows)
     summary = {

@@ -54,18 +54,47 @@ def _unit_scaled(d: np.ndarray) -> np.ndarray:
     return np.ldexp(d, -exp)
 
 
+# The statistics below square or cube values; below 2**HUGE_EXP neither overflows.
+HUGE_EXP = 300
+
+
+def _shrunk(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """(values / 2**e, e), e >= 0 the least that brings max |values| under 2**HUGE_EXP.
+
+    Dividing by a power of two is exact, and e is 0 for all but huge values,
+    so a statistic that would overflow on values no longer does, and one that
+    would not is unchanged bit for bit.
+    """
+    _, exp = np.frexp(np.max(np.abs(values), initial=0.0))
+    e = max(int(exp) - HUGE_EXP, 0)
+    return np.ldexp(values, -e), e
+
+
+def mean_sd(values) -> tuple[float, float]:
+    """Mean and sample SD (ddof=1) of values; nan without values, or without two for the SD.
+
+    An SD past the float range is inf.
+    """
+    values, e = _shrunk(np.asarray(values, dtype=float))
+    # a Python float product past the float range is inf, with no warning
+    scale = 2.0 ** e
+    mean = float(values.mean()) * scale if values.size else float("nan")
+    sd = float(values.std(ddof=1)) * scale if values.size > 1 else float("nan")
+    return mean, sd
+
+
 def quartiles(data) -> tuple[float, float, float]:
     """(Q1, median, Q3) with linear interpolation between order statistics."""
-    data = np.asarray(data, dtype=float)
+    data, e = _shrunk(np.asarray(data, dtype=float))
     if data.size == 0:
         raise TooFewPointsError("quartiles of an empty sample")
-    q1, q2, q3 = np.percentile(data, [25.0, 50.0, 75.0])
+    q1, q2, q3 = np.ldexp(np.percentile(data, [25.0, 50.0, 75.0]), e)
     return float(q1), float(q2), float(q3)
 
 
 def skewness(data) -> float:
     """Adjusted Fisher-Pearson skewness, g1 * sqrt(n(n-1)) / (n-2)."""
-    data = np.asarray(data, dtype=float)
+    data, _ = _shrunk(np.asarray(data, dtype=float))  # g1 is scale-free
     n = data.size
     if n < 3:
         raise TooFewPointsError(f"skewness needs >= 3 points, got {n}")
@@ -108,10 +137,22 @@ def describe_distribution(values) -> DistributionSummary:
     )
 
 
+def kde_grid(values, n: int) -> np.ndarray:
+    """n points from a quarter of the values' range below them to a quarter above.
+
+    The ends are clipped to the float range.
+    """
+    values, e = _shrunk(np.asarray(values, dtype=float))
+    lo, hi = values.min(), values.max()
+    span = hi - lo
+    top = np.ldexp(np.finfo(float).max, -e)
+    return np.ldexp(np.linspace(max(lo - 0.25 * span, -top), min(hi + 0.25 * span, top), n), e)
+
+
 def kde_density(values, eval_points) -> np.ndarray:
     """Gaussian KDE with the 1.06 * sd * n^(-1/5) rule-of-thumb bandwidth."""
-    values = np.asarray(values, dtype=float)
-    pts = np.atleast_1d(np.asarray(eval_points, dtype=float))
+    values, e = _shrunk(np.asarray(values, dtype=float))
+    pts = np.ldexp(np.atleast_1d(np.asarray(eval_points, dtype=float)), -e)
     if values.size < 2:
         raise TooFewPointsError("KDE needs at least 2 values")
     sd = float(np.std(values, ddof=1))
@@ -119,7 +160,9 @@ def kde_density(values, eval_points) -> np.ndarray:
         raise ZeroSpreadError("KDE bandwidth undefined for a constant sample")
     h = 1.06 * sd * values.size ** (-1.0 / 5.0)
     z = (pts[:, None] - values[None, :]) / h
-    return np.exp(-0.5 * z**2).sum(axis=1) / (values.size * h * np.sqrt(2.0 * np.pi))
+    # the density of values / 2**e at pts / 2**e is 2**e times theirs
+    return np.ldexp(np.exp(-0.5 * z**2).sum(axis=1) / (values.size * h * np.sqrt(2.0 * np.pi)),
+                    -e)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ separately derived answers.
 
 import csv
 import json
+import math
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -74,6 +75,22 @@ def compute_eor_loop(x, y, bin_width=5.0, x_min=0.0, x_max=50.0):
             alpha = c1 + (p1 - 0.5) / (p1 - p2) * (c2 - c1)
             return float(min(max(alpha, x_min), x_max))
     return x_max
+
+
+def ref_fit_scores(r, y, k):
+    """(sse, r2, rmse, aic) of a k-parameter fit to y with residuals r, each sum a math.fsum.
+
+    r2 = 1 - SSE / TSS is nan when y is constant, and the AIC is
+    n * ln(SSE / n) + 2k with SSE / n floored at 1e-300.
+    """
+    r = [float(v) for v in np.ravel(r)]
+    y = [float(v) for v in np.ravel(y)]
+    n = len(y)
+    sse = math.fsum(v * v for v in r)
+    mean = math.fsum(y) / n
+    tss = math.fsum((v - mean) ** 2 for v in y)
+    r2 = 1.0 - sse / tss if tss > 0.0 else math.nan
+    return sse, r2, math.sqrt(sse / n), n * math.log(max(sse / n, 1e-300)) + 2 * k
 
 
 def fd_gradient(f, theta, h=1e-5):

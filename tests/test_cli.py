@@ -224,6 +224,17 @@ class TestErrorHandling:
         assert (payload["stage"], payload["error"]) == (stage, "TraceSchemaError")
         assert not out.exists()
 
+    def test_a_stage_that_raises_key_error_is_not_made_a_one_line_error(self, monkeypatch,
+                                                                          capsys):
+        # the readers check their input: a KeyError out of a stage is a bug
+        def broken(args, cfg):
+            raise KeyError("pc1")
+
+        monkeypatch.setattr(cli, "cmd_fit", broken)
+        with pytest.raises(KeyError, match="pc1"):
+            run(["fit", "--in", "shifts.csv", "--out", "fits.json"])
+        assert capsys.readouterr().err == ""
+
     def test_bad_model_name(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args([

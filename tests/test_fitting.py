@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,8 @@ from eyehead import (
     eval_model,
     fit_hinge,
     fit_linear,
-    fit_metrics,
     fit_participant,
+    fit_participants,
     fit_soft_hinge,
     params_from_dict,
     synth_shifts,
@@ -37,6 +39,7 @@ from eyehead.models import compute_ehr_slope, compute_eor
 from .oracles import (
     fd_gradient,
     hinge_lattice_min_sse,
+    ref_fit_scores,
     ref_logistic,
     ref_soft_hinge,
     ref_softplus,
@@ -87,18 +90,57 @@ class TestMetrics:
         x = np.array([0.0, 10.0, 20.0, 30.0])
         y = np.array([0.0, 0.0, 2.0, 4.0])
         params = SoftHingeParams(beta=0.0, tau=10.0, s=1.0)  # predicts all zeros
-        sse, r2, rmse, aic = fit_metrics(x, y, params, k=3)
-        assert sse == pytest.approx(20.0)
+        fit = fitting._finish("soft-hinge", params, x, y, True, 1, 0, None)
+        assert fit.sse == pytest.approx(20.0)
         tss = np.sum((y - y.mean()) ** 2)
-        assert r2 == pytest.approx(1.0 - 20.0 / tss)
-        assert rmse == pytest.approx(np.sqrt(20.0 / 4.0))
-        assert aic == pytest.approx(4 * np.log(5.0) + 6.0)
+        assert fit.r2 == pytest.approx(1.0 - 20.0 / tss)
+        assert fit.rmse == pytest.approx(np.sqrt(20.0 / 4.0))
+        assert fit.aic == pytest.approx(4 * np.log(5.0) + 6.0)
+        assert (fit.n_points, fit.n_params, fit.start_sses) == (4, 3, [fit.sse])
 
     def test_constant_target_gives_nan_r2(self):
         x = np.array([0.0, 10.0, 20.0])
         y = np.zeros(3)
-        _, r2, _, _ = fit_metrics(x, y, SoftHingeParams(0.0, 10.0, 1.0), k=3)
-        assert np.isnan(r2)
+        fit = fitting._finish("soft-hinge", SoftHingeParams(0.0, 10.0, 1.0), x, y, True, 1, 0,
+                              None)
+        assert np.isnan(fit.r2)
+
+    def test_every_fit_of_a_constant_target_has_nan_r2(self):
+        x = np.linspace(5.0, 40.0, 30)
+        for fit in fit_participant(x, np.full(30, 2.0)).fits.values():
+            assert np.isnan(fit.r2)
+            assert np.isfinite([fit.sse, fit.rmse, fit.aic]).all()
+
+    def test_the_linear_baseline_is_its_only_start(self):
+        x, y = noisy_set(1)
+        fit = fit_linear(x, y)
+        assert fit.start_sses == [fit.sse]
+        assert (fit.n_converged, fit.start_index) == (1, 0)
+
+    def test_every_fit_of_a_cohort_matches_the_scores_oracle(self):
+        problems = [noisy_set(seed) for seed in range(4)] + [tiny_set(seed) for seed in range(4)]
+        for pfit, (x, y) in zip(fit_participants(problems), problems, strict=True):
+            assert set(pfit.fits) == {"linear", "hinge", "soft-hinge"}
+            for fit in pfit.fits.values():
+                want = ref_fit_scores(eval_model(fit.params, x) - y, y, fit.n_params)
+                got = (fit.sse, fit.r2, fit.rmse, fit.aic)
+                for a, b in zip(got, want, strict=True):
+                    assert math.isclose(a, b, rel_tol=1e-12), (fit.model, got, want)
+                assert fit.n_points == x.size
+
+    def test_fit_participants_checks_each_problem_twice(self, monkeypatch):
+        # once up front for every model, and once more in the public fit_linear
+        calls = []
+        check = fitting._check_data
+
+        def spy(x, y):
+            calls.append(len(x))
+            return check(x, y)
+
+        monkeypatch.setattr(fitting, "_check_data", spy)
+        problems = [noisy_set(seed) for seed in range(3)]
+        fit_participants(problems)
+        assert sorted(calls) == sorted(2 * [x.size for x, _ in problems])
 
 
 class TestSoftHingeFit:

@@ -7,10 +7,13 @@ seeds a test of the stages that read it back.
 """
 
 import contextlib
+import csv
 import importlib.util
 import io
 import json
+import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -163,3 +166,99 @@ def test_a_damaged_spectrum_key_is_read_or_named(work, data, value):
     with tempfile.TemporaryDirectory() as tmp:
         assert_each_exits_0_or_names_its_error(
             readers(tmp, out, spectrum=write_damaged(tmp, "spectrum.json", spectrum)))
+
+
+# The largest finite float, and one whose square is past the float range.
+FLOAT_MAX = 1.7976931348623157e308
+UNSQUARABLE = 1.7877077239923462e154
+
+
+def report_argv(out, tmp, fits=None, scores=None):
+    return ["report", "--fits", fits or out / "fits.json", "--spectrum", out / "spectrum.json",
+            "--scores", scores or out / "scores.csv", "--out-dir", os.path.join(tmp, "report")]
+
+
+def assert_report_is_finite(report):
+    """Every number the report bundle holds is finite; JSON may hold null instead."""
+    for path in report.rglob("*.csv"):
+        with open(path, newline="", encoding="utf-8") as fh:
+            table = list(csv.reader(line for line in fh if not line.startswith("#")))
+        first = 1 if path.name == "scores.csv" else 0  # after the curve ids
+        assert all(math.isfinite(float(v)) for row in table[1:] for v in row[first:]), path
+    with open(report / "summary.json", encoding="utf-8") as fh:
+        json.load(fh, parse_constant=lambda token: pytest.fail(f"summary.json holds {token}"))
+    assert not re.search(r"\b(nan|inf)\b", (report / "summary.md").read_text(), re.IGNORECASE)
+
+
+@pytest.mark.parametrize("key", ["aic", "r2", "rmse"])
+@pytest.mark.parametrize("value", [FLOAT_MAX, -FLOAT_MAX, UNSQUARABLE])
+def test_a_huge_fit_metric_is_reported_finite_or_null(work, tmp_path, key, value):
+    out = work / "out"
+    rows = json.loads((out / "fits.json").read_text())
+    rows[1][key] = value
+    fits = write_damaged(tmp_path, "fits.json", rows)
+    assert run_stage(report_argv(out, tmp_path, fits=fits)) == (0, "")
+    assert_report_is_finite(tmp_path / "report")
+    with open(tmp_path / "report" / "summary.json", encoding="utf-8") as fh:
+        comparison = json.load(fh)["model_comparison"][rows[1]["model"]]
+    assert math.isfinite(comparison[f"{key}_mean"])
+
+
+def write_csv_damaged(src, dst, row, column, value):
+    """src with one cell (row, column) of its data set to value, or its column deleted
+    (DELETE), or one field more in the row (EXTRA); '#' lines are kept."""
+    with open(src, newline="", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    comments = [line for line in lines if line.startswith("#")]
+    table = list(csv.reader(line for line in lines if not line.startswith("#")))
+    j = table[0].index(column)
+    if value is DELETE:
+        table = [r[:j] + r[j + 1:] for r in table]
+    elif value is EXTRA:
+        table[row + 1].append("0")
+    else:
+        table[row + 1][j] = value
+    with open(dst, "w", newline="", encoding="utf-8") as fh:
+        fh.writelines(comments)
+        csv.writer(fh).writerows(table)
+    return dst
+
+
+@pytest.mark.parametrize("value", ["1e160", repr(FLOAT_MAX), repr(-FLOAT_MAX)])
+def test_a_huge_pc1_score_is_reported_finite(work, tmp_path, value):
+    out = work / "out"
+    scores = write_csv_damaged(out / "scores.csv", tmp_path / "scores.csv", 1, "pc1", value)
+    assert run_stage(report_argv(out, tmp_path, scores=scores)) == (0, "")
+    assert_report_is_finite(tmp_path / "report")
+    with open(tmp_path / "report" / "summary.json", encoding="utf-8") as fh:
+        assert math.isfinite(json.load(fh)["pc1_distribution"]["skewness"])
+    with open(tmp_path / "report" / "pc1_density.csv", encoding="utf-8") as fh:
+        density = [float(line.split(",")[1]) for line in fh.readlines()[2:]]
+    assert max(density) > 0.0
+
+
+EXTRA = object()
+# A column deleted, one field more in a row, or a cell emptied or set to text,
+# nan/inf, a number out of range, a huge finite number or any float.
+CELL_DAMAGE = st.one_of(
+    st.just(DELETE), st.just(EXTRA), st.just(""), st.text(max_size=4),
+    st.sampled_from(["nan", "inf", "-inf", "-1", "51", "101", "1e160", "-1e160",
+                     repr(UNSQUARABLE), repr(FLOAT_MAX), repr(-FLOAT_MAX)]),
+    st.floats(allow_nan=False).map(repr),
+)
+
+
+@pytest.mark.parametrize("name", ["shifts.csv", "scores.csv"])
+@settings(max_examples=20)
+@given(data=st.data(), value=CELL_DAMAGE)
+def test_a_damaged_csv_cell_is_read_or_named(work, name, data, value):
+    out = work / "out"
+    with open(out / name, newline="", encoding="utf-8") as fh:
+        table = list(csv.reader(line for line in fh if not line.startswith("#")))
+    row = data.draw(st.integers(0, len(table) - 2), label="data row")
+    column = data.draw(st.sampled_from(table[0]), label="column")
+    with tempfile.TemporaryDirectory() as tmp:
+        damaged = write_csv_damaged(out / name, os.path.join(tmp, name), row, column, value)
+        argv = (["fit", "--in", damaged, "--out", os.path.join(tmp, "fits.json")]
+                if name == "shifts.csv" else report_argv(out, tmp, scores=damaged))
+        assert_each_exits_0_or_names_its_error([argv])

@@ -241,6 +241,59 @@ class TestKde:
             kde_density([2.0, 2.0, 2.0], [0.0])
 
 
+FLOAT_MAX = float(np.finfo(float).max)
+
+
+class TestHugeValues:
+    """The summaries report makes of fits.json and scores.csv values, near the float limit."""
+
+    def test_ordinary_values_are_summarized_bit_for_bit_as_unscaled(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            v = rng.normal(rng.uniform(-50.0, 50.0), rng.uniform(0.1, 100.0), 24)
+            assert stats.mean_sd(v) == (float(v.mean()), float(v.std(ddof=1)))
+            assert quartiles(v) == tuple(np.percentile(v, [25.0, 50.0, 75.0]))
+            d = v - v.mean()
+            g1 = float(np.mean(d**3)) / float(np.mean(d**2)) ** 1.5
+            assert skewness(v) == g1 * np.sqrt(24 * 23.0) / 22.0
+            span = float(v.max() - v.min())
+            grid = np.linspace(v.min() - 0.25 * span, v.max() + 0.25 * span, 201)
+            np.testing.assert_array_equal(stats.kde_grid(v, 201), grid)
+            h = 1.06 * float(np.std(v, ddof=1)) * 24 ** (-1.0 / 5.0)
+            z = (grid[:, None] - v[None, :]) / h
+            want = np.exp(-0.5 * z**2).sum(axis=1) / (24 * h * np.sqrt(2.0 * np.pi))
+            np.testing.assert_array_equal(kde_density(v, grid), want)
+
+    @pytest.mark.parametrize("big", [1.7877077239923462e154, 1e160, FLOAT_MAX])
+    def test_a_huge_value_among_ordinary_ones_gives_finite_summaries(self, big):
+        v = np.array([-8.6, -2.1, -8.4, 19.1, big])
+        mean, sd = stats.mean_sd(v)
+        assert np.isfinite([mean, sd, *quartiles(v), skewness(v)]).all()
+        grid = stats.kde_grid(v, 201)
+        dens = kde_density(v, grid)
+        assert np.isfinite(grid).all() and grid[0] < v.min() and grid[-1] == pytest.approx(
+            min(big * 1.25, FLOAT_MAX))
+        assert np.isfinite(dens).all() and dens.max() > 0.0
+
+    def test_an_sd_past_the_float_range_is_inf(self):
+        assert stats.mean_sd([FLOAT_MAX, -FLOAT_MAX]) == (0.0, np.inf)
+
+    def test_no_values_and_one_value_give_nan(self):
+        assert np.isnan(stats.mean_sd([])).all()
+        mean, sd = stats.mean_sd([3.0])
+        assert mean == 3.0 and np.isnan(sd)
+
+    def test_summaries_scale_with_a_power_of_two(self):
+        v = np.array([0.0, 0.5, 1.0, 1.5, 8.0])
+        k = 2.0 ** 1000
+        assert stats.mean_sd(v * k) == tuple(k * m for m in stats.mean_sd(v))
+        assert quartiles(v * k) == tuple(k * q for q in quartiles(v))
+        assert skewness(v * k) == pytest.approx(skewness(v), rel=1e-14)
+        grid = stats.kde_grid(v, 11)
+        np.testing.assert_array_equal(stats.kde_grid(v * k, 11), grid * k)
+        np.testing.assert_array_equal(kde_density(v * k, grid * k), kde_density(v, grid) / k)
+
+
 class TestSymmetryCheck:
     def make_mirrored(self, rng, n_per_side=120):
         x = rng.uniform(2.0, 48.0, n_per_side)
