@@ -37,6 +37,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from eyehead import RawStream, write_trace_csv
+from eyehead.cli import TRACE_FILE, TRACE_KINDS
 
 
 def convert_file(path, out_dir, opts) -> str | None:
@@ -74,8 +75,8 @@ def convert_file(path, out_dir, opts) -> str | None:
     t = (np.asarray(t) - min(t)) * opts.time_scale
     gaze, head = np.asarray(gaze), np.asarray(head)
     stem = os.path.join(out_dir, f"{pid}_{tid}")
-    write_trace_csv(stem + ".gaze.csv", RawStream(pid, tid, t, gaze))
-    write_trace_csv(stem + ".head.csv", RawStream(pid, tid, t, head))
+    for kind, yaw in zip(TRACE_KINDS, (gaze, head)):
+        write_trace_csv(TRACE_FILE.format(stem=stem, kind=kind), RawStream(pid, tid, t, yaw))
     return stem
 
 

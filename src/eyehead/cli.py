@@ -1,14 +1,7 @@
 """Command-line pipeline.
 
-Subcommands mirror the analysis stages:
-
-    preprocess   paired trace CSVs -> cleaned shift table + sanity log
-    fit          shift table -> per-participant model fits (JSON)
-    fpca         soft-hinge fits -> population spectrum (JSON)
-    project      fits + spectrum -> score table (CSV)
-    report       fits + spectrum + scores -> report bundle
-    sensitivity  traces -> velocity-threshold robustness summary
-    synth        ground-truth synthetic traces and shift tables
+Subcommands mirror the analysis stages, one COMMANDS row each, from trace
+CSVs through shifts, fits, spectrum and scores to the report bundle.
 
 Exit codes: 0 success, 2 usage error (bad flags/subcommand), 1 stage error.
 Stage errors are written to stderr as a single JSON object naming the stage,
@@ -37,6 +30,7 @@ from .errors import (
     NoOverlapError,
     TooFewFixationsError,
     TooFewSamplesError,
+    TraceSchemaError,
 )
 from .events import FixationConfig, preprocess_trial, threshold_shifts
 from .fitting import fit_participants
@@ -109,11 +103,54 @@ OPTIONS = {
 }
 DEFAULTS = {key: default for key, (default, *_) in OPTIONS.items()}
 CHOICES = {"model": (*MODELS, "all")}
-# Each subcommand's options, read off the stages column.
+# Every subcommand, one row each, in the parser's order: name -> (help text,
+# its own flags as (flag, dest, required, help)). Its options follow, read
+# off OPTIONS' stages column, then --config. The subcommand runs
+# cmd_<name>, looked up by name when it runs, so this table sits with
+# OPTIONS above the functions.
+COMMANDS = {
+    "preprocess": ("align traces and extract cleaned shifts", (
+        ("--in-dir", "in_dir", True, "directory of *.gaze.csv/*.head.csv pairs"),
+        ("--out", "out", True, "output shift CSV"),
+        ("--sanity-out", "sanity_out", False,
+         "sanity report JSONL (default: sanity.jsonl next to --out)"),
+        ("--symmetry-out", "symmetry_out", False, "optional left/right symmetry JSON"),
+    )),
+    "fit": ("fit candidate models per participant", (
+        ("--in", "in_path", True, "cleaned shift CSV"),
+        ("--out", "out", True, "output fit JSON"),
+    )),
+    "fpca": ("build the population spectrum from fits", (
+        ("--in", "in_path", True, "fit JSON"),
+        ("--out", "out", True, "output spectrum JSON"),
+    )),
+    "project": ("score fitted curves against a spectrum", (
+        ("--model", "model_path", True, "spectrum JSON"),
+        ("--in", "in_path", True, "fit JSON"),
+        ("--out", "out", True, "output score CSV"),
+    )),
+    "report": ("emit the analysis report bundle", (
+        ("--fits", "fits", True, "fit JSON"),
+        ("--spectrum", "spectrum", True, "spectrum JSON"),
+        ("--scores", "scores", True, "score CSV"),
+        ("--out-dir", "out_dir", True, "report output directory"),
+    )),
+    "sensitivity": ("velocity-threshold robustness check", (
+        ("--in-dir", "in_dir", True, "directory of trace pairs"),
+        ("--out", "out", True, "output JSON"),
+    )),
+    "synth": ("generate ground-truth synthetic data", (
+        ("--out-dir", "out_dir", True, "output directory"),
+    )),
+}
 STAGE_OPTIONS = {
     stage: tuple(key for key, (_, _, stages, _) in OPTIONS.items() if stage in stages)
-    for stage in ("preprocess", "fit", "fpca", "project", "report", "sensitivity", "synth")
+    for stage in COMMANDS
 }
+# A trial's trace files, one per stream kind, gaze first, named by its stem
+# (discovery, synth and scripts/adapt_dataset.py all use this rule).
+TRACE_KINDS = ("gaze", "head")
+TRACE_FILE = "{stem}.{kind}.csv"
 
 
 def _flag(key: str) -> str:
@@ -193,16 +230,19 @@ def _fixation_config(cfg: dict) -> FixationConfig:
                           cfg["pad_ms"] / 1000.0, cfg["merge_gap_ms"] / 1000.0)
 
 
-def _trace_pairs(in_dir: str) -> list[tuple[str, str]]:
-    """(gaze_path, head_path) pairs, one per trial stem; either file may be absent."""
-    stems = {
-        path[: -len(".gaze.csv")]
-        for kind in ("gaze", "head")
-        for path in glob.glob(os.path.join(glob.escape(in_dir), f"*.{kind}.csv"))
-    }
+def _trace_files(in_dir: str) -> list[list[str]]:
+    """Each trial stem's trace files under in_dir, gaze first, in gaze file name order.
+
+    A stem may lack one of its files.
+    """
+    stems: dict[str, list[str]] = {}
+    for kind in TRACE_KINDS:
+        suffix = TRACE_FILE.format(stem="", kind=kind)
+        for path in glob.glob(os.path.join(glob.escape(in_dir), "*" + suffix)):
+            stems.setdefault(path[: -len(suffix)], []).append(path)
     if not stems:
         raise MissingInputError(f"no *.gaze.csv or *.head.csv files under {in_dir}")
-    return sorted((stem + ".gaze.csv", stem + ".head.csv") for stem in stems)
+    return [stems[s] for s in sorted(stems, key=lambda s: TRACE_FILE.format(stem=s, kind="gaze"))]
 
 
 def _provenance(args: argparse.Namespace, cfg: dict, paths=(), base: str | None = None) -> dict:
@@ -222,7 +262,7 @@ def _provenance(args: argparse.Namespace, cfg: dict, paths=(), base: str | None 
 
 
 def _check_trial(found: list[str], cfg: dict, use, configs):
-    """Load, align and sanity-check one trial; hand it and configs to `use` if it passed.
+    """Load, align and sanity-check one stem's files; hand the trial and configs to `use`.
 
     Returns (sanity report, use's result; None unless the trial passed). A
     trial that passed but that `use` cannot segment is reported failed, as
@@ -263,16 +303,23 @@ def _sane_traces(args: argparse.Namespace, cfg: dict, use):
     participant's trials are kept only when exactly that many trials were
     found and all of them passed.
 
-    A file that does not load fails the stage at once; every other
-    per-trial fault is a report. MissingInputError is raised when no trial
-    is kept; it gives the trials found, each failure reason's count and the
-    passing trials that expected_trials dropped.
+    A file that does not load fails the stage at once, and so does a trial
+    found under two stems (a TraceSchemaError naming a file of each); every
+    other per-trial fault is a report. MissingInputError is raised when no
+    trial is kept; it gives the trials found, each failure reason's count and
+    the passing trials that expected_trials dropped.
     """
     configs = _filter_config(cfg), _fixation_config(cfg)
     reports, paths, outcomes = [], [], []
-    for pair in _trace_pairs(args.in_dir):
-        found = [p for p in pair if os.path.exists(p)]
+    first_file: dict[tuple[str, str], str] = {}  # each trial's first file seen
+    for found in _trace_files(args.in_dir):
         report, outcome = _check_trial(found, cfg, use, configs)
+        trial = report.participant_id, report.trial_id
+        if trial in first_file:
+            raise TraceSchemaError(
+                f"trial {trial} is in two stems: {first_file[trial]} and {found[0]}"
+            )
+        first_file[trial] = found[0]
         paths.extend(found)
         reports.append(report)
         if report.verdict == "pass":
@@ -443,31 +490,20 @@ def cmd_synth(args: argparse.Namespace, cfg: dict) -> int:
     shift_sets = []
     for pid, params in population:
         truth["population"][pid] = params_to_dict(params)
-        shift_cfg = SynthConfig(
-            params=params,
-            n_shifts=cfg["trials"] * cfg["shifts"],
-            noise_sd=cfg["noise_sd"],
-            seed=cfg["seed"],
-            participant_id=pid,
-        )
+        shift_cfg = SynthConfig(params, n_shifts=cfg["trials"] * cfg["shifts"],
+                                noise_sd=cfg["noise_sd"], seed=cfg["seed"], participant_id=pid)
         shifts, shift_truth = synth_shifts(shift_cfg)
         shift_sets.append(shifts)
         truth["shift_truth"][pid] = shift_truth
         truth["trials"][pid] = {}
         for j in range(cfg["trials"]):
             trial_id = f"t{j + 1:02d}"
-            trace_cfg = SynthConfig(
-                params=params,
-                n_shifts=cfg["shifts"],
-                seed=cfg["seed"],
-                participant_id=pid,
-                trial_id=trial_id,
-                wrap_output=True,
-            )
-            gaze, head, trace_truth = synth_trace(trace_cfg)
+            trace_cfg = replace(shift_cfg, n_shifts=cfg["shifts"], noise_sd=0.0,
+                                trial_id=trial_id, wrap_output=True)
+            *streams, trace_truth = synth_trace(trace_cfg)
             stem = os.path.join(traces_dir, f"{pid}_{trial_id}")
-            write_trace_csv(stem + ".gaze.csv", gaze)
-            write_trace_csv(stem + ".head.csv", head)
+            for kind, stream in zip(TRACE_KINDS, streams):
+                write_trace_csv(TRACE_FILE.format(stem=stem, kind=kind), stream)
             truth["trials"][pid][trial_id] = trace_truth
 
     write_shifts_csv(
@@ -487,51 +523,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Eye-head coordination pipeline: model fits and the mover spectrum.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("preprocess", help="align traces and extract cleaned shifts")
-    p.add_argument("--in-dir", required=True, help="directory of *.gaze.csv/*.head.csv pairs")
-    p.add_argument("--out", required=True, help="output shift CSV")
-    p.add_argument("--sanity-out", help="sanity report JSONL (default: sanity.jsonl next to --out)")
-    p.add_argument("--symmetry-out", help="optional left/right symmetry JSON")
-    p.set_defaults(func=cmd_preprocess)
-
-    p = sub.add_parser("fit", help="fit candidate models per participant")
-    p.add_argument("--in", dest="in_path", required=True, help="cleaned shift CSV")
-    p.add_argument("--out", required=True, help="output fit JSON")
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("fpca", help="build the population spectrum from fits")
-    p.add_argument("--in", dest="in_path", required=True, help="fit JSON")
-    p.add_argument("--out", required=True, help="output spectrum JSON")
-    p.set_defaults(func=cmd_fpca)
-
-    p = sub.add_parser("project", help="score fitted curves against a spectrum")
-    p.add_argument("--model", dest="model_path", required=True, help="spectrum JSON")
-    p.add_argument("--in", dest="in_path", required=True, help="fit JSON")
-    p.add_argument("--out", required=True, help="output score CSV")
-    p.set_defaults(func=cmd_project)
-
-    p = sub.add_parser("report", help="emit the analysis report bundle")
-    p.add_argument("--fits", required=True, help="fit JSON")
-    p.add_argument("--spectrum", required=True, help="spectrum JSON")
-    p.add_argument("--scores", required=True, help="score CSV")
-    p.add_argument("--out-dir", required=True, help="report output directory")
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("sensitivity", help="velocity-threshold robustness check")
-    p.add_argument("--in-dir", required=True, help="directory of trace pairs")
-    p.add_argument("--out", required=True, help="output JSON")
-    p.set_defaults(func=cmd_sensitivity)
-
-    p = sub.add_parser("synth", help="generate ground-truth synthetic data")
-    p.add_argument("--out-dir", required=True, help="output directory")
-    p.set_defaults(func=cmd_synth)
-
-    for command, p in sub.choices.items():
+    for command, (help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag, dest, required, flag_help in flags:
+            p.add_argument(flag, dest=dest, required=required, help=flag_help)
         for key in STAGE_OPTIONS[command]:
-            default, _, _, help_text = OPTIONS[key]
+            default, _, _, option_help = OPTIONS[key]
             p.add_argument(_flag(key), dest=key, type=type(default),
-                           choices=CHOICES.get(key), help=help_text)
+                           choices=CHOICES.get(key), help=option_help)
         p.add_argument("--config", help="flat JSON file with default option values")
     return parser
 
@@ -539,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
 def dispatch(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, _resolve(args))
+        return globals()["cmd_" + args.command](args, _resolve(args))
     except (EyeheadError, OSError, ValueError) as exc:
         payload = {
             "stage": args.command,

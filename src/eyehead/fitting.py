@@ -16,9 +16,13 @@ The seeds of all problems and both models of a stage are polished in one
 projected Levenberg-Marquardt batch (Moré 1978), each seed with its own
 damping and its own stopping test; every per-seed sum is taken over that
 seed's own points, so a fit does not depend on the fits batched beside it.
-Each fit keeps its lowest-SSE polished seed, converged or not. A seed
-converges when, within MAX_NFEV steps, its projected-gradient max-norm falls
-to GTOL * max(1, SSE) or an accepted step shrinks to XTOL * (XTOL + |theta|);
+A head contribution cannot outgrow the gaze shift, so a soft-hinge seed
+that stops on a curve of slope beta / s > 1 is polished on from its start
+knee as a hinge, s pinned at 1: every polished seed has beta <= s, and the
+soft hinge still fits no worse than the hinge it nests. Each fit keeps its
+lowest-SSE polished seed, converged or not. A seed converges when, within
+MAX_NFEV steps, its projected-gradient max-norm falls to
+GTOL * max(1, SSE) or an accepted step shrinks to XTOL * (XTOL + |theta|);
 the step test reads the parameters that are not pinned, so theta is the
 hinge's tau alone. A fit with no more data points than parameters is never
 flagged converged.
@@ -273,6 +277,10 @@ def _projected_lm(rows, starts: np.ndarray, pinned: np.ndarray):
     over its own segment alone, so its path does not depend on the rows
     beside it.
 
+    A free row that stops with beta > s, a curve steeper than the gaze
+    shift, goes on in place from its start's tau with s pinned at 1, its
+    damping and step count reset; its result is where that run stops.
+
     Per step and row, a pinned parameter, and one at a bound whose gradient
     points outward, is frozen; the damped system is solved over the free
     ones (_damped_step), and the trial point is clipped into the bounds and
@@ -309,12 +317,16 @@ def _projected_lm(rows, starts: np.ndarray, pinned: np.ndarray):
         conv = (state[13] == 1.0) | (
             np.maximum(np.abs(g[0]), np.abs(g[1])) <= GTOL * np.maximum(1.0, state[3]))
         done = conv | (state[12] == MAX_NFEV)
+        # a free row that stops steeper than the gaze shift (beta > s) goes on
+        # from its start knee as a hinge, s pinned at 1
+        again = done & (state[14] == 0.0) & (state[0] > state[2])
+        done &= ~again
         changed = done.any()
         if changed:
             index = state[15, done].astype(np.intp)
             out[:4, index], out[4, index] = state[:4, done], conv[done]
             keep = ~done
-            state, g, frozen = state[:, keep], g[:, keep], frozen[:, keep]
+            state, g, frozen, again = state[:, keep], g[:, keep], frozen[:, keep], again[keep]
             before, points = points, int(row_sizes[state[15].astype(np.intp)].sum())
             np.compress(keep[owner], flat[0, :, :before], axis=1, out=flat[1, :, :points])
             flat = flat[::-1]
@@ -340,6 +352,7 @@ def _projected_lm(rows, starts: np.ndarray, pinned: np.ndarray):
         theta, sse, hess, scale, lam = state[1:3], state[3], state[6:9], state[9:11], state[11]
         np.maximum(scale, hess[::2], out=scale)
         trial = np.minimum(np.maximum(theta + _damped_step(hess, g, scale, lam, ~frozen), lo), hi)
+        trial[0, again], trial[1, again] = starts[state[15, again].astype(np.intp), 0], 1.0
         move = trial - theta
         # SSE decrease the linearized model predicts for the clipped step
         h00, h01, h11 = hess
@@ -353,12 +366,15 @@ def _projected_lm(rows, starts: np.ndarray, pinned: np.ndarray):
         gain = np.divide(sse - sse_t, predicted, out=np.full(n, -1.0), where=predicted > 0.0)
         state[11] = np.where(gain > 0.75, np.maximum(lam / 10.0, LAM_MIN),
                              np.where(gain >= 0.25, lam, lam * 10.0))
-        ok = sse_t <= sse
+        ok = (sse_t <= sse) | again
         # a pinned s is no parameter: it is left out of the step test
         size = np.maximum(np.abs(theta[0]), np.where(state[14] == 1.0, 0.0, np.abs(theta[1])))
         state[13] = ok & (np.maximum(np.abs(move[0]), np.abs(move[1])) <= XTOL * (XTOL + size))
         np.copyto(state[:9], np.concatenate([found[:1, :n], trial, found[1:, :n]]), where=ok)
         state[12] += 1
+        # a row that goes on restarts as init started it, now with s pinned
+        state[9:14, again] = init[:5, state[15, again].astype(np.intp)]
+        state[14, again] = 1.0
         if new.size:
             fresh = np.concatenate([found[:1, n:], starts[new].T, found[1:, n:], init[:, new]])
             state = np.concatenate([state, fresh], axis=1)

@@ -289,6 +289,18 @@ class TestProcessExitCodes:
         assert payload["message"]
 
 
+    def test_a_dangling_gaze_link_exits_1_with_one_json_line(self, tmp_path):
+        # the glob lists the link, and the file it names does not load
+        raw = synth_dir(tmp_path, participants=1, trials=1, shifts=30)
+        (raw / "ghost_t01.gaze.csv").symlink_to(tmp_path / "nowhere.csv")
+        proc = run_process("preprocess", "--in-dir", raw, "--out", tmp_path / "shifts.csv",
+                           "--min-overlap-s", 2.0)
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), proc.stderr
+        payload = json.loads(proc.stderr)
+        assert (payload["stage"], payload["error"]) == ("preprocess", "FileNotFoundError")
+
+
 def one_line_error(capsys):
     """The stage error payload, checked to be one JSON line of {stage, error, message}."""
     err = capsys.readouterr().err
@@ -1361,6 +1373,35 @@ class TestHeadOnlyTrial:
         assert "synth001_t02.gaze.csv" not in inputs
 
 
+class TestTrialFiles:
+    """A trial is one stem's files; one that does not load, or a trial in two stems, fails."""
+
+    @pytest.mark.parametrize("stage", ["preprocess", "sensitivity"])
+    def test_a_dangling_gaze_link_is_a_one_line_error(self, tmp_path, capsys, stage):
+        raw = synth_dir(tmp_path, participants=1, trials=1, shifts=30)
+        (raw / "ghost_t01.gaze.csv").symlink_to(tmp_path / "nowhere.csv")
+        out = tmp_path / "out"
+        assert run([stage, "--in-dir", raw, "--out", out, "--min-overlap-s", 2.0]) == 1
+        payload = one_line_error(capsys)
+        assert (payload["stage"], payload["error"]) == (stage, "FileNotFoundError")
+        assert "ghost_t01.gaze.csv" in payload["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stage", ["preprocess", "sensitivity"])
+    def test_a_trial_under_two_stems_names_both_files(self, tmp_path, capsys, stage):
+        # counted twice, its shifts would be in shifts.csv and pooled twice
+        raw = synth_dir(tmp_path, participants=2, trials=1, shifts=30)
+        for kind in ("gaze", "head"):
+            shutil.copy(raw / f"synth001_t01.{kind}.csv", raw / f"copy_t01.{kind}.csv")
+        out = tmp_path / "out"
+        assert run([stage, "--in-dir", raw, "--out", out, "--min-overlap-s", 2.0]) == 1
+        payload = one_line_error(capsys)
+        assert (payload["stage"], payload["error"]) == (stage, "TraceSchemaError")
+        assert str(raw / "copy_t01.gaze.csv") in payload["message"]
+        assert str(raw / "synth001_t01.gaze.csv") in payload["message"]
+        assert not out.exists()
+
+
 class TestGlobCharactersInTheTraceDirectory:
     """A trace directory is a path, not a glob pattern: "session[1]" is not "session1"."""
 
@@ -1494,25 +1535,45 @@ class TestNoTrialKept:
 
 
 TRIALS = [f"synth00{p}_t0{t}" for p in (1, 2, 3) for t in (1, 2)]
+# Each fault a trial can draw, and the reason its sanity record gives.
+FAULTS = {
+    "gaze never settles": "too_few_fixations",
+    "gaze file removed": "missing_stream",
+    "head file removed": "missing_stream",
+    "head clock moved past the gaze clock": "no_overlap",
+}
+
+
+def inject(traces, stem, fault):
+    if fault == "gaze never settles":
+        never_settle(traces / f"{stem}.gaze.csv")
+    elif fault == "head clock moved past the gaze clock":
+        head = traces / f"{stem}.head.csv"
+        stream = ingest.load_trace_csv(str(head))
+        stream.t = stream.t + 1e4
+        ingest.write_trace_csv(str(head), stream)
+    else:  # "gaze file removed" or "head file removed"
+        (traces / f"{stem}.{fault.split()[0]}.csv").unlink()
 
 
 class TestSegmentationFaults:
-    """A trial that passes the sanity check but cannot be segmented is a sanity record."""
+    """A trial that fails alone is a sanity record; the other trials are kept as they are."""
 
     @pytest.fixture(scope="class")
     def cohort(self, tmp_path_factory):
         return synth_dir(tmp_path_factory.mktemp("cohort"), participants=3, trials=2, shifts=30)
 
     @settings(max_examples=20)
-    @given(chosen=st.sets(st.sampled_from(TRIALS), min_size=1, max_size=len(TRIALS) - 1))
-    def test_trials_that_never_settle_are_recorded_and_the_rest_kept(self, cohort, chosen):
+    @given(chosen=st.dictionaries(st.sampled_from(TRIALS), st.sampled_from(sorted(FAULTS)),
+                                  min_size=1, max_size=len(TRIALS) - 1))
+    def test_faulty_trials_are_recorded_and_the_rest_kept(self, cohort, chosen):
         with tempfile.TemporaryDirectory() as tmp:
             tmp = pathlib.Path(tmp)
             faulty, rest = tmp / "faulty", tmp / "rest"
             shutil.copytree(cohort, faulty)
             shutil.copytree(cohort, rest)
-            for stem in chosen:
-                never_settle(faulty / f"{stem}.gaze.csv")
+            for stem, fault in chosen.items():
+                inject(faulty, stem, fault)
                 for kind in ("gaze", "head"):
                     (rest / f"{stem}.{kind}.csv").unlink()
             shifts = preprocess(tmp / "faulty-out", faulty)
@@ -1522,7 +1583,7 @@ class TestSegmentationFaults:
             records = strict_json_lines((tmp / "faulty-out" / "sanity.jsonl").read_text())[1:]
             assert [(f"{r['participant_id']}_{r['trial_id']}", r["verdict"], r["reason"])
                     for r in records] == [
-                (stem, "fail", "too_few_fixations") if stem in chosen else (stem, "pass", None)
+                (stem, "fail", FAULTS[chosen[stem]]) if stem in chosen else (stem, "pass", None)
                 for stem in TRIALS
             ]
             sens = tmp / "sens.json"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eyehead import (
     EmptyDataError,
@@ -11,6 +13,7 @@ from eyehead import (
     SynthConfig,
     aic_gaussian,
     compare_models,
+    draw_population,
     eval_model,
     fit_hinge,
     fit_linear,
@@ -209,6 +212,44 @@ class TestSoftHingeFit:
     def test_length_mismatch_rejected(self):
         with pytest.raises(MismatchedDataError):
             fit_soft_hinge(np.arange(3.0), np.arange(4.0))
+
+
+class TestSlopeRule:
+    """A soft-hinge fit rises no faster than the gaze shift: slope beta / s <= 1."""
+
+    def test_ten_shifts_no_longer_fit_a_curve_past_the_shift(self):
+        # polished freely, the lowest-SSE seed here stops at beta 0.141, tau 40.09,
+        # s 0.001: slope 141 past a knee at the last shift, f(50) about 1401 deg
+        pid, params = draw_population(40, seed=11)[0]
+        shifts, _ = synth_shifts(SynthConfig(params, n_shifts=10, noise_sd=2.0, seed=1021,
+                                             participant_id=pid))
+        fit = fit_soft_hinge(shifts.x, shifts.y)
+        assert fit.params.beta <= fit.params.s
+        assert eval_model(fit.params, 50.0) <= 50.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    @example(seed=56)
+    def test_every_soft_hinge_fit_is_admitted(self, seed):
+        # every polished seed is no steeper than the shift, so neither is the fit,
+        # converged or not
+        x, y = tiny_set(seed)
+        fit = fit_soft_hinge(x, y)
+        assert fit.params.beta <= fit.params.s
+
+    def test_a_seed_that_stops_steep_goes_on_as_a_hinge_from_its_knee(self):
+        # on this 9-shift set every lowest-SSE soft-hinge seed stops at slope 1.6-2.4
+        x, y = tiny_set(56)
+        seeds = _lattice_seeds(x, y, ("soft-hinge",))["soft-hinge"]
+        k = len(seeds)
+        free = _projected_lm([(x, y)] * k, seeds[:, 1:], np.zeros(k, dtype=bool))
+        hinge = _projected_lm([(x, y)] * k, np.column_stack([seeds[:, 1], np.ones(k)]),
+                              np.ones(k, dtype=bool))
+        assert np.all(free[0][:, 0] <= free[0][:, 2])
+        went_on = free[0][:, 2] == 1.0
+        assert went_on.sum() >= 5
+        for got, want in zip(free, hinge, strict=True):
+            np.testing.assert_array_equal(got[went_on], want[went_on])
 
 
 class TestHingeFit:
