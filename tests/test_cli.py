@@ -1487,6 +1487,17 @@ class TestExpectedTrials:
         assert len(kept) == 2
         assert sorted(json.loads(sens.read_text())["participants"]) == sorted(kept)
 
+    def test_a_participant_with_more_than_the_expected_trials_is_dropped(self, tmp_path):
+        raw = synth_dir(tmp_path, participants=3, trials=3, shifts=30)
+        for pid in ("synth001", "synth002"):
+            for kind in ("gaze", "head"):
+                (raw / f"{pid}_t03.{kind}.csv").unlink()
+        setting = ["--min-overlap-s", 2.0, "--expected-trials", 2]
+        shifts, sens = tmp_path / "shifts.csv", tmp_path / "sens.json"
+        assert run(["preprocess", "--in-dir", raw, "--out", shifts, *setting]) == 0
+        assert run(["sensitivity", "--in-dir", raw, "--out", sens, *setting]) == 0
+        assert list(read_shifts_csv(str(shifts)).by_participant()) == ["synth001", "synth002"]
+        assert sorted(json.loads(sens.read_text())["participants"]) == ["synth001", "synth002"]
 
     def test_a_dropped_participant_whose_gaze_never_settles_cannot_fail_the_stage(
             self, tmp_path):
@@ -1541,7 +1552,17 @@ FAULTS = {
     "gaze file removed": "missing_stream",
     "head file removed": "missing_stream",
     "head clock moved past the gaze clock": "no_overlap",
+    "head recording cut at 1.5 s": "short_overlap",
+    "gaze samples between 5 and 6 s removed": "discontinuity",
 }
+
+
+def drop_samples(path, drop):
+    """Rewrite a trace file without the samples drop() marks, given their time from the first."""
+    stream = ingest.load_trace_csv(str(path))
+    keep = ~drop(stream.t - stream.t[0])
+    stream.t, stream.yaw = stream.t[keep], stream.yaw[keep]
+    ingest.write_trace_csv(str(path), stream)
 
 
 def inject(traces, stem, fault):
@@ -1552,6 +1573,10 @@ def inject(traces, stem, fault):
         stream = ingest.load_trace_csv(str(head))
         stream.t = stream.t + 1e4
         ingest.write_trace_csv(str(head), stream)
+    elif fault == "head recording cut at 1.5 s":
+        drop_samples(traces / f"{stem}.head.csv", lambda t: t > 1.5)
+    elif fault == "gaze samples between 5 and 6 s removed":
+        drop_samples(traces / f"{stem}.gaze.csv", lambda t: (t > 5.0) & (t < 6.0))
     else:  # "gaze file removed" or "head file removed"
         (traces / f"{stem}.{fault.split()[0]}.csv").unlink()
 
