@@ -179,15 +179,44 @@ def _smoothing_factor(te: np.ndarray, cutoff: float | np.ndarray) -> np.ndarray:
 
 
 def _low_pass(a: np.ndarray, x: np.ndarray, y0: float) -> np.ndarray:
-    """y[i] = a[i] * x[i] + (1 - a[i]) * y[i - 1], from y[-1] = y0.
+    """y[i] = a[i] * x[i] + (1 - a[i]) * y[i - 1], from y[-1] = y0, as a prefix scan.
 
-    The products a * x and the factors 1 - a are computed as arrays, so the
-    loop over Python floats holds one multiply and one add per sample.
+    Step i is the affine map y -> c[i] + b[i] * y, with c = a * x and
+    b = 1 - a, and y[i] is maps 0..i applied in turn to y0. Composing map
+    (c', b') and then (c, b) gives (c + b * c', b * b'), so pointer doubling
+    (Hillis-Steele) composes every prefix: after the pass with offset k,
+    (c[i], b[i]) holds maps max(0, i - 2k + 1)..i. That takes
+    L = ceil(log2 n) passes of a few array operations each, O(n log n) work
+    in numpy rather than n steps in the interpreter. An empty `a` (a
+    one-sample trace) gives an empty result.
+
+    The result is not bit-identical to the per-sample loop, but it is close.
+    Write u = eps / 2 for the unit roundoff and M = max(|x|, |y0|). Each
+    y[i] is a convex combination of y0 and x[0..i]: the weight of x[j] is
+    a[j] * b[j + 1] * ... * b[i], that of y0 is b[0] * ... * b[i], and
+    a + b = 1. Call a term's age the number of b factors in its weight. The
+    loop rounds a term of age k 2k + 1 times (k multiplies, k + 1 adds),
+    while the scan rounds it k + L + 1 times: its k + 1 factors meet in k
+    multiplies, in any order, and it passes through one add per pass and a
+    last one with y0. The weights' mean age is the sum over k >= 1 of the
+    products of the last k factors b, at most 1 / a_min - 1, where a_min is
+    the smallest a. To first order in eps, then,
+
+        |scan - loop| <= u (3 (1 / a_min - 1) + L + 2) M
+                       = (1.5 / a_min + (L - 1) / 2) eps M.
+
+    Most of that is the loop's own error, which grows with the filter's
+    memory 1 / a; the scan's is below (1 / a_min + L) u M. The products of
+    b may underflow, which adds an absolute error below L**2 2**-1074 M.
     """
-    y = y0
-    # a memoryview of a float64 array iterates as Python floats, with no list copy
-    return np.array([y := ax + b * y for ax, b in zip(memoryview(a * x), memoryview(1.0 - a))],
-                    dtype=float)
+    c = a * x
+    b = 1.0 - a
+    k = 1
+    while k < c.size:
+        c[k:] += b[k:] * c[:-k]
+        b[k:] *= b[:-k]
+        k *= 2
+    return c + b * y0
 
 
 def one_euro(t: np.ndarray, x: np.ndarray, cfg: FilterConfig = FilterConfig()) -> np.ndarray:
@@ -196,18 +225,34 @@ def one_euro(t: np.ndarray, x: np.ndarray, cfg: FilterConfig = FilterConfig()) -
     State starts at the first sample with zero derivative estimate. With
     beta = 0 this is a plain first-order low-pass at min_cutoff Hz.
 
-    Two passes of one first-order low-pass: the raw derivative is smoothed
-    first, at derivative_cutoff; the signal's smoothing factors then follow
-    from it in one array expression, and the signal is smoothed last.
-    Every value takes the same operations in the same order as in a
-    per-sample loop, so the output is bit-identical to that form, NaN
-    propagation included.
+    Two passes of one first-order low-pass, each a prefix scan
+    (`_low_pass`): the raw derivative dx is smoothed first, at
+    derivative_cutoff; the signal's smoothing factors a then follow from it
+    in one array expression, and the signal is smoothed last. NaN
+    propagates as in the per-sample loop: every output from the first
+    non-finite sample or interval on is non-finite, though the scan may
+    give NaN where the loop gives inf.
 
     With beta = 0 the derivative pass is skipped when every raw derivative
     is finite and below 1e300 in magnitude: its smoothed values are then
     finite, so beta * |dx_hat| is exactly 0 and the factors are those of
     min_cutoff alone. Otherwise (a NaN or infinite derivative, or one near
     overflow, which can make dx_hat NaN) both passes run.
+
+    Against the per-sample loop, each output is off by at most K eps M, to
+    first order in eps, with M = max|x|. With beta = 0 the two forms use the
+    same factors, and K = 1.5 / a_min + (L - 1) / 2 is `_low_pass`'s bound,
+    with a_min the smallest factor and L = ceil(log2(x.size - 1)). With
+    beta > 0 the derivative pass is off by at most K_d eps D, where
+    D = max|dx| and K_d is K over the derivative factors. That moves the
+    cutoff min_cutoff + beta |dx_hat| by a share of at most
+    beta K_d eps D / min_cutoff, and each factor a by no larger a share, plus
+    7 eps for the roundings in forming the cutoff and a in each form. A
+    factor off by a share r moves y[i] by at most 2 M r, since y[i] less its
+    other form is a sum of (a'[j] - a[j]) (x[j] - y'[j - 1]) over j, under
+    convex weights. So
+
+        K = 1.5 / a_min + (L - 1) / 2 + 14 + 2 beta K_d D / min_cutoff.
     """
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)

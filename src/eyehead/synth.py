@@ -20,6 +20,7 @@ Everything is deterministic given the seed; random streams are keyed by
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,12 +55,15 @@ class SynthConfig:
     participant_id: str = "synth"
     trial_id: str = "t01"
     wrap_output: bool = False
+    gaze_noise_sd: float = 0.0  # degrees, white noise on gaze yaw (synth_trace)
 
     def __post_init__(self) -> None:
         if self.n_shifts < 1:
             raise ValueError(f"n_shifts must be >= 1, got {self.n_shifts}")
         if not self.noise_sd >= 0:  # NaN fails too
             raise ValueError(f"noise_sd must be >= 0, got {self.noise_sd}")
+        if not (math.isfinite(self.gaze_noise_sd) and self.gaze_noise_sd >= 0):
+            raise ValueError(f"gaze_noise_sd must be finite and >= 0, got {self.gaze_noise_sd}")
 
 
 def _rng(seed: int, participant_id: str, purpose: str) -> np.random.Generator:
@@ -147,8 +151,11 @@ def synth_trace(cfg: SynthConfig) -> tuple[RawStream, RawStream, dict]:
     chosen to keep the cumulative position inside +-POSITION_BOUND_DEG; the
     head moves synchronously with each gaze ramp by model(|amplitude|),
     capped at the gaze amplitude. Gaze and head are sampled on their own
-    clocks (different rates, small offset). With wrap_output the emitted
-    yaw wraps into [-180, 180) like a real device.
+    clocks (different rates, small offset). With gaze_noise_sd > 0, white
+    Gaussian noise of that SD (degrees) is added to every gaze sample, from
+    a stream of its own, so the amplitudes, the head stream and the truth
+    record do not change; at 0 nothing is drawn. With wrap_output the
+    emitted yaw wraps into [-180, 180) like a real device.
     """
     n = cfg.n_shifts
     rng = _rng(cfg.seed, cfg.participant_id, f"trace:{cfg.trial_id}")
@@ -175,6 +182,9 @@ def synth_trace(cfg: SynthConfig) -> tuple[RawStream, RawStream, dict]:
     t_head = np.arange(HEAD_OFFSET_S, total_s, 1.0 / HEAD_RATE_HZ)
     gaze_yaw = _piecewise_position(t_gaze, ramp_starts, RAMP_S, gaze_levels, gaze_amp)
     head_yaw = _piecewise_position(t_head, ramp_starts, RAMP_S, head_levels, head_amp)
+    if cfg.gaze_noise_sd > 0:
+        noise = _rng(cfg.seed, cfg.participant_id, f"gaze-noise:{cfg.trial_id}")
+        gaze_yaw = gaze_yaw + noise.normal(0.0, cfg.gaze_noise_sd, t_gaze.size)
     if cfg.wrap_output:
         gaze_yaw = _wrap(gaze_yaw)
         head_yaw = _wrap(head_yaw)

@@ -319,3 +319,29 @@ def write_table_rows(path, columns, rows, provenance=None):
         writer.writerows(
             [f"{c:.9g}" if isinstance(c, float) else c for c in row] for row in rows
         )
+
+
+def shifts_against_truth(windows, x, ramps, quantiles=(0.0, 0.05, 0.5)):
+    """Score extracted shifts against the true gaze ramps they overlap.
+
+    windows holds one (start, end) pair of times per extracted shift, its
+    anchor window: from the last sample of the earlier fixation to the
+    first of the later one. ramps is synth_trace's truth["shifts"], each
+    with t_on, t_off and gaze_amplitude. A window overlaps a ramp when it
+    starts before the ramp's t_off and ends after its t_on. Returns
+    (fraction of shifts that overlap exactly one ramp, {q: q-quantile of
+    x / A over those shifts}), A being that one ramp's signed amplitude, so
+    x / A is |x| / |A| for a shift in the ramp's direction. The quantiles
+    are NaN when no shift overlaps exactly one ramp.
+    """
+    windows = np.asarray(windows, dtype=float).reshape(-1, 2)
+    on = np.array([r["t_on"] for r in ramps], dtype=float)
+    off = np.array([r["t_off"] for r in ramps], dtype=float)
+    amp = np.array([r["gaze_amplitude"] for r in ramps], dtype=float)
+    ratios = []
+    for (start, end), xi in zip(windows, np.asarray(x, dtype=float)):
+        hit = np.flatnonzero((start < off) & (end > on))
+        if hit.size == 1:
+            ratios.append(xi / amp[hit[0]])
+    fraction = len(ratios) / len(windows) if len(windows) else math.nan
+    return fraction, {q: float(np.quantile(ratios, q)) if ratios else math.nan for q in quantiles}

@@ -7,15 +7,22 @@ from eyehead import (
     AlignedTrace,
     FilterConfig,
     FixationConfig,
+    SynthConfig,
     TooFewFixationsError,
     TooFewSamplesError,
+    align_head_to_gaze,
     angular_velocity,
     detect_fixations,
+    draw_population,
     extract_shifts,
+    one_euro,
     preprocess_trial,
+    synth_trace,
+    threshold_shifts,
 )
+from eyehead import events
 
-from .oracles import detect_fixations_loop
+from .oracles import detect_fixations_loop, one_euro_loop, shifts_against_truth
 
 # timestamps in multiples of 1/128 s are exactly representable, which keeps
 # the padding and merging arithmetic below free of float-rounding surprises
@@ -245,3 +252,105 @@ class TestPreprocessTrial:
         b = preprocess_trial(flipped, filt, cfg)
         np.testing.assert_allclose(b.x, -a.x, atol=1e-12)
         np.testing.assert_allclose(b.y, -a.y, atol=1e-12)
+
+
+def synth_cohort(seed, participants, trials, shifts, gaze_noise_sd=0.0):
+    """(aligned trace, truth) for each trial of a synth cohort, as `eyehead synth` draws it."""
+    for pid, params in draw_population(participants, seed):
+        for j in range(trials):
+            cfg = SynthConfig(params, n_shifts=shifts, seed=seed, participant_id=pid,
+                              trial_id=f"t{j + 1:02d}", wrap_output=True,
+                              gaze_noise_sd=gaze_noise_sd)
+            gaze, head, truth = synth_trace(cfg)
+            yield align_head_to_gaze(gaze, head), truth
+
+
+def loop_filter(t, x, cfg):
+    return one_euro_loop(t, x, cfg.min_cutoff, cfg.beta, cfg.derivative_cutoff)
+
+
+class TestScanSegmentsLikeTheLoop:
+    """one_euro is a prefix scan within a bound of the per-sample loop, not bit-identical to it;
+    the fixations it finds, and so every shift, must be the loop's, bit for bit."""
+
+    THRESHOLDS = (10.0, 15.0, 20.0)
+    SEEDS = (5, 101, 102)
+    # the benchmark's study (24 x 2 x 50) and long-trials (3 x 4 x 300) shapes, scaled down
+    SHAPES = {"study": (2, 2, 50), "long-trials": (1, 1, 300)}
+    # the default filter, and the two that ROADMAP item 12 weighs against it; at
+    # 1 degree of gaze noise those two pass so much of it that trials never settle
+    FILTERS = {"default": FilterConfig(), "10 Hz": FilterConfig(min_cutoff=10.0),
+               "beta 0.5": FilterConfig(beta=0.5)}
+    CASES = [(filt, sd) for filt in FILTERS for sd in (0.0, 0.25, 1.0)
+             if filt == "default" or sd < 1.0]
+
+    @pytest.mark.parametrize("shape", ["study", "long-trials"])
+    @pytest.mark.parametrize("filt, gaze_noise_sd", CASES)
+    def test_same_shifts_at_every_threshold(self, monkeypatch, filt, gaze_noise_sd, shape):
+        # noise puts more smoothed velocities near each threshold, where a
+        # last-bit difference between the two filters would move a span
+        cfg = self.FILTERS[filt]
+        for seed in self.SEEDS:
+            for trace, _ in synth_cohort(seed, *self.SHAPES[shape], gaze_noise_sd):
+                scan = threshold_shifts(trace, self.THRESHOLDS, cfg)
+                with monkeypatch.context() as patched:
+                    patched.setattr(events, "one_euro", loop_filter)
+                    loop = threshold_shifts(trace, self.THRESHOLDS, cfg)
+                assert list(scan) == list(loop) == [*self.THRESHOLDS]
+                for thr in self.THRESHOLDS:
+                    assert scan[thr].x.tobytes() == loop[thr].x.tobytes()
+                    assert scan[thr].y.tobytes() == loop[thr].y.tobytes()
+                    assert (scan[thr].participant_id, scan[thr].trial_id) == (
+                        loop[thr].participant_id, loop[thr].trial_id)
+
+
+def anchor_windows(t, spans):
+    """Each shift's anchor window in time: the end of one fixation to the start of the next."""
+    return np.column_stack((t[spans[:-1, 1]], t[spans[1:, 0]]))
+
+
+class TestShiftsAgainstTruth:
+    RAMPS = [
+        {"t_on": 1.0, "t_off": 1.15, "gaze_amplitude": 10.0},
+        {"t_on": 2.0, "t_off": 2.15, "gaze_amplitude": -20.0},
+        {"t_on": 3.0, "t_off": 3.15, "gaze_amplitude": 30.0},
+    ]
+
+    def test_hand_built_windows(self):
+        windows = [
+            (0.95, 1.20),  # ramp 1 alone
+            (1.90, 3.10),  # ramps 2 and 3
+            (3.05, 3.40),  # ramp 3 alone, entered late
+            (1.15, 1.60),  # touches ramp 1 at its end only: no ramp
+        ]
+        fraction, q = shifts_against_truth(windows, [9.0, 5.0, 15.0, 1.0], self.RAMPS,
+                                           quantiles=(0.0, 0.5, 1.0))
+        assert fraction == 0.5
+        assert q == {0.0: 0.5, 0.5: 0.7, 1.0: 0.9}
+
+    def test_a_shift_against_its_ramp_reads_negative(self):
+        fraction, q = shifts_against_truth([(1.9, 2.2)], [20.0], self.RAMPS, quantiles=(0.5,))
+        assert (fraction, q) == (1.0, {0.5: -1.0})
+
+    def test_no_one_ramp_shift_gives_nan_quantiles(self):
+        fraction, q = shifts_against_truth([(0.0, 5.0)], [1.0], self.RAMPS, quantiles=(0.5,))
+        assert fraction == 0.0 and np.isnan(q[0.5])
+
+    def test_a_10_hz_filter_finds_every_ramp_on_its_own(self):
+        # ROADMAP item 12's population: 12 participants, one 50-shift trial
+        # each, segmented at 10 Hz and otherwise default settings. The trials
+        # are laid end to end in time, so one call scores them together.
+        cfg = FilterConfig(min_cutoff=10.0)
+        windows, x, ramps, offset = [], [], [], 0.0
+        for trace, truth in synth_cohort(5, 12, 1, 50):
+            spans = detect_fixations(trace.t, angular_velocity(trace.t, one_euro(trace.t, trace.gaze_yaw, cfg)))
+            windows.append(anchor_windows(trace.t, spans) + offset)
+            x.append(extract_shifts(trace, spans).x)
+            ramps += [{**r, "t_on": r["t_on"] + offset, "t_off": r["t_off"] + offset} for r in truth["shifts"]]
+            offset += truth["total_duration_s"]
+        fraction, q = shifts_against_truth(np.concatenate(windows), np.concatenate(x), ramps,
+                                           quantiles=(0.0, 0.05, 0.5))
+        assert sum(map(len, windows)) == len(ramps) == 600
+        assert fraction == 1.0
+        # measured: min 0.878 (one shift), 5th percentile 0.935, median 0.991
+        assert q[0.0] > 0.87 and q[0.05] > 0.93 and q[0.5] > 0.99

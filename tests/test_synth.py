@@ -1,3 +1,6 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -67,6 +70,9 @@ class TestSynthShifts:
         for noise_sd in (-1.0, float("nan")):
             with pytest.raises(ValueError):
                 SynthConfig(PARAMS, noise_sd=noise_sd)
+        for gaze_noise_sd in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="^gaze_noise_sd must be finite and >= 0"):
+                SynthConfig(PARAMS, gaze_noise_sd=gaze_noise_sd)
 
 
 class TestSynthTrace:
@@ -126,6 +132,54 @@ class TestSynthTrace:
         assert not np.array_equal(a[0].yaw, b[0].yaw)
         np.testing.assert_array_equal(a[0].yaw, again[0].yaw)
         np.testing.assert_array_equal(a[1].yaw, again[1].yaw)
+
+
+# sha256 of synth_trace's arrays for NOISE_FREE_CFG, as built before gaze noise
+# existed (numpy 2.4.6; numpy's sin may round differently in other releases)
+NOISE_FREE_CFG = SynthConfig(PARAMS, n_shifts=20, seed=13, wrap_output=True)
+NOISE_FREE_SHA256 = {
+    "gaze.t": "8d90893576d29de0ea883a93a30d0567663ebaf63522796920fbf37d816f5daf",
+    "gaze.yaw": "97e2f7a57d12212f6115ad0b82f627213814f40a2813c06f32c34013fbcf4f88",
+    "head.t": "06bc06dc05bd0db72db51118400f8829219094b00d80159b8a9acee458ad85a7",
+    "head.yaw": "0c052234493c03d668535f4fc07609581e01a4aa9a92347c7254d9207bf43eb6",
+}
+
+
+def gaze_noise(cfg):
+    """The noise synth_trace added to cfg's gaze: its gaze yaw less the noise-free one."""
+    return synth_trace(cfg)[0].yaw - synth_trace(replace(cfg, gaze_noise_sd=0.0))[0].yaw
+
+
+class TestGazeNoise:
+    def test_zero_noise_gives_the_noise_free_arrays(self):
+        gaze, head, _ = synth_trace(replace(NOISE_FREE_CFG, gaze_noise_sd=0.0))
+        arrays = {"gaze.t": gaze.t, "gaze.yaw": gaze.yaw, "head.t": head.t, "head.yaw": head.yaw}
+        assert {k: hashlib.sha256(v.tobytes()).hexdigest() for k, v in arrays.items()} == NOISE_FREE_SHA256
+
+    def test_a_seed_reproduces_the_noise(self):
+        cfg = SynthConfig(PARAMS, n_shifts=20, seed=13, gaze_noise_sd=0.5)
+        np.testing.assert_array_equal(synth_trace(cfg)[0].yaw, synth_trace(cfg)[0].yaw)
+        noise = gaze_noise(cfg)
+        assert not np.array_equal(noise, gaze_noise(replace(cfg, seed=14)))
+        assert not np.array_equal(noise, gaze_noise(replace(cfg, trial_id="t02")))
+
+    @pytest.mark.parametrize("sd", [0.25, 1.0])
+    def test_noise_sd_lies_in_its_band(self, sd):
+        # 3.3k samples: the sample SD's standard error is 1.2% of sd, so +-5% is
+        # over 4 standard errors, and the mean's band is 4 of its own
+        noise = gaze_noise(SynthConfig(PARAMS, n_shifts=50, seed=13, gaze_noise_sd=sd))
+        assert noise.size > 3000
+        assert 0.95 * sd < float(np.std(noise)) < 1.05 * sd
+        assert abs(float(np.mean(noise))) < 4 * sd / np.sqrt(noise.size)
+
+    def test_head_stream_and_truth_are_unchanged(self):
+        cfg = SynthConfig(PARAMS, n_shifts=20, seed=13, gaze_noise_sd=1.0, wrap_output=True)
+        (gaze, head, truth), (gaze0, head0, truth0) = synth_trace(cfg), synth_trace(NOISE_FREE_CFG)
+        np.testing.assert_array_equal(gaze.t, gaze0.t)
+        np.testing.assert_array_equal(head.t, head0.t)
+        np.testing.assert_array_equal(head.yaw, head0.yaw)
+        assert truth == truth0
+        assert not np.array_equal(gaze.yaw, gaze0.yaw)
 
 
 class TestDrawPopulation:
