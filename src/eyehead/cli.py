@@ -33,7 +33,7 @@ from .errors import (
     TraceSchemaError,
 )
 from .events import FixationConfig, preprocess_trial, threshold_shifts
-from .fitting import fit_participants
+from .fitting import fit_participants, fit_row
 from .fpca import fit_fpca, sample_curves, score_table
 from .ingest import (
     FilterConfig,
@@ -378,11 +378,7 @@ def cmd_fit(args: argparse.Namespace, cfg: dict) -> int:
     provenance = _provenance(args, cfg, [args.in_path])
     subs = shifts.by_participant()
     pfits = fit_participants([(sub.x, sub.y) for sub in subs.values()], models)
-    rows = [
-        {"participant_id": pid, **pfit.fits[model].to_file_dict()}
-        for pid, pfit in zip(subs, pfits)
-        for model in models
-    ]
+    rows = [fit_row(pid, pfit.fits[model]) for pid, pfit in zip(subs, pfits) for model in models]
     write_json_array(args.out, rows, provenance)
     return 0
 

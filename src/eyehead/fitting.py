@@ -35,6 +35,7 @@ All three candidates are then ranked by AIC on identical data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -50,7 +51,8 @@ from .models import (
     compute_eor,
     eval_model,
     hinge_gradient,  # unused here; the benchmark tracer wraps fitting.hinge_gradient
-    model_gradient,  # likewise: the solver forms its own partials (_evaluate)
+    is_number,
+    model_gradient,  # likewise unused: the solver forms its own partials (_evaluate)
     params_to_dict,
     softplus,
 )
@@ -105,18 +107,28 @@ class FitResult:
     # per-seed polished SSEs, in seed order (not serialized)
     start_sses: list[float] = field(default_factory=list, repr=False)
 
-    def to_file_dict(self) -> dict:
-        """The on-disk object shape used inside fit-results files."""
-        return {
-            "model": self.model,
-            "params": params_to_dict(self.params),
-            "sse": self.sse,
-            "r2": self.r2,
-            "rmse": self.rmse,
-            "aic": self.aic,
-            "n_points": self.n_points,
-            "converged": self.converged,
-        }
+
+# The fits.json row, one field each, in the order report.read_fit_rows checks
+# them: key -> (what its JSON value must be, the check of that value, how it is
+# read off a FitResult). participant_id's value comes from the caller.
+FIT_ROW = {
+    "participant_id": ("a string", lambda v: isinstance(v, str), None),
+    "model": (f"one of {list(MODELS)}", lambda v: isinstance(v, str) and v in MODELS,
+              attrgetter("model")),
+    "params": ("an object", lambda v: isinstance(v, dict), lambda fit: params_to_dict(fit.params)),
+    "sse": ("a finite number >= 0", lambda v: is_number(v) and v >= 0, attrgetter("sse")),
+    **{key: ("a finite number or null", lambda v: v is None or is_number(v), attrgetter(key))
+       for key in ("r2", "rmse", "aic")},
+    "n_points": ("an integer >= 1", lambda v: is_number(v) and isinstance(v, int) and v >= 1,
+                 attrgetter("n_points")),
+    "converged": ("true or false", lambda v: isinstance(v, bool), attrgetter("converged")),
+}
+
+
+def fit_row(participant_id: str, fit: FitResult) -> dict:
+    """The fits.json row of participant_id's fit, one FIT_ROW field each."""
+    return {key: participant_id if read is None else read(fit)
+            for key, (_, _, read) in FIT_ROW.items()}
 
 
 # ---------------------------------------------------------------------------

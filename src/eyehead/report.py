@@ -21,9 +21,10 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import GridMismatchError, MissingInputError
+from .fitting import FIT_ROW
 from .fpca import Spectrum, reconstruct_mode
 from .ingest import open_output, write_scores_csv, write_table
-from .models import MODELS, is_number, params_from_dict
+from .models import params_from_dict
 from .stats import describe_distribution, kde_density, kde_grid, mean_sd
 
 DENSITY_POINTS = 201
@@ -125,18 +126,8 @@ def read_json_array(path: str) -> list[dict]:
     return [e for e in data if set(e) != {"provenance"}]
 
 
-# the fields of a fit row that fpca, project and report read: what each must hold
-_FIT_ROW_FIELDS = {
-    "participant_id": ("a string", lambda v: isinstance(v, str)),
-    "model": (f"one of {list(MODELS)}", lambda v: isinstance(v, str) and v in MODELS),
-    "params": ("an object", lambda v: isinstance(v, dict)),
-    **{key: ("a finite number or null", lambda v: v is None or is_number(v))
-       for key in ("r2", "rmse", "aic")},
-}
-
-
 def read_fit_rows(path: str) -> list[dict]:
-    """The rows of a fits.json, each checked against _FIT_ROW_FIELDS, params decoded.
+    """The rows of a fits.json, each checked against fitting.FIT_ROW, params decoded.
 
     Params must carry their row's model tag. MissingInputError names the file, the
     1-based fit row and the key; a file with no fit row, which fit never writes, is one too.
@@ -146,7 +137,7 @@ def read_fit_rows(path: str) -> list[dict]:
         raise MissingInputError(f"{path}: no fit rows")
     for i, row in enumerate(rows, 1):
         where = f"{path}: fit row {i}"
-        for key, (want, ok) in _FIT_ROW_FIELDS.items():
+        for key, (want, ok, _) in FIT_ROW.items():
             if key not in row or not ok(row[key]):
                 got = repr(row[key]) if key in row else "nothing"
                 raise MissingInputError(f"{where}: {key!r} must be {want}, got {got}")

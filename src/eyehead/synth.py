@@ -60,8 +60,8 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.n_shifts < 1:
             raise ValueError(f"n_shifts must be >= 1, got {self.n_shifts}")
-        if not self.noise_sd >= 0:  # NaN fails too
-            raise ValueError(f"noise_sd must be >= 0, got {self.noise_sd}")
+        if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0):
+            raise ValueError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
         if not (math.isfinite(self.gaze_noise_sd) and self.gaze_noise_sd >= 0):
             raise ValueError(f"gaze_noise_sd must be finite and >= 0, got {self.gaze_noise_sd}")
 

@@ -680,6 +680,14 @@ class TestMalformedJsonInputs:
         ("rmse", "high"),
         ("aic", True),
         ("aic", [1.0]),
+        ("sse", "missing"),
+        ("sse", -1.0),
+        ("sse", None),
+        ("n_points", 2.5),
+        ("n_points", True),
+        ("n_points", 0),
+        ("converged", None),
+        ("converged", 1),
     ])
     def test_a_fit_row_field_of_the_wrong_type(self, inputs, capsys, stage, key, value):
         fits = inputs / "fits.json"

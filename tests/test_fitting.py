@@ -20,11 +20,11 @@ from eyehead import (
     fit_participant,
     fit_participants,
     fit_soft_hinge,
-    params_from_dict,
     synth_shifts,
 )
 from eyehead import fitting
 from eyehead.fitting import (
+    FIT_ROW,
     HINGE_KNEES,
     LAM_MIN,
     LOWER,
@@ -36,8 +36,10 @@ from eyehead.fitting import (
     _fit_hinge_family,
     _lattice_seeds,
     _projected_lm,
+    fit_row,
 )
 from eyehead.models import compute_ehr_slope, compute_eor
+from eyehead.report import read_fit_rows, write_json_array
 
 from .oracles import (
     fd_gradient,
@@ -160,7 +162,7 @@ class TestSoftHingeFit:
         x, y = soft_hinge_data(noise_sd=1.0, seed=3)
         a = fit_soft_hinge(x, y)
         b = fit_soft_hinge(x, y)
-        assert a.to_file_dict() == b.to_file_dict()
+        assert fit_row("p", a) == fit_row("p", b)
         assert a.start_index == b.start_index
         np.testing.assert_array_equal(a.start_sses, b.start_sses)
 
@@ -401,7 +403,7 @@ class TestBatchedSolver:
         assert fit.start_index == int(np.argmin(fit.start_sses))
         assert fit.sse == pytest.approx(min(fit.start_sses), rel=1e-12)
         assert fit.n_converged == len(S_ROW) - 1
-        assert fit.to_file_dict()["converged"] is False
+        assert fit_row("p", fit)["converged"] is False
 
     @pytest.mark.parametrize("seed", [56, 20039, 20063, 20117])
     def test_soft_hinge_fits_no_worse_than_the_hinge_it_nests(self, seed):
@@ -417,7 +419,7 @@ class TestBatchedSolver:
         fit = fit_soft_hinge(x, y)
         assert fit.sse == pytest.approx(min(fit.start_sses), rel=1e-12)
         assert fit.sse < fit_hinge(x, y).sse
-        assert fit.to_file_dict()["converged"] is False
+        assert fit_row("p", fit)["converged"] is False
 
     @pytest.mark.parametrize("n, converged", [
         (1, {"linear": False, "hinge": False, "soft-hinge": False}),
@@ -537,7 +539,7 @@ class TestDampedStep:
 
 def same_fit(a, b):
     """Bit-identical FitResults: written fields, winning seed and every seed's SSE."""
-    assert a.to_file_dict() == b.to_file_dict()
+    assert fit_row("p", a) == fit_row("p", b)
     assert (a.start_index, a.n_converged, a.start_sses) == (b.start_index, b.n_converged,
                                                            b.start_sses)
 
@@ -731,14 +733,27 @@ class TestFitParticipant:
         assert set(pfit.fits) == {"linear", "hinge", "soft-hinge"}
         assert {fit.n_points for fit in pfit.fits.values()} == {250}
 
-    def test_file_dict_round_trip(self):
-        x, y = soft_hinge_data(n=61)
-        pfit = fit_participant(x, y)
-        for fit in pfit.fits.values():
-            d = fit.to_file_dict()
-            assert set(d) == {
-                "model", "params", "sse", "r2", "rmse", "aic", "n_points", "converged",
-            }
-            back = params_from_dict(d["params"])
-            assert back == fit.params
-            assert eval_model(back, 30.0) == pytest.approx(eval_model(fit.params, 30.0))
+    def test_file_dict_round_trip(self, tmp_path):
+        # every row the writer builds passes the reader's checks and reads back as written
+        few = np.array([20.0, 40.0])
+        cases = {
+            "ordinary": soft_hinge_data(n=61),
+            "constant y": (np.linspace(5.0, 40.0, 30), np.full(30, 2.0)),
+            "no more points than parameters": (few, 0.5 * few),
+        }
+        path = tmp_path / "fits.json"
+        for case, (x, y) in cases.items():
+            fits = list(fit_participant(x, y).fits.values())
+            assert [f.model for f in fits] == list(fitting.MODELS)
+            rows = [fit_row(case, fit) for fit in fits]
+            write_json_array(path, rows, {})
+            for fit, row, back in zip(fits, rows, read_fit_rows(path), strict=True):
+                assert set(back) == set(FIT_ROW)
+                assert back.pop("params") == fit.params
+                del row["params"]
+                if case == "constant y":
+                    assert math.isnan(row["r2"]) and back["r2"] is None
+                    row["r2"] = None
+                assert back == row
+                if case == "no more points than parameters":
+                    assert back["converged"] is False

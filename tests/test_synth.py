@@ -67,8 +67,8 @@ class TestSynthShifts:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SynthConfig(PARAMS, n_shifts=0)
-        for noise_sd in (-1.0, float("nan")):
-            with pytest.raises(ValueError):
+        for noise_sd in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="^noise_sd must be finite and >= 0"):
                 SynthConfig(PARAMS, noise_sd=noise_sd)
         for gaze_noise_sd in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="^gaze_noise_sd must be finite and >= 0"):
