@@ -245,6 +245,11 @@ def _trace_files(in_dir: str) -> list[list[str]]:
     return [stems[s] for s in sorted(stems, key=lambda s: TRACE_FILE.format(stem=s, kind="gaze"))]
 
 
+def _failure(exc: Exception) -> dict:
+    """The record of a failure: its error type and message."""
+    return {"error": type(exc).__name__, "message": str(exc)}
+
+
 def _provenance(args: argparse.Namespace, cfg: dict, paths=(), base: str | None = None) -> dict:
     """The stage's provenance record: its command and options, seed and inputs.
 
@@ -362,7 +367,7 @@ def cmd_preprocess(args: argparse.Namespace, cfg: dict) -> int:
             try:
                 symmetry[pid] = asdict(symmetry_check(sub))
             except EyeheadError as exc:
-                symmetry[pid] = {"error": type(exc).__name__, "message": str(exc)}
+                symmetry[pid] = _failure(exc)
         write_json_object(args.symmetry_out, {"participants": symmetry}, provenance)
 
     clean = symmetrize_and_clean(signed, max_ecc=cfg["max_ecc_deg"])
@@ -440,20 +445,19 @@ def cmd_sensitivity(args: argparse.Namespace, cfg: dict) -> int:
     trials, _, provenance = _sane_traces(
         args, cfg, lambda trace, *configs: threshold_shifts(trace, thresholds, *configs)
     )
-    # each participant's trials, pooled in trial order per threshold
+    # each participant's trials, pooled in trial order per threshold, cleaned as preprocess does
     pooled: dict[tuple[str, float], list] = {}
     for pid, by_threshold in trials:
         for thr, shifts in by_threshold.items():
             pooled.setdefault((pid, thr), []).append(shifts)
 
-    result = threshold_sensitivity(
-        {key: concat_shift_sets(sets) for key, sets in pooled.items()},
-        thresholds=thresholds,
-        base=cfg["fix_threshold"],
-        max_ecc=cfg["max_ecc_deg"],
-    )
+    cleaned = {
+        key: symmetrize_and_clean(concat_shift_sets(sets), max_ecc=cfg["max_ecc_deg"])
+        for key, sets in pooled.items()
+    }
+    result = threshold_sensitivity(cleaned, thresholds, cfg["fix_threshold"])
     per_participant = {
-        pid: {"error": type(r).__name__, "message": str(r)} if isinstance(r, EyeheadError)
+        pid: _failure(r) if isinstance(r, EyeheadError)
         else {f"{thr:g}": v for thr, v in r.items()}
         for pid, r in result.items()
     }
@@ -536,11 +540,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     try:
         return globals()["cmd_" + args.command](args, _resolve(args))
     except (EyeheadError, OSError, ValueError) as exc:
-        payload = {
-            "stage": args.command,
-            "error": type(exc).__name__,
-            "message": str(exc),
-        }
+        payload = {"stage": args.command, **_failure(exc)}
         sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
         return 1
 

@@ -130,17 +130,23 @@ def read_fit_rows(path: str) -> list[dict]:
     """The rows of a fits.json, each checked against fitting.FIT_ROW, params decoded.
 
     Params must carry their row's model tag. MissingInputError names the file, the
-    1-based fit row and the key; a file with no fit row, which fit never writes, is one too.
+    1-based fit row and the key; a file with no fit row, or with two rows for one
+    (participant_id, model), neither of which fit writes, is one too.
     """
     rows = read_json_array(path)
     if not rows:
         raise MissingInputError(f"{path}: no fit rows")
+    first_row: dict[tuple[str, str], int] = {}  # each (participant_id, model)'s row
     for i, row in enumerate(rows, 1):
         where = f"{path}: fit row {i}"
         for key, (want, ok, _) in FIT_ROW.items():
             if key not in row or not ok(row[key]):
                 got = repr(row[key]) if key in row else "nothing"
                 raise MissingInputError(f"{where}: {key!r} must be {want}, got {got}")
+        pair = row["participant_id"], row["model"]
+        if pair in first_row:
+            raise MissingInputError(f"{where}: {pair} repeats fit row {first_row[pair]}")
+        first_row[pair] = i
         if (tag := row["params"].get("model")) != (model := row["model"]):
             raise MissingInputError(f"{where}: 'params' must be tagged {model!r}, got {tag!r}")
         try:

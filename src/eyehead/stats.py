@@ -4,7 +4,7 @@ Plain-formula implementations (Pearson correlation, linear-interpolation
 quartiles, adjusted Fisher-Pearson skewness, fixed-bandwidth Gaussian KDE)
 plus two study-level diagnostics: a left/right symmetry check that justifies
 folding shifts onto one side, and a fixation-threshold sensitivity analysis
-that refits the head-contribution curve on the shifts that
+that refits the head-contribution curve on the cleaned shifts that
 `events.threshold_shifts` segments at different velocity thresholds.
 """
 
@@ -24,7 +24,7 @@ from .errors import (
 )
 from .fitting import fit_participants
 from .fpca import DEFAULT_GRID
-from .ingest import ShiftSet, symmetrize_and_clean
+from .ingest import ShiftSet
 from .models import X_MAX, eval_model
 
 
@@ -226,43 +226,31 @@ def symmetry_check(shifts: ShiftSet) -> SymmetryReport:
 
 def threshold_sensitivity(
     shifts: dict[tuple[str, float], ShiftSet],
-    thresholds: tuple[float, ...] = (10.0, 15.0, 20.0),
-    base: float = 15.0,
-    max_ecc: float = X_MAX,
+    thresholds: tuple[float, ...],
+    base: float,
 ) -> dict[str, dict[float, float] | EyeheadError]:
     """Refit every participant's curve per velocity threshold; r vs base.
 
-    shifts maps (participant_id, threshold) to that participant's signed
-    shifts at that threshold, pooled over trials (events.threshold_shifts
-    gives one trial's), for every threshold and for base, the threshold
-    preprocess segments at. Each set is symmetrized and cleaned, and the
-    soft hinges of all of them are refit in one batched call; each curve is
-    evaluated on DEFAULT_GRID and correlated with the participant's curve at
-    base, which maps to r = 1. Returns {participant_id: {threshold: r}} in
-    id order. A participant left with no shifts at some threshold, or with a
+    shifts maps (participant_id, threshold) to that participant's cleaned
+    shifts at that threshold (ingest.symmetrize_and_clean), for every
+    threshold and for base, the threshold preprocess segments at. The soft
+    hinges of the non-empty sets are refit in one batched call; each curve
+    is evaluated on DEFAULT_GRID and correlated with the participant's curve
+    at base, which maps to r = 1. Returns {participant_id: {threshold: r}}
+    in id order. A participant with no shifts at some threshold, or with a
     constant curve (no head movement), maps to that error instead, and the
     other participants are unaffected.
     """
-    all_thresholds = list(thresholds)
-    if base not in all_thresholds:
-        all_thresholds.append(base)
-    pids = sorted({pid for pid, _ in shifts})
-
-    cleaned = {
-        (pid, thr): symmetrize_and_clean(shifts[(pid, thr)], max_ecc=max_ecc)
-        for pid in pids
-        for thr in all_thresholds
-    }
-    keys = [key for key, sub in cleaned.items() if len(sub)]
-    fits = fit_participants([(cleaned[key].x, cleaned[key].y) for key in keys], ("soft-hinge",))
+    keys = [key for key, sub in shifts.items() if len(sub)]
+    fits = fit_participants([(shifts[key].x, shifts[key].y) for key in keys], ("soft-hinge",))
     curves = {
         key: eval_model(fit.fits["soft-hinge"].params, DEFAULT_GRID)
         for key, fit in zip(keys, fits)
     }
 
     out: dict[str, dict[float, float] | EyeheadError] = {}
-    for pid in pids:
-        empty = [thr for thr in all_thresholds if (pid, thr) not in curves]
+    for pid in sorted({pid for pid, _ in shifts}):
+        empty = [thr for thr in (*thresholds, base) if (pid, thr) not in curves]
         if empty:
             out[pid] = EmptyDataError(f"no shifts at a threshold of {empty[0]:g} deg/s")
             continue

@@ -236,8 +236,8 @@ def test_criterion_08_threshold_sensitivity():
         )
         trace = align_head_to_gaze(gaze, head)
         for thr, sub in threshold_shifts(trace, (10.0, 15.0, 20.0)).items():
-            shifts[(pid, thr)] = sub
-    result = threshold_sensitivity(shifts, thresholds=(10.0, 15.0, 20.0))
+            shifts[(pid, thr)] = symmetrize_and_clean(sub)
+    result = threshold_sensitivity(shifts, (10.0, 15.0, 20.0), 15.0)
     medians = {10.0: [], 15.0: [], 20.0: []}
     for pid in ("pa", "pb", "pc"):
         for thr, r in result[pid].items():

@@ -40,7 +40,6 @@ from eyehead.ingest import (
 from eyehead.models import MODELS
 from eyehead import report
 from eyehead.report import read_json_array
-from eyehead.stats import threshold_sensitivity
 
 
 def run(argv):
@@ -124,6 +123,17 @@ class TestPipeline:
         med = payload["median_r"]
         assert set(med) == {"15", "20"}
         assert med["15"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_sensitivity_cleans_at_max_ecc_deg(self, tmp_path):
+        # at 15 deg/s this cohort has no shift under 1.6 deg, so a 0.5 deg cut leaves none
+        raw = synth_dir(tmp_path, participants=2, trials=1, shifts=30)
+        out = tmp_path / "sens.json"
+        assert run(["sensitivity", "--in-dir", raw, "--out", out, "--thresholds", "15,20",
+                    "--min-overlap-s", "2.0", "--max-ecc-deg", "0.5"]) == 0
+        payload = json.loads(out.read_text())
+        failure = {"error": "EmptyDataError", "message": "no shifts at a threshold of 15 deg/s"}
+        assert payload["participants"] == {"synth001": failure, "synth002": failure}
+        assert payload["median_r"] == {"15": None, "20": None}
 
     @pytest.mark.parametrize("thresholds", ["10,15,15", "15,15.0000001"])
     def test_repeated_threshold_rejected(self, tmp_path, capsys, thresholds):
@@ -722,6 +732,22 @@ class TestMalformedJsonInputs:
         assert (payload["stage"], payload["error"]) == (stage, "MissingInputError")
         assert payload["message"] == f"{fits}: no fit rows"
 
+    # fit writes one row per (participant_id, model); a repeat would count twice
+    @pytest.mark.parametrize("stage", ["fpca", "project", "report"])
+    def test_a_repeated_fit_row(self, inputs, capsys, stage):
+        fits = inputs / "fits.json"
+        rows = json.loads(fits.read_text())
+        row = 3  # rows[0] is the provenance header; rows[3] is the first soft-hinge row
+        assert rows[row]["model"] == "soft-hinge"
+        fits.write_text(json.dumps(rows + [rows[row]]))
+        assert run(self.argv(inputs, stage, fits, inputs / "spectrum.json")) == 1
+        payload = one_line_error(capsys)
+        assert (payload["stage"], payload["error"]) == (stage, "MissingInputError")
+        pid = rows[row]["participant_id"]
+        assert payload["message"] == (
+            f"{fits}: fit row {len(rows)}: {(pid, 'soft-hinge')} repeats fit row {row}"
+        )
+
     # one rule for a number in a JSON artifact: a finite int or float; a
     # string, a boolean and the NaN and Infinity literals are not numbers
     @pytest.mark.parametrize("stage, name, path, value, error", [
@@ -900,11 +926,6 @@ class TestConfigResolution:
         assert default(sanity_check, "min_overlap_s") == DEFAULTS["min_overlap_s"]
         assert default(sanity_check, "max_gap_s") == DEFAULTS["max_gap_s"]
         assert default(symmetrize_and_clean, "max_ecc") == DEFAULTS["max_ecc_deg"]
-        assert default(threshold_sensitivity, "max_ecc") == DEFAULTS["max_ecc_deg"]
-        assert default(threshold_sensitivity, "thresholds") == tuple(
-            float(v) for v in DEFAULTS["thresholds"].split(",")
-        )
-        assert default(threshold_sensitivity, "base") == DEFAULTS["fix_threshold"]
         assert default(threshold_shifts, "filter_cfg") == _filter_config(DEFAULTS)
         assert default(threshold_shifts, "fixation_cfg") == _fixation_config(DEFAULTS)
 
@@ -1117,6 +1138,7 @@ class TestConfigOnEveryStage:
         (None, "FileNotFoundError"),
         ('{"starts": 4', "JSONDecodeError"),
         ('{"n_starts": 4}', "ValueError"),
+        ('[{"seed": 1}]', "ValueError"),  # not a flat object
     ])
     def test_bad_config_file_is_a_stage_error(self, inputs, tmp_path, capsys,
                                               stage, content, error):
@@ -1645,6 +1667,23 @@ class TestSegmentationFaults:
         assert records[1]["overlap_s"] > 2.0 and records[1]["gap_max_s"] > 10.0
         assert list(read_shifts_csv(str(shifts)).by_participant()) == ["synth001", "synth003"]
         assert sorted(json.loads(sens.read_text())["participants"]) == ["synth001", "synth003"]
+
+    def test_a_head_clock_overlapping_only_the_last_gaze_sample_is_no_overlap(self, tmp_path):
+        raw = synth_dir(tmp_path, participants=3, trials=1, shifts=30)
+        gaze = ingest.load_trace_csv(str(raw / "synth002_t01.gaze.csv"))
+        head_path = raw / "synth002_t01.head.csv"
+        head = ingest.load_trace_csv(str(head_path))
+        # the head starts between the last two gaze samples and runs on past them
+        head.t = head.t - head.t[0] + (gaze.t[-2] + gaze.t[-1]) / 2
+        ingest.write_trace_csv(str(head_path), head)
+        shifts = tmp_path / "shifts.csv"
+        assert run(["preprocess", "--in-dir", raw, "--out", shifts, "--min-overlap-s", 2.0]) == 0
+        records = strict_json_lines((tmp_path / "sanity.jsonl").read_text())[1:]
+        assert records[1] == {
+            "participant_id": "synth002", "trial_id": "t01", "overlap_s": 0.0,
+            "gap_max_s": None, "verdict": "fail", "reason": "no_overlap",
+        }
+        assert list(read_shifts_csv(str(shifts)).by_participant()) == ["synth001", "synth003"]
 
 
 class TestOneTrialAtATime:

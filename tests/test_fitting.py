@@ -651,6 +651,10 @@ class TestBatchContract:
     def test_no_problems_give_no_fits(self):
         assert fitting.fit_participants([]) == []
 
+    def test_an_unknown_model_kind_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^unknown model kind\(s\): \['cubic'\]$"):
+            fitting.fit_participants(self.PROBLEMS[:1], ("cubic",))
+
     def test_fit_participants_is_fit_participant_per_problem(self):
         problems = self.PROBLEMS[:4]
         for got, (x, y) in zip(fitting.fit_participants(problems), problems, strict=True):

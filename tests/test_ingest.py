@@ -61,6 +61,13 @@ class TestUnwrap:
         yaw = np.cumsum(np.full(50, 3.0))
         np.testing.assert_array_equal(unwrap_yaw(yaw), yaw)
 
+    @pytest.mark.parametrize("yaw", [[], [190.0]], ids=["empty", "one-sample"])
+    def test_fewer_than_two_samples_are_a_copy(self, yaw):
+        yaw = np.array(yaw)
+        out = unwrap_yaw(yaw)
+        np.testing.assert_array_equal(out, yaw)
+        assert out is not yaw
+
     @given(
         st.lists(st.floats(-179.0, 179.0), min_size=1, max_size=60),
         st.floats(-179.0, 179.0),
@@ -88,6 +95,10 @@ class TestOneEuro:
     def test_first_sample_passthrough(self):
         out = one_euro(np.array([5.0, 5.5]), np.array([42.0, 40.0]))
         assert out[0] == 42.0
+
+    @pytest.mark.parametrize("t, x", [([], []), ([5.0], [42.0])], ids=["empty", "one-sample"])
+    def test_fewer_than_two_samples_pass_through(self, t, x):
+        assert one_euro(np.array(t), np.array(x)).tolist() == x
 
     def test_constant_signal_unchanged(self):
         t = np.linspace(0.0, 1.0, 30)

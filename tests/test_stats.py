@@ -32,7 +32,7 @@ from eyehead.events import angular_velocity, detect_fixations, extract_shifts
 from eyehead.fitting import fit_soft_hinge
 from eyehead.fpca import DEFAULT_GRID
 from eyehead.ingest import concat_shift_sets, one_euro, symmetrize_and_clean
-from eyehead.models import eval_model
+from eyehead.models import X_MAX, eval_model
 
 
 def make_shifts(x, y):
@@ -47,13 +47,15 @@ def layered_shifts(trace, filter_cfg, fixation_cfg):
 
 
 def pooled_shifts(traces, thresholds, filter_cfg=FilterConfig(),
-                  fixation_cfg=FixationConfig()):
-    """threshold_shifts of every trace, pooled per (participant, threshold) in trace order."""
+                  fixation_cfg=FixationConfig(), max_ecc=X_MAX):
+    """threshold_shifts of every trace, pooled per (participant, threshold) in trace order
+    and cleaned as preprocess cleans them."""
     pooled = {}
     for tr in traces:
         for thr, sub in threshold_shifts(tr, thresholds, filter_cfg, fixation_cfg).items():
             pooled.setdefault((tr.participant_id, thr), []).append(sub)
-    return {key: concat_shift_sets(sets) for key, sets in pooled.items()}
+    return {key: symmetrize_and_clean(concat_shift_sets(sets), max_ecc)
+            for key, sets in pooled.items()}
 
 
 def staircase_trace(amplitudes, trial_id="t01", rate=128.0, plateau_s=0.4, ramp_s=0.15):
@@ -361,12 +363,6 @@ class TestThresholdShifts:
 
 
 class TestThresholdSensitivity:
-    @pytest.mark.parametrize("max_ecc", [80.0, 0.0, float("nan")])
-    def test_max_ecc_outside_the_models_domain_is_rejected(self, max_ecc):
-        shifts = {("p01", 15.0): make_shifts([30.0, 45.0], [3.0, 9.0])}
-        with pytest.raises(ValueError, match="^max_ecc must be in "):
-            threshold_sensitivity(shifts, thresholds=(15.0,), base=15.0, max_ecc=max_ecc)
-
     def test_base_maps_to_one_and_neighbors_stay_high(self):
         # two clean trials with plenty of shifts spanning the domain;
         # alternating signs keep the staircase inside a modest yaw range
@@ -381,7 +377,7 @@ class TestThresholdSensitivity:
             filter_cfg=FilterConfig(min_cutoff=1e9),
             fixation_cfg=FixationConfig(pad_s=0.0),
         )
-        out = threshold_sensitivity(shifts, thresholds=(10.0, 15.0, 20.0))["p01"]
+        out = threshold_sensitivity(shifts, (10.0, 15.0, 20.0), 15.0)["p01"]
         assert set(out) == {10.0, 15.0, 20.0}
         assert out[15.0] == pytest.approx(1.0, abs=1e-12)
         assert out[10.0] > 0.99
@@ -430,12 +426,13 @@ class TestThresholdSensitivity:
             trace("pc", 0.8, 3),
             trace("pb", 0.6, 5, trial="t02"),
         ]
-        kwargs = dict(thresholds=(10.0, 20.0), max_ecc=15.0)
+        thresholds = 10.0, 20.0
         calls = []
         batched = stats.fit_participants
         monkeypatch.setattr(stats, "fit_participants",
                             lambda *a: calls.append(1) or batched(*a))
-        got = threshold_sensitivity(pooled_shifts(traces, kwargs["thresholds"]), **kwargs)
+        got = threshold_sensitivity(pooled_shifts(traces, thresholds, max_ecc=15.0),
+                                    thresholds, 15.0)
         assert len(calls) == 1
         assert list(got) == ["pa", "pb", "pc", "pd"]
         assert isinstance(got["pa"], ZeroSpreadError)
@@ -443,7 +440,8 @@ class TestThresholdSensitivity:
         assert set(got["pb"]) == set(got["pc"]) == {10.0, 20.0}
         for pid, result in got.items():
             own = [t for t in traces if t.participant_id == pid]
-            alone = threshold_sensitivity(pooled_shifts(own, kwargs["thresholds"]), **kwargs)
+            alone = threshold_sensitivity(pooled_shifts(own, thresholds, max_ecc=15.0),
+                                          thresholds, 15.0)
             assert list(alone) == [pid]
             if isinstance(result, Exception):
                 assert (type(result), str(result)) == (type(alone[pid]), str(alone[pid]))
