@@ -21,13 +21,15 @@ as Unix milliseconds would otherwise lose its sub-second part to the trace
 format's 9 significant digits. The rebase is done in source units, before
 --time-scale, so that a large offset cancels exactly.
 
-Rows with unparsable numbers are dropped with a warning; the downstream
-loader enforces the rest (monotone time, finite yaw).
+Rows with an unparsable or non-finite time, gaze or head value (nan, inf,
+such as a blink's gaze sample) are dropped with a warning, before the
+rebase; the downstream loader enforces the rest (no repeated timestamps).
 """
 
 import argparse
 import collections
 import csv
+import math
 import os
 import re
 import sys
@@ -59,15 +61,18 @@ def convert_file(path, out_dir, opts) -> str | None:
         for row in reader:
             try:
                 # parse the whole row first, so a bad value drops it from all three columns
-                ts, g, h = (float(row[c]) for c in (opts.time_col, opts.gaze_col, opts.head_col))
+                values = [float(row[c]) for c in (opts.time_col, opts.gaze_col, opts.head_col)]
             except (TypeError, ValueError):
+                values = [math.nan]
+            if not all(map(math.isfinite, values)):  # the loader rejects nan and inf
                 dropped += 1
                 continue
+            ts, g, h = values
             t.append(ts)
             gaze.append(g * opts.angle_scale)
             head.append(h * opts.angle_scale)
     if dropped:
-        print(f"{name}: dropped {dropped} unparsable rows", file=sys.stderr)
+        print(f"{name}: dropped {dropped} unparsable or non-finite rows", file=sys.stderr)
     if len(t) < 2:
         print(f"skip {name}: fewer than 2 usable rows", file=sys.stderr)
         return None

@@ -357,6 +357,10 @@ def _sane_traces(args: argparse.Namespace, cfg: dict, use):
 def cmd_preprocess(args: argparse.Namespace, cfg: dict) -> int:
     trials, reports, provenance = _sane_traces(args, cfg, preprocess_trial)
     signed = concat_shift_sets([shifts for _, shifts in trials])
+    clean = symmetrize_and_clean(signed, max_ecc=cfg["max_ecc_deg"])
+    if not len(clean):  # a header-only shift table is one that fit cannot read
+        raise MissingInputError(f"no shifts kept: cleaning dropped all {len(signed)} shifts "
+                                f"extracted from {len(trials)} trials")
 
     sanity_path = args.sanity_out or os.path.join(
         os.path.dirname(os.path.abspath(args.out)), "sanity.jsonl"
@@ -370,7 +374,6 @@ def cmd_preprocess(args: argparse.Namespace, cfg: dict) -> int:
                 symmetry[pid] = _failure(exc)
         write_json_object(args.symmetry_out, {"participants": symmetry}, provenance)
 
-    clean = symmetrize_and_clean(signed, max_ecc=cfg["max_ecc_deg"])
     write_shifts_csv(args.out, clean, provenance)
     write_json_lines(sanity_path, [asdict(r) for r in reports], provenance)
     return 0

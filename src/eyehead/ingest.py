@@ -404,7 +404,8 @@ def read_table(
 
     The file is read once, as bytes. It must be UTF-8, or TraceSchemaError
     names the path and the offset in the file of the first byte that is not,
-    before any other check. A byte-order mark at its start is skipped. Lines
+    before any other check; then it must hold no NUL byte, or the error names
+    the first one's offset. A byte-order mark at its start is skipped. Lines
     are decoded one at a time as they are read, each ending at '\\n', '\\r' or
     '\\r\\n' only; no list of them is kept. '#' (provenance) and blank lines
     before the header are skipped, and csv.reader reads the header from those
@@ -421,9 +422,8 @@ def read_table(
     and the lines it takes go to numpy ahead of the rest. numpy parses each
     such column as a string one character wider than csv's value, so any
     other value is kept whole or cut to a string that still differs from it.
-    Rows are compared with numpy's own reading of row 1. numpy's strings drop
-    trailing NULs, so a NUL in such a column is rejected. Either error names
-    the path and the data row.
+    Rows are compared with numpy's own reading of row 1; the error names the
+    path and the data row.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -432,6 +432,8 @@ def read_table(
     except UnicodeDecodeError as exc:
         raise TraceSchemaError(f"{path}: byte 0x{raw[exc.start]:02x} at offset {exc.start} "
                                f"is not valid UTF-8 ({exc.reason})") from exc
+    if (nul := raw.find(b"\0")) >= 0:  # no writer writes one, and numpy's strings drop it
+        raise TraceSchemaError(f"{path}: byte 0x00 at offset {nul} is a NUL character")
     with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as lines:
         rows = csv.reader(ln for ln in lines if not ln.startswith("#"))
         try:
@@ -449,14 +451,12 @@ def read_table(
 
         kinds = {c: "f8" for c in floats}
         if single:
-            nul = b"\0" in raw
             try:
                 first = dict(zip(header, next(csv.reader(_taking(row_1, lines)))))
             except csv.Error:  # a field past csv's size limit: numpy reads it as object
                 first = {}
             # a row 1 narrower than the header gets object columns; numpy rejects it
-            kinds.update({c: f"U{len(first[c]) + 1}" if c in first and not nul else object
-                          for c in single})
+            kinds.update({c: f"U{len(first[c]) + 1}" if c in first else object for c in single})
         try:
             data = np.loadtxt(itertools.chain(row_1, lines), delimiter=",", quotechar='"',
                               comments=None, ndmin=1,
@@ -470,8 +470,6 @@ def read_table(
                                f"in data row {row + 1}, column {named[j]}")
     one = {col: str(data[col][0]) for col in single}
     for col in single:
-        if nul and (k := next((i for i, v in enumerate(data[col], 1) if "\0" in v), 0)):
-            raise TraceSchemaError(f"{path}: data row {k} has a NUL character in {col}")
         if (differs := np.flatnonzero(data[col] != one[col])).size:
             raise TraceSchemaError(
                 f"{path} mixes several ({', '.join(single)}) values: "

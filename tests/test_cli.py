@@ -492,7 +492,8 @@ def set_cell(path, row, column, value):
 
 class TestNonFiniteTableValues:
     """A non-finite number, a percentile outside [0, 100] or a shift outside the models'
-    domain in a CSV input is a stage error naming its file, data row and column."""
+    domain in a CSV input is a stage error naming its file, data row and column; a NUL
+    byte is one naming its file and offset."""
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
@@ -504,6 +505,19 @@ class TestNonFiniteTableValues:
         assert run(["project", "--model", tmp / "spectrum.json", "--in", tmp / "fits.json",
                     "--out", tmp / "scores.csv"]) == 0
         return tmp
+
+    @staticmethod
+    def stage_argv(stage, d, out):
+        """The argv of `stage` on the inputs copied to d, writing to out."""
+        traces = d / "raw" / "traces"
+        return {
+            "fit": ["fit", "--in", d / "shifts.csv", "--out", out],
+            "report": ["report", "--fits", d / "fits.json", "--spectrum", d / "spectrum.json",
+                       "--scores", d / "scores.csv", "--out-dir", out],
+            "preprocess": ["preprocess", "--in-dir", traces, "--out", out, "--min-overlap-s", 2.0],
+            "sensitivity": ["sensitivity", "--in-dir", traces, "--out", out,
+                            "--min-overlap-s", 2.0],
+        }[stage]
 
     @pytest.mark.parametrize("stage, name, column, value", [
         ("fit", "shifts.csv", "y_deg", "nan"),
@@ -517,22 +531,29 @@ class TestNonFiniteTableValues:
         shutil.copytree(inputs, tmp_path / "in")
         d = tmp_path / "in"
         set_cell(d / name, 3, column, value)
-        traces = d / "raw" / "traces"
-        argv = {
-            "fit": ["fit", "--in", d / "shifts.csv", "--out", tmp_path / "out"],
-            "report": ["report", "--fits", d / "fits.json", "--spectrum", d / "spectrum.json",
-                       "--scores", d / "scores.csv", "--out-dir", tmp_path / "out"],
-            "preprocess": ["preprocess", "--in-dir", traces, "--out", tmp_path / "out",
-                           "--min-overlap-s", 2.0],
-            "sensitivity": ["sensitivity", "--in-dir", traces, "--out", tmp_path / "out",
-                            "--min-overlap-s", 2.0],
-        }[stage]
-        assert run(argv) == 1
+        assert run(self.stage_argv(stage, d, tmp_path / "out")) == 1
         payload = one_line_error(capsys)
         assert (payload["stage"], payload["error"]) == (stage, "TraceSchemaError")
         assert payload["message"] == (
             f"{d / name}: non-finite value {value} in data row 3, column {column}"
         )
+        assert not (tmp_path / "out").exists()
+
+    # no writer writes a NUL, in an id column or anywhere else
+    @pytest.mark.parametrize("stage, name, column", [
+        ("fit", "shifts.csv", "participant_id"),
+        ("report", "scores.csv", "curve_id"),
+    ])
+    def test_a_nul_in_an_id_is_named_by_its_offset(self, inputs, tmp_path, capsys, stage, name,
+                                                   column):
+        shutil.copytree(inputs, tmp_path / "in")
+        d = tmp_path / "in"
+        set_cell(d / name, 2, column, "p\0")
+        assert run(self.stage_argv(stage, d, tmp_path / "out")) == 1
+        payload = one_line_error(capsys)
+        assert (payload["stage"], payload["error"]) == (stage, "TraceSchemaError")
+        at = (d / name).read_bytes().index(b"\0")
+        assert payload["message"] == f"{d / name}: byte 0x00 at offset {at} is a NUL character"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["250", "-0.5"])
@@ -1549,7 +1570,7 @@ class TestExpectedTrials:
 
 
 class TestNoTrialKept:
-    """The stage error of a run that keeps no trial says why."""
+    """The stage error of a run that keeps no trial, or no shift, says why."""
 
     @pytest.mark.parametrize("stage", ["preprocess", "sensitivity"])
     def test_each_failure_reason_is_counted(self, tmp_path, capsys, stage):
@@ -1573,6 +1594,19 @@ class TestNoTrialKept:
         assert one_line_error(capsys)["message"] == (
             "no trials kept of 2 found (--expected-trials 2 dropped 2 that passed)"
         )
+
+    # a header-only shift table would pass preprocess and fail fit
+    def test_cleaning_that_drops_every_shift_writes_nothing(self, tmp_path, capsys):
+        raw = synth_dir(tmp_path, participants=3, trials=1, shifts=30, seed=5)
+        out = tmp_path / "out"
+        assert run(["preprocess", "--in-dir", raw, "--out", out / "shifts.csv",
+                    "--min-overlap-s", 2.0, "--max-ecc-deg", 1e-9,
+                    "--symmetry-out", out / "symmetry.json"]) == 1
+        payload = one_line_error(capsys)
+        assert (payload["stage"], payload["error"]) == ("preprocess", "MissingInputError")
+        assert re.fullmatch(r"no shifts kept: cleaning dropped all \d+ shifts extracted "
+                            r"from 3 trials", payload["message"]), payload["message"]
+        assert not out.exists()
 
 
 TRIALS = [f"synth00{p}_t0{t}" for p in (1, 2, 3) for t in (1, 2)]

@@ -348,8 +348,8 @@ class TestLoadTraceCsv:
             load_trace_csv(p)
 
     # row k's participant or trial id against the "p01" of every other row;
-    # numpy's fixed-width strings drop trailing NULs and truncate, which
-    # the one-pair check must see through
+    # numpy's fixed-width strings truncate, which the one-pair check must
+    # see through, and a NUL is rejected by its byte offset before parsing
     @pytest.mark.parametrize("k", [1, 2, 4])
     @pytest.mark.parametrize("col", [0, 1], ids=["participant", "trial"])
     @pytest.mark.parametrize("other", ["p010", "p0", "p01\0", "p02", ""],
@@ -362,10 +362,13 @@ class TestLoadTraceCsv:
                      + "".join(",".join(row) + "\n" for row in rows))
         with pytest.raises(TraceSchemaError) as err:
             load_trace_csv(p)
-        # a NUL is named where it sits; any other odd value first differs at row 2 or k
-        row = k if "\0" in other else max(k, 2)
+        if "\0" in other:
+            offset = p.read_bytes().index(b"\0")
+            assert str(err.value) == f"{p}: byte 0x00 at offset {offset} is a NUL character"
+            return
+        # any other odd value first differs at row 2 or k
         assert str(p) in str(err.value)
-        assert f"data row {row} " in str(err.value)
+        assert f"data row {max(k, 2)} " in str(err.value)
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_quoting_alone_does_not_make_another_pair(self, tmp_path, k):
@@ -470,6 +473,29 @@ class TestOneBinaryRead:
             load_trace_csv(p)
         at = raw.index(b"\xfe")
         assert str(err.value).startswith(f"{p}: byte 0xfe at offset {at} ")
+
+    # a NUL anywhere, not only in an id column, and with no id column read at all;
+    # bad UTF-8 after it is still named first
+    @pytest.mark.parametrize("where", ["provenance", "header", "float", "id", "utf-8-after"])
+    @pytest.mark.parametrize("single", [(), ("participant_id", "trial_id")],
+                             ids=["no-single", "ids"])
+    def test_a_nul_byte_is_named_by_its_offset(self, tmp_path, where, single):
+        raw = {
+            "provenance": b"# provenance: {\0}\n" + self.HEADER + self.rows(3),
+            "header": self.HEADER.replace(b"yaw_deg", b"yaw_deg\0") + self.rows(3),
+            "float": self.HEADER + self.rows(3).replace(b"2.5,", b"2.5\0,"),
+            "id": self.HEADER + self.rows(2000) + b"p01\0,t01,2000.5,1.0\n",
+            "utf-8-after": self.HEADER + b"p\0" + self.rows(3) + b"\xff",
+        }[where]
+        p = tmp_path / "a.csv"
+        p.write_bytes(raw)
+        with pytest.raises(TraceSchemaError) as err:
+            ingest.read_table(p, TRACE_COLUMNS, floats=("timestamp_s", "yaw_deg"), single=single)
+        if where == "utf-8-after":
+            assert str(err.value).startswith(f"{p}: byte 0xff at offset {len(raw) - 1} ")
+        else:
+            at = raw.index(b"\0")
+            assert str(err.value) == f"{p}: byte 0x00 at offset {at} is a NUL character"
 
     # csv.reader reads row 1 ahead of numpy: each line it takes reaches numpy once
     @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\r\n\r"])

@@ -30,19 +30,22 @@ def adapt(src, out, *extra):
 
 
 def test_adapt_dataset_writes_loadable_trace_pairs(tmp_path):
-    """The adapter takes ids from the file name, scales time, and drops bad rows."""
+    """The adapter takes ids from the file name, scales time, and drops bad rows:
+    unparsable ones and those with a nan or infinite time, gaze or head value."""
     src, out = tmp_path / "src", tmp_path / "out"
     src.mkdir()
     (src / "P03_room2.csv").write_text(
-        "frame_ts,gaze_yaw,head_yaw,extra\n0,1.5,0.5,x\n10,2.5,1.0,y\n20,-179.25,3.0,z\n")
+        "frame_ts,gaze_yaw,head_yaw,extra\n0,1.5,0.5,x\n5,nan,0.7,w\n10,2.5,1.0,y\n"
+        "15,3.0,inf,v\n20,-179.25,3.0,z\n")
     (src / "P14_hall.csv").write_text(
-        "frame_ts,head_yaw,gaze_yaw\n0,0.25,-1\n15,n/a,2\n30,0.75,4\n45,1.0,5.5\n")
+        "frame_ts,head_yaw,gaze_yaw\n-inf,0.5,3\n0,0.25,-1\n15,n/a,2\n30,0.75,4\n45,1.0,5.5\n")
     (src / "notes.csv").write_text("frame_ts,gaze_yaw,head_yaw\n0,0,0\n1,1,1\n")
     proc = adapt(src, out, "--time-scale", "0.001")
     assert proc.returncode == 0, proc.stderr
     assert "wrote 2 trace pairs" in proc.stdout
     assert "skip notes.csv: does not match --name-re" in proc.stderr
-    assert "P14_hall.csv: dropped 1 unparsable rows" in proc.stderr
+    assert "P03_room2.csv: dropped 2 unparsable or non-finite rows" in proc.stderr
+    assert "P14_hall.csv: dropped 2 unparsable or non-finite rows" in proc.stderr
     assert sorted(os.listdir(out)) == ["P03_room2.gaze.csv", "P03_room2.head.csv",
                                        "P14_hall.gaze.csv", "P14_hall.head.csv"]
 
